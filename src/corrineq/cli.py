@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import catalog
-from .dsl import ScenarioSpec, VariableId, format_sos, parse_scenario, parse_sos
+from .dsl import VariableId, format_sos, parse_scenario, parse_sos
 from .errors import AssertionFailure, TermOutsideContext
 from .lhv import classical_extrema, jd_feasibility, monogamy_check, nodisturbance_optimum
 from .optimize import maximize_violation, scan_envelope
@@ -29,6 +29,8 @@ from .polynomials import (
     derive_inequality,
     format_inequality,
     format_varset,
+    letter_scenario,
+    term_kinds,
     validate_odd_groups,
 )
 from .protocol import estimate_f, signaling_test
@@ -155,21 +157,7 @@ def _finish(report: dict) -> dict:
     return report
 
 
-def _raise_first_failure(report: dict):
-    for check in report.get("checks", ()):
-        if not check["pass"]:
-            raise AssertionFailure(
-                check["name"], check["expected"], check["actual"], check["tolerance"]
-            )
-
-
 # ---------------------------------------------------------------- derive
-
-def _implicit_scenario(ineq) -> ScenarioSpec:
-    """Letter-per-party scenario with no contexts, for classification."""
-    variables = tuple(sorted(ineq.variables(), key=VariableId.sort_key))
-    return ScenarioSpec(variables, {v: v.letter for v in variables})
-
 
 def cmd_derive(args) -> int:
     source = parse_sos(Path(args.input).read_text())
@@ -178,8 +166,10 @@ def cmd_derive(args) -> int:
     scenario = (
         parse_scenario(Path(args.scenario).read_text())
         if args.scenario
-        else _implicit_scenario(ineq)
+        else letter_scenario(ineq.variables())
     )
+    # before term_kinds, so an undeclared variable gets classify's UnmappedVariable
+    classification = classify(ineq, scenario)
     extrema = classical_extrema(ineq, workers=thread_count())
     report = {
         "input": args.input,
@@ -203,10 +193,11 @@ def cmd_derive(args) -> int:
         },
         "term_kinds": {
             format_varset(pair): kind for pair, kind in sorted(
-                ineq.term_kinds.items(), key=lambda item: sorted(item[0], key=VariableId.sort_key)
+                term_kinds(ineq.terms, scenario).items(),
+                key=lambda item: sorted(item[0], key=VariableId.sort_key),
             )
         },
-        "classification": classify(ineq, scenario),
+        "classification": classification,
     }
     emit(report, args.format)
     return 0
@@ -251,12 +242,12 @@ def cmd_check(args) -> int:
         "tolerance": args.tolerance,
         "feasible": result.feasible,
     }
-    if result.feasible:
+    if result.model is not None:
         report["witness"] = {
             "support_size": len(result.model.support),
             "max_weight": max(w for _, w in result.model.support),
         }
-    else:
+    if result.certificate is not None:
         cert = result.certificate
         report["certificate"] = {
             "combination": {
@@ -502,13 +493,6 @@ _TARGET_FUNCS = {
     "monogamy": _target_monogamy,
     "protocol-mc": _target_protocol_mc,
 }
-
-
-def run_target(name: str, args) -> dict:
-    """Build one target's report and raise AssertionFailure on a miss."""
-    report = _TARGET_FUNCS[name](args)
-    _raise_first_failure(report)
-    return report
 
 
 def cmd_reproduce(args) -> int:

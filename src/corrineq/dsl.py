@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import (
     DslSyntaxError,
@@ -382,8 +381,3 @@ def parse_scenario(text: str) -> ScenarioSpec:
             raise UndeclaredVariable(f"party line uses undeclared {var}")
         party_map[var] = label
     return ScenarioSpec(tuple(variables), party_map, tuple(contexts), tuple(sequential))
-
-
-def bound_fraction(value) -> Fraction:
-    """Exact rational view of a bound, for arithmetic downstream."""
-    return Fraction(value)

@@ -37,6 +37,10 @@ class TooManyVariables(ValueError):
     """Exhaustive enumeration was asked for beyond its variable cap."""
 
 
+class CoefficientsTooLarge(ValueError):
+    """Coefficients too large for exact floating-point enumeration."""
+
+
 class UnknownVariable(KeyError):
     """A correlator query names a variable missing from the distribution."""
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .dsl import ScenarioSpec, SosExpression, VariableId
 from .errors import (
+    CoefficientsTooLarge,
     DivisionByZeroCell,
     ProvisoViolated,
     TermOutsideContext,
@@ -29,6 +30,7 @@ from .simplex import INFEASIBLE, OPTIMAL, FEASIBILITY_TOL, LpProblem, simplex_so
 
 EXTREMA_VARIABLE_CAP = 24
 FEASIBILITY_VARIABLE_CAP = 20
+EXACT_SUM_LIMIT = 1 << 53  # float64 adds integers exactly below this magnitude
 WEIGHT_TOL = 1e-12
 
 
@@ -108,10 +110,6 @@ class JointDistribution:
         return sum(p * o[ia] for o, p in self.table.items())
 
 
-def correlator_from_jd(jd: JointDistribution, a: VariableId, b: VariableId) -> float:
-    return jd.correlator(a, b)
-
-
 def dhv_to_jd(model: DhvModel) -> JointDistribution:
     """Collapse a mixture of assignments into one outcome table."""
     variables = model.variables()
@@ -158,9 +156,22 @@ def classical_extrema(poly, workers=None, chunk_size=1 << 16) -> ExtremaResult:
     """Exact min and max over every deterministic ±1 assignment.
 
     Witnesses are the lexicographically smallest attaining assignments
-    (-1 sorting before +1).  Chunks may be evaluated by a thread pool;
-    the reduction compares (value, first index) so the answer does not
-    depend on worker count.
+    (-1 sorting before +1).
+
+    The scan splits the sorted variables into a high half (the first
+    n//2, the most significant bits of the assignment index) and a low
+    half, so index = high * 2**low + low.  Terms are grouped by their
+    high-half monomial, and `right` holds each group's low-half sum on
+    all 2**low low assignments.  A tile of whole high-half rows is then
+    one matrix product: `left` holds the ±1 value of every group's high
+    monomial on each row, and `left @ right` lists the tile's values in
+    index order, so a row-major argmin/argmax finds the earliest
+    attaining index.  A tile covers about `chunk_size` assignments, and
+    at least one high-half row.  The product runs in float64, which is
+    exact while the sum of absolute coefficients is below 2**53; larger
+    inputs raise CoefficientsTooLarge before any allocation.  Tiles may
+    be evaluated by a thread pool; the reduction compares (value, first
+    index) so the answer does not depend on worker count.
     """
     if isinstance(poly, CorrelationInequality):
         poly = poly.as_poly()
@@ -168,27 +179,46 @@ def classical_extrema(poly, workers=None, chunk_size=1 << 16) -> ExtremaResult:
     n = len(variables)
     if n > EXTREMA_VARIABLE_CAP:
         raise TooManyVariables(f"{n} variables exceeds the cap of {EXTREMA_VARIABLE_CAP}")
+    magnitude = sum(abs(c) for _, c in poly.items())
+    if magnitude >= EXACT_SUM_LIMIT:
+        raise CoefficientsTooLarge(
+            f"sum of absolute coefficients {magnitude} is not below 2**53"
+        )
     col = {v: i for i, v in enumerate(variables)}
-    terms = [(tuple(col[v] for v in s), c) for s, c in poly.items()]
     if n == 0:
         constant = poly.constant_term()
         empty = DeterministicAssignment({})
         return ExtremaResult(constant, constant, empty, empty, 1)
 
-    total = 1 << n
-    spans = [(s, min(s + chunk_size, total)) for s in range(0, total, chunk_size)]
+    high = n // 2
+    low = n - high
+    groups = {}  # high-half columns -> [(low-half columns, coefficient)]
+    for varset, coeff in poly.items():
+        cols = sorted(col[v] for v in varset)
+        key = tuple(c for c in cols if c < high)
+        groups.setdefault(key, []).append((tuple(c - high for c in cols if c >= high), coeff))
+    low_block = _assignment_block(low, 0, 1 << low)
+    right = np.array([_evaluate_block(terms, low_block) for terms in groups.values()], dtype=float)
+    incidence = np.zeros((high, len(groups)))
+    for g, cols in enumerate(groups):
+        incidence[list(cols), g] = 1.0
+    rows = max(1, chunk_size >> low)
+    tiles = [(s, min(s + rows, 1 << high)) for s in range(0, 1 << high, rows)]
 
-    def scan(span):
-        start, stop = span
-        values = _evaluate_block(terms, _assignment_block(n, start, stop))
+    def scan(tile):
+        start, stop = tile
+        negatives = _assignment_block(high, start, stop) < 0
+        left = 1.0 - 2.0 * ((negatives @ incidence) % 2)
+        values = left @ right
         lo, hi = int(values.argmin()), int(values.argmax())
-        return (int(values[lo]), start + lo, int(values[hi]), start + hi)
+        offset = start << low
+        return (int(values.flat[lo]), offset + lo, int(values.flat[hi]), offset + hi)
 
-    if workers and workers > 1 and len(spans) > 1:
+    if workers and workers > 1 and len(tiles) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(scan, spans))
+            parts = list(pool.map(scan, tiles))
     else:
-        parts = [scan(span) for span in spans]
+        parts = [scan(tile) for tile in tiles]
 
     best_min = min((v, i) for v, i, _, _ in parts)
     best_max = max((v, -i) for _, _, v, i in parts)  # prefer the earliest index
@@ -201,7 +231,7 @@ def classical_extrema(poly, workers=None, chunk_size=1 << 16) -> ExtremaResult:
     return ExtremaResult(
         best_min[0], max_value,
         assignment_at(best_min[1]), assignment_at(max_index),
-        total,
+        1 << n,
     )
 
 
@@ -249,7 +279,10 @@ def jd_feasibility(scenario, observed, means=None, tolerance=FEASIBILITY_TOL) ->
     Solves for convex weights over all deterministic assignments of the
     scenario's variables.  Feasible answers carry the witness model and
     its joint distribution; infeasible answers carry a violated
-    inequality extracted from the LP's Farkas certificate.
+    inequality extracted from the LP's Farkas certificate.  When the LP
+    is infeasible but the certificate's violation is at most
+    `tolerance`, the data count as feasible within tolerance: the
+    result is feasible, has no model, and carries the certificate.
     """
     variables = tuple(sorted(scenario.variables, key=VariableId.sort_key))
     n = len(variables)
@@ -317,7 +350,7 @@ def jd_feasibility(scenario, observed, means=None, tolerance=FEASIBILITY_TOL) ->
     certificate = InfeasibilityCertificate(
         pair_coeffs, mean_coeffs, bound=float(combo.max()), observed_value=observed_value
     )
-    return FeasibilityResult(False, certificate=certificate)
+    return FeasibilityResult(certificate.violation <= tolerance, certificate=certificate)
 
 
 @dataclass(frozen=True)

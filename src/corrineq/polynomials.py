@@ -269,11 +269,23 @@ def inequality_from_poly(poly, comparator, bound, provenance=None) -> Correlatio
         terms = [Monomial(m.variables, -m.coefficient) for m in terms]
         new_bound = -new_bound
         direction = "<=" if direction == ">=" else ">="
-    kinds = {}
-    for mono in terms:
-        a, b = sorted(mono.variables, key=VariableId.sort_key)
-        kinds[mono.variables] = SAME_PARTY if a.letter == b.letter else CROSS_PARTY
+    variables = frozenset().union(*(m.variables for m in terms))
+    kinds = term_kinds(terms, letter_scenario(variables))
     return CorrelationInequality(tuple(terms), direction, new_bound, kinds, provenance)
+
+
+def letter_scenario(variables) -> ScenarioSpec:
+    """One party per variable letter and no contexts: the rule used without a scenario."""
+    variables = tuple(sorted(variables, key=VariableId.sort_key))
+    return ScenarioSpec(variables, {v: v.letter for v in variables})
+
+
+def term_kinds(terms, scenario: ScenarioSpec) -> dict[frozenset[VariableId], str]:
+    """Label each degree-2 term same-party or cross-party by the scenario's parties."""
+    return {
+        m.variables: SAME_PARTY if scenario.same_party(*m.variables) else CROSS_PARTY
+        for m in terms
+    }
 
 
 def derive_inequality(expr: SosExpression) -> CorrelationInequality:

@@ -81,6 +81,23 @@ class TestDerive:
         kinds = set(report["term_kinds"].values())
         assert kinds == {"cross-party", "same-party"}
 
+    def test_scenario_parties_set_term_kinds(self, capsys):
+        # lg.scn puts J K L M on one party although their letters differ
+        code, out, _ = run_cli(
+            capsys,
+            "derive",
+            "--input",
+            data_file("lg.rsx"),
+            "--scenario",
+            data_file("lg.scn"),
+            "--format",
+            "json",
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["term_kinds"] == dict.fromkeys(("JK", "JM", "KL", "LM"), "same-party")
+        assert report["classification"] == "temporal"
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "derive", "--input", "no/such/file.rsx")
         assert code == 2
@@ -150,6 +167,28 @@ class TestCheck:
         assert report["feasible"] is True
         assert report["witness"]["support_size"] >= 1
         assert 0.0 < report["witness"]["max_weight"] <= 1.0
+
+    @pytest.mark.parametrize("tolerance, feasible", [("1e-12", False), ("0.1", True)])
+    def test_tolerance_forgives_small_violation(self, capsys, tmp_path, tolerance, feasible):
+        # the CHSH sum is 2 + 1e-8, just past the facet
+        r = 0.5 + 0.25e-8
+        path = self.write_input(tmp_path, {"X1Y1": r, "X1Y2": r, "X2Y1": r, "X2Y2": -r})
+        code, out, _ = run_cli(
+            capsys,
+            "check",
+            "--input",
+            path,
+            "--scenario",
+            data_file("chsh.scn"),
+            "--tolerance",
+            tolerance,
+            "--format",
+            "json",
+        )
+        report = json.loads(out)
+        assert (code, report["feasible"]) == ((0, True) if feasible else (1, False))
+        assert report["certificate"]["violation"] == pytest.approx(1e-8, rel=1e-3)
+        assert "witness" not in report
 
     def test_bad_correlator_key_exits_2(self, capsys, tmp_path):
         path = self.write_input(tmp_path, {"X1": 0.5})

@@ -1,11 +1,15 @@
 """Classical bounds, joint-distribution feasibility, and no-disturbance LPs."""
 
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from corrineq import catalog
 from corrineq.dsl import ScenarioSpec, VariableId
 from corrineq.errors import (
+    CoefficientsTooLarge,
     ProvisoViolated,
     TermOutsideContext,
     TooManyVariables,
@@ -16,7 +20,6 @@ from corrineq.lhv import (
     DhvModel,
     JointDistribution,
     classical_extrema,
-    correlator_from_jd,
     dhv_to_jd,
     jd_feasibility,
     monogamy_check,
@@ -47,7 +50,56 @@ def singlet_chsh_correlators():
     }
 
 
+@st.composite
+def multilinear_polys(draw):
+    """Integer polys of any degree, constant included, over up to 10 variables."""
+    n = draw(st.integers(1, 10))
+    names = [VariableId("XYZ"[i % 3], i // 3 + 1) for i in range(n)]
+    cols = st.lists(st.integers(0, n - 1), unique=True, max_size=n)
+    terms = draw(st.lists(st.tuples(cols, st.integers(-3, 3)), max_size=8))
+    return MultilinearPoly({frozenset(names[c] for c in cs): coeff for cs, coeff in terms})
+
+
+def reference_extrema(poly):
+    """First minimum and first maximum over the lexicographic ±1 walk."""
+    variables = sorted(poly.variables(), key=VariableId.sort_key)
+    walk = [
+        (poly.evaluate(dict(zip(variables, signs))), dict(zip(variables, signs)))
+        for signs in product((-1, 1), repeat=len(variables))
+    ]
+    # min and max return the first of equal keys, i.e. the earliest index
+    return min(walk, key=lambda vw: vw[0]), max(walk, key=lambda vw: vw[0]), len(walk)
+
+
 class TestClassicalExtrema:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        poly=multilinear_polys(),
+        workers=st.sampled_from([None, 2, 3]),
+        chunk_size=st.sampled_from([1, 2, 3, 7, 1 << 16]),
+    )
+    # one variable; and X1X2 + Y1Y2, whose extrema are each attained four times
+    @example(poly=MultilinearPoly({frozenset({x(1)}): 2, frozenset(): -1}), workers=2, chunk_size=1)
+    @example(
+        poly=MultilinearPoly({frozenset({x(1), x(2)}): 1, frozenset({y(1), y(2)}): 1}),
+        workers=3, chunk_size=1,
+    )
+    def test_matches_exhaustive_reference(self, poly, workers, chunk_size):
+        (lo, lo_at), (hi, hi_at), count = reference_extrema(poly)
+        res = classical_extrema(poly, workers=workers, chunk_size=chunk_size)
+        assert (res.minimum, res.maximum, res.assignments_checked) == (lo, hi, count)
+        assert res.witness_min.values == lo_at
+        assert res.witness_max.values == hi_at
+
+    def test_coefficient_sum_limit(self):
+        edge = 1 << 52
+        below = MultilinearPoly({frozenset({x(1), y(1)}): edge, frozenset({x(2), y(1)}): 1 - edge})
+        res = classical_extrema(below)
+        assert (res.minimum, res.maximum) == (-(2 * edge - 1), 2 * edge - 1)
+        at = MultilinearPoly({frozenset({x(1), y(1)}): edge, frozenset({x(2), y(1)}): -edge})
+        with pytest.raises(CoefficientsTooLarge):
+            classical_extrema(at)
+
     def test_chsh(self):
         res = classical_extrema(derive_inequality(catalog.chsh_source()))
         assert (res.minimum, res.maximum) == (-2, 2)
@@ -107,7 +159,6 @@ class TestModelsAndDistributions:
                 assert model.correlator(a, b) == pytest.approx(
                     jd.correlator(a, b), abs=1e-12
                 )
-                assert correlator_from_jd(jd, a, b) == jd.correlator(a, b)
             for var in names:
                 assert model.mean(var) == pytest.approx(jd.mean(var), abs=1e-12)
 
