@@ -32,6 +32,10 @@ EXTREMA_VARIABLE_CAP = 24
 FEASIBILITY_VARIABLE_CAP = 20
 EXACT_SUM_LIMIT = 1 << 53  # float64 adds integers exactly below this magnitude
 WEIGHT_TOL = 1e-12
+# column generation in jd_feasibility: the master LP starts from this many
+# assignments, and each pricing round adds at most this many
+_SEED_COLUMNS = 16
+_BATCH_COLUMNS = 8
 
 
 @dataclass(frozen=True)
@@ -120,27 +124,95 @@ def dhv_to_jd(model: DhvModel) -> JointDistribution:
     return JointDistribution(variables, table)
 
 
-def _assignment_block(n, start, stop) -> np.ndarray:
-    """Rows start..stop of the canonical ±1 assignment enumeration.
+def _assignment_rows(n, indices) -> np.ndarray:
+    """Rows `indices` of the canonical ±1 assignment enumeration.
 
     Assignment i maps variable j to +1 when bit (n-1-j) of i is set, so
     ascending i walks the value tuples in lexicographic order with -1
     first.
     """
-    idx = np.arange(start, stop, dtype=np.uint32)
+    idx = np.asarray(indices, dtype=np.uint32)
     shifts = np.arange(n - 1, -1, -1, dtype=np.uint32)
     bits = (idx[:, None] >> shifts[None, :]) & 1
     return (2 * bits.astype(np.int64)) - 1
 
 
-def _evaluate_block(poly_terms, block) -> np.ndarray:
-    values = np.zeros(block.shape[0], dtype=np.int64)
-    for cols, coeff in poly_terms:
-        prod = np.full(block.shape[0], coeff, dtype=np.int64)
-        for c in cols:
-            prod *= block[:, c]
-        values += prod
-    return values
+def _assignment_block(n, start, stop) -> np.ndarray:
+    """Rows start..stop of the canonical ±1 assignment enumeration."""
+    return _assignment_rows(n, np.arange(start, stop, dtype=np.uint32))
+
+
+def _incidence(n, monomials) -> np.ndarray:
+    """0/1 matrix whose column k marks the variable columns of monomial k."""
+    out = np.zeros((n, len(monomials)))
+    for k, cols in enumerate(monomials):
+        out[list(cols), k] = 1.0
+    return out
+
+
+def _parities(assignments, incidence) -> np.ndarray:
+    """±1 value of each monomial (a column of `incidence`) on each assignment row."""
+    negatives = (assignments < 0).astype(float)  # float: a BLAS product
+    odd = (negatives @ incidence).astype(np.int64) & 1  # integer parity; float % is slow
+    return 1.0 - 2.0 * odd
+
+
+def _split_scan(n, terms, chunk_size=1 << 16, workers=None):
+    """Row-wise extrema of a float64 multilinear form over all 2**n assignments.
+
+    `terms` lists (sorted variable columns, coefficient) pairs.  The
+    variables split into a high half (the first n//2, the most
+    significant bits of the assignment index) and a low half, so index =
+    high * 2**low + low.  Terms are grouped by their high-half monomial,
+    and `right` holds each group's low-half sum on all 2**low low
+    assignments.  A tile of whole high-half rows is then one matrix
+    product: `left` holds the ±1 value of every group's high monomial on
+    each row, and `left @ right` lists the tile's values in index order.
+    A tile covers about `chunk_size` assignments, and at least one row;
+    tiles may be evaluated by a thread pool.  Memory is O(terms * 2**low)
+    while `right` is built, plus O(chunk_size) per tile.  Integer
+    coefficients whose absolute sum is below 2**53 give exact values.
+
+    Returns (row_min, argmin, row_max, argmax), each with one entry per
+    high-half row: the row's extreme values and the earliest assignment
+    index attaining each.
+    """
+    high = n // 2
+    low = n - high
+    groups = {(): 0}  # high-half monomial -> row of `right`
+    lows = {}  # low-half monomial -> column of `weights`
+    split = []
+    for cols, coeff in terms:
+        g = groups.setdefault(tuple(c for c in cols if c < high), len(groups))
+        split.append((g, lows.setdefault(tuple(c - high for c in cols if c >= high), len(lows)), coeff))
+    weights = np.zeros((len(groups), len(lows)))
+    for g, u, coeff in split:
+        weights[g, u] += coeff
+    right = weights @ _parities(_assignment_block(low, 0, 1 << low), _incidence(low, lows)).T
+    incidence = _incidence(high, groups)
+    rows = min(max(1, chunk_size >> low), 1 << high)
+    tiles = [(s, min(s + rows, 1 << high)) for s in range(0, 1 << high, rows)]
+    row_min, row_max = np.empty(1 << high), np.empty(1 << high)
+    arg_min = np.empty(1 << high, dtype=np.int64)
+    arg_max = np.empty(1 << high, dtype=np.int64)
+    span = np.arange(rows)
+
+    def scan(tile):
+        start, stop = tile
+        values = _parities(_assignment_block(high, start, stop), incidence) @ right
+        at = span[:stop - start]
+        lo = arg_min[start:stop] = values.argmin(axis=1)
+        hi = arg_max[start:stop] = values.argmax(axis=1)
+        row_min[start:stop], row_max[start:stop] = values[at, lo], values[at, hi]
+
+    if workers and workers > 1 and len(tiles) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(scan, tiles))
+    else:
+        for tile in tiles:
+            scan(tile)
+    first = np.arange(1 << high, dtype=np.int64) << low  # index of each row's first assignment
+    return row_min, first + arg_min, row_max, first + arg_max
 
 
 @dataclass(frozen=True)
@@ -158,20 +230,15 @@ def classical_extrema(poly, workers=None, chunk_size=1 << 16) -> ExtremaResult:
     Witnesses are the lexicographically smallest attaining assignments
     (-1 sorting before +1).
 
-    The scan splits the sorted variables into a high half (the first
-    n//2, the most significant bits of the assignment index) and a low
-    half, so index = high * 2**low + low.  Terms are grouped by their
-    high-half monomial, and `right` holds each group's low-half sum on
-    all 2**low low assignments.  A tile of whole high-half rows is then
-    one matrix product: `left` holds the ±1 value of every group's high
-    monomial on each row, and `left @ right` lists the tile's values in
-    index order, so a row-major argmin/argmax finds the earliest
-    attaining index.  A tile covers about `chunk_size` assignments, and
-    at least one high-half row.  The product runs in float64, which is
-    exact while the sum of absolute coefficients is below 2**53; larger
-    inputs raise CoefficientsTooLarge before any allocation.  Tiles may
-    be evaluated by a thread pool; the reduction compares (value, first
-    index) so the answer does not depend on worker count.
+    The scan is the split-product kernel `_split_scan`, which
+    `jd_feasibility` also uses to price columns: one float64 matrix
+    product per tile of about `chunk_size` assignments, with tiles
+    optionally spread over a thread pool of `workers`.  It reports each
+    high-half row's extremes at their earliest indices, so the first row
+    attaining the overall extreme holds the earliest attaining index for
+    any worker count.  The product is exact while the sum of absolute
+    coefficients is below 2**53; larger inputs raise
+    CoefficientsTooLarge before any allocation.
     """
     if isinstance(poly, CorrelationInequality):
         poly = poly.as_poly()
@@ -190,49 +257,28 @@ def classical_extrema(poly, workers=None, chunk_size=1 << 16) -> ExtremaResult:
         empty = DeterministicAssignment({})
         return ExtremaResult(constant, constant, empty, empty, 1)
 
-    high = n // 2
-    low = n - high
-    groups = {}  # high-half columns -> [(low-half columns, coefficient)]
-    for varset, coeff in poly.items():
-        cols = sorted(col[v] for v in varset)
-        key = tuple(c for c in cols if c < high)
-        groups.setdefault(key, []).append((tuple(c - high for c in cols if c >= high), coeff))
-    low_block = _assignment_block(low, 0, 1 << low)
-    right = np.array([_evaluate_block(terms, low_block) for terms in groups.values()], dtype=float)
-    incidence = np.zeros((high, len(groups)))
-    for g, cols in enumerate(groups):
-        incidence[list(cols), g] = 1.0
-    rows = max(1, chunk_size >> low)
-    tiles = [(s, min(s + rows, 1 << high)) for s in range(0, 1 << high, rows)]
-
-    def scan(tile):
-        start, stop = tile
-        negatives = _assignment_block(high, start, stop) < 0
-        left = 1.0 - 2.0 * ((negatives @ incidence) % 2)
-        values = left @ right
-        lo, hi = int(values.argmin()), int(values.argmax())
-        offset = start << low
-        return (int(values.flat[lo]), offset + lo, int(values.flat[hi]), offset + hi)
-
-    if workers and workers > 1 and len(tiles) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(scan, tiles))
-    else:
-        parts = [scan(tile) for tile in tiles]
-
-    best_min = min((v, i) for v, i, _, _ in parts)
-    best_max = max((v, -i) for _, _, v, i in parts)  # prefer the earliest index
-    max_value, max_index = best_max[0], -best_max[1]
+    terms = [(tuple(sorted(col[v] for v in varset)), coeff) for varset, coeff in poly.items()]
+    row_min, arg_min, row_max, arg_max = _split_scan(n, terms, chunk_size, workers)
+    lo, hi = int(row_min.argmin()), int(row_max.argmax())  # first row: earliest index
 
     def assignment_at(index):
-        row = _assignment_block(n, index, index + 1)[0]
+        row = _assignment_rows(n, [index])[0]
         return DeterministicAssignment({v: int(row[col[v]]) for v in variables})
 
     return ExtremaResult(
-        best_min[0], max_value,
-        assignment_at(best_min[1]), assignment_at(max_index),
+        int(row_min[lo]), int(row_max[hi]),
+        assignment_at(arg_min[lo]), assignment_at(arg_max[hi]),
         1 << n,
     )
+
+
+def _checked_value(value, what):
+    value = float(value)
+    if not np.isfinite(value):
+        raise ValueError(f"{what} is {value}, expected a finite number")
+    if abs(value) > 1 + 1e-12:
+        raise ValueError(f"{what} is {value}, outside [-1, 1]")
+    return value
 
 
 def _normalize_pairs(observed):
@@ -241,9 +287,7 @@ def _normalize_pairs(observed):
         pair = frozenset(key)
         if len(pair) != 2:
             raise ValueError(f"correlator key {key} must name two distinct variables")
-        if abs(value) > 1 + 1e-12:
-            raise ValueError(f"correlator {value} for {key} is outside [-1, 1]")
-        out[pair] = float(value)
+        out[pair] = _checked_value(value, f"correlator for {key}")
     return out
 
 
@@ -276,13 +320,25 @@ class FeasibilityResult:
 def jd_feasibility(scenario, observed, means=None, tolerance=FEASIBILITY_TOL) -> FeasibilityResult:
     """Does any joint distribution reproduce the observed correlators?
 
-    Solves for convex weights over all deterministic assignments of the
-    scenario's variables.  Feasible answers carry the witness model and
-    its joint distribution; infeasible answers carry a violated
-    inequality extracted from the LP's Farkas certificate.  When the LP
-    is infeasible but the certificate's violation is at most
-    `tolerance`, the data count as feasible within tolerance: the
-    result is feasible, has no model, and carries the certificate.
+    The LP asks for convex weights over the deterministic assignments of
+    the scenario's variables, and is solved by column generation.  A
+    restricted master LP holds a few assignment columns: the
+    `_SEED_COLUMNS` best aligned with the data, or every assignment when
+    there are no more than that.  While the master is infeasible, its
+    phase-1 Farkas vector y prices all 2**n assignments at once with the
+    split-product scan, and up to `_BATCH_COLUMNS` of those priced above
+    FEASIBILITY_TOL join the master.  A feasible master's weights are the
+    witness.  When no assignment prices positive, y also certifies the
+    full LP infeasible: the certificate's bound is the scan's maximum of
+    the combination over all assignments.  Memory is the master's
+    O(m * (columns + m)) tableau for m LP rows plus the scan's
+    O(m * 2**(n - n//2) + chunk), never O(m * 2**n).
+
+    Feasible answers carry the witness model and its joint distribution;
+    infeasible answers carry the violated inequality.  When the LP is
+    infeasible but the certificate's violation is at most `tolerance`,
+    the data count as feasible within tolerance: the result is feasible,
+    has no model, and carries the certificate.
     """
     variables = tuple(sorted(scenario.variables, key=VariableId.sort_key))
     n = len(variables)
@@ -291,7 +347,7 @@ def jd_feasibility(scenario, observed, means=None, tolerance=FEASIBILITY_TOL) ->
     declared = set(variables)
     col = {v: i for i, v in enumerate(variables)}
     pairs = _normalize_pairs(observed)
-    means = dict(means or {})
+    means = {var: _checked_value(value, f"mean of {var}") for var, value in (means or {}).items()}
     for pair in pairs:
         for var in pair:
             if var not in declared:
@@ -300,29 +356,57 @@ def jd_feasibility(scenario, observed, means=None, tolerance=FEASIBILITY_TOL) ->
         if var not in declared:
             raise UndeclaredVariable(f"mean names undeclared {var}")
 
-    block = _assignment_block(n, 0, 1 << n).astype(float)
     pair_keys = sorted(pairs, key=lambda p: tuple(sorted(v.sort_key() for v in p)))
     mean_keys = sorted(means, key=VariableId.sort_key)
-    rows = [np.ones(1 << n)]
-    rhs = [1.0]
-    for pair in pair_keys:
-        a, b = sorted(pair, key=VariableId.sort_key)
-        rows.append(block[:, col[a]] * block[:, col[b]])
-        rhs.append(pairs[pair])
-    for var in mean_keys:
-        rows.append(block[:, col[var]])
-        rhs.append(float(means[var]))
-    a_eq = np.vstack(rows)
-    solution = simplex_solve(LpProblem(c=np.zeros(1 << n), a_eq=a_eq, b_eq=np.array(rhs)))
+    # LP rows after the normalization row, as monomials over variable columns
+    monomials = [tuple(sorted(col[v] for v in pair)) for pair in pair_keys]
+    monomials += [(col[var],) for var in mean_keys]
+    rhs = np.array([1.0] + [pairs[p] for p in pair_keys] + [means[v] for v in mean_keys])
+
+    incidence = _incidence(n, monomials)
+
+    def columns(indices):
+        values = _parities(_assignment_rows(n, indices), incidence).T
+        return np.vstack([np.ones(len(indices)), values])
+
+    def best_rows(weights):
+        """Each high-half row's best assignment under the combination `weights`."""
+        _, _, row_max, arg_max = _split_scan(n, list(zip(monomials, weights)))
+        return row_max, arg_max
+
+    if 1 << n <= _SEED_COLUMNS:
+        master = np.arange(1 << n)
+    else:
+        row_max, arg_max = best_rows(rhs[1:])
+        master = np.sort(arg_max[np.argsort(-row_max, kind="stable")[:_SEED_COLUMNS]])
+    a_eq = columns(master)
+    while True:
+        solution = simplex_solve(LpProblem(c=np.zeros(len(master)), a_eq=a_eq, b_eq=rhs))
+        if solution.status != INFEASIBLE:
+            break
+        y = solution.farkas_eq
+        row_max, arg_max = best_rows(y[1:])
+        prices = y[0] + row_max
+        order = np.argsort(-prices, kind="stable")
+        known = set(master.tolist())
+        fresh = [int(i) for i in arg_max[order[prices[order] > FEASIBILITY_TOL]] if i not in known]
+        if not fresh:
+            break
+        fresh = np.array(fresh[:_BATCH_COLUMNS])
+        # tight columns (the last basis among them) go first, so that Bland's
+        # rule re-enters them before it tries the fresh ones
+        tight = y @ a_eq >= -FEASIBILITY_TOL
+        master = np.concatenate([master[tight], fresh, master[~tight]])
+        a_eq = np.hstack([a_eq[:, tight], columns(fresh), a_eq[:, ~tight]])
 
     if solution.status == OPTIMAL:
         weights = np.clip(solution.x, 0.0, None)
         weights /= weights.sum()
         support = []
-        for index in np.flatnonzero(weights > WEIGHT_TOL):
-            row = _assignment_block(n, int(index), int(index) + 1)[0]
+        for j in sorted(np.flatnonzero(weights > WEIGHT_TOL), key=lambda j: master[j]):
+            row = _assignment_rows(n, [master[j]])[0]
             asg = DeterministicAssignment({v: int(row[col[v]]) for v in variables})
-            support.append((asg, float(weights[index])))
+            support.append((asg, float(weights[j])))
         # put any clipped dust on the heaviest atom so weights sum exactly
         drift = 1.0 - sum(w for _, w in support)
         heaviest = max(range(len(support)), key=lambda i: support[i][1])
@@ -332,23 +416,13 @@ def jd_feasibility(scenario, observed, means=None, tolerance=FEASIBILITY_TOL) ->
 
     if solution.status != INFEASIBLE:
         raise ArithmeticError(f"feasibility LP came back {solution.status}")
-    y = solution.farkas_eq
-    combo = np.zeros(1 << n)
+    coeffs = [float(c) for c in y[1:]]
     observed_value = 0.0
-    pair_coeffs = {}
-    mean_coeffs = {}
-    for offset, pair in enumerate(pair_keys):
-        coeff = float(y[1 + offset])
-        pair_coeffs[pair] = coeff
-        combo += coeff * rows[1 + offset]
-        observed_value += coeff * pairs[pair]
-    for offset, var in enumerate(mean_keys):
-        coeff = float(y[1 + len(pair_keys) + offset])
-        mean_coeffs[var] = coeff
-        combo += coeff * rows[1 + len(pair_keys) + offset]
-        observed_value += coeff * float(means[var])
+    for coeff, value in zip(coeffs, rhs[1:].tolist()):
+        observed_value += coeff * value
     certificate = InfeasibilityCertificate(
-        pair_coeffs, mean_coeffs, bound=float(combo.max()), observed_value=observed_value
+        dict(zip(pair_keys, coeffs)), dict(zip(mean_keys, coeffs[len(pair_keys):])),
+        bound=float(row_max.max()), observed_value=observed_value,
     )
     return FeasibilityResult(certificate.violation <= tolerance, certificate=certificate)
 
@@ -383,55 +457,42 @@ def nodisturbance_optimum(scenario, objective, direction="max", enforce_consiste
     contexts = [tuple(sorted(ctx, key=VariableId.sort_key)) for ctx in scenario.contexts]
     if not contexts:
         raise TermOutsideContext("scenario declares no contexts")
-    offsets, total = [], 0
-    for ctx in contexts:
-        offsets.append(total)
-        total += 1 << len(ctx)
-
-    def cell(ci, outcome_bits):
-        return offsets[ci] + outcome_bits
-
-    def outcomes(ci):
-        k = len(contexts[ci])
-        block = _assignment_block(k, 0, 1 << k)
-        return [tuple(int(v) for v in row) for row in block]
+    tables = [_assignment_block(len(ctx), 0, 1 << len(ctx)) for ctx in contexts]
+    spans, total = [], 0  # each context's slice of the LP's columns
+    for table in tables:
+        spans.append(slice(total, total + len(table)))
+        total += len(table)
+    homes = {}  # variable -> contexts holding it, in declaration order
+    for ci, ctx in enumerate(contexts):
+        for var in ctx:
+            homes.setdefault(var, []).append(ci)
 
     pairs = _objective_pairs(objective)
     c_vec = np.zeros(total)
     for pair, coeff in pairs.items():
-        home = next((ci for ci, ctx in enumerate(contexts) if pair <= set(ctx)), None)
+        a, b = sorted(pair, key=VariableId.sort_key)
+        home = next((ci for ci in homes.get(a, ()) if b in contexts[ci]), None)
         if home is None:
-            a, b = sorted(pair, key=VariableId.sort_key)
             raise TermOutsideContext(f"{a}{b} lies in no declared context")
-        ia = contexts[home].index(sorted(pair, key=VariableId.sort_key)[0])
-        ib = contexts[home].index(sorted(pair, key=VariableId.sort_key)[1])
-        for bits, outcome in enumerate(outcomes(home)):
-            c_vec[cell(home, bits)] += coeff * outcome[ia] * outcome[ib]
+        ia, ib = contexts[home].index(a), contexts[home].index(b)
+        c_vec[spans[home]] += coeff * tables[home][:, ia] * tables[home][:, ib]
 
-    rows, rhs = [], []
-    for ci, ctx in enumerate(contexts):
-        row = np.zeros(total)
-        row[offsets[ci]:offsets[ci] + (1 << len(ctx))] = 1.0
-        rows.append(row)
-        rhs.append(1.0)
+    normalization = np.zeros((len(contexts), total))
+    for ci, span in enumerate(spans):
+        normalization[ci, span] = 1.0
+    rows, rhs = [normalization], [1.0] * len(contexts)
     if enforce_consistency:
-        for ci in range(len(contexts)):
-            for cj in range(ci + 1, len(contexts)):
-                shared = sorted(set(contexts[ci]) & set(contexts[cj]), key=VariableId.sort_key)
-                if not shared:
-                    continue
-                ia = [contexts[ci].index(s) for s in shared]
-                ib = [contexts[cj].index(s) for s in shared]
-                for pattern in _assignment_block(len(shared), 0, 1 << len(shared)):
-                    row = np.zeros(total)
-                    for bits, outcome in enumerate(outcomes(ci)):
-                        if all(outcome[k] == pattern[t] for t, k in enumerate(ia)):
-                            row[cell(ci, bits)] += 1.0
-                    for bits, outcome in enumerate(outcomes(cj)):
-                        if all(outcome[k] == pattern[t] for t, k in enumerate(ib)):
-                            row[cell(cj, bits)] -= 1.0
-                    rows.append(row)
-                    rhs.append(0.0)
+        for ci, ctx in enumerate(contexts):
+            for cj in sorted({cj for var in ctx for cj in homes[var] if cj > ci}):
+                shared = sorted(set(ctx) & set(contexts[cj]), key=VariableId.sort_key)
+                patterns = _assignment_block(len(shared), 0, 1 << len(shared))
+                # one row per shared pattern: ci's cells showing it minus cj's
+                block = np.zeros((len(patterns), total))
+                for ck, sign in ((ci, 1.0), (cj, -1.0)):
+                    seen = tables[ck][:, [contexts[ck].index(v) for v in shared]]
+                    block[:, spans[ck]] += sign * (seen[None, :, :] == patterns[:, None, :]).all(axis=2)
+                rows.append(block)
+                rhs.extend([0.0] * len(patterns))
 
     problem = LpProblem(
         c=c_vec, a_eq=np.vstack(rows), b_eq=np.array(rhs), maximize=(direction == "max")
@@ -439,12 +500,10 @@ def nodisturbance_optimum(scenario, objective, direction="max", enforce_consiste
     solution = simplex_solve(problem)
     if solution.status != OPTIMAL:
         raise ArithmeticError(f"no-disturbance LP came back {solution.status}")
-    behavior = []
-    for ci, ctx in enumerate(contexts):
-        table = {}
-        for bits, outcome in enumerate(outcomes(ci)):
-            table[outcome] = float(solution.x[cell(ci, bits)])
-        behavior.append(table)
+    behavior = [
+        {tuple(int(v) for v in outcome): float(p) for outcome, p in zip(table, solution.x[span])}
+        for table, span in zip(tables, spans)
+    ]
     return NdOptimum(
         float(solution.objective), direction, tuple(contexts), tuple(behavior), enforce_consistency
     )

@@ -198,6 +198,23 @@ class TestCheck:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("means", [{"X1": float("nan")}, {"X1": 1.5}])
+    def test_bad_mean_exits_2(self, capsys, tmp_path, means):
+        path = self.write_input(tmp_path, {"X1Y1": 0.5}, means=means)
+        code, out, err = run_cli(
+            capsys, "check", "--input", path, "--scenario", data_file("chsh.scn")
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "mean of X1" in err
+
+    def test_nan_correlator_exits_2(self, capsys, tmp_path):
+        path = self.write_input(tmp_path, {"X1Y1": float("nan")})
+        code, out, err = run_cli(
+            capsys, "check", "--input", path, "--scenario", data_file("chsh.scn")
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "finite" in err
+
     def test_empty_input_exits_2(self, capsys, tmp_path):
         path = self.write_input(tmp_path, {})
         code, _, err = run_cli(

@@ -1,6 +1,8 @@
 """Classical bounds, joint-distribution feasibility, and no-disturbance LPs."""
 
-from itertools import product
+import math
+import tracemalloc
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from corrineq.lhv import (
     reconstruct_pc,
 )
 from corrineq.polynomials import MultilinearPoly, derive_inequality
+from corrineq.simplex import FEASIBILITY_TOL, OPTIMAL, LpProblem, simplex_solve
 
 
 def x(i):
@@ -237,6 +240,131 @@ class TestJdFeasibility:
             frozenset({j, m}): -INV_SQRT2,
         }
         assert not jd_feasibility(scenario, quantum).feasible
+
+
+def dense_feasibility(variables, observed, means):
+    """Reference route: one simplex LP over the whole 2**n assignment table.
+
+    Returns (feasible, violation), with violation None for a feasible LP.
+    """
+    signs = np.array(list(product((-1.0, 1.0), repeat=len(variables))))
+    col = {v: i for i, v in enumerate(variables)}
+    pair_keys = sorted(observed, key=lambda p: tuple(sorted(v.sort_key() for v in p)))
+    mean_keys = sorted(means, key=VariableId.sort_key)
+    rows = [np.ones(len(signs))]
+    rows += [np.prod(signs[:, [col[v] for v in pair]], axis=1) for pair in pair_keys]
+    rows += [signs[:, col[v]] for v in mean_keys]
+    rhs = np.array([1.0] + [observed[p] for p in pair_keys] + [means[v] for v in mean_keys])
+    a_eq = np.vstack(rows)
+    solution = simplex_solve(LpProblem(c=np.zeros(len(signs)), a_eq=a_eq, b_eq=rhs))
+    if solution.status == OPTIMAL:
+        return True, None
+    y = solution.farkas_eq
+    violation = float(y[1:] @ rhs[1:] - (y[1:] @ a_eq[1:]).max())
+    return violation <= FEASIBILITY_TOL, violation
+
+
+def enumerated_maximum(variables, certificate):
+    """Largest value of the certificate's combination, by itertools.product."""
+    best = -np.inf
+    for signs in product((-1, 1), repeat=len(variables)):
+        value = dict(zip(variables, signs))
+        total = sum(c * math.prod(value[v] for v in pair)
+                    for pair, c in certificate.pair_coefficients.items())
+        total += sum(c * value[v] for v, c in certificate.mean_coefficients.items())
+        best = max(best, total)
+    return best
+
+
+def assert_witness(model, observed, means, tol):
+    weights = [w for _, w in model.support]
+    assert min(weights) >= 0.0
+    assert sum(weights) == pytest.approx(1.0, abs=1e-12)
+    for pair, value in observed.items():
+        assert abs(model.correlator(*sorted(pair)) - value) <= tol
+    for var, value in means.items():
+        assert abs(model.mean(var) - value) <= tol
+
+
+@st.composite
+def jd_cases(draw):
+    """Pair data from a random mixture, or with an odd cycle pushed past its facet."""
+    n = draw(st.integers(3, 8))
+    variables = tuple(x(i) for i in range(1, n + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = random_dhv_model(variables, rng, support_size=draw(st.integers(1, 6)))
+    every_pair = [frozenset(p) for p in combinations(variables, 2)]
+    chosen = draw(st.lists(st.sampled_from(every_pair), min_size=1, unique=True))
+    observed = {pair: model.correlator(*sorted(pair)) for pair in chosen}
+    means = {v: model.mean(v) for v in variables} if draw(st.booleans()) else {}
+    feasible = draw(st.booleans())
+    if not feasible:
+        # every DHV model keeps an odd k-cycle's correlator sum >= -(k - 2)
+        k = draw(st.sampled_from([k for k in (3, 5, 7) if k <= n]))
+        cycle = draw(st.permutations(variables))[:k]
+        value = -(k - 2) / k * (1 + draw(st.floats(0.01, 0.2)))
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            observed[frozenset({a, b})] = value
+    return variables, observed, means, feasible
+
+
+class TestJdColumnGeneration:
+    @settings(max_examples=80, deadline=None)
+    @given(case=jd_cases())
+    def test_matches_dense_route(self, case):
+        variables, observed, means, feasible = case
+        ref_feasible, ref_violation = dense_feasibility(variables, observed, means)
+        assert ref_feasible == feasible
+        scenario = ScenarioSpec(variables, {v: "X" for v in variables})
+        result = jd_feasibility(scenario, observed, means)
+        assert result.feasible == ref_feasible
+        if result.feasible:
+            assert_witness(result.model, observed, means, 1e-9)
+        else:
+            cert = result.certificate
+            assert cert.violation == pytest.approx(ref_violation, abs=1e-9)
+            assert cert.bound == pytest.approx(enumerated_maximum(variables, cert), abs=1e-9)
+
+    def test_cycle_19_on_both_sides_of_the_facet(self):
+        n = 19
+        scenario = catalog.cycle_scenario(n)
+        edges = [frozenset({x(i), x(i % n + 1)}) for i in range(1, n + 1)]
+        inside = {e: -(n - 2) / n + 0.02 for e in edges}
+        outside = {e: -(n - 2) / n - 0.02 for e in edges}
+        tracemalloc.start()
+        try:
+            feasible = jd_feasibility(scenario, inside)
+            infeasible = jd_feasibility(scenario, outside)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert feasible.feasible
+        assert_witness(feasible.model, inside, {}, 1e-9)
+        assert not infeasible.feasible
+        assert infeasible.certificate.bound == pytest.approx(n - 2, abs=1e-9)
+        assert infeasible.certificate.violation > 0.0
+        # the dense route held a 2**19 x 19 block, a 20 x 2**19 matrix and its tableau, ~80 MB each
+        assert peak < 32 * 2**20
+
+    def test_all_pairs_12_is_feasible(self):
+        variables = tuple(x(i) for i in range(1, 13))
+        scenario = ScenarioSpec(variables, {v: "X" for v in variables})
+        model = random_dhv_model(variables, np.random.default_rng(12))
+        observed = {frozenset(p): model.correlator(*p) for p in combinations(variables, 2)}
+        result = jd_feasibility(scenario, observed)
+        assert result.feasible
+        assert_witness(result.model, observed, {}, 1e-9)
+
+    @pytest.mark.parametrize("observed, means", [
+        ({(x(1), y(1)): float("nan")}, None),
+        ({(x(1), y(1)): float("inf")}, None),
+        ({(x(1), y(1)): 0.5}, {x(1): float("nan")}),
+        ({(x(1), y(1)): 0.5}, {x(1): -float("inf")}),
+        ({(x(1), y(1)): 0.5}, {x(1): 1.5}),
+    ])
+    def test_rejects_non_finite_and_out_of_range_inputs(self, observed, means):
+        with pytest.raises(ValueError):
+            jd_feasibility(catalog.chsh_scenario(), observed, means)
 
 
 class TestNoDisturbance:
