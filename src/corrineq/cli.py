@@ -14,6 +14,7 @@ import json
 import os
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -228,13 +229,35 @@ def _pair_key(key: str) -> frozenset:
     return frozenset((a, b))
 
 
+def _refuse_repeated_keys(pairs):
+    """json object hook: a key written twice is an error, not last-one-wins."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        key = Counter(k for k, _ in pairs).most_common(1)[0][0]
+        raise ValueError(f"key {key!r} is given twice in one JSON object")
+    return data
+
+
+def _read_values(entries: dict, parse, label) -> dict:
+    """Parse each key of a JSON object; two keys that name the same thing are an error."""
+    out = {}
+    for key, value in entries.items():
+        parsed = parse(key)
+        if parsed in out:
+            raise ValueError(f"{label(parsed)} is given twice")
+        out[parsed] = float(value)
+    return out
+
+
 def cmd_check(args) -> int:
     scenario = parse_scenario(Path(args.scenario).read_text())
-    data = json.loads(Path(args.input).read_text())
-    observed = {_pair_key(k): float(v) for k, v in data.get("correlators", {}).items()}
+    data = json.loads(Path(args.input).read_text(), object_pairs_hook=_refuse_repeated_keys)
+    observed = _read_values(
+        data.get("correlators", {}), _pair_key, lambda pair: f"correlator for {format_varset(pair)}"
+    )
     if not observed:
         raise ValueError("no correlators found in the input file")
-    means = {_variable(k): float(v) for k, v in data.get("means", {}).items()} or None
+    means = _read_values(data.get("means", {}), _variable, lambda var: f"mean of {var}") or None
     result = jd_feasibility(scenario, observed, means, tolerance=args.tolerance)
     report = {
         "scenario": args.scenario,

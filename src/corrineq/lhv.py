@@ -287,6 +287,8 @@ def _normalize_pairs(observed):
         pair = frozenset(key)
         if len(pair) != 2:
             raise ValueError(f"correlator key {key} must name two distinct variables")
+        if pair in out:
+            raise ValueError(f"correlator for {''.join(sorted(map(str, pair)))} is given twice")
         out[pair] = _checked_value(value, f"correlator for {key}")
     return out
 

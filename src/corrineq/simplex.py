@@ -1,9 +1,12 @@
-"""Dense two-phase simplex with Bland's rule.
+"""Dense two-phase simplex with Bland's rule, in float64.
 
-Sized for the probability polytopes in this package (a few hundred
-columns), favouring determinism and auditability over speed.  Infeasible
-problems come back with a Farkas vector read off the phase-1 reduced
-costs, which downstream code turns into a violated inequality.
+The probability polytopes in this package give sparse tableaux, so each
+pivot is one rank-1 update over only the rows with a nonzero in the pivot
+column and the columns with a nonzero in the pivot row.  The reduced-cost
+row is carried along by the same update and recomputed from scratch
+before a phase ends.  Infeasible problems come back with a Farkas vector
+read off the phase-1 reduced costs, which downstream code turns into a
+violated inequality.
 """
 
 from __future__ import annotations
@@ -73,9 +76,12 @@ def _pivot(tab, basis, row, col):
     if abs(piv) < PIVOT_TOL:
         raise NumericalBreakdown(f"pivot {piv:.3e} below {PIVOT_TOL}")
     tab[row] /= piv
-    for r in range(tab.shape[0]):
-        if r != row and tab[r, col] != 0.0:
-            tab[r] -= tab[r, col] * tab[row]
+    # rank-1 update restricted to the nonzeros of the pivot column and row;
+    # each entry sees the same multiply and subtract as a row-by-row update
+    rows = tab[:, col].nonzero()[0]
+    rows = rows[rows != row]
+    cols = tab[row].nonzero()[0]
+    tab[rows[:, None], cols] -= tab[rows, col][:, None] * tab[row, cols]
     basis[row] = col
 
 
@@ -83,32 +89,32 @@ def _run_simplex(tab, basis, cost, allowed, max_iter):
     """Minimize cost over the tableau in place.  Bland's rule throughout.
 
     tab has shape (m, width+1) with the rhs in the last column; `cost` is
-    length width.  Returns (reduced_costs, objective, status, iterations).
+    length width and `basis` an integer array updated in place.  The
+    reduced costs r = c - c_B . tab are carried from pivot to pivot and
+    recomputed from scratch before optimality is declared, so the returned
+    (reduced_costs, objective, status, iterations) read the final tableau.
     """
-    m, wide = tab.shape[0], tab.shape[1] - 1
+    wide = tab.shape[1] - 1
     iterations = 0
-    basis_arr = np.asarray(basis)
+    r = cost - cost[basis] @ tab[:, :wide]
     while True:
-        # reduced costs r = c - c_B . tab (nonbasic view of the objective)
-        c_b = cost[basis_arr]
-        r = cost - c_b @ tab[:, :wide]
         candidates = allowed & (r < -OPTIMALITY_TOL)
         if not candidates.any():
-            objective = float(c_b @ tab[:, wide])
-            basis[:] = basis_arr.tolist()
-            return r, objective, OPTIMAL, iterations
+            c_b = cost[basis]
+            r = cost - c_b @ tab[:, :wide]
+            candidates = allowed & (r < -OPTIMALITY_TOL)
+            if not candidates.any():
+                return r, float(c_b @ tab[:, wide]), OPTIMAL, iterations
         entering = int(np.argmax(candidates))  # first True: Bland's entering rule
         column = tab[:, entering]
-        rows = column > FEASIBILITY_TOL
-        if not rows.any():
-            basis[:] = basis_arr.tolist()
+        rows = (column > FEASIBILITY_TOL).nonzero()[0]
+        if not rows.size:
             return r, None, UNBOUNDED, iterations
-        ratios = np.full(m, np.inf)
-        ratios[rows] = tab[rows, wide] / column[rows]
-        best = ratios.min()
-        ties = np.flatnonzero(ratios <= best + 1e-12)
-        leaving = int(ties[np.argmin(basis_arr[ties])])  # smallest basis index on ties
-        _pivot(tab, basis_arr, leaving, entering)
+        ratios = tab[rows, wide] / column[rows]
+        ties = rows[ratios <= ratios.min() + 1e-12]
+        leaving = int(ties[np.argmin(basis[ties])])  # smallest basis index on ties
+        _pivot(tab, basis, leaving, entering)
+        r -= r[entering] * tab[leaving, :wide]
         iterations += 1
         if iterations > max_iter:
             raise NumericalBreakdown(f"no convergence after {max_iter} pivots")
@@ -138,14 +144,12 @@ def simplex_solve(problem: LpProblem) -> LpSolution:
     tab[m_eq:, n:n + m_ub] = np.eye(m_ub)
     tab[:m_eq, wide] = b_eq
     tab[m_eq:, wide] = b_ub
-    row_sign = np.ones(m)
-    for i in range(m):
-        if tab[i, wide] < 0:
-            tab[i] = -tab[i]
-            row_sign[i] = -1.0
+    negative = tab[:, wide] < 0
+    tab[negative] = -tab[negative]
+    row_sign = np.where(negative, -1.0, 1.0)
     tab[:, n + m_ub:wide] = np.eye(m)
-    basis = list(range(n + m_ub, wide))
     art = np.arange(n + m_ub, wide)
+    basis = art.copy()
 
     phase1_cost = np.zeros(wide)
     phase1_cost[art] = 1.0
@@ -163,18 +167,13 @@ def simplex_solve(problem: LpProblem) -> LpSolution:
     keep = np.ones(m, dtype=bool)
     for i in range(m):
         if basis[i] >= n + m_ub:
-            pivot_col = -1
-            for j in range(n + m_ub):
-                if abs(tab[i, j]) > FEASIBILITY_TOL:
-                    pivot_col = j
-                    break
-            if pivot_col >= 0:
-                _pivot(tab, basis, i, pivot_col)
+            nonzero = np.flatnonzero(np.abs(tab[i, :n + m_ub]) > FEASIBILITY_TOL)
+            if nonzero.size:
+                _pivot(tab, basis, i, int(nonzero[0]))
             else:
                 keep[i] = False
     if not keep.all():
-        tab = tab[keep]
-        basis = [b for b, k in zip(basis, keep) if k]
+        tab, basis = tab[keep], basis[keep]
 
     phase2_cost = np.zeros(wide)
     phase2_cost[:n] = c
@@ -183,14 +182,14 @@ def simplex_solve(problem: LpProblem) -> LpSolution:
     if status == UNBOUNDED:
         return LpSolution(UNBOUNDED, None, None, iterations=it1 + it2)
     x = np.zeros(wide)
-    for i, b in enumerate(basis):
-        x[b] = tab[i, -1]
+    x[basis] = tab[:, -1]
     # phase-2 artificial cost is 0, so duals are minus the reduced costs there
     y = -r2[art] * row_sign
     if problem.maximize:
         val2, y = -val2, -y
+    # + 0.0 turns any -0.0 left by the pivots into +0.0
     return LpSolution(
-        OPTIMAL, val2, x[:n].copy(),
+        OPTIMAL, val2 + 0.0, x[:n] + 0.0,
         duals_eq=y[:m_eq], duals_ub=y[m_eq:],
-        iterations=it1 + it2, basis=list(basis),
+        iterations=it1 + it2, basis=basis.tolist(),
     )

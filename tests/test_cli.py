@@ -215,6 +215,31 @@ class TestCheck:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "finite" in err
 
+    def test_repeated_pair_exits_2(self, capsys, tmp_path):
+        path = self.write_input(tmp_path, {"X1Y1": 0.9, "Y1 X1": -0.9, "X1Y2": 0.1})
+        code, out, err = run_cli(
+            capsys, "check", "--input", path, "--scenario", data_file("chsh.scn")
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "correlator for X1Y1" in err
+
+    def test_repeated_mean_exits_2(self, capsys, tmp_path):
+        path = self.write_input(tmp_path, {"X1Y1": 0.5}, means={"X1": 0.9, " X1": -0.9})
+        code, out, err = run_cli(
+            capsys, "check", "--input", path, "--scenario", data_file("chsh.scn")
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "mean of X1" in err
+
+    def test_repeated_json_key_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "observed.json"
+        path.write_text('{"correlators": {"X1Y1": 0.9, "X1Y1": -0.9, "X1Y2": 0.1}}')
+        code, out, err = run_cli(
+            capsys, "check", "--input", str(path), "--scenario", data_file("chsh.scn")
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "'X1Y1'" in err
+
     def test_empty_input_exits_2(self, capsys, tmp_path):
         path = self.write_input(tmp_path, {})
         code, _, err = run_cli(

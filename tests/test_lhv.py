@@ -241,6 +241,11 @@ class TestJdFeasibility:
         }
         assert not jd_feasibility(scenario, quantum).feasible
 
+    def test_repeated_pair_rejected(self):
+        observed = {(x(1), y(1)): 0.9, (y(1), x(1)): -0.9, (x(1), y(2)): 0.1}
+        with pytest.raises(ValueError, match="X1Y1"):
+            jd_feasibility(catalog.chsh_scenario(), observed)
+
 
 def dense_feasibility(variables, observed, means):
     """Reference route: one simplex LP over the whole 2**n assignment table.

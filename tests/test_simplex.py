@@ -1,14 +1,21 @@
-"""Two-phase simplex solver against hand solutions and vertex enumeration."""
+"""Two-phase simplex solver against hand solutions, vertex enumeration and
+the row-by-row kernel it replaced."""
 
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from corrineq.errors import DimensionMismatch
+from corrineq import catalog, lhv, simplex
+from corrineq.errors import DimensionMismatch, NumericalBreakdown
 from corrineq.simplex import (
+    FEASIBILITY_TOL,
     INFEASIBLE,
     OPTIMAL,
+    OPTIMALITY_TOL,
+    PIVOT_TOL,
     UNBOUNDED,
     LpProblem,
     simplex_solve,
@@ -111,6 +118,37 @@ class TestKnownSolutions:
         assert sol.status == OPTIMAL
         assert sol.objective == pytest.approx(-0.05)
 
+    def test_degenerate_solution_has_no_negative_zeros(self):
+        # the row-by-row kernel left x[1] == -0.0 here
+        sol = solve([0, 0], a_ub=[[2, 2], [-1, 1], [0, -2]], b_ub=[2, -1, 1])
+        assert sol.status == OPTIMAL
+        assert sol.x.tolist() == [1.0, 0.0]
+        assert not np.signbit(sol.x[sol.x == 0]).any()
+        assert not np.signbit(sol.objective)
+
+
+class TestNoRows:
+    @pytest.mark.parametrize("maximize", [False, True])
+    def test_no_constraints_nonnegative_cost(self, maximize):
+        sol = solve([-1.0, 0.0] if maximize else [1.0, 0.0], maximize=maximize)
+        assert sol.status == OPTIMAL
+        assert sol.objective == 0.0 and not np.signbit(sol.objective)
+        assert sol.x.tolist() == [0.0, 0.0]
+        assert sol.basis == []
+
+    def test_no_constraints_negative_cost(self):
+        assert solve([-1.0]).status == UNBOUNDED
+        assert solve([1.0], maximize=True).status == UNBOUNDED
+
+    def test_all_equality_rows_redundant(self):
+        sol = solve([1, 2], a_eq=[[0, 0]], b_eq=[0])
+        assert sol.status == OPTIMAL
+        assert sol.objective == 0.0
+        assert sol.x.tolist() == [0.0, 0.0]
+        assert sol.basis == []
+        assert sol.duals_eq.tolist() == [0.0]
+        assert solve([1, -2], a_eq=[[0, 0], [0, 0]], b_eq=[0, 0]).status == UNBOUNDED
+
 
 class TestCertificates:
     def test_duals_match_objective(self):
@@ -210,3 +248,122 @@ class TestValidation:
                 a_ub=np.array([[1.0]]),
                 b_ub=np.array([1.0, 2.0]),
             )
+
+
+# ---------------------------------------------------------------- reference
+# The row-by-row kernel the sparse rank-1 pivot and the carried reduced-cost
+# row replaced.  Swapped into corrineq.simplex, it must take the same pivots
+# and give the same numbers.
+
+def reference_pivot(tab, basis, row, col):
+    piv = tab[row, col]
+    if abs(piv) < PIVOT_TOL:
+        raise NumericalBreakdown(f"pivot {piv:.3e} below {PIVOT_TOL}")
+    tab[row] /= piv
+    for r in range(tab.shape[0]):
+        if r != row and tab[r, col] != 0.0:
+            tab[r] -= tab[r, col] * tab[row]
+    basis[row] = col
+
+
+def reference_run_simplex(tab, basis, cost, allowed, max_iter):
+    m, wide = tab.shape[0], tab.shape[1] - 1
+    iterations = 0
+    while True:
+        c_b = cost[basis]
+        r = cost - c_b @ tab[:, :wide]
+        candidates = allowed & (r < -OPTIMALITY_TOL)
+        if not candidates.any():
+            return r, float(c_b @ tab[:, wide]), OPTIMAL, iterations
+        entering = int(np.argmax(candidates))
+        column = tab[:, entering]
+        rows = column > FEASIBILITY_TOL
+        if not rows.any():
+            return r, None, UNBOUNDED, iterations
+        ratios = np.full(m, np.inf)
+        ratios[rows] = tab[rows, wide] / column[rows]
+        best = ratios.min()
+        ties = np.flatnonzero(ratios <= best + 1e-12)
+        leaving = int(ties[np.argmin(basis[ties])])
+        reference_pivot(tab, basis, leaving, entering)
+        iterations += 1
+        if iterations > max_iter:
+            raise NumericalBreakdown(f"no convergence after {max_iter} pivots")
+
+
+def reference_kernel():
+    return mock.patch.multiple(
+        simplex, _pivot=reference_pivot, _run_simplex=reference_run_simplex
+    )
+
+
+def random_matrix(rng, kind, shape):
+    if kind == "integer":
+        return rng.integers(-3, 4, size=shape).astype(float)
+    if kind == "rounded-normal":
+        return rng.normal(size=shape).round(1)
+    # sparse {-1, 0, 1}: mostly zeros, as in the probability polytopes
+    return rng.choice([-1.0, 0.0, 0.0, 0.0, 1.0], size=shape)
+
+
+@st.composite
+def lp_problems(draw):
+    n = draw(st.integers(1, 6))
+    m_eq, m_ub = draw(st.integers(0, 3)), draw(st.integers(0, 4))
+    kind = draw(st.sampled_from(["integer", "rounded-normal", "sparse"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # right-hand sides of either sign unless drawn nonnegative
+    low = -2 if draw(st.booleans()) else 0
+
+    def rhs(m):
+        return rng.integers(low, 3, size=m).astype(float)
+
+    return LpProblem(
+        c=random_matrix(rng, kind, n),
+        a_eq=random_matrix(rng, kind, (m_eq, n)) if m_eq else None,
+        b_eq=rhs(m_eq) if m_eq else None,
+        a_ub=random_matrix(rng, kind, (m_ub, n)) if m_ub else None,
+        b_ub=rhs(m_ub) if m_ub else None,
+        maximize=draw(st.booleans()),
+    )
+
+
+def assert_same_solution(got, want):
+    assert (got.status, got.iterations, got.basis) == (want.status, want.iterations, want.basis)
+    assert got.objective == want.objective
+    for name in ("x", "duals_eq", "duals_ub", "farkas_eq", "farkas_ub"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert np.array_equal(a, b), name
+
+
+class TestAgainstRowByRowKernel:
+    @settings(max_examples=400, deadline=None)
+    @given(lp_problems())
+    def test_same_pivots_and_values(self, problem):
+        got = simplex_solve(problem)
+        with reference_kernel():
+            want = simplex_solve(problem)
+        assert_same_solution(got, want)
+
+    def test_nodisturbance_61_cycle(self):
+        scenario = catalog.cycle_scenario(61)
+        variables = sorted(scenario.variables, key=lambda v: v.sort_key())
+        objective = {
+            frozenset({variables[i], variables[(i + 1) % 61]}): 1.0 for i in range(61)
+        }
+        pivots = []
+
+        def counting_solve(problem):
+            solution = simplex_solve(problem)
+            pivots.append(solution.iterations)
+            return solution
+
+        with mock.patch.object(lhv, "simplex_solve", counting_solve):
+            got = lhv.nodisturbance_optimum(scenario, objective, "min")
+            with reference_kernel():
+                want = lhv.nodisturbance_optimum(scenario, objective, "min")
+        assert got.value == want.value == -61.0
+        assert pivots[0] == pivots[1] > 0
+        assert got.behavior == want.behavior
