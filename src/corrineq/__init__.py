@@ -37,9 +37,7 @@ from .simplex import LpProblem, LpSolution, simplex_solve
 from .lhv import (
     DeterministicAssignment,
     DhvModel,
-    JointDistribution,
     classical_extrema,
-    dhv_to_jd,
     jd_feasibility,
     monogamy_check,
     nodisturbance_optimum,
@@ -92,7 +90,6 @@ __all__ = [
     "DhvModel",
     "DslSyntaxError",
     "EvenGroupWarning",
-    "JointDistribution",
     "LinearForm",
     "LpProblem",
     "LpSolution",
@@ -112,7 +109,6 @@ __all__ = [
     "classical_extrema",
     "classify",
     "derive_inequality",
-    "dhv_to_jd",
     "estimate_f",
     "evaluate_inequality_quantum",
     "expand",

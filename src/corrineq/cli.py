@@ -171,7 +171,7 @@ def cmd_derive(args) -> int:
     )
     # before term_kinds, so an undeclared variable gets classify's UnmappedVariable
     classification = classify(ineq, scenario)
-    extrema = classical_extrema(ineq, workers=thread_count())
+    extrema = classical_extrema(ineq)
     report = {
         "input": args.input,
         "source": format_sos(source),
@@ -299,7 +299,7 @@ def cmd_check(args) -> int:
 
 def _target_chsh_bound(args) -> dict:
     ineq = derive_inequality(catalog.chsh_source())
-    extrema = classical_extrema(ineq, workers=thread_count())
+    extrema = classical_extrema(ineq)
     return _finish({
         "target": "chsh-bound",
         "inequality": format_inequality(ineq),
@@ -314,7 +314,7 @@ def _target_chsh_bound(args) -> dict:
 
 def _target_kcbs_bound(args) -> dict:
     ineq = derive_inequality(catalog.kcbs_source())
-    extrema = classical_extrema(ineq, workers=thread_count())
+    extrema = classical_extrema(ineq)
     return _finish({
         "target": "kcbs-bound",
         "inequality": format_inequality(ineq),
@@ -330,11 +330,11 @@ def _target_ncycle_bounds(args) -> dict:
     checks = []
     for n in (5, 7, 9, 11):
         cyc = derive_inequality(catalog.cycle_source(n))
-        lo = classical_extrema(cyc, workers=thread_count()).minimum
+        lo = classical_extrema(cyc).minimum
         checks.append(_check(f"cycle-{n}-bound", cyc.bound, Fraction(-(n - 2)), None))
         checks.append(_check(f"cycle-{n}-classical-min", lo, -(n - 2), None))
         chain = derive_inequality(catalog.alternating_cycle_source(n))
-        hi = classical_extrema(chain, workers=thread_count()).maximum
+        hi = classical_extrema(chain).maximum
         checks.append(_check(f"chain-{n}-bound", chain.bound, Fraction(n - 2), None))
         checks.append(_check(f"chain-{n}-classical-max", hi, n - 2, None))
     seven = derive_inequality(catalog.cycle7_source())
@@ -344,7 +344,7 @@ def _target_ncycle_bounds(args) -> dict:
 
 def _target_lg_bound(args) -> dict:
     ineq = derive_inequality(catalog.lg_source())
-    extrema = classical_extrema(ineq, workers=thread_count())
+    extrema = classical_extrema(ineq)
     return _finish({
         "target": "lg-bound",
         "inequality": format_inequality(ineq),

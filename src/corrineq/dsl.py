@@ -183,10 +183,6 @@ class _Scanner:
         self.skip_ws()
         return self.pos >= len(self.text)
 
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
     def take(self, literal):
         self.skip_ws()
         if self.text.startswith(literal, self.pos):

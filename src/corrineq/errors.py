@@ -41,10 +41,6 @@ class CoefficientsTooLarge(ValueError):
     """Coefficients too large for exact floating-point enumeration."""
 
 
-class UnknownVariable(KeyError):
-    """A correlator query names a variable missing from the distribution."""
-
-
 class DimensionMismatch(ValueError):
     """Linear program rows and columns disagree in size."""
 

@@ -4,7 +4,9 @@ Three views of classicality live here: exhaustive extrema over
 dispersion-free assignments, existence of a joint distribution
 reproducing observed correlators (a feasibility LP over assignment
 weights), and optimization over the no-disturbance polytope of
-context-wise outcome tables.
+context-wise outcome tables.  By Fine's theorem a joint distribution
+exists exactly when a mixture of deterministic assignments reproduces
+the data, so that mixture (a DhvModel) is the witness.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .errors import (
     TermOutsideContext,
     TooManyVariables,
     UndeclaredVariable,
-    UnknownVariable,
 )
 from .polynomials import CorrelationInequality, MultilinearPoly, derive_inequality
 from .simplex import INFEASIBLE, OPTIMAL, FEASIBILITY_TOL, LpProblem, simplex_solve
@@ -48,9 +49,6 @@ class DeterministicAssignment:
         for var, val in self.values.items():
             if val not in (-1, 1):
                 raise ValueError(f"{var} assigned {val}, expected +1 or -1")
-
-    def as_tuple(self, variables):
-        return tuple(self.values[v] for v in variables)
 
     def __getitem__(self, var):
         return self.values[var]
@@ -79,49 +77,6 @@ class DhvModel:
 
     def mean(self, a) -> float:
         return sum(w * asg[a] for asg, w in self.support)
-
-
-@dataclass(frozen=True)
-class JointDistribution:
-    """Full outcome-tuple distribution over an ordered variable list."""
-
-    variables: tuple[VariableId, ...]
-    table: dict[tuple[int, ...], float]
-
-    def __post_init__(self):
-        total = 0.0
-        for outcome, prob in self.table.items():
-            if len(outcome) != len(self.variables):
-                raise ValueError(f"outcome {outcome} has wrong arity")
-            if prob < 0:
-                raise ValueError(f"negative probability {prob} at {outcome}")
-            total += prob
-        if abs(total - 1.0) > WEIGHT_TOL:
-            raise ValueError(f"probabilities sum to {total!r}, expected 1")
-
-    def _index(self, var):
-        try:
-            return self.variables.index(var)
-        except ValueError:
-            raise UnknownVariable(f"{var} not in this distribution") from None
-
-    def correlator(self, a, b) -> float:
-        ia, ib = self._index(a), self._index(b)
-        return sum(p * o[ia] * o[ib] for o, p in self.table.items())
-
-    def mean(self, a) -> float:
-        ia = self._index(a)
-        return sum(p * o[ia] for o, p in self.table.items())
-
-
-def dhv_to_jd(model: DhvModel) -> JointDistribution:
-    """Collapse a mixture of assignments into one outcome table."""
-    variables = model.variables()
-    table: dict[tuple[int, ...], float] = {}
-    for asg, weight in model.support:
-        key = asg.as_tuple(variables)
-        table[key] = table.get(key, 0.0) + weight
-    return JointDistribution(variables, table)
 
 
 def _assignment_rows(n, indices) -> np.ndarray:
@@ -315,7 +270,6 @@ class InfeasibilityCertificate:
 class FeasibilityResult:
     feasible: bool
     model: DhvModel | None = None
-    jd: JointDistribution | None = None
     certificate: InfeasibilityCertificate | None = None
 
 
@@ -336,11 +290,11 @@ def jd_feasibility(scenario, observed, means=None, tolerance=FEASIBILITY_TOL) ->
     O(m * (columns + m)) tableau for m LP rows plus the scan's
     O(m * 2**(n - n//2) + chunk), never O(m * 2**n).
 
-    Feasible answers carry the witness model and its joint distribution;
-    infeasible answers carry the violated inequality.  When the LP is
-    infeasible but the certificate's violation is at most `tolerance`,
-    the data count as feasible within tolerance: the result is feasible,
-    has no model, and carries the certificate.
+    Feasible answers carry the witness model; infeasible answers carry
+    the violated inequality.  When the LP is infeasible but the
+    certificate's violation is at most `tolerance`, the data count as
+    feasible within tolerance: the result is feasible, has no model, and
+    carries the certificate.
     """
     variables = tuple(sorted(scenario.variables, key=VariableId.sort_key))
     n = len(variables)
@@ -413,8 +367,7 @@ def jd_feasibility(scenario, observed, means=None, tolerance=FEASIBILITY_TOL) ->
         drift = 1.0 - sum(w for _, w in support)
         heaviest = max(range(len(support)), key=lambda i: support[i][1])
         support[heaviest] = (support[heaviest][0], support[heaviest][1] + drift)
-        model = DhvModel(tuple(support))
-        return FeasibilityResult(True, model=model, jd=dhv_to_jd(model))
+        return FeasibilityResult(True, model=DhvModel(tuple(support)))
 
     if solution.status != INFEASIBLE:
         raise ArithmeticError(f"feasibility LP came back {solution.status}")

@@ -10,6 +10,7 @@ through the full density-matrix path as an independent check.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,31 +204,31 @@ def maximize_violation(
     best_value = -np.inf
     best_params = np.zeros(m)
 
-    def consume(count):
-        nonlocal evaluations
+    def best_of(batch):
+        values = sign * evaluate(batch)
+        top = int(values.argmax())
+        return batch.shape[0], float(values[top]), batch[top].copy()
+
+    def offer(found):
+        # batches are offered in a fixed order and only a strictly better
+        # value replaces the incumbent, so ties go to the first cell
+        nonlocal evaluations, best_value, best_params
+        count, value, params = found
         evaluations += count
         if evaluations > budget:
             raise _OutOfBudget
-
-    def scan(batch):
-        nonlocal best_value, best_params
-        consume(batch.shape[0])
-        values = sign * evaluate(batch)
-        top = int(values.argmax())
-        if values[top] > best_value:
-            best_value = float(values[top])
-            best_params = batch[top].copy()
+        if value > best_value:
+            best_value, best_params = value, params
 
     def grid_batch(start):
-        idx = np.arange(start, min(start + _BATCH, grid_points**m))
+        # a frame of its own, so the index arrays are freed before the
+        # batch is evaluated; holding them measurably slows the scan
+        idx = np.arange(start, min(start + _BATCH, total_cells))
         unravelled = np.unravel_index(idx, (grid_points,) * m)
         return np.stack([axis[u] for u in unravelled], axis=1)
 
-    def chunk_best(start):
-        batch = grid_batch(start)
-        values = sign * evaluate(batch)
-        top = int(values.argmax())
-        return float(values[top]), batch[top].copy()
+    def grid_best(start):
+        return best_of(grid_batch(start))
 
     converged = False
     try:
@@ -235,29 +236,22 @@ def maximize_violation(
         total_cells = grid_points**m
         if total_cells <= GRID_CELL_CAP:
             starts = range(0, total_cells, _BATCH)
-            if workers is not None and workers > 1 and total_cells <= budget:
-                # parallel chunks; in-order reduction with strict > keeps
-                # the same first-cell tie-break as the sequential path
-                consume(total_cells)
-                from concurrent.futures import ThreadPoolExecutor
-
+            if workers is not None and workers > 1:
                 with ThreadPoolExecutor(max_workers=workers) as pool:
-                    for value, params in pool.map(chunk_best, starts):
-                        if value > best_value:
-                            best_value, best_params = value, params
+                    for found in pool.map(grid_best, starts):
+                        offer(found)
             else:
                 for start in starts:
-                    scan(grid_batch(start))
+                    offer(grid_best(start))
         else:
             rng = np.random.default_rng(seed)
-            scan(rng.uniform(-np.pi, np.pi, size=(4096 * m, m)))
+            offer(best_of(rng.uniform(-np.pi, np.pi, size=(4096 * m, m))))
 
         step = 2 * np.pi / grid_points
         while step >= REFINEMENT_FLOOR:
             offsets = np.vstack((np.eye(m), -np.eye(m))) * step
-            neighbours = best_params[None, :] + offsets
             incumbent = best_value
-            scan(neighbours)
+            offer(best_of(best_params[None, :] + offsets))
             if best_value <= incumbent + 1e-15:
                 step /= 2.0
         converged = True

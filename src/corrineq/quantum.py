@@ -225,33 +225,33 @@ def evaluate_inequality_quantum(ineq, rho, settings, assignment=None) -> float:
     return total
 
 
-def hybrid_settings(variables=None):
+def hybrid_settings():
     """Canonical descending pi/4 ladder in the x-z plane for X1 X2 Y1 Y2.
 
     These directions realize the maximal singlet value of the hybrid
     combination under the literal tensor-product sign convention.
     """
-    if variables is None:
-        variables = [VariableId("X", 1), VariableId("X", 2), VariableId("Y", 1), VariableId("Y", 2)]
-    x1, x2, y1, y2 = variables
-    return {
-        x1: plane_vector(0.0),
-        x2: plane_vector(-np.pi / 4),
-        y1: plane_vector(-np.pi / 2),
-        y2: plane_vector(-3 * np.pi / 4),
-    }
+    variables = [VariableId("X", 1), VariableId("X", 2), VariableId("Y", 1), VariableId("Y", 2)]
+    return ladder_settings(variables, 0.0, -np.pi / 4)
 
 
-def product_ladder_settings(variables=None):
+def product_ladder_settings():
     """Ascending pi/4 ladder ordered X2, X1, Y2, Y1 in the x-z plane.
 
     Along this ordering neighbours differ by pi/4 starting from X2 on
     the z axis; with both local states polarized along the Y2 direction
     the hybrid combination reaches 3/sqrt(2) on a product state.
     """
-    if variables is None:
-        variables = [VariableId("X", 2), VariableId("X", 1), VariableId("Y", 2), VariableId("Y", 1)]
+    variables = [VariableId("X", 2), VariableId("X", 1), VariableId("Y", 2), VariableId("Y", 1)]
     return ladder_settings(variables, 0.0, np.pi / 4)
+
+
+def _hybrid_vectors(settings):
+    """Unit vectors of X1, X2, Y1, Y2 from a settings map."""
+    return tuple(
+        unit_vector(settings[VariableId(letter, index)])
+        for letter, index in (("X", 1), ("X", 2), ("Y", 1), ("Y", 2))
+    )
 
 
 def hybrid_f_product(n_a, n_b, settings) -> float:
@@ -261,10 +261,7 @@ def hybrid_f_product(n_a, n_b, settings) -> float:
     dot products are the state-independent sequential correlators.
     """
     n_a, n_b = unit_vector(n_a), unit_vector(n_b)
-    x1 = unit_vector(settings[VariableId("X", 1)])
-    x2 = unit_vector(settings[VariableId("X", 2)])
-    y1 = unit_vector(settings[VariableId("Y", 1)])
-    y2 = unit_vector(settings[VariableId("Y", 2)])
+    x1, x2, y1, y2 = _hybrid_vectors(settings)
     return float(
         x1 @ x2 + (x1 @ n_a) * (y2 @ n_b) - (x2 @ n_a) * (y1 @ n_b) + y1 @ y2
     )
@@ -277,10 +274,7 @@ def build_f_operator(settings):
     (x1.x2 + y1.y2) times identity; S2 carries the tensor terms
     (x1.sigma)x(y2.sigma) - (x2.sigma)x(y1.sigma).
     """
-    x1 = unit_vector(settings[VariableId("X", 1)])
-    x2 = unit_vector(settings[VariableId("X", 2)])
-    y1 = unit_vector(settings[VariableId("Y", 1)])
-    y2 = unit_vector(settings[VariableId("Y", 2)])
+    x1, x2, y1, y2 = _hybrid_vectors(settings)
     s1 = float(x1 @ x2 + y1 @ y2) * ID4
     s2 = np.kron(pauli_observable(x1), pauli_observable(y2)) - np.kron(
         pauli_observable(x2), pauli_observable(y1)
@@ -294,10 +288,7 @@ def s2_square_closed_form(settings) -> np.ndarray:
     Independent of build_f_operator's matrix product; the two must agree
     element by element.
     """
-    x1 = unit_vector(settings[VariableId("X", 1)])
-    x2 = unit_vector(settings[VariableId("X", 2)])
-    y1 = unit_vector(settings[VariableId("Y", 1)])
-    y2 = unit_vector(settings[VariableId("Y", 2)])
+    x1, x2, y1, y2 = _hybrid_vectors(settings)
     cx = np.cross(x1, x2)
     cy = np.cross(y1, y2)
 

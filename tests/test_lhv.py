@@ -15,14 +15,11 @@ from corrineq.errors import (
     ProvisoViolated,
     TermOutsideContext,
     TooManyVariables,
-    UnknownVariable,
 )
 from corrineq.lhv import (
     DeterministicAssignment,
     DhvModel,
-    JointDistribution,
     classical_extrema,
-    dhv_to_jd,
     jd_feasibility,
     monogamy_check,
     nodisturbance_optimum,
@@ -151,29 +148,6 @@ class TestModelsAndDistributions:
             DhvModel(((good, 0.2),))
         with pytest.raises(ValueError):
             DhvModel(((good, -0.1), (good, 1.1)))
-
-    def test_model_correlators_match_jd(self):
-        rng = np.random.default_rng(5)
-        names = (x(1), x(2), y(1), y(2))
-        for _ in range(20):
-            model = random_dhv_model(names, rng)
-            jd = dhv_to_jd(model)
-            for a, b in ((x(1), y(1)), (x(2), y(2)), (x(1), x(2))):
-                assert model.correlator(a, b) == pytest.approx(
-                    jd.correlator(a, b), abs=1e-12
-                )
-            for var in names:
-                assert model.mean(var) == pytest.approx(jd.mean(var), abs=1e-12)
-
-    def test_jd_unknown_variable(self):
-        model = random_dhv_model((x(1), x(2)), np.random.default_rng(0))
-        jd = dhv_to_jd(model)
-        with pytest.raises(UnknownVariable):
-            jd.correlator(x(1), y(9))
-
-    def test_jd_normalization_enforced(self):
-        with pytest.raises(ValueError):
-            JointDistribution((x(1),), {(1,): 0.4, (-1,): 0.4})
 
 
 class TestJdFeasibility:
