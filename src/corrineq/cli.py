@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from collections import Counter
@@ -67,16 +66,6 @@ TARGETS = (
     "monogamy",
     "protocol-mc",
 )
-
-
-def thread_count() -> int | None:
-    """Worker count from CORRINEQ_THREADS; None means stay sequential."""
-    raw = os.environ.get("CORRINEQ_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return None
-    return n if n > 1 else None
 
 
 def _jsonable(obj):
@@ -357,7 +346,7 @@ def _target_lg_bound(args) -> dict:
 
 def _target_hybrid_singlet(args) -> dict:
     ineq = derive_inequality(catalog.hybrid_source())
-    found = maximize_violation(ineq, singlet_state(), workers=thread_count())
+    found = maximize_violation(ineq, singlet_state())
     norm = operator_norm(build_f_operator(found.settings)[0])
     ladder = evaluate_inequality_quantum(ineq, singlet_state(), hybrid_settings())
     return _finish({

@@ -10,7 +10,6 @@ through the full density-matrix path as an independent check.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,7 +177,6 @@ def maximize_violation(
     grid_points: int = DEFAULT_GRID_POINTS,
     seed: int = 0,
     scenario=None,
-    workers: int | None = None,
 ) -> OptimizationResult:
     """Find settings (and state, in product mode) extremizing the combination.
 
@@ -227,22 +225,13 @@ def maximize_violation(
         unravelled = np.unravel_index(idx, (grid_points,) * m)
         return np.stack([axis[u] for u in unravelled], axis=1)
 
-    def grid_best(start):
-        return best_of(grid_batch(start))
-
     converged = False
     try:
         axis = _grid_axes(grid_points)
         total_cells = grid_points**m
         if total_cells <= GRID_CELL_CAP:
-            starts = range(0, total_cells, _BATCH)
-            if workers is not None and workers > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    for found in pool.map(grid_best, starts):
-                        offer(found)
-            else:
-                for start in starts:
-                    offer(grid_best(start))
+            for start in range(0, total_cells, _BATCH):
+                offer(best_of(grid_batch(start)))
         else:
             rng = np.random.default_rng(seed)
             offer(best_of(rng.uniform(-np.pi, np.pi, size=(4096 * m, m))))

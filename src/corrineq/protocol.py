@@ -12,13 +12,17 @@ generated independently and results never depend on chunking.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import combinations
 from itertools import product as iproduct
 
 import numpy as np
 
+from . import catalog
 from .dsl import VariableId
-from .polynomials import format_varset
+from .polynomials import derive_inequality, format_varset
 from .quantum import projectors, validate_density
 
 X1 = VariableId("X", 1)
@@ -277,12 +281,16 @@ class ProtocolEstimate:
     choice_counts: dict[str, int]
 
 
+# pair -> coefficient in the hybrid combination, in source order
 F_COEFFICIENTS = {
-    frozenset({X1, X2}): 1.0,
-    frozenset({X1, Y2}): 1.0,
-    frozenset({X2, Y1}): -1.0,
-    frozenset({Y1, Y2}): 1.0,
+    mono.variables: mono.coefficient
+    for mono in derive_inequality(catalog.hybrid_source()).terms
 }
+
+
+def _covariance(m: int, sum_ab: int, sum_a: int, sum_b: int) -> Fraction:
+    """Exact ddof=1 covariance of two length-m columns, from their sums."""
+    return Fraction(m * sum_ab - sum_a * sum_b, m * (m - 1)) if m > 1 else Fraction(0)
 
 
 def estimate_f(rho, settings, shots: int, seed: int) -> ProtocolEstimate:
@@ -290,8 +298,13 @@ def estimate_f(rho, settings, shots: int, seed: int) -> ProtocolEstimate:
 
     Shots are split as evenly as possible over the 9 data-yielding
     choices (global shot ids stay consecutive per block, so estimates
-    are reproducible and chunk-free).  Standard errors propagate the
-    covariances between pools that share shots.
+    are reproducible and chunk-free).  Every pooled value is a ±1
+    product, so a pool is kept as two integers, its sum S and count n:
+    the mean is S/n and the ddof=1 variance (n² − S²)/(n(n − 1)).  A
+    block feeding two pools of the combination also keeps the sum of
+    their shot-wise products, which gives the covariance that the
+    standard error propagates.  Variances are exact fractions, rounded
+    once to float.
     """
     if shots < 1:
         raise ValueError("need at least one shot")
@@ -299,8 +312,8 @@ def estimate_f(rho, settings, shots: int, seed: int) -> ProtocolEstimate:
     for i in range(shots % len(DATA_CHOICES)):
         counts[i] += 1
 
-    pools: dict[frozenset, list[np.ndarray]] = {}
-    block_products: list[dict[frozenset, np.ndarray]] = []
+    sums: dict[frozenset, list[int]] = {}  # pair -> [S, n]
+    shared_blocks = []  # (pair, pair, m * covariance) per block feeding both
     next_id = 0
     choice_counts = {}
     for choice, count in zip(DATA_CHOICES, counts):
@@ -308,56 +321,41 @@ def estimate_f(rho, settings, shots: int, seed: int) -> ProtocolEstimate:
         ids = np.arange(next_id, next_id + count, dtype=np.uint64)
         next_id += count
         if count == 0:
-            block_products.append({})
             continue
         values = simulate_choice_block(rho, choice, settings, seed, ids)
-        per_pair = {}
-        for pair in admissible_data(choice):
-            a, b = sorted(pair, key=VariableId.sort_key)
-            prods = values[a].astype(np.float64) * values[b].astype(np.float64)
-            per_pair[pair] = prods
-            pools.setdefault(pair, []).append(prods)
-        block_products.append(per_pair)
+        products, block_sums = {}, {}
+        # sorted: frozenset order follows the hash seed, term order must not
+        for pair in sorted(admissible_data(choice), key=format_varset):
+            a, b = pair
+            products[pair] = values[a] * values[b]
+            block_sums[pair] = int(products[pair].sum())
+            pool = sums.setdefault(pair, [0, 0])
+            pool[0] += block_sums[pair]
+            pool[1] += count
+        in_f = [pair for pair in products if pair in F_COEFFICIENTS]
+        for pi, pj in combinations(in_f, 2):
+            sum_ab = int((products[pi] * products[pj]).sum())
+            cov = _covariance(count, sum_ab, block_sums[pi], block_sums[pj])
+            shared_blocks.append((pi, pj, count * cov))
 
-    estimates = {}
-    means, variances, counts_by_pair = {}, {}, {}
-    for pair, chunks in pools.items():
-        data = np.concatenate(chunks)
-        n = data.size
-        mean = float(data.mean())
-        var = float(data.var(ddof=1)) if n > 1 else 0.0
-        means[pair], variances[pair], counts_by_pair[pair] = mean, var, n
-        estimates[format_varset(pair)] = CorrelatorEstimate(
-            format_varset(pair), mean, float(np.sqrt(var / n)) if n else float("nan"), n
-        )
+    estimates, means, mean_vars = {}, {}, {}
+    for pair, (total, n) in sums.items():
+        means[pair] = total / n
+        mean_vars[pair] = _covariance(n, n, total, total) / n
+        label = format_varset(pair)
+        estimates[label] = CorrelatorEstimate(label, means[pair], math.sqrt(mean_vars[pair]), n)
 
     f_value = sum(
         coeff * means[pair] for pair, coeff in F_COEFFICIENTS.items() if pair in means
     )
     f_var = sum(
-        coeff**2 * variances[pair] / counts_by_pair[pair]
-        for pair, coeff in F_COEFFICIENTS.items()
-        if pair in means
+        coeff**2 * mean_vars[pair] for pair, coeff in F_COEFFICIENTS.items() if pair in means
     )
     # blocks feeding two pools at once correlate those pool means
-    for per_pair in block_products:
-        shared = [p for p in per_pair if p in F_COEFFICIENTS]
-        for i in range(len(shared)):
-            for j in range(i + 1, len(shared)):
-                pi, pj = shared[i], shared[j]
-                a, b = per_pair[pi], per_pair[pj]
-                if a.size > 1:
-                    cov = float(np.cov(a, b, ddof=1)[0, 1])
-                    f_var += (
-                        2.0
-                        * F_COEFFICIENTS[pi]
-                        * F_COEFFICIENTS[pj]
-                        * cov
-                        * a.size
-                        / (counts_by_pair[pi] * counts_by_pair[pj])
-                    )
+    for pi, pj, m_cov in shared_blocks:
+        f_var += 2 * F_COEFFICIENTS[pi] * F_COEFFICIENTS[pj] * m_cov / (sums[pi][1] * sums[pj][1])
     return ProtocolEstimate(
-        estimates, float(f_value), float(np.sqrt(max(f_var, 0.0))), shots, seed, choice_counts
+        estimates, float(f_value), math.sqrt(max(f_var, 0)), shots, seed, choice_counts
     )
 
 
@@ -398,9 +396,8 @@ def signaling_test(rho, settings, shots: int, seed: int) -> SignalingReport:
     ids_b = np.arange(n_alone, shots, dtype=np.uint64)
     va = simulate_choice_block(rho, alone, settings, seed, ids_a, salt=1)
     vb = simulate_choice_block(rho, after, settings, seed, ids_b, salt=1)
-    hits_a = (va[Y2] == 1).astype(np.float64)
-    hits_b = (vb[Y2] == 1).astype(np.float64)
-    p_a, p_b = float(hits_a.mean()), float(hits_b.mean())
+    p_a = int(np.count_nonzero(va[Y2] == 1)) / n_alone
+    p_b = int(np.count_nonzero(vb[Y2] == 1)) / n_after
     se_a = float(np.sqrt(p_a * (1 - p_a) / n_alone))
     se_b = float(np.sqrt(p_b * (1 - p_b) / n_after))
     return SignalingReport(p_a, se_a, p_b, se_b, (n_alone, n_after))

@@ -7,7 +7,7 @@ from importlib import resources
 
 import pytest
 
-from corrineq.cli import main, thread_count
+from corrineq.cli import main
 
 SQRT8 = 2.828427124746190
 
@@ -341,24 +341,6 @@ class TestReproduce:
         assert code == 1
         assert err.startswith("error: grid-max")
         assert "ok: False" in out
-
-
-class TestThreadCount:
-    def test_unset_means_sequential(self, monkeypatch):
-        monkeypatch.delenv("CORRINEQ_THREADS", raising=False)
-        assert thread_count() is None
-
-    def test_single_thread_means_sequential(self, monkeypatch):
-        monkeypatch.setenv("CORRINEQ_THREADS", "1")
-        assert thread_count() is None
-
-    def test_garbage_means_sequential(self, monkeypatch):
-        monkeypatch.setenv("CORRINEQ_THREADS", "lots")
-        assert thread_count() is None
-
-    def test_multiple_threads(self, monkeypatch):
-        monkeypatch.setenv("CORRINEQ_THREADS", "4")
-        assert thread_count() == 4
 
 
 class TestEntryPoint:

@@ -122,34 +122,14 @@ class TestMaximizeViolation:
         )
         assert result.value == pytest.approx(SQRT8, abs=1e-6)
 
-    def test_workers_reproduce_sequential_result(self, chsh):
-        seq = maximize_violation(chsh, singlet_state(), grid_points=8)
-        par = maximize_violation(chsh, singlet_state(), grid_points=8, workers=2)
-        assert par.value == seq.value
-        assert np.array_equal(par.parameters, seq.parameters)
-
-    def test_workers_reproduce_sequential_result_across_chunks(self, hybrid):
-        # the default grid has 24**4 = 331,776 cells in six chunks, so the
-        # threaded run reduces chunk winners that different workers found
-        seq = maximize_violation(hybrid, singlet_state())
-        for workers in (2, 3):
-            par = maximize_violation(hybrid, singlet_state(), workers=workers)
-            assert par.value == seq.value
-            assert np.array_equal(par.parameters, seq.parameters)
-            assert par.evaluations == seq.evaluations
-
-    def test_workers_reproduce_best_when_budget_runs_out_in_grid(self, hybrid):
-        def best_so_far(workers):
-            # three chunks fit in the budget, the fourth overruns it
-            with pytest.raises(BudgetExhausted) as excinfo:
-                maximize_violation(hybrid, singlet_state(), budget=200_000, workers=workers)
-            return excinfo.value.best
-
-        seq, par = best_so_far(None), best_so_far(2)
-        assert not par.converged
-        assert par.value == seq.value
-        assert np.array_equal(par.parameters, seq.parameters)
-        assert par.evaluations == seq.evaluations == 4 * (1 << 16)
+    def test_budget_running_out_in_grid_keeps_best_of_finished_chunks(self, hybrid):
+        # three 65,536-cell chunks fit in the budget, the fourth overruns it
+        with pytest.raises(BudgetExhausted) as excinfo:
+            maximize_violation(hybrid, singlet_state(), budget=200_000)
+        best = excinfo.value.best
+        assert not best.converged
+        assert best.evaluations == 4 * (1 << 16)
+        assert best.value == pytest.approx(SQRT8, abs=1e-12)
 
     def test_budget_exhausted_carries_best_so_far(self, chsh):
         with pytest.raises(BudgetExhausted) as excinfo:

@@ -1,7 +1,19 @@
 """Counter-based sampling, admissible choices, and protocol statistics."""
 
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import corrineq
+from corrineq.dsl import VariableId
+from corrineq.polynomials import format_varset
 
 from corrineq.protocol import (
     ALL_CHOICES,
@@ -29,6 +41,69 @@ from corrineq.quantum import (
 SQRT8 = 2.0 * np.sqrt(2.0)
 
 SETTINGS = hybrid_settings()
+
+STATES = {
+    "singlet": singlet_state(),
+    "product": product_state(plane_vector(0.3), plane_vector(1.1)),
+}
+
+
+def pooled_reference(rho, settings, shots, seed):
+    """The float pooling estimate_f replaced: per-shot float64 products,
+    concatenated per pool, with np.var and np.cov for the moments.
+
+    Returns (means, stderrs, counts by label, f_value, f_stderr, choice_counts).
+    """
+    counts = [shots // len(DATA_CHOICES)] * len(DATA_CHOICES)
+    for i in range(shots % len(DATA_CHOICES)):
+        counts[i] += 1
+    pools, block_products, choice_counts = {}, [], {}
+    next_id = 0
+    for choice, count in zip(DATA_CHOICES, counts):
+        choice_counts[choice.label()] = count
+        ids = np.arange(next_id, next_id + count, dtype=np.uint64)
+        next_id += count
+        if count == 0:
+            block_products.append({})
+            continue
+        values = simulate_choice_block(rho, choice, settings, seed, ids)
+        per_pair = {}
+        for pair in admissible_data(choice):
+            a, b = sorted(pair, key=VariableId.sort_key)
+            prods = values[a].astype(np.float64) * values[b].astype(np.float64)
+            per_pair[pair] = prods
+            pools.setdefault(pair, []).append(prods)
+        block_products.append(per_pair)
+
+    means, variances, sizes = {}, {}, {}
+    for pair, chunks in pools.items():
+        data = np.concatenate(chunks)
+        means[pair] = float(data.mean())
+        variances[pair] = float(data.var(ddof=1)) if data.size > 1 else 0.0
+        sizes[pair] = data.size
+    f_value = sum(c * means[p] for p, c in F_COEFFICIENTS.items() if p in means)
+    f_var = sum(c**2 * variances[p] / sizes[p] for p, c in F_COEFFICIENTS.items() if p in means)
+    for per_pair in block_products:
+        shared = [p for p in per_pair if p in F_COEFFICIENTS]
+        for i in range(len(shared)):
+            for j in range(i + 1, len(shared)):
+                pi, pj = shared[i], shared[j]
+                a, b = per_pair[pi], per_pair[pj]
+                if a.size > 1:
+                    cov = float(np.cov(a, b, ddof=1)[0, 1])
+                    f_var += (
+                        2.0 * F_COEFFICIENTS[pi] * F_COEFFICIENTS[pj] * cov * a.size
+                        / (sizes[pi] * sizes[pj])
+                    )
+    label = {p: format_varset(p) for p in pools}
+    return (
+        {label[p]: means[p] for p in pools},
+        {label[p]: float(np.sqrt(variances[p] / sizes[p])) for p in pools},
+        {label[p]: sizes[p] for p in pools},
+        float(f_value),
+        float(np.sqrt(max(f_var, 0.0))),
+        choice_counts,
+    )
 
 
 class TestCounterRng:
@@ -202,6 +277,55 @@ class TestEstimateF:
     def test_rejects_zero_shots(self):
         with pytest.raises(ValueError):
             estimate_f(singlet_state(), SETTINGS, 0, 7)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shots=st.one_of(st.integers(1, 60), st.sampled_from([999, 18001])),
+        seed=st.sampled_from([0, 7, 123, 12345, 2**40 + 1]),
+        state=st.sampled_from(sorted(STATES)),
+    )
+    @example(shots=18001, seed=7, state="singlet")
+    @example(shots=999, seed=123, state="product")
+    def test_integer_moments_match_float_pooling(self, shots, seed, state):
+        """Means and counts are exact; stderrs agree with the float
+        pooling to within its rounding."""
+        est = estimate_f(STATES[state], SETTINGS, shots, seed)
+        means, stderrs, sizes, f_value, f_stderr, choice_counts = pooled_reference(
+            STATES[state], SETTINGS, shots, seed
+        )
+        assert {k: t.mean for k, t in est.terms.items()} == means
+        assert {k: t.count for k, t in est.terms.items()} == sizes
+        assert est.f_value == f_value
+        assert est.choice_counts == choice_counts
+        for label, term in est.terms.items():
+            assert term.stderr == pytest.approx(stderrs[label], rel=1e-12, abs=0.0)
+        assert est.f_stderr == pytest.approx(f_stderr, rel=1e-12, abs=0.0)
+
+    def test_memory_does_not_grow_with_pooled_shots(self):
+        """Pools are integer sums; only one choice block is resident."""
+        tracemalloc.start()
+        try:
+            estimate_f(singlet_state(), SETTINGS, 10**6, 12345)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 15_000_000
+
+    def test_report_does_not_depend_on_hash_seed(self):
+        """Pairs are frozensets, whose iteration order follows the hash seed."""
+        src = str(Path(corrineq.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path}
+            proc = subprocess.run(
+                [sys.executable, "-m", "corrineq.cli", "reproduce", "protocol-mc",
+                 "--shots", "20000", "--format", "json"],
+                capture_output=True, env=env, check=True,
+            )
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["ok"] is True
 
 
 class TestSignaling:
