@@ -31,39 +31,54 @@ Y1 = VariableId("Y", 1)
 Y2 = VariableId("Y", 2)
 
 DRAWS_PER_SHOT = 2  # one joint draw at each of the two time slots
+WORD_BITS = 53  # a word is the top 53 bits of the mixed counter: u = word / 2^53
+BLOCK_SHOTS = 1 << 17  # shots per simulate_choice_block call in the estimators
 
-_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MASK = 0xFFFFFFFFFFFFFFFF
+_GOLDEN = 0x9E3779B97F4A7C15
+_STRIDE = np.uint64(DRAWS_PER_SHOT * _GOLDEN & _MASK)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
 def _mix64(z):
+    """SplitMix64 finaliser, in place on the uint64 array z."""
+    tmp = np.empty_like(z)
     with np.errstate(over="ignore"):  # wraparound mod 2^64 is the point
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        return z ^ (z >> np.uint64(31))
+        for shift, mult in ((30, _MIX1), (27, _MIX2)):
+            np.right_shift(z, np.uint64(shift), out=tmp)
+            z ^= tmp
+            z *= mult
+        np.right_shift(z, np.uint64(31), out=tmp)
+        z ^= tmp
+    return z
 
 
 class CounterRng:
     """Stateless uniform stream: value = f(seed, salt, counter).
 
-    uniforms(shots, draw) returns one float64 in [0, 1) per shot index,
-    from the top 53 bits of the mixed counter word.
+    words(shots, draw) returns one 53-bit uint64 word per shot index,
+    the top bits of the mixed counter word; uniforms(shots, draw) is
+    the same stream as float64 in [0, 1), word / 2^53.
     """
 
     def __init__(self, seed: int, salt: int = 0):
         # 0-d arrays, not scalars: unsigned array arithmetic wraps silently
-        base = _mix64(np.array(seed & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64))
-        salted = _mix64(np.array(salt & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64))
+        base = _mix64(np.array(seed & _MASK, dtype=np.uint64))
+        salted = _mix64(np.array(salt & _MASK, dtype=np.uint64))
         self.key = _mix64(base ^ salted)
 
-    def uniforms(self, shot_indices, draw: int) -> np.ndarray:
+    def words(self, shot_indices, draw: int, out=None) -> np.ndarray:
+        """mix64(key + (2·shot + draw)·golden) >> 11, in place in out (new if None)."""
         idx = np.asarray(shot_indices, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            counters = idx * np.uint64(DRAWS_PER_SHOT) + np.uint64(draw)
-            words = _mix64(self.key + counters * _GOLDEN)
-        return (words >> np.uint64(11)).astype(np.float64) / float(1 << 53)
+        z = np.multiply(idx, _STRIDE, out=out)
+        z += np.uint64((int(self.key) + draw * _GOLDEN) & _MASK)
+        z = _mix64(z)
+        z >>= np.uint64(64 - WORD_BITS)
+        return z
+
+    def uniforms(self, shot_indices, draw: int) -> np.ndarray:
+        return self.words(shot_indices, draw) / float(1 << WORD_BITS)
 
     def uniform(self, shot_index: int, draw: int) -> float:
         return float(self.uniforms(np.array([shot_index], dtype=np.uint64), draw)[0])
@@ -231,6 +246,26 @@ def simulate_shot(rho, choice, settings, seed, shot_index=0, salt=0) -> ShotReco
     return ShotRecord(choice, outcomes, shot_index)
 
 
+def _slot_picks(words, p, picks1=None):
+    """Outcome index per shot in one slot, from its 53-bit words.
+
+    p is the slot's outcome distribution, or for the second slot one row
+    per first-slot outcome, selected per shot by picks1.  With c the
+    cumulative after a running max and a clip to [0, 1], u < c holds
+    exactly when word < ceil(c·2^53), so the first outcome with u < c
+    (what the float kernel picked) is the number of cut points at or
+    below the word.  The last cut point, 2^53, is never reached.
+    """
+    c = np.clip(np.maximum.accumulate(_cumulative(p), axis=-1), 0.0, 1.0)
+    cuts = np.ceil(c * float(1 << WORD_BITS)).astype(np.uint64)[..., :-1]
+    if cuts.ndim == 2:
+        cuts = cuts[0] if len(cuts) == 1 else (col.take(picks1) for col in cuts.T)
+    picks = np.zeros(len(words), dtype=np.intp)
+    for cut in cuts:
+        picks += words >= cut
+    return picks
+
+
 def simulate_choice_block(rho, choice, settings, seed, shot_indices, salt=0):
     """Vectorized outcomes for many shots of one choice.
 
@@ -241,16 +276,13 @@ def simulate_choice_block(rho, choice, settings, seed, shot_indices, salt=0):
     rng = CounterRng(seed, salt)
     vars1, vars2, outcomes1, outcomes2, p1, p2 = _choice_tables(rho, choice, settings)
     idx = np.asarray(shot_indices, dtype=np.uint64)
+    words = np.empty(len(idx), dtype=np.uint64)
     picks1 = np.zeros(len(idx), dtype=np.intp)
     if vars1:
-        cum1 = _cumulative(p1)
-        picks1 = np.searchsorted(cum1, rng.uniforms(idx, 0), side="right")
+        picks1 = _slot_picks(rng.words(idx, 0, out=words), p1)
     picks2 = np.zeros(len(idx), dtype=np.intp)
     if vars2:
-        cum2 = _cumulative(p2)
-        rows = cum2[picks1]
-        u2 = rng.uniforms(idx, 1)
-        picks2 = (u2[:, None] < rows).argmax(axis=1)
+        picks2 = _slot_picks(rng.words(idx, 1, out=words), p2, picks1)
     values = {}
     for k, var in enumerate(vars1):
         table = np.array([o[k] for o in outcomes1], dtype=np.int8)
@@ -259,6 +291,12 @@ def simulate_choice_block(rho, choice, settings, seed, shot_indices, salt=0):
         table = np.array([o[k] for o in outcomes2], dtype=np.int8)
         values[var] = table[picks2]
     return values
+
+
+def _blocks(start: int, count: int):
+    """Consecutive shot ids start .. start+count-1, BLOCK_SHOTS at a time."""
+    for lo in range(start, start + count, BLOCK_SHOTS):
+        yield np.arange(lo, min(lo + BLOCK_SHOTS, start + count), dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -297,14 +335,14 @@ def estimate_f(rho, settings, shots: int, seed: int) -> ProtocolEstimate:
     """Monte Carlo estimate of the hybrid combination.
 
     Shots are split as evenly as possible over the 9 data-yielding
-    choices (global shot ids stay consecutive per block, so estimates
-    are reproducible and chunk-free).  Every pooled value is a ±1
-    product, so a pool is kept as two integers, its sum S and count n:
-    the mean is S/n and the ddof=1 variance (n² − S²)/(n(n − 1)).  A
-    block feeding two pools of the combination also keeps the sum of
-    their shot-wise products, which gives the covariance that the
-    standard error propagates.  Variances are exact fractions, rounded
-    once to float.
+    choices (global shot ids stay consecutive per choice, so estimates
+    are reproducible and chunk-free) and sampled BLOCK_SHOTS at a time.
+    Every pooled value is a ±1 product, so a pool is kept as two
+    integers, its sum S and count n: the mean is S/n and the ddof=1
+    variance (n² − S²)/(n(n − 1)).  A choice feeding two pools of the
+    combination also keeps the sum of their shot-wise products, which
+    gives the covariance that the standard error propagates.  Memory is
+    one block; variances are exact fractions, rounded once to float.
     """
     if shots < 1:
         raise ValueError("need at least one shot")
@@ -313,29 +351,34 @@ def estimate_f(rho, settings, shots: int, seed: int) -> ProtocolEstimate:
         counts[i] += 1
 
     sums: dict[frozenset, list[int]] = {}  # pair -> [S, n]
-    shared_blocks = []  # (pair, pair, m * covariance) per block feeding both
+    shared_blocks = []  # (pair, pair, m * covariance) per choice feeding both
     next_id = 0
     choice_counts = {}
     for choice, count in zip(DATA_CHOICES, counts):
         choice_counts[choice.label()] = count
-        ids = np.arange(next_id, next_id + count, dtype=np.uint64)
-        next_id += count
+        start, next_id = next_id, next_id + count
         if count == 0:
             continue
-        values = simulate_choice_block(rho, choice, settings, seed, ids)
-        products, block_sums = {}, {}
         # sorted: frozenset order follows the hash seed, term order must not
-        for pair in sorted(admissible_data(choice), key=format_varset):
-            a, b = pair
-            products[pair] = values[a] * values[b]
-            block_sums[pair] = int(products[pair].sum())
+        pairs = sorted(admissible_data(choice), key=format_varset)
+        in_f = [pair for pair in pairs if pair in F_COEFFICIENTS]
+        choice_sums = dict.fromkeys(pairs, 0)
+        cross_sums = dict.fromkeys(combinations(in_f, 2), 0)
+        for ids in _blocks(start, count):
+            values = simulate_choice_block(rho, choice, settings, seed, ids)
+            products = {}
+            for pair in pairs:
+                a, b = pair
+                products[pair] = values[a] * values[b]
+                choice_sums[pair] += int(products[pair].sum())
+            for pi, pj in cross_sums:
+                cross_sums[pi, pj] += int((products[pi] * products[pj]).sum())
+        for pair in pairs:
             pool = sums.setdefault(pair, [0, 0])
-            pool[0] += block_sums[pair]
+            pool[0] += choice_sums[pair]
             pool[1] += count
-        in_f = [pair for pair in products if pair in F_COEFFICIENTS]
-        for pi, pj in combinations(in_f, 2):
-            sum_ab = int((products[pi] * products[pj]).sum())
-            cov = _covariance(count, sum_ab, block_sums[pi], block_sums[pj])
+        for (pi, pj), sum_ab in cross_sums.items():
+            cov = _covariance(count, sum_ab, choice_sums[pi], choice_sums[pj])
             shared_blocks.append((pi, pj, count * cov))
 
     estimates, means, mean_vars = {}, {}, {}
@@ -387,17 +430,27 @@ class SignalingReport:
 
 
 def signaling_test(rho, settings, shots: int, seed: int) -> SignalingReport:
-    """Compare the late-time marginal across the two Bob-only choices."""
+    """Compare the late-time marginal across the two Bob-only choices.
+
+    The first shots // 2 ids measure Y2 alone, the rest Y1 then Y2;
+    each arm is sampled BLOCK_SHOTS at a time and kept as a count.
+    """
+    if shots < 2:
+        raise ValueError("need at least two shots, one per arm")
     n_alone = shots // 2
     n_after = shots - n_alone
-    alone = MeasurementChoice((), (Y2,))
-    after = MeasurementChoice((), (Y1, Y2))
-    ids_a = np.arange(0, n_alone, dtype=np.uint64)
-    ids_b = np.arange(n_alone, shots, dtype=np.uint64)
-    va = simulate_choice_block(rho, alone, settings, seed, ids_a, salt=1)
-    vb = simulate_choice_block(rho, after, settings, seed, ids_b, salt=1)
-    p_a = int(np.count_nonzero(va[Y2] == 1)) / n_alone
-    p_b = int(np.count_nonzero(vb[Y2] == 1)) / n_after
+    arms = (
+        (MeasurementChoice((), (Y2,)), 0, n_alone),
+        (MeasurementChoice((), (Y1, Y2)), n_alone, n_after),
+    )
+    p = []
+    for choice, start, count in arms:
+        plus = 0
+        for ids in _blocks(start, count):
+            values = simulate_choice_block(rho, choice, settings, seed, ids, salt=1)
+            plus += int(np.count_nonzero(values[Y2] == 1))
+        p.append(plus / count)
+    p_a, p_b = p
     se_a = float(np.sqrt(p_a * (1 - p_a) / n_alone))
     se_b = float(np.sqrt(p_b * (1 - p_b) / n_after))
     return SignalingReport(p_a, se_a, p_b, se_b, (n_alone, n_after))

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -274,6 +275,19 @@ class TestReproduce:
         )
         assert code == 0, err
         assert "ok: True" in out
+
+    def test_protocol_mc_default_report_is_pinned(self, capsys):
+        """Default shots and seed; the sampling kernel may change, the bytes may not."""
+        golden = Path(__file__).parent / "data" / "protocol_mc_default.json"
+        code, out, err = run_cli(capsys, "reproduce", "protocol-mc", "--format", "json")
+        assert code == 0, err
+        assert out.encode() == golden.read_bytes()
+
+    def test_protocol_mc_single_shot_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "reproduce", "protocol-mc", "--shots", "1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: need at least two shots, one per arm\n"
 
     def test_all_aggregates_every_target(self, capsys):
         code, out, err = run_cli(

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from itertools import product as iproduct
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import corrineq
+from corrineq import protocol
 from corrineq.dsl import VariableId
 from corrineq.polynomials import format_varset
 
@@ -25,6 +27,9 @@ from corrineq.protocol import (
     Y2,
     CounterRng,
     MeasurementChoice,
+    _choice_tables,
+    _cumulative,
+    _slot_picks,
     admissible_data,
     estimate_f,
     signaling_test,
@@ -106,12 +111,90 @@ def pooled_reference(rho, settings, shots, seed):
     )
 
 
+def first_above(cum, u):
+    """The float kernel's second-slot pick: the first cumulative above u."""
+    return (u[:, None] < cum).argmax(axis=1)
+
+
+def float_picks(p1, p2, u1, u2):
+    """The sampling step simulate_choice_block used before integer cut
+    points: searchsorted on the first slot's cumulative, first-True argmax
+    over each shot's row of second-slot cumulatives."""
+    picks1 = np.searchsorted(_cumulative(p1), u1, side="right")
+    picks2 = first_above(_cumulative(p2)[picks1], u2)
+    return picks1, picks2
+
+
+def float_choice_block(rho, choice, settings, seed, shot_indices, salt=0):
+    """simulate_choice_block as it was before integer cut points."""
+    rng = CounterRng(seed, salt)
+    vars1, vars2, outcomes1, outcomes2, p1, p2 = _choice_tables(rho, choice, settings)
+    idx = np.asarray(shot_indices, dtype=np.uint64)
+    picks1, picks2 = float_picks(p1, p2, rng.uniforms(idx, 0), rng.uniforms(idx, 1))
+    values = {}
+    for k, var in enumerate(vars1):
+        values[var] = np.array([o[k] for o in outcomes1], dtype=np.int8)[picks1]
+    for k, var in enumerate(vars2):
+        values[var] = np.array([o[k] for o in outcomes2], dtype=np.int8)[picks2]
+    return values
+
+
+def _normalised(draw):
+    weights, excess = draw
+    w = np.array(weights)
+    positive = w > 0.0
+    w[positive] *= (1.0 + excess - w[~positive].sum()) / w[positive].sum()
+    return w
+
+
+def born_rows(k, rows=1):
+    """Outcome distributions as the Born rule computes them in floats:
+    exact zeros, tiny negative weights, and totals up to 1e-10 off 1, so
+    some partial sums pass 1 before the last entry is forced to 1."""
+    entry = st.one_of(st.just(0.0), st.floats(-1e-15, -1e-18), st.floats(1e-3, 1.0))
+    row = st.tuples(
+        st.lists(entry, min_size=k, max_size=k).filter(lambda w: max(w) > 0.0),
+        st.floats(-1e-10, 1e-10),
+    ).map(_normalised)
+    return st.lists(row, min_size=rows, max_size=rows).map(np.array)
+
+
+def boundary_words(p):
+    """Every cut point ceil(c·2^53) of p's cumulative, the word below each,
+    and the two extreme words."""
+    c = np.clip(np.maximum.accumulate(_cumulative(p), axis=-1), 0.0, 1.0)
+    cuts = np.ceil(c * 2.0**53).astype(np.uint64).ravel()
+    words = {int(t) + d for t in cuts for d in (-1, 0)} | {0, 2**53 - 1}
+    return sorted(w for w in words if 0 <= w < 2**53)
+
+
+def random_words(n):
+    return st.lists(st.integers(0, 2**53 - 1), min_size=n, max_size=n)
+
+
 class TestCounterRng:
     def test_pinned_stream(self):
         """Golden values guard the mixer against silent drift."""
         got = CounterRng(42).uniforms(np.arange(4, dtype=np.uint64), 0)
         expected = [0.80155884, 0.45010883, 0.39986439, 0.54529241]
         assert np.allclose(got, expected, atol=5e-9)
+
+    def test_pinned_words(self):
+        got = CounterRng(42).words(np.arange(4, dtype=np.uint64), 0)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [
+            7219800151606398, 4054219913238450, 3601658229721317, 4911557380431486
+        ]
+
+    def test_words_are_the_uniforms_scaled(self):
+        """uniforms is words / 2^53, computed in place in the out buffer."""
+        rng = CounterRng(7, salt=3)
+        idx = np.arange(5000, dtype=np.uint64)
+        out = np.empty(len(idx), dtype=np.uint64)
+        words = rng.words(idx, 1, out=out)
+        assert words is out
+        assert int(words.max()) < 2**53
+        assert np.array_equal(words / 2.0**53, rng.uniforms(idx, 1))
 
     def test_chunking_does_not_matter(self):
         rng = CounterRng(99)
@@ -224,14 +307,14 @@ class TestSingleShot:
 
 class TestBlockEquivalence:
     def test_block_matches_shot_loop(self):
-        """Vectorized sampling must replay the scalar path bit for bit."""
+        """Vectorized sampling must replay the scalar path bit for bit,
+        for every choice, empty slots included."""
         ids = np.arange(32, dtype=np.uint64)
-        for choice in DATA_CHOICES:
-            block = simulate_choice_block(singlet_state(), choice, SETTINGS, 17, ids)
+        for rho, choice in iproduct(STATES.values(), ALL_CHOICES):
+            block = simulate_choice_block(rho, choice, SETTINGS, 17, ids)
             for i in ids:
-                record = simulate_shot(
-                    singlet_state(), choice, SETTINGS, 17, shot_index=int(i)
-                )
+                record = simulate_shot(rho, choice, SETTINGS, 17, shot_index=int(i))
+                assert set(block) == set(record.outcomes), choice.label()
                 for var, values in block.items():
                     assert record.outcomes[var] == values[int(i)], (choice.label(), i)
 
@@ -241,6 +324,59 @@ class TestBlockEquivalence:
         a = simulate_choice_block(singlet_state(), choice, SETTINGS, 17, ids)
         b = simulate_choice_block(singlet_state(), choice, SETTINGS, 17, ids, salt=1)
         assert not np.array_equal(a[Y2], b[Y2])
+
+
+class TestCutPoints:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.sampled_from([(1, 2), (1, 4), (2, 1), (2, 2), (2, 4), (4, 1), (4, 2), (4, 4)]),
+        data=st.data(),
+    )
+    def test_integer_picks_match_float_kernel(self, shape, data):
+        """Counting cut points ceil(c·2^53) <= word picks the first outcome
+        with u < c, at every cut point and one word below it.  searchsorted
+        needs a sorted array, so the old first slot is the reference only
+        where the cumulative is sorted; the first-True reading, which the
+        old second slot always used, is the reference everywhere."""
+        k1, k2 = shape
+        p1 = data.draw(born_rows(k1))[0]
+        p2 = data.draw(born_rows(k2, rows=k1))
+        w1 = np.array(boundary_words(p1) + data.draw(random_words(32)), dtype=np.uint64)
+        got1 = _slot_picks(w1, p1)
+        assert np.array_equal(got1, first_above(_cumulative(p1), w1 / 2.0**53))
+
+        # every row's boundary words, under every first-slot outcome
+        words = boundary_words(p2)
+        w2 = np.array(words * k1, dtype=np.uint64)
+        rows = np.repeat(np.arange(k1), len(words))
+        got2 = _slot_picks(w2, p2, rows)
+        assert np.array_equal(got2, first_above(_cumulative(p2)[rows], w2 / 2.0**53))
+
+        if np.all(np.diff(_cumulative(p1)) >= 0.0):
+            tail = data.draw(random_words(max(len(w1) - len(words), 0)))
+            w2 = np.array((words + tail)[: len(w1)], dtype=np.uint64)
+            want1, want2 = float_picks(p1, p2, w1 / 2.0**53, w2 / 2.0**53)
+            assert np.array_equal(got1, want1)
+            assert np.array_equal(_slot_picks(w2, p2, got1), want2)
+
+    @pytest.mark.parametrize("state", sorted(STATES))
+    def test_protocol_cumulatives_are_sorted(self, state):
+        """On the protocol's own states searchsorted reads sorted
+        cumulatives, so the old and new first-slot picks agree there."""
+        for choice in ALL_CHOICES:
+            *_, p1, p2 = _choice_tables(STATES[state], choice, SETTINGS)
+            assert np.all(np.diff(_cumulative(p1)) >= 0.0), choice.label()
+            assert np.all(np.diff(_cumulative(p2), axis=-1) >= 0.0), choice.label()
+
+    @pytest.mark.parametrize("state", sorted(STATES))
+    def test_block_matches_float_kernel(self, state):
+        ids = np.arange(1000, 21000, dtype=np.uint64)
+        for choice in ALL_CHOICES:
+            got = simulate_choice_block(STATES[state], choice, SETTINGS, 12345, ids, salt=1)
+            want = float_choice_block(STATES[state], choice, SETTINGS, 12345, ids, salt=1)
+            assert got.keys() == want.keys(), choice.label()
+            for var in want:
+                assert np.array_equal(got[var], want[var]), (choice.label(), var)
 
 
 class TestEstimateF:
@@ -328,6 +464,61 @@ class TestEstimateF:
         assert json.loads(outputs[0])["ok"] is True
 
 
+class TestBlocks:
+    POLARIZED = product_state(plane_vector(0.0), SETTINGS[Y2])
+
+    def run_both(self, shots):
+        return (
+            estimate_f(singlet_state(), SETTINGS, shots, 7),
+            signaling_test(self.POLARIZED, SETTINGS, shots, 7),
+        )
+
+    def test_results_do_not_depend_on_block_size(self, monkeypatch):
+        default = self.run_both(1000)
+        monkeypatch.setattr(protocol, "BLOCK_SHOTS", 7)
+        assert self.run_both(1000) == default
+
+    def test_estimators_sample_through_the_module_hook(self, monkeypatch):
+        """Both estimators look simulate_choice_block up on the module at
+        call time, one block of at most BLOCK_SHOTS consecutive ids a call."""
+        monkeypatch.setattr(protocol, "BLOCK_SHOTS", 100)
+        calls = []
+        inner = protocol.simulate_choice_block
+
+        def spy(rho, choice, settings, seed, shot_indices, salt=0):
+            calls.append((salt, int(shot_indices[0]), len(shot_indices)))
+            return inner(rho, choice, settings, seed, shot_indices, salt)
+
+        monkeypatch.setattr(protocol, "simulate_choice_block", spy)
+        self.run_both(1000)
+        assert len(calls) == 9 * 2 + 2 * 5  # 111- or 112-shot choices; 500-shot arms
+        assert all(0 < size <= 100 for _, _, size in calls)
+        for salt in (0, 1):  # estimate_f, signaling_test
+            blocks = sorted((start, size) for s, start, size in calls if s == salt)
+            ends = [start + size for start, size in blocks]
+            assert [start for start, _ in blocks] == [0] + ends[:-1]
+            assert ends[-1] == 1000
+
+    def test_memory_does_not_grow_with_blocks(self, monkeypatch):
+        """Each block's arrays are freed before the next; only Python-int
+        sums carry over, so 4x the shots cost no extra heap."""
+        monkeypatch.setattr(protocol, "BLOCK_SHOTS", 1 << 12)
+        for run in (
+            lambda shots: estimate_f(singlet_state(), SETTINGS, shots, 12345),
+            lambda shots: signaling_test(self.POLARIZED, SETTINGS, shots, 12345),
+        ):
+            run(4 * 10**5)  # fills first-call caches and the interpreter's free lists
+            peaks = []
+            for shots in (10**5, 4 * 10**5):
+                tracemalloc.start()
+                try:
+                    run(shots)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert peaks[1] - peaks[0] <= 64 * 1024, peaks
+
+
 class TestSignaling:
     def test_polarized_state_shows_the_gap(self):
         """Polarized along y2: certainty alone, 3/4 after a y1 probe."""
@@ -345,6 +536,11 @@ class TestSignaling:
         report = signaling_test(singlet_state(), SETTINGS, 20000, 7)
         assert abs(report.p_alone - 0.5) < 5 * report.se_alone
         assert abs(report.z_score) < 5.0
+
+    @pytest.mark.parametrize("shots", [0, 1])
+    def test_needs_one_shot_per_arm(self, shots):
+        with pytest.raises(ValueError, match="need at least two shots, one per arm"):
+            signaling_test(singlet_state(), SETTINGS, shots, 7)
 
     def test_aligned_probes_are_silent(self):
         """A repeated direction cannot disturb; both arms are certain."""
