@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import catalog
-from .dsl import VariableId, format_sos, parse_scenario, parse_sos
+from .dsl import VariableId, format_sos, parse_scenario, parse_sos, parse_variable
 from .errors import AssertionFailure, TermOutsideContext
 from .lhv import classical_extrema, jd_feasibility, monogamy_check, nodisturbance_optimum
 from .optimize import maximize_violation, scan_envelope
@@ -195,24 +195,13 @@ def cmd_derive(args) -> int:
 
 # ----------------------------------------------------------------- check
 
-_VARIABLE_RE = re.compile(r"[A-Z]\d*")
-
-
-def _variable(token: str) -> VariableId:
-    token = token.strip()
-    if not _VARIABLE_RE.fullmatch(token):
-        raise ValueError(f"bad variable name {token!r}")
-    letter, digits = token[0], token[1:]
-    return VariableId(letter, int(digits) if digits else None)
-
-
 def _pair_key(key: str) -> frozenset:
     tokens = key.replace(",", " ").split()
-    if len(tokens) == 1:
-        tokens = _VARIABLE_RE.findall(key)
+    if len(tokens) == 1:  # glued, as in X1Y2: split before each capital
+        tokens = re.split(r"(?<=.)(?=[A-Z])", tokens[0])
     if len(tokens) != 2:
         raise ValueError(f"correlator key {key!r} must name two variables")
-    a, b = map(_variable, tokens)
+    a, b = map(parse_variable, tokens)
     if a == b:
         raise ValueError(f"correlator key {key!r} repeats a variable")
     return frozenset((a, b))
@@ -246,7 +235,9 @@ def cmd_check(args) -> int:
     )
     if not observed:
         raise ValueError("no correlators found in the input file")
-    means = _read_values(data.get("means", {}), _variable, lambda var: f"mean of {var}") or None
+    means = _read_values(
+        data.get("means", {}), lambda key: parse_variable(key.strip()), lambda var: f"mean of {var}"
+    ) or None
     result = jd_feasibility(scenario, observed, means, tolerance=args.tolerance)
     report = {
         "scenario": args.scenario,
@@ -431,11 +422,12 @@ def _target_s2_identity(args) -> dict:
 
 def _target_monogamy(args) -> dict:
     derived = derive_inequality(catalog.monogamy_source())
+    scenario = catalog.monogamy_scenario()
     chsh_terms, kcbs_terms = {}, {}
-    for mono in derived.terms:
-        part = chsh_terms if any(v.letter == "Y" for v in mono.variables) else kcbs_terms
+    for mono in derived.terms:  # CHSH terms cross the parties, pentagon terms do not
+        part = kcbs_terms if scenario.same_party(*mono.variables) else chsh_terms
         part[mono.variables] = mono.coefficient
-    report_data = monogamy_check(catalog.monogamy_scenario(), chsh_terms, kcbs_terms)
+    report_data = monogamy_check(scenario, chsh_terms, kcbs_terms)
     return _finish({
         "target": "monogamy",
         "symbolic_bound": report_data.symbolic_bound,

@@ -203,13 +203,18 @@ class _Scanner:
         return m.group()
 
 
+def parse_variable(token: str) -> VariableId:
+    """A variable name: one capital, then an index without leading zeros, or none."""
+    if _VAR_RE.fullmatch(token) is None:
+        raise ValueError(f"bad variable name {token!r}")
+    return VariableId(token[0], int(token[1:])) if len(token) > 1 else VariableId(token)
+
+
 def _parse_variable(sc):
     tok = sc.take_regex(_VAR_RE)
     if tok is None:
         sc.fail("expected a variable like X1 or J")
-    if len(tok) == 1:
-        return VariableId(tok)
-    return VariableId(tok[0], int(tok[1:]))
+    return parse_variable(tok)
 
 
 def _parse_form(sc):
@@ -336,12 +341,10 @@ def parse_scenario(text: str) -> ScenarioSpec:
     sequential: list[tuple[VariableId, VariableId]] = []
 
     def ids_of(rest, lineno, key):
-        out = []
-        for tok in rest.split():
-            if _VAR_RE.fullmatch(tok) is None:
-                raise DslSyntaxError(f"bad variable name {tok!r} in {key} line", lineno, 1)
-            out.append(VariableId(tok[0]) if len(tok) == 1 else VariableId(tok[0], int(tok[1:])))
-        return out
+        try:
+            return [parse_variable(tok) for tok in rest.split()]
+        except ValueError as exc:
+            raise DslSyntaxError(f"{exc} in {key} line", lineno, 1) from None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

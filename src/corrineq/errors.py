@@ -42,7 +42,7 @@ class CoefficientsTooLarge(ValueError):
 
 
 class DimensionMismatch(ValueError):
-    """Linear program rows and columns disagree in size."""
+    """Array shapes disagree: LP rows and columns, or a state or operator of the wrong size."""
 
 
 class NumericalBreakdown(ArithmeticError):
@@ -93,7 +93,7 @@ class BudgetExhausted(RuntimeError):
 
 
 class EvenGroupWarning(UserWarning):
-    """A squared form has an even number of terms, so its square can vanish."""
+    """A squared form has an even coefficient sum, so its square can vanish."""
 
 
 class AssertionFailure(AssertionError):

@@ -79,22 +79,25 @@ class DhvModel:
         return sum(w * asg[a] for asg, w in self.support)
 
 
-def _assignment_rows(n, indices) -> np.ndarray:
-    """Rows `indices` of the canonical ±1 assignment enumeration.
+def _assignment_rows(n, indices=None) -> np.ndarray:
+    """Rows `indices` (default: all 2**n) of the canonical ±1 assignment enumeration.
 
     Assignment i maps variable j to +1 when bit (n-1-j) of i is set, so
     ascending i walks the value tuples in lexicographic order with -1
     first.
     """
-    idx = np.asarray(indices, dtype=np.uint32)
+    idx = np.asarray(np.arange(1 << n) if indices is None else indices, dtype=np.uint32)
     shifts = np.arange(n - 1, -1, -1, dtype=np.uint32)
     bits = (idx[:, None] >> shifts[None, :]) & 1
     return (2 * bits.astype(np.int64)) - 1
 
 
-def _assignment_block(n, start, stop) -> np.ndarray:
-    """Rows start..stop of the canonical ±1 assignment enumeration."""
-    return _assignment_rows(n, np.arange(start, stop, dtype=np.uint32))
+def _assignment(variables, index) -> DeterministicAssignment:
+    """Assignment `index` of the canonical enumeration over the sorted `variables`."""
+    n, index = len(variables), int(index)
+    return DeterministicAssignment(
+        {v: 1 if index >> (n - 1 - j) & 1 else -1 for j, v in enumerate(variables)}
+    )
 
 
 def _incidence(n, monomials) -> np.ndarray:
@@ -143,7 +146,7 @@ def _split_scan(n, terms, chunk_size=1 << 16, workers=None):
     weights = np.zeros((len(groups), len(lows)))
     for g, u, coeff in split:
         weights[g, u] += coeff
-    right = weights @ _parities(_assignment_block(low, 0, 1 << low), _incidence(low, lows)).T
+    right = weights @ _parities(_assignment_rows(low), _incidence(low, lows)).T
     incidence = _incidence(high, groups)
     rows = min(max(1, chunk_size >> low), 1 << high)
     tiles = [(s, min(s + rows, 1 << high)) for s in range(0, 1 << high, rows)]
@@ -154,7 +157,7 @@ def _split_scan(n, terms, chunk_size=1 << 16, workers=None):
 
     def scan(tile):
         start, stop = tile
-        values = _parities(_assignment_block(high, start, stop), incidence) @ right
+        values = _parities(_assignment_rows(high, np.arange(start, stop)), incidence) @ right
         at = span[:stop - start]
         lo = arg_min[start:stop] = values.argmin(axis=1)
         hi = arg_max[start:stop] = values.argmax(axis=1)
@@ -215,14 +218,9 @@ def classical_extrema(poly, workers=None, chunk_size=1 << 16) -> ExtremaResult:
     terms = [(tuple(sorted(col[v] for v in varset)), coeff) for varset, coeff in poly.items()]
     row_min, arg_min, row_max, arg_max = _split_scan(n, terms, chunk_size, workers)
     lo, hi = int(row_min.argmin()), int(row_max.argmax())  # first row: earliest index
-
-    def assignment_at(index):
-        row = _assignment_rows(n, [index])[0]
-        return DeterministicAssignment({v: int(row[col[v]]) for v in variables})
-
     return ExtremaResult(
         int(row_min[lo]), int(row_max[hi]),
-        assignment_at(arg_min[lo]), assignment_at(arg_max[hi]),
+        _assignment(variables, arg_min[lo]), _assignment(variables, arg_max[hi]),
         1 << n,
     )
 
@@ -360,9 +358,7 @@ def jd_feasibility(scenario, observed, means=None, tolerance=FEASIBILITY_TOL) ->
         weights /= weights.sum()
         support = []
         for j in sorted(np.flatnonzero(weights > WEIGHT_TOL), key=lambda j: master[j]):
-            row = _assignment_rows(n, [master[j]])[0]
-            asg = DeterministicAssignment({v: int(row[col[v]]) for v in variables})
-            support.append((asg, float(weights[j])))
+            support.append((_assignment(variables, master[j]), float(weights[j])))
         # put any clipped dust on the heaviest atom so weights sum exactly
         drift = 1.0 - sum(w for _, w in support)
         heaviest = max(range(len(support)), key=lambda i: support[i][1])
@@ -412,7 +408,7 @@ def nodisturbance_optimum(scenario, objective, direction="max", enforce_consiste
     contexts = [tuple(sorted(ctx, key=VariableId.sort_key)) for ctx in scenario.contexts]
     if not contexts:
         raise TermOutsideContext("scenario declares no contexts")
-    tables = [_assignment_block(len(ctx), 0, 1 << len(ctx)) for ctx in contexts]
+    tables = [_assignment_rows(len(ctx)) for ctx in contexts]
     spans, total = [], 0  # each context's slice of the LP's columns
     for table in tables:
         spans.append(slice(total, total + len(table)))
@@ -440,7 +436,7 @@ def nodisturbance_optimum(scenario, objective, direction="max", enforce_consiste
         for ci, ctx in enumerate(contexts):
             for cj in sorted({cj for var in ctx for cj in homes[var] if cj > ci}):
                 shared = sorted(set(ctx) & set(contexts[cj]), key=VariableId.sort_key)
-                patterns = _assignment_block(len(shared), 0, 1 << len(shared))
+                patterns = _assignment_rows(len(shared))
                 # one row per shared pattern: ci's cells showing it minus cj's
                 block = np.zeros((len(patterns), total))
                 for ck, sign in ((ci, 1.0), (cj, -1.0)):
@@ -524,10 +520,12 @@ def reconstruct_pc(table_a, table_b, tolerance=1e-9) -> np.ndarray:
 
     Inputs are 2x2x2 arrays over outcomes of (first, middle, y) and
     (middle, last, y), index 0 meaning +1 and index 1 meaning -1.  Both
-    tables must produce the same (middle, y) marginal (the proviso);
-    output[first, last, y, middle] multiplies the two tables and divides
-    by that shared marginal.  The result is non-negative, normalized,
-    and returns both inputs as marginals.
+    tables must produce the same (middle, y) marginal within `tolerance`
+    (the proviso); output[first, last, y, middle] multiplies the two
+    tables and divides by the mean of the two marginals.  A cell whose
+    mean marginal is not positive stays 0, unless the product above it
+    exceeds `tolerance` (DivisionByZeroCell).  The result is
+    non-negative, normalized, and returns both inputs as marginals.
     """
     a = np.asarray(table_a, dtype=float)
     b = np.asarray(table_b, dtype=float)
@@ -544,21 +542,15 @@ def reconstruct_pc(table_a, table_b, tolerance=1e-9) -> np.ndarray:
         raise ProvisoViolated(
             f"shared (middle, y) marginals differ by up to {np.abs(margin_a - margin_b).max():.3e}"
         )
-    den = (margin_a + margin_b) / 2.0
-    out = np.zeros((2, 2, 2, 2))
-    for x1 in range(2):
-        for x3 in range(2):
-            for y in range(2):
-                for x2 in range(2):
-                    numerator = a[x1, x2, y] * b[x2, x3, y]
-                    if den[x2, y] <= 0.0:
-                        if numerator > tolerance:
-                            raise DivisionByZeroCell(
-                                f"cell (middle={x2}, y={y}) has zero marginal but mass above it"
-                            )
-                        continue
-                    out[x1, x3, y, x2] = numerator / den[x2, y]
-    return out
+    den = ((margin_a + margin_b) / 2.0).T  # (y, middle), the output's last two axes
+    # one IEEE product per cell, so 0 * -x stays -0.0 (an einsum would add it to +0.0)
+    numerator = a.transpose(0, 2, 1)[:, None] * b.transpose(1, 2, 0)  # (first, last, y, middle)
+    empty = den <= 0.0
+    bad = empty & (numerator > tolerance)
+    if bad.any():
+        _, _, y, x2 = np.argwhere(bad)[0]
+        raise DivisionByZeroCell(f"cell (middle={x2}, y={y}) has zero marginal but mass above it")
+    return np.divide(numerator, den, out=np.zeros((2, 2, 2, 2)), where=~empty)
 
 
 def random_dhv_model(variables, rng, support_size=4) -> DhvModel:

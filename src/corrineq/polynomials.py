@@ -68,10 +68,6 @@ class MultilinearPoly:
         return cls({frozenset(): value})
 
     @classmethod
-    def variable(cls, var, coeff=1):
-        return cls({frozenset([var]): coeff})
-
-    @classmethod
     def from_linear_form(cls, form):
         return cls({frozenset([var]): coeff for coeff, var in form.terms})
 

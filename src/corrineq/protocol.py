@@ -16,12 +16,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from itertools import product as iproduct
 
 import numpy as np
 
 from . import catalog
 from .dsl import VariableId
+from .lhv import _assignment_rows
 from .polynomials import derive_inequality, format_varset
 from .quantum import projectors, validate_density
 
@@ -165,44 +165,46 @@ def _stage_projector_sets(choice, settings):
 
 
 def _slot_outcomes(ops):
-    """All outcome tuples of a slot with their projection operators."""
-    if not ops:
-        return [((), np.eye(4, dtype=complex))]
-    out = []
-    for signs in iproduct((1, -1), repeat=len(ops)):
+    """A slot's outcomes as an int8 sign matrix, with their projectors.
+
+    Rows are outcomes, +1 first as in product((1, -1)); columns are the
+    slot's variables.  An empty slot has one empty outcome, whose
+    projector is the identity.
+    """
+    signs = -_assignment_rows(len(ops)).astype(np.int8)
+    projs = []
+    for row in signs:
         proj = np.eye(4, dtype=complex)
-        for sign, (_, plus, minus) in zip(signs, ops):
+        for sign, (_, plus, minus) in zip(row, ops):
             proj = proj @ (plus if sign == 1 else minus)
-        out.append((signs, proj))
-    return out
+        projs.append(proj)
+    return signs, projs
 
 
 def _choice_tables(rho, choice, settings):
     """Exact two-stage outcome distribution for one choice.
 
-    Returns (slot variable lists, p1 over slot-1 outcomes, conditional
-    p2[o1] over slot-2 outcomes), each probability from the Born rule
-    with collapse between slots.
+    Returns (slot variable lists, each slot's int8 sign matrix, p1 over
+    slot-1 outcomes, conditional p2[o1] over slot-2 outcomes), each
+    probability from the Born rule with collapse between slots.
     """
     slot_ops = _stage_projector_sets(choice, settings)
     vars1 = [var for var, _, _ in slot_ops[0]]
     vars2 = [var for var, _, _ in slot_ops[1]]
-    outs1 = _slot_outcomes(slot_ops[0])
-    outs2 = _slot_outcomes(slot_ops[1])
-    p1 = np.zeros(len(outs1))
-    p2 = np.zeros((len(outs1), len(outs2)))
-    for i, (_, proj1) in enumerate(outs1):
+    signs1, projs1 = _slot_outcomes(slot_ops[0])
+    signs2, projs2 = _slot_outcomes(slot_ops[1])
+    p1 = np.zeros(len(projs1))
+    p2 = np.zeros((len(projs1), len(projs2)))
+    for i, proj1 in enumerate(projs1):
         collapsed = proj1 @ rho @ proj1.conj().T
         weight = float(np.trace(collapsed).real)
         p1[i] = weight
         if weight <= 0.0:
-            p2[i] = 1.0 / len(outs2)  # never sampled; keep the row valid
+            p2[i] = 1.0 / len(projs2)  # never sampled; keep the row valid
             continue
-        for j, (_, proj2) in enumerate(outs2):
+        for j, proj2 in enumerate(projs2):
             p2[i, j] = float(np.trace(proj2 @ collapsed @ proj2.conj().T).real) / weight
-    outcomes1 = [signs for signs, _ in outs1]
-    outcomes2 = [signs for signs, _ in outs2]
-    return vars1, vars2, outcomes1, outcomes2, p1, p2
+    return vars1, vars2, signs1, signs2, p1, p2
 
 
 def _cumulative(p):
@@ -231,17 +233,17 @@ def simulate_shot(rho, choice, settings, seed, shot_index=0, salt=0) -> ShotReco
     for draw, ops in enumerate(slot_ops):
         if not ops:
             continue  # empty slot: nothing measured, no draw consumed
-        options = _slot_outcomes(ops)
+        signs, projs = _slot_outcomes(ops)
         probs = np.array(
-            [float(np.trace(proj @ state @ proj.conj().T).real) for _, proj in options]
+            [float(np.trace(proj @ state @ proj.conj().T).real) for proj in projs]
         )
         cum = _cumulative(probs)
         u = rng.uniform(shot_index, draw)
         pick = int(np.searchsorted(cum, u, side="right"))
-        signs, proj = options[pick]
+        proj = projs[pick]
         weight = probs[pick]
         state = (proj @ state @ proj.conj().T) / weight
-        for sign, (var, _, _) in zip(signs, ops):
+        for sign, (var, _, _) in zip(signs[pick], ops):
             outcomes[var] = int(sign)
     return ShotRecord(choice, outcomes, shot_index)
 
@@ -274,7 +276,7 @@ def simulate_choice_block(rho, choice, settings, seed, shot_indices, salt=0):
     """
     rho = validate_density(np.asarray(rho, dtype=complex))
     rng = CounterRng(seed, salt)
-    vars1, vars2, outcomes1, outcomes2, p1, p2 = _choice_tables(rho, choice, settings)
+    vars1, vars2, signs1, signs2, p1, p2 = _choice_tables(rho, choice, settings)
     idx = np.asarray(shot_indices, dtype=np.uint64)
     words = np.empty(len(idx), dtype=np.uint64)
     picks1 = np.zeros(len(idx), dtype=np.intp)
@@ -283,13 +285,9 @@ def simulate_choice_block(rho, choice, settings, seed, shot_indices, salt=0):
     picks2 = np.zeros(len(idx), dtype=np.intp)
     if vars2:
         picks2 = _slot_picks(rng.words(idx, 1, out=words), p2, picks1)
-    values = {}
-    for k, var in enumerate(vars1):
-        table = np.array([o[k] for o in outcomes1], dtype=np.int8)
-        values[var] = table[picks1]
-    for k, var in enumerate(vars2):
-        table = np.array([o[k] for o in outcomes2], dtype=np.int8)
-        values[var] = table[picks2]
+    # take on one 1-D column: fancy-indexing signs[picks, k] is about 3x slower
+    values = {var: signs1[:, k].take(picks1) for k, var in enumerate(vars1)}
+    values.update({var: signs2[:, k].take(picks2) for k, var in enumerate(vars2)})
     return values
 
 

@@ -20,10 +20,9 @@ from .errors import (
     NonUnitVector,
     NotHermitian,
 )
-from .polynomials import CorrelationInequality
+from .polynomials import CorrelationInequality, letter_scenario
 
 HERMITICITY_TOL = 1e-10
-UNIT_TOL = 1e-12
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -179,9 +178,8 @@ def auto_assignment(ineq: CorrelationInequality, scenario=None) -> dict:
     multi-letter inequality needs its scenario passed explicitly.
     """
     if scenario is None:
-        party_of = {v: v.letter for v in ineq.variables()}
-    else:
-        party_of = {v: scenario.party(v) for v in ineq.variables()}
+        scenario = letter_scenario(ineq.variables())
+    party_of = {v: scenario.party(v) for v in ineq.variables()}
     names = sorted(set(party_of.values()))
     if len(names) > 2:
         raise MissingAssignment(f"cannot auto-assign {len(names)} parties to two subsystems")

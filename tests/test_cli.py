@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from corrineq.cli import main
+from corrineq.cli import _pair_key, main
+from corrineq.dsl import parse_variable
 
 SQRT8 = 2.828427124746190
 
@@ -215,6 +216,32 @@ class TestCheck:
         )
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "finite" in err
+
+    @pytest.mark.parametrize(
+        "correlators, means",
+        [({"X01Y1": 0.5}, None), ({"X01 Y1": 0.5}, None), ({"X1Y1": 0.5}, {"X01": 0.1})],
+    )
+    def test_leading_zero_name_exits_2(self, capsys, tmp_path, correlators, means):
+        """Keys follow the .scn grammar: X01 is not another spelling of X1."""
+        path = self.write_input(tmp_path, correlators, means=means)
+        code, out, err = run_cli(
+            capsys, "check", "--input", path, "--scenario", data_file("chsh.scn")
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "bad variable name 'X01'" in err
+
+    @pytest.mark.parametrize(
+        "key, pair",
+        [
+            ("X1Y1", ("X1", "Y1")),
+            ("Y1 X1", ("X1", "Y1")),
+            ("X1,Y2", ("X1", "Y2")),
+            ("X10Y1", ("X10", "Y1")),
+            ("JK", ("J", "K")),
+        ],
+    )
+    def test_correlator_key_spellings(self, key, pair):
+        assert _pair_key(key) == frozenset(map(parse_variable, pair))
 
     def test_repeated_pair_exits_2(self, capsys, tmp_path):
         path = self.write_input(tmp_path, {"X1Y1": 0.9, "Y1 X1": -0.9, "X1Y2": 0.1})

@@ -11,6 +11,7 @@ from corrineq.dsl import (
     format_sos,
     parse_scenario,
     parse_sos,
+    parse_variable,
 )
 from corrineq.errors import (
     DslSyntaxError,
@@ -49,6 +50,24 @@ class TestVariableId:
     def test_rejects_negative_index(self):
         with pytest.raises(ValueError):
             VariableId("X", -1)
+
+
+class TestParseVariable:
+    @pytest.mark.parametrize(
+        "token, var",
+        [("X1", x(1)), ("Y10", y(10)), ("X0", x(0)), ("J", VariableId("J"))],
+    )
+    def test_accepts(self, token, var):
+        assert parse_variable(token) == var
+
+    @pytest.mark.parametrize("token", ["X01", "X00", "x1", "XY", "1", "", " X1", "X1 "])
+    def test_rejects(self, token):
+        with pytest.raises(ValueError, match="bad variable name"):
+            parse_variable(token)
+
+    def test_scenario_refuses_leading_zero(self):
+        with pytest.raises(DslSyntaxError, match="bad variable name 'X01' in context line"):
+            parse_scenario("variables: X1 Y1\ncontext: X01 Y1\n")
 
 
 class TestLinearForm:

@@ -12,6 +12,7 @@ from corrineq import catalog
 from corrineq.dsl import ScenarioSpec, VariableId
 from corrineq.errors import (
     CoefficientsTooLarge,
+    DivisionByZeroCell,
     ProvisoViolated,
     TermOutsideContext,
     TooManyVariables,
@@ -413,7 +414,111 @@ class TestMonogamy:
             )
 
 
+def loop_reconstruct_pc(table_a, table_b, tolerance=1e-9):
+    """reconstruct_pc as it was before the one-product kernel: a Python
+    loop over the output cells in (first, last, y, middle) order."""
+    a = np.asarray(table_a, dtype=float)
+    b = np.asarray(table_b, dtype=float)
+    for name, t in (("first", a), ("second", b)):
+        if t.shape != (2, 2, 2):
+            raise ValueError(f"{name} table must be 2x2x2, got {t.shape}")
+        if t.min() < -tolerance:
+            raise ValueError(f"{name} table has a negative cell")
+        if abs(t.sum() - 1.0) > tolerance:
+            raise ValueError(f"{name} table sums to {t.sum()!r}, expected 1")
+    margin_a = a.sum(axis=0)
+    margin_b = b.sum(axis=1)
+    if np.abs(margin_a - margin_b).max() > tolerance:
+        raise ProvisoViolated(
+            f"shared (middle, y) marginals differ by up to {np.abs(margin_a - margin_b).max():.3e}"
+        )
+    den = (margin_a + margin_b) / 2.0
+    out = np.zeros((2, 2, 2, 2))
+    for x1 in range(2):
+        for x3 in range(2):
+            for yy in range(2):
+                for x2 in range(2):
+                    numerator = a[x1, x2, yy] * b[x2, x3, yy]
+                    if den[x2, yy] <= 0.0:
+                        if numerator > tolerance:
+                            raise DivisionByZeroCell(
+                                f"cell (middle={x2}, y={yy}) has zero marginal but mass above it"
+                            )
+                        continue
+                    out[x1, x3, yy, x2] = numerator / den[x2, yy]
+    return out
+
+
+def _outcome(kernel, a, b, tolerance):
+    try:
+        return kernel(a, b, tolerance)
+    except Exception as exc:  # noqa: BLE001 - the type and message are compared
+        return type(exc), str(exc)
+
+
+# p(x1, x2, x3, y) with many exact zeros (so some (middle, y) marginals
+# vanish) and a few tiny negative cells, whose products with a zero give -0.0
+_cell = st.one_of(st.just(0.0), st.just(0.0), st.floats(-1e-12, -1e-15), st.floats(1e-3, 1.0))
+
+
+def _joint(weights):
+    w = np.array(weights)
+    return (w / w.sum()).reshape(2, 2, 2, 2)
+
+
+_joints = st.lists(_cell, min_size=16, max_size=16).filter(lambda w: sum(w) > 0.5).map(_joint)
+# a product 0 * -1e-12 in a cell with a positive marginal: the cell is -0.0
+_NEGATIVE_ZERO_JOINT = _joint([0.0] * 13 + [-1e-12, 0.0, 1.0])
+
+def _zero_marginal_tables(cells):
+    """a[0,0,0] = b[0,0,0] = 1, plus for each (middle, value) cells of
+    +-value at y = 1 that cancel in both tables, so that the (middle, 1)
+    marginal vanishes while the products above it reach value**2.  Only a
+    tolerance above 1 lets such tables through the input checks."""
+    a, b = np.zeros((2, 2, 2)), np.zeros((2, 2, 2))
+    a[0, 0, 0] = b[0, 0, 0] = 1.0
+    for middle, value in cells:
+        a[0, middle, 1], a[1, middle, 1] = value, -value
+        b[middle, 0, 1], b[middle, 1, 1] = value, -value
+    return a, b
+
+
 class TestReconstruction:
+    @settings(max_examples=300, deadline=None)
+    @given(_joints, _joints, st.booleans(), st.sampled_from([1e-9, 1e-3, 0.2, 1.35]))
+    @example(_NEGATIVE_ZERO_JOINT, _NEGATIVE_ZERO_JOINT, False, 1e-9)
+    def test_matches_loop_reference(self, joint, other, mismatched, tolerance):
+        """Same cells, same signs of zero, same exceptions and messages;
+        `mismatched` takes the second table from another joint, so the
+        proviso can fail."""
+        a = joint.sum(axis=2)
+        b = (other if mismatched else joint).sum(axis=0)
+        got = _outcome(reconstruct_pc, a, b, tolerance)
+        want = _outcome(loop_reconstruct_pc, a, b, tolerance)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize(
+        "cells, tolerance, message",
+        [
+            ([(1, 1.3)], 1.35, "middle=1, y=1"),
+            ([(0, 1.3), (1, 1.3)], 1.35, "middle=0, y=1"),  # the first cell in loop order
+            ([(1, 1.25)], 1.5625, None),  # a product equal to the tolerance is allowed
+        ],
+    )
+    def test_zero_marginal_with_mass_above(self, cells, tolerance, message):
+        a, b = _zero_marginal_tables(cells)
+        got = _outcome(reconstruct_pc, a, b, tolerance)
+        want = _outcome(loop_reconstruct_pc, a, b, tolerance)
+        if message is None:
+            assert np.array_equal(got, want)
+        else:
+            assert got == want
+            assert got[0] is DivisionByZeroCell and message in got[1]
+
     @staticmethod
     def _tables_from_joint(joint):
         """Split p(x1, x2, x3, y) into its two overlapping marginals."""
