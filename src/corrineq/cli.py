@@ -54,20 +54,6 @@ DEFAULT_TOLERANCE = 1e-7
 
 SQRT8 = float(2 * np.sqrt(2))
 
-TARGETS = (
-    "chsh-bound",
-    "kcbs-bound",
-    "ncycle-bounds",
-    "lg-bound",
-    "hybrid-singlet",
-    "hybrid-product",
-    "tsirelson-envelope",
-    "s2-identity",
-    "monogamy",
-    "protocol-mc",
-)
-
-
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
@@ -497,6 +483,7 @@ _TARGET_FUNCS = {
     "monogamy": _target_monogamy,
     "protocol-mc": _target_protocol_mc,
 }
+TARGETS = tuple(_TARGET_FUNCS)  # the order `all` runs them in
 
 
 def cmd_reproduce(args) -> int:
@@ -555,15 +542,20 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="test observed correlators for a joint distribution")
     check.add_argument("--input", required=True, help="JSON file with correlators (and means)")
     check.add_argument("--scenario", required=True, help="path to a .scn scenario file")
-    check.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+    check.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
+                       help="largest certificate violation still counted as feasible; "
+                       "finite and >= 0 (default %(default)s)")
     add_format(check)
     check.set_defaults(func=cmd_check)
 
     reproduce = sub.add_parser("reproduce", help="rerun a reference computation and verify it")
     reproduce.add_argument("target", choices=TARGETS + ("all",))
-    reproduce.add_argument("--shots", type=int, default=DEFAULT_SHOTS)
-    reproduce.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    reproduce.add_argument("--grid", type=int, default=DEFAULT_GRID)
+    reproduce.add_argument("--shots", type=int, default=DEFAULT_SHOTS,
+                           help="Monte Carlo shots for protocol-mc (default %(default)s)")
+    reproduce.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                           help="random seed of protocol-mc and s2-identity (default %(default)s)")
+    reproduce.add_argument("--grid", type=int, default=DEFAULT_GRID,
+                           help="grid points per axis for tsirelson-envelope (default %(default)s)")
     add_format(reproduce)
     reproduce.set_defaults(func=cmd_reproduce)
 

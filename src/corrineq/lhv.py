@@ -292,8 +292,11 @@ def jd_feasibility(scenario, observed, means=None, tolerance=FEASIBILITY_TOL) ->
     the violated inequality.  When the LP is infeasible but the
     certificate's violation is at most `tolerance`, the data count as
     feasible within tolerance: the result is feasible, has no model, and
-    carries the certificate.
+    carries the certificate.  A tolerance that is negative, infinite or
+    NaN raises ValueError.
     """
+    if not 0.0 <= tolerance < np.inf:  # false for NaN too
+        raise ValueError(f"tolerance is {tolerance}, expected a finite non-negative number")
     variables = tuple(sorted(scenario.variables, key=VariableId.sort_key))
     n = len(variables)
     if n > FEASIBILITY_VARIABLE_CAP:
@@ -525,13 +528,16 @@ def reconstruct_pc(table_a, table_b, tolerance=1e-9) -> np.ndarray:
     tables and divides by the mean of the two marginals.  A cell whose
     mean marginal is not positive stays 0, unless the product above it
     exceeds `tolerance` (DivisionByZeroCell).  The result is
-    non-negative, normalized, and returns both inputs as marginals.
+    non-negative within `tolerance`, normalized, and returns both inputs
+    as marginals.  A table with a NaN or infinite cell raises ValueError.
     """
     a = np.asarray(table_a, dtype=float)
     b = np.asarray(table_b, dtype=float)
     for name, t in (("first", a), ("second", b)):
         if t.shape != (2, 2, 2):
             raise ValueError(f"{name} table must be 2x2x2, got {t.shape}")
+        if not np.isfinite(t).all():
+            raise ValueError(f"{name} table has a non-finite cell")
         if t.min() < -tolerance:
             raise ValueError(f"{name} table has a negative cell")
         if abs(t.sum() - 1.0) > tolerance:

@@ -27,6 +27,7 @@ from .quantum import (
     evaluate_inequality_quantum,
     plane_vector,
     product_state,
+    tsirelson_envelope,
 )
 
 DEFAULT_GRID_POINTS = 24
@@ -282,11 +283,10 @@ class EnvelopeScan:
 
 
 def envelope_grid(thetas1, thetas2) -> np.ndarray:
-    """tsirelson_envelope broadcast over two angle arrays."""
+    """tsirelson_envelope on every (theta1, theta2) pair of two angle arrays."""
     t1 = np.asarray(thetas1, dtype=float)[:, None]
     t2 = np.asarray(thetas2, dtype=float)[None, :]
-    inner = np.maximum(1.0 - np.cos(t1 - t2), 0.0)
-    return np.abs(np.cos(t1) + np.cos(t2) + np.sqrt(2.0) * np.sqrt(inner))
+    return tsirelson_envelope(t1, t2)
 
 
 def envelope_settings(theta1: float, theta2: float) -> dict[VariableId, np.ndarray]:

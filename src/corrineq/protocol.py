@@ -4,6 +4,8 @@ Each run draws one of 16 measurement-choice pairs: each side either
 skips, measures its early observable, its late observable, or both in
 sequence.  Only some choices yield usable correlator data; those are
 pooled into the hybrid combination with propagated standard errors.
+The choices, time slots, qubits and usable pairs all follow from the
+shipped hybrid scenario (hybrid.scn).
 
 Randomness is a counter-based stream: draw d of shot s hashes
 (seed, salt, 2s + d) through a 64-bit mixer, so any shot can be
@@ -23,12 +25,7 @@ from . import catalog
 from .dsl import VariableId
 from .lhv import _assignment_rows
 from .polynomials import derive_inequality, format_varset
-from .quantum import projectors, validate_density
-
-X1 = VariableId("X", 1)
-X2 = VariableId("X", 2)
-Y1 = VariableId("Y", 1)
-Y2 = VariableId("Y", 2)
+from .quantum import _embed, projectors, validate_density
 
 DRAWS_PER_SHOT = 2  # one joint draw at each of the two time slots
 WORD_BITS = 53  # a word is the top 53 bits of the mixed counter: u = word / 2^53
@@ -39,6 +36,17 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _STRIDE = np.uint64(DRAWS_PER_SHOT * _GOLDEN & _MASK)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+
+_HYBRID = catalog.hybrid_scenario()
+# each party's variables in time order (lower index earlier); parties in
+# alphabetical order sit on qubits 0 and 1, as in quantum.auto_assignment
+_TIMELINES = [
+    sorted((v for v in _HYBRID.variables if _HYBRID.party(v) == party), key=VariableId.sort_key)
+    for party in sorted(set(_HYBRID.party_map.values()))
+]
+(X1, X2), (Y1, Y2) = _TIMELINES
+_QUBIT = {var: qubit for qubit, line in enumerate(_TIMELINES) for var in line}
+_SLOT = {var: slot for line in _TIMELINES for slot, var in enumerate(line)}
 
 
 def _mix64(z):
@@ -97,38 +105,51 @@ class MeasurementChoice:
         return f"({left},{right})"
 
 
-ALICE_OPTIONS = ((), (X1,), (X2,), (X1, X2))
-BOB_OPTIONS = ((), (Y1,), (Y2,), (Y1, Y2))
+def _menu(timeline):
+    """Every subset of one party's variables, each in time order."""
+    return [c for k in range(len(timeline) + 1) for c in combinations(timeline, k)]
+
 
 ALL_CHOICES = tuple(
-    MeasurementChoice(a, b) for a in ALICE_OPTIONS for b in BOB_OPTIONS
+    MeasurementChoice(a, b) for a in _menu(_TIMELINES[0]) for b in _menu(_TIMELINES[1])
 )
 
-_ADMISSIBLE = {
-    ((), (Y1, Y2)): ({Y1, Y2},),
-    ((X1, X2), ()): ({X1, X2},),
-    ((X1,), (Y2,)): ({X1, Y2},),
-    ((X2,), (Y1,)): ({X2, Y1},),
-    ((X1,), (Y1, Y2)): ({X1, Y1}, {Y1, Y2}),
-    ((X1, X2), (Y1,)): ({X1, X2},),
-    ((X2,), (Y1, Y2)): ({X2, Y1}, {Y1, Y2}),
-    ((X1, X2), (Y2,)): ({X1, X2}, {X1, Y2}),
-    ((X1, X2), (Y1, Y2)): ({X1, X2}, {Y1, Y2}),
+# pair -> coefficient in the hybrid combination, in source order
+F_COEFFICIENTS = {
+    mono.variables: mono.coefficient
+    for mono in derive_inequality(catalog.hybrid_source()).terms
 }
 
 
 def admissible_data(choice: MeasurementChoice) -> frozenset:
     """Correlator pairs this choice legitimately estimates.
 
-    Sequential measurement disturbs what follows on the same side, so a
-    pair is admissible only when nothing incompatible intervened; 9 of
-    the 16 choices yield data, and several yield two pairs at once.
+    A measured pair counts when the scenario puts it in a common context
+    or declares it sequential, and nothing outside the pair was measured
+    earlier on either variable's party: only an earlier measurement on
+    the same system disturbs a later one, and spacelike partners commute.
+    These are exactly the pairs whose Born-rule product expectation is
+    the undisturbed correlator.  9 of the 16 choices admit a term of the
+    hybrid combination, and several yield two or three pairs at once.
     """
-    pairs = _ADMISSIBLE.get((choice.alice, choice.bob), ())
-    return frozenset(frozenset(p) for p in pairs)
+    measured = choice.alice + choice.bob
+
+    def undisturbed(pair):
+        return not any(
+            w not in pair and _HYBRID.same_party(v, w) and _SLOT[w] < _SLOT[v]
+            for v in pair
+            for w in measured
+        )
+
+    return frozenset(
+        frozenset(pair)
+        for pair in combinations(measured, 2)
+        if (_HYBRID.in_common_context(*pair) or _HYBRID.is_sequential(*pair))
+        and undisturbed(pair)
+    )
 
 
-DATA_CHOICES = tuple(c for c in ALL_CHOICES if admissible_data(c))
+DATA_CHOICES = tuple(c for c in ALL_CHOICES if not admissible_data(c).isdisjoint(F_COEFFICIENTS))
 
 
 @dataclass(frozen=True)
@@ -142,43 +163,29 @@ class ShotRecord:
         return self.outcomes[a] * self.outcomes[b]
 
 
-def _stage_projector_sets(choice, settings):
-    """Per time slot, the measured variables and their ±1 projectors.
+def _slots(choice, settings):
+    """Per time slot: its variables, int8 sign matrix and outcome projectors.
 
-    Slot 1 holds the index-1 variables of the choice, slot 2 the
-    index-2 ones; cross-party operators in a slot commute, so the slot
-    is sampled jointly.
+    A variable's slot is its place in its party's time order, and its
+    projectors act on its party's qubit; cross-party operators in a slot
+    commute, so the slot is sampled jointly.  Sign rows are outcomes, +1
+    first; columns are the slot's variables, Alice's first.  An empty
+    slot has one empty outcome, whose projector is the identity.
     """
+    measured = choice.alice + choice.bob
     slots = []
-    for time_index in (1, 2):
-        measured = [v for v in choice.alice + choice.bob if v.index == time_index]
-        ops = []
-        for var in measured:
-            plus, minus = projectors(settings[var])
-            if var.letter == "X":
-                plus, minus = np.kron(plus, np.eye(2)), np.kron(minus, np.eye(2))
-            else:
-                plus, minus = np.kron(np.eye(2), plus), np.kron(np.eye(2), minus)
-            ops.append((var, plus, minus))
-        slots.append(ops)
+    for slot in range(DRAWS_PER_SHOT):
+        variables = [var for var in measured if _SLOT[var] == slot]
+        ops = [[_embed(p, _QUBIT[var]) for p in projectors(settings[var])] for var in variables]
+        signs = -_assignment_rows(len(variables)).astype(np.int8)
+        projs = []
+        for row in signs:
+            proj = np.eye(4, dtype=complex)
+            for sign, (plus, minus) in zip(row, ops):
+                proj = proj @ (plus if sign == 1 else minus)
+            projs.append(proj)
+        slots.append((variables, signs, projs))
     return slots
-
-
-def _slot_outcomes(ops):
-    """A slot's outcomes as an int8 sign matrix, with their projectors.
-
-    Rows are outcomes, +1 first as in product((1, -1)); columns are the
-    slot's variables.  An empty slot has one empty outcome, whose
-    projector is the identity.
-    """
-    signs = -_assignment_rows(len(ops)).astype(np.int8)
-    projs = []
-    for row in signs:
-        proj = np.eye(4, dtype=complex)
-        for sign, (_, plus, minus) in zip(row, ops):
-            proj = proj @ (plus if sign == 1 else minus)
-        projs.append(proj)
-    return signs, projs
 
 
 def _choice_tables(rho, choice, settings):
@@ -188,11 +195,7 @@ def _choice_tables(rho, choice, settings):
     slot-1 outcomes, conditional p2[o1] over slot-2 outcomes), each
     probability from the Born rule with collapse between slots.
     """
-    slot_ops = _stage_projector_sets(choice, settings)
-    vars1 = [var for var, _, _ in slot_ops[0]]
-    vars2 = [var for var, _, _ in slot_ops[1]]
-    signs1, projs1 = _slot_outcomes(slot_ops[0])
-    signs2, projs2 = _slot_outcomes(slot_ops[1])
+    (vars1, signs1, projs1), (vars2, signs2, projs2) = _slots(choice, settings)
     p1 = np.zeros(len(projs1))
     p2 = np.zeros((len(projs1), len(projs2)))
     for i, proj1 in enumerate(projs1):
@@ -227,13 +230,11 @@ def simulate_shot(rho, choice, settings, seed, shot_index=0, salt=0) -> ShotReco
     if rho.shape != (4, 4):
         raise ValueError("the protocol simulates a two-qubit state")
     rng = CounterRng(seed, salt)
-    slot_ops = _stage_projector_sets(choice, settings)
     outcomes: dict[VariableId, int] = {}
     state = rho
-    for draw, ops in enumerate(slot_ops):
-        if not ops:
+    for draw, (variables, signs, projs) in enumerate(_slots(choice, settings)):
+        if not variables:
             continue  # empty slot: nothing measured, no draw consumed
-        signs, projs = _slot_outcomes(ops)
         probs = np.array(
             [float(np.trace(proj @ state @ proj.conj().T).real) for proj in projs]
         )
@@ -243,8 +244,7 @@ def simulate_shot(rho, choice, settings, seed, shot_index=0, salt=0) -> ShotReco
         proj = projs[pick]
         weight = probs[pick]
         state = (proj @ state @ proj.conj().T) / weight
-        for sign, (var, _, _) in zip(signs[pick], ops):
-            outcomes[var] = int(sign)
+        outcomes.update(zip(variables, signs[pick].tolist()))
     return ShotRecord(choice, outcomes, shot_index)
 
 
@@ -315,13 +315,6 @@ class ProtocolEstimate:
     shots: int
     seed: int
     choice_counts: dict[str, int]
-
-
-# pair -> coefficient in the hybrid combination, in source order
-F_COEFFICIENTS = {
-    mono.variables: mono.coefficient
-    for mono in derive_inequality(catalog.hybrid_source()).terms
-}
 
 
 def _covariance(m: int, sum_ab: int, sum_a: int, sum_b: int) -> Fraction:

@@ -298,15 +298,17 @@ def s2_square_closed_form(settings) -> np.ndarray:
     )
 
 
-def tsirelson_envelope(theta1: float, theta2: float) -> float:
+def tsirelson_envelope(theta1, theta2):
     """|cos t1 + cos t2 + sqrt(2) sqrt(1 - cos(t1 - t2))|.
 
     Upper envelope of the hybrid operator norm over coplanar settings
     with relative angles t1 (between the X pair) and t2 (between the Y
-    pair); bounded by 2 sqrt(2) everywhere.
+    pair); bounded by 2 sqrt(2) everywhere.  Angle arrays broadcast to
+    an array of values; two scalars give a float.
     """
-    inner = max(1.0 - np.cos(theta1 - theta2), 0.0)
-    return float(abs(np.cos(theta1) + np.cos(theta2) + np.sqrt(2.0) * np.sqrt(inner)))
+    inner = np.maximum(1.0 - np.cos(theta1 - theta2), 0.0)
+    value = np.abs(np.cos(theta1) + np.cos(theta2) + np.sqrt(2.0) * np.sqrt(inner))
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def operator_norm(matrix) -> float:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from corrineq.cli import _pair_key, main
+from corrineq.cli import TARGETS, _pair_key, build_parser, main
 from corrineq.dsl import parse_variable
 
 SQRT8 = 2.828427124746190
@@ -191,6 +191,29 @@ class TestCheck:
         assert (code, report["feasible"]) == ((0, True) if feasible else (1, False))
         assert report["certificate"]["violation"] == pytest.approx(1e-8, rel=1e-3)
         assert "witness" not in report
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1e-9"])
+    def test_bad_tolerance_exits_2(self, capsys, tmp_path, tolerance):
+        """NaN used to print invalid JSON and act as 0; inf passed the
+        Tsirelson point as feasible."""
+        r = 0.7071067811865476
+        path = self.write_input(tmp_path, {"X1Y1": r, "X1Y2": r, "X2Y1": r, "X2Y2": -r})
+        code, out, err = run_cli(
+            capsys, "check", "--input", path, "--scenario", data_file("chsh.scn"),
+            f"--tolerance={tolerance}", "--format", "json",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: tolerance is ")
+        assert err.endswith("expected a finite non-negative number\n")
+
+    def test_zero_tolerance_is_allowed(self, capsys, tmp_path):
+        path = self.write_input(tmp_path, {"X1Y1": 0.5})
+        code, out, _ = run_cli(
+            capsys, "check", "--input", path, "--scenario", data_file("chsh.scn"),
+            "--tolerance", "0", "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["tolerance"] == 0.0
 
     def test_bad_correlator_key_exits_2(self, capsys, tmp_path):
         path = self.write_input(tmp_path, {"X1": 0.5})
@@ -382,6 +405,30 @@ class TestReproduce:
         assert code == 1
         assert err.startswith("error: grid-max")
         assert "ok: False" in out
+
+
+class TestParser:
+    def test_numeric_options_have_help(self):
+        parser = build_parser()
+        commands = parser._subparsers._group_actions[0].choices
+        options = {
+            (name, action.dest): action.help
+            for name, command in commands.items()
+            for action in command._actions
+        }
+        for key in (("check", "tolerance"), ("reproduce", "shots"),
+                    ("reproduce", "seed"), ("reproduce", "grid")):
+            assert options[key], key
+
+    def test_target_order(self):
+        """`all` runs the targets, and --help lists them, in this order."""
+        assert TARGETS == (
+            "chsh-bound", "kcbs-bound", "ncycle-bounds", "lg-bound", "hybrid-singlet",
+            "hybrid-product", "tsirelson-envelope", "s2-identity", "monogamy", "protocol-mc",
+        )
+        reproduce = build_parser()._subparsers._group_actions[0].choices["reproduce"]
+        (target,) = (a for a in reproduce._actions if a.dest == "target")
+        assert tuple(target.choices) == TARGETS + ("all",)
 
 
 class TestEntryPoint:

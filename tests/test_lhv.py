@@ -346,6 +346,11 @@ class TestJdColumnGeneration:
         with pytest.raises(ValueError):
             jd_feasibility(catalog.chsh_scenario(), observed, means)
 
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1e-9])
+    def test_rejects_bad_tolerance(self, tolerance):
+        with pytest.raises(ValueError, match="expected a finite non-negative number"):
+            jd_feasibility(catalog.chsh_scenario(), {(x(1), y(1)): 0.5}, tolerance=tolerance)
+
 
 class TestNoDisturbance:
     def test_chsh_nd_max_is_pr_box(self):
@@ -525,6 +530,20 @@ class TestReconstruction:
         a = joint.sum(axis=2)               # (x1, x2, y)
         b = joint.sum(axis=0)               # (x2, x3, y)
         return a, b
+
+    @pytest.mark.parametrize("name, cell", [
+        ("first", (0, 0, 0)), ("second", (1, 1, 1)), ("first", None),
+    ])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_refuses_non_finite_tables(self, name, cell, bad):
+        """A NaN anywhere used to pass every check and come back as NaN."""
+        tables = {"first": np.full((2, 2, 2), 0.125), "second": np.full((2, 2, 2), 0.125)}
+        if cell is None:
+            tables[name][...] = bad
+        else:
+            tables[name][cell] = bad
+        with pytest.raises(ValueError, match=f"{name} table has a non-finite cell"):
+            reconstruct_pc(tables["first"], tables["second"])
 
     def test_product_input_factorizes(self):
         px1 = np.array([0.3, 0.7])

@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +40,9 @@ from corrineq.quantum import (
     hybrid_settings,
     plane_vector,
     product_state,
+    sequential_correlator,
     singlet_state,
+    spatial_correlator,
 )
 
 SQRT8 = 2.0 * np.sqrt(2.0)
@@ -245,15 +247,6 @@ class TestChoices:
             if choice.bob == (Y1, Y2):
                 assert frozenset({Y1, Y2}) in admissible_data(choice)
 
-    def test_intervening_measurement_spoils_cross_pairs(self):
-        # X1 before X2 disturbs Alice, so X2Y1 is lost
-        spoiled = admissible_data(MeasurementChoice((X1, X2), (Y1,)))
-        assert frozenset({X2, Y1}) not in spoiled
-        assert spoiled == {frozenset({X1, X2})}
-        # Y1 before Y2 disturbs Bob, so X1Y2 is lost
-        spoiled = admissible_data(MeasurementChoice((X1,), (Y1, Y2)))
-        assert frozenset({X1, Y2}) not in spoiled
-
     def test_clean_cross_pairs_are_kept(self):
         assert admissible_data(MeasurementChoice((X1,), (Y2,))) == {
             frozenset({X1, Y2})
@@ -263,15 +256,96 @@ class TestChoices:
             frozenset({X1, Y2}),
         }
 
-    def test_non_data_choices_yield_nothing(self):
-        for alice, bob in (((), ()), ((X1,), ()), ((), (Y1,)), ((X2,), (Y2,))):
-            assert admissible_data(MeasurementChoice(alice, bob)) == frozenset()
+    def test_derived_table(self):
+        """The pairs each choice admits, read off hybrid.scn; * marks data."""
+        table = {
+            "(-,-)": (), "(-,Y1)": (), "(-,Y2)": (), "(-,Y1Y2)*": ("Y1Y2",),
+            "(X1,-)": (), "(X1,Y1)": ("X1Y1",), "(X1,Y2)*": ("X1Y2",),
+            "(X1,Y1Y2)*": ("X1Y1", "Y1Y2"),
+            "(X2,-)": (), "(X2,Y1)*": ("X2Y1",), "(X2,Y2)": ("X2Y2",),
+            "(X2,Y1Y2)*": ("X2Y1", "Y1Y2"),
+            "(X1X2,-)*": ("X1X2",), "(X1X2,Y1)*": ("X1X2", "X1Y1"),
+            "(X1X2,Y2)*": ("X1X2", "X1Y2"), "(X1X2,Y1Y2)*": ("X1X2", "X1Y1", "Y1Y2"),
+        }
+        derived = {
+            choice.label() + "*" * (choice in DATA_CHOICES): tuple(
+                sorted(format_varset(pair) for pair in admissible_data(choice))
+            )
+            for choice in ALL_CHOICES
+        }
+        assert list(derived.items()) == list(table.items())
+
+    def test_party_mirror_symmetry(self):
+        """Swapping X with Y and Alice with Bob maps the table onto itself."""
+        mirror = {X1: Y1, X2: Y2, Y1: X1, Y2: X2}
+
+        def swap(variables):
+            return tuple(mirror[v] for v in variables)
+
+        for choice in ALL_CHOICES:
+            image = MeasurementChoice(swap(choice.bob), swap(choice.alice))
+            assert admissible_data(image) == {
+                frozenset(swap(pair)) for pair in admissible_data(choice)
+            }, choice.label()
+            assert (image in DATA_CHOICES) == (choice in DATA_CHOICES)
+
+    def test_non_data_choices_admit_no_term_of_f(self):
+        for choice in ALL_CHOICES:
+            if choice not in DATA_CHOICES:
+                assert admissible_data(choice).isdisjoint(F_COEFFICIENTS), choice.label()
 
     def test_every_f_pair_has_a_source(self):
         covered = set()
         for choice in DATA_CHOICES:
             covered |= admissible_data(choice)
         assert set(F_COEFFICIENTS) <= covered
+
+
+def ideal_correlator(rho, settings, pair):
+    """The undisturbed correlator: a tensor expectation across the parties,
+    the two-measurement sequence on one qubit within a party."""
+    a, b = sorted(pair, key=VariableId.sort_key)
+    if a.letter != b.letter:
+        return spatial_correlator(rho, settings[a], settings[b])
+    return sequential_correlator(rho, settings[a], settings[b], subsystem="XY".index(a.letter))
+
+
+def born_expectation(rho, choice, settings, pair):
+    """Exact expectation of a measured pair's product under the choice."""
+    vars1, vars2, signs1, signs2, p1, p2 = _choice_tables(rho, choice, settings)
+    column = {var: signs1[:, [k]] for k, var in enumerate(vars1)}
+    column.update({var: signs2[:, k] for k, var in enumerate(vars2)})
+    a, b = pair
+    return float((p1[:, None] * p2 * column[a] * column[b]).sum())
+
+
+class TestBornRule:
+    def test_admissible_pairs_are_the_undisturbed_correlators(self):
+        """On random mixed states and settings, every admitted pair's exact
+        product expectation is its ideal correlator, and every rejected
+        measured pair misses it on some draw."""
+        rng = np.random.default_rng(2024)
+        worst_miss = {}
+        for _ in range(50):
+            g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            rho = g @ g.conj().T
+            rho /= np.trace(rho).real
+            raw = rng.normal(size=(4, 3))
+            settings = {v: row / np.linalg.norm(row) for v, row in zip((X1, X2, Y1, Y2), raw)}
+            for choice in ALL_CHOICES:
+                admitted = admissible_data(choice)
+                for pair in combinations(choice.alice + choice.bob, 2):
+                    miss = abs(
+                        born_expectation(rho, choice, settings, pair)
+                        - ideal_correlator(rho, settings, pair)
+                    )
+                    if frozenset(pair) in admitted:
+                        assert miss < 1e-12, (choice.label(), pair)
+                    else:
+                        key = (choice.label(), format_varset(pair))
+                        worst_miss[key] = max(worst_miss.get(key, 0.0), miss)
+        assert len(worst_miss) == 7  # measured pairs that an earlier measurement disturbs
+        assert min(worst_miss.values()) > 1e-3, worst_miss
 
 
 class TestSingleShot:

@@ -371,6 +371,15 @@ class TestEnvelope:
         assert tsirelson_envelope(0.0, 0.0) == pytest.approx(2.0, abs=1e-12)
         assert tsirelson_envelope(np.pi / 2, np.pi / 2) == pytest.approx(0.0, abs=1e-12)
 
+    def test_scalars_give_a_float_and_arrays_broadcast(self):
+        assert type(tsirelson_envelope(0.3, -0.2)) is float
+        t1 = np.array([0.3, np.pi / 4])[:, None]
+        t2 = np.array([-0.2, -np.pi / 4, 1.0])
+        values = tsirelson_envelope(t1, t2)
+        assert values.shape == (2, 3)
+        for i, j in np.ndindex(values.shape):
+            assert values[i, j] == tsirelson_envelope(float(t1[i, 0]), float(t2[j]))
+
     def test_never_exceeds_tsirelson(self):
         rng = np.random.default_rng(61)
         for _ in range(500):
