@@ -2,15 +2,18 @@
 quantum values of a correlation inequality.
 
 A coarse grid scan locates the basin, then coordinate pattern search
-with step halving polishes to 1e-8.  Objectives are evaluated through a
-closed-form batch path (correlation tensor for tensor terms, dot
-products for sequential terms); the reported optimum is re-evaluated
-through the full density-matrix path as an independent check.
+with step halving polishes to 1e-8.  Each term's closed form (correlation
+tensor or state for tensor terms, dot products for sequential ones) is
+tabulated once on the grid of the angles it reads for the scan and summed
+row by row for refinement; the reported optimum is re-evaluated through
+the full density-matrix path as an independent check.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -94,7 +97,7 @@ class SettingsParametrization:
         return len(self.names)
 
     def _vector_block(self, params) -> np.ndarray:
-        """(k, n_slots, 3) unit vectors from a (k, dimension) matrix."""
+        """(k, n_slots, 3) unit vectors from a (k, n_slots * angles per slot) matrix."""
         params = np.atleast_2d(np.asarray(params, dtype=float))
         if self.full_sphere:
             theta, phi = params[:, 0::2], params[:, 1::2]
@@ -106,24 +109,14 @@ class SettingsParametrization:
             (np.sin(params), np.zeros_like(params), np.cos(params)), axis=-1
         )
 
-    def batch_vectors(self, params):
-        """Per-variable setting vectors plus the two state vectors (or None)."""
-        block = self._vector_block(params)
-        n_vars = len(self.variables)
-        vectors = {var: block[:, i, :] for i, var in enumerate(self.variables)}
-        if self.mode == FIXED_STATE:
-            return vectors, None, None
-        n_a = block[:, n_vars, :]
-        n_b = n_a if self.tied_state else block[:, n_vars + 1, :]
-        return vectors, n_a, n_b
-
     def realize(self, params):
         """(state, settings) at one parameter point."""
-        vectors, n_a, n_b = self.batch_vectors(np.atleast_2d(params))
-        settings = {var: vec[0] for var, vec in vectors.items()}
+        vectors = self._vector_block(params)[0]
+        settings = dict(zip(self.variables, vectors))
         if self.mode == FIXED_STATE:
             return self.rho, settings
-        return product_state(n_a[0], n_b[0]), settings
+        n = len(self.variables)
+        return product_state(vectors[n], vectors[n if self.tied_state else n + 1]), settings
 
 
 @dataclass(frozen=True)
@@ -138,36 +131,81 @@ class OptimizationResult:
     direction: str
 
 
-def _batch_objective(ineq: CorrelationInequality, parametrization: SettingsParametrization, scenario=None):
+def _objective_terms(ineq: CorrelationInequality, parametrization: SettingsParametrization, scenario=None):
+    """(coefficient, columns, term) per inequality term, in source order.
+
+    `columns` are the parameter columns the term reads: its variables'
+    angles and, for a tensor term in product mode, the state's.  `term`
+    maps a (k, len(columns)) matrix of them to the term's k values.
+    """
     rules = auto_assignment(ineq, scenario)
     tensor = None
     if parametrization.mode == FIXED_STATE and any(r.kind == TENSOR for r in rules.values()):
         tensor = correlation_tensor(parametrization.rho)
+    slot = {var: i for i, var in enumerate(parametrization.variables)}
+    states = [len(slot)] if parametrization.tied_state else [len(slot), len(slot) + 1]
+    width = 2 if parametrization.full_sphere else 1
 
-    def evaluate(params) -> np.ndarray:
-        vectors, n_a, n_b = parametrization.batch_vectors(params)
-        total = None
-        for mono in ineq.terms:
-            rule = rules[mono.variables]
-            if rule.kind == TENSOR:
-                a, b = vectors[rule.var_a], vectors[rule.var_b]
-                if tensor is not None:
-                    term = np.einsum("ki,ij,kj->k", a, tensor, b)
-                else:
-                    term = (a * n_a).sum(axis=1) * (b * n_b).sum(axis=1)
-            elif rule.kind == SEQUENTIAL:
-                term = (vectors[rule.first] * vectors[rule.second]).sum(axis=1)
-            else:
-                raise ValueError(f"unknown rule kind {rule.kind!r}")
-            contribution = mono.coefficient * term
-            total = contribution if total is None else total + contribution
-        return total
+    def tensor_term(angles):
+        v = parametrization._vector_block(angles)
+        if tensor is not None:
+            return np.einsum("ki,ij,kj->k", v[:, 0], tensor, v[:, 1])
+        return (v[:, 0] * v[:, 2]).sum(axis=1) * (v[:, 1] * v[:, -1]).sum(axis=1)
 
-    return evaluate
+    def sequential_term(angles):
+        v = parametrization._vector_block(angles)
+        return (v[:, 0] * v[:, 1]).sum(axis=1)
+
+    terms = []
+    for mono in ineq.terms:
+        rule = rules[mono.variables]
+        if rule.kind == SEQUENTIAL:
+            slots, term = [slot[rule.first], slot[rule.second]], sequential_term
+        else:
+            slots = [slot[rule.var_a], slot[rule.var_b]] + (states if tensor is None else [])
+            term = tensor_term
+        terms.append((mono.coefficient, [s * width + j for s in slots for j in range(width)], term))
+    return terms
+
+
+def _evaluate(terms, params) -> np.ndarray:
+    """Objective on each row of a (k, dimension) parameter matrix."""
+    return reduce(np.add, (c * term(params[:, columns]) for c, columns, term in terms))
 
 
 def _grid_axes(points):
     return np.linspace(-np.pi, np.pi, points, endpoint=False)
+
+
+def _grid_scan(terms, axis, m):
+    """(start, values) for each _BATCH-cell chunk of the grid axis^m, in order.
+
+    A term reading k columns is evaluated once on its own sub-grid of
+    len(axis)^k cells (on the chunk's cells where that exceeds _BATCH)
+    and gathered by the digits of the cells' flat indices.  Terms add up
+    as in `_evaluate`, so each cell equals `_evaluate` on its row bit for bit.
+    """
+    g = len(axis)
+
+    def on_cells(coefficient, term, digits):
+        return coefficient * term(np.stack([axis[d] for d in digits], axis=1))
+
+    tables = [
+        on_cells(c, term, np.unravel_index(np.arange(g ** len(cols)), (g,) * len(cols)))
+        if g ** len(cols) <= _BATCH else None
+        for c, cols, term in terms
+    ]
+    for start in range(0, g**m, _BATCH):
+        digits = np.unravel_index(np.arange(start, min(start + _BATCH, g**m)), (g,) * m)
+        total = None
+        for (coefficient, columns, term), table in zip(terms, tables):
+            own = [digits[i] for i in columns]
+            if table is None:
+                contribution = on_cells(coefficient, term, own)
+            else:
+                contribution = table[np.ravel_multi_index(own, (g,) * len(own))]
+            total = contribution if total is None else total + contribution
+        yield start, total
 
 
 def maximize_violation(
@@ -187,6 +225,11 @@ def maximize_violation(
     Raises BudgetExhausted (best-so-far attached) if the evaluation
     budget runs out before the step size reaches 1e-8.
     """
+    if isinstance(grid_points, bool) or not isinstance(grid_points, (int, np.integer)) or grid_points < 1:
+        raise ValueError(f"grid_points must be an int >= 1, got {grid_points!r}")
+    grid_points = int(grid_points)
+    if not budget >= 1:
+        raise ValueError(f"budget must be at least 1, got {budget!r}")
     if parametrization is None:
         variables = tuple(sorted(ineq.variables(), key=VariableId.sort_key))
         if isinstance(state, str):
@@ -195,7 +238,7 @@ def maximize_violation(
             parametrization = SettingsParametrization(variables, mode=PRODUCT_FAMILY)
         else:
             parametrization = SettingsParametrization(variables, rho=np.asarray(state, dtype=complex))
-    evaluate = _batch_objective(ineq, parametrization, scenario)
+    terms = _objective_terms(ineq, parametrization, scenario)
     sign = 1.0 if ineq.direction == "<=" else -1.0
 
     m = parametrization.dimension
@@ -203,45 +246,37 @@ def maximize_violation(
     best_value = -np.inf
     best_params = np.zeros(m)
 
-    def best_of(batch):
-        values = sign * evaluate(batch)
-        top = int(values.argmax())
-        return batch.shape[0], float(values[top]), batch[top].copy()
-
-    def offer(found):
+    def offer(values, row):
         # batches are offered in a fixed order and only a strictly better
         # value replaces the incumbent, so ties go to the first cell
         nonlocal evaluations, best_value, best_params
-        count, value, params = found
-        evaluations += count
+        values = sign * values
+        top = int(values.argmax())
+        evaluations += values.shape[0]
         if evaluations > budget:
             raise _OutOfBudget
-        if value > best_value:
-            best_value, best_params = value, params
+        if values[top] > best_value:
+            best_value, best_params = float(values[top]), row(top)
 
-    def grid_batch(start):
-        # a frame of its own, so the index arrays are freed before the
-        # batch is evaluated; holding them measurably slows the scan
-        idx = np.arange(start, min(start + _BATCH, total_cells))
-        unravelled = np.unravel_index(idx, (grid_points,) * m)
-        return np.stack([axis[u] for u in unravelled], axis=1)
+    def offer_rows(batch):
+        offer(_evaluate(terms, batch), lambda top: batch[top].copy())
 
     converged = False
     try:
         axis = _grid_axes(grid_points)
-        total_cells = grid_points**m
-        if total_cells <= GRID_CELL_CAP:
-            for start in range(0, total_cells, _BATCH):
-                offer(best_of(grid_batch(start)))
+        if grid_points**m <= GRID_CELL_CAP:
+            shape = (grid_points,) * m
+            for start, values in _grid_scan(terms, axis, m):
+                offer(values, lambda top: axis[list(np.unravel_index(start + top, shape))])
         else:
             rng = np.random.default_rng(seed)
-            offer(best_of(rng.uniform(-np.pi, np.pi, size=(4096 * m, m))))
+            offer_rows(rng.uniform(-np.pi, np.pi, size=(4096 * m, m)))
 
         step = 2 * np.pi / grid_points
         while step >= REFINEMENT_FLOOR:
             offsets = np.vstack((np.eye(m), -np.eye(m))) * step
             incumbent = best_value
-            offer(best_of(best_params[None, :] + offsets))
+            offer_rows(best_params[None, :] + offsets)
             if best_value <= incumbent + 1e-15:
                 step /= 2.0
         converged = True
@@ -312,6 +347,8 @@ def scan_envelope(resolution: int) -> EnvelopeScan:
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
+    if resolution**2 > GRID_CELL_CAP:
+        raise ValueError(f"resolution must be at most {math.isqrt(GRID_CELL_CAP)}, got {resolution}")
     thetas = np.linspace(-np.pi, np.pi, resolution)
     values = envelope_grid(thetas, thetas)
     flat = int(values.argmax())

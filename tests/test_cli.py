@@ -397,6 +397,15 @@ class TestReproduce:
         assert code == 2
         assert "csv output is only available for scan tables" in err
 
+    @pytest.mark.parametrize("fmt", ["human", "csv"])
+    def test_grid_past_the_cell_cap_exits_2(self, capsys, fmt):
+        code, out, err = run_cli(
+            capsys, "reproduce", "tsirelson-envelope", "--grid", "4097", "--format", fmt
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: resolution must be at most 4096, got 4097\n"
+
     def test_failed_check_exits_1(self, capsys):
         """A 2-point grid cannot reach the quantum value."""
         code, out, err = run_cli(

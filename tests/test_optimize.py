@@ -1,12 +1,16 @@
 """Settings search, budget handling, and the coplanar envelope scan."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from corrineq import catalog
-from corrineq.dsl import VariableId
-from corrineq.errors import BudgetExhausted
+from corrineq import catalog, optimize
+from corrineq.dsl import VariableId, parse_sos
+from corrineq.errors import BudgetExhausted, EvenGroupWarning
 from corrineq.optimize import (
+    DEFAULT_BUDGET,
+    GRID_CELL_CAP,
     PRODUCT_FAMILY,
     EnvelopeScan,
     OptimizationResult,
@@ -18,6 +22,9 @@ from corrineq.optimize import (
 )
 from corrineq.polynomials import derive_inequality
 from corrineq.quantum import (
+    SEQUENTIAL,
+    TENSOR,
+    auto_assignment,
     build_f_operator,
     evaluate_inequality_quantum,
     hybrid_settings,
@@ -154,6 +161,23 @@ class TestMaximizeViolation:
         with pytest.raises(ValueError):
             maximize_violation(chsh, "thermal")
 
+    @pytest.mark.parametrize("grid_points", [0, -3, 2.0, "24", True, None])
+    def test_rejects_bad_grid_points(self, chsh, grid_points):
+        with pytest.raises(ValueError, match="grid_points must be an int >= 1"):
+            maximize_violation(chsh, singlet_state(), grid_points=grid_points)
+
+    @pytest.mark.parametrize("budget", [0, -1, 0.5, float("nan")])
+    def test_rejects_budget_below_one(self, chsh, budget):
+        with pytest.raises(ValueError, match="budget must be at least 1"):
+            maximize_violation(chsh, singlet_state(), budget=budget)
+
+    def test_one_point_grid_and_budget_of_one(self, chsh):
+        result = maximize_violation(chsh, singlet_state(), grid_points=1)
+        assert result.converged
+        assert result.value == pytest.approx(SQRT8, abs=1e-6)
+        with pytest.raises(BudgetExhausted):
+            maximize_violation(chsh, singlet_state(), budget=1)
+
 
 class TestParametrization:
     def test_names_and_dimension(self):
@@ -192,14 +216,17 @@ class TestParametrization:
         expected = product_state([0.0, 0.0, 1.0], [0.0, 0.0, 1.0])
         assert np.abs(state - expected).max() < 1e-15
 
-    def test_batch_vectors_shapes(self):
+    def test_realize_untied_full_sphere(self):
         p = SettingsParametrization(
-            (x(1), x(2)), mode=PRODUCT_FAMILY, tied_state=False
+            (x(1), x(2)), mode=PRODUCT_FAMILY, tied_state=False, full_sphere=True
         )
-        vectors, n_a, n_b = p.batch_vectors(np.zeros((5, p.dimension)))
-        assert vectors[x(1)].shape == (5, 3)
-        assert n_a.shape == (5, 3) and n_b.shape == (5, 3)
-        assert np.allclose(np.linalg.norm(n_a, axis=1), 1.0)
+        params = np.array([np.pi / 2, 0.0, 0.0, 0.0, np.pi / 2, np.pi / 2, np.pi, 0.0])
+        state, settings = p.realize(params)
+        assert set(settings) == {x(1), x(2)}
+        assert np.allclose(settings[x(1)], [1.0, 0.0, 0.0], atol=1e-15)
+        assert np.allclose(settings[x(2)], [0.0, 0.0, 1.0], atol=1e-15)
+        expected = product_state([0.0, 1.0, 0.0], [0.0, 0.0, -1.0])
+        assert np.abs(state - expected).max() < 1e-15
 
     def test_invalid_configurations(self):
         with pytest.raises(ValueError):
@@ -248,6 +275,17 @@ class TestEnvelopeScan:
         scan = scan_envelope(2)
         assert scan.max_value == pytest.approx(2.0, abs=1e-12)
 
+    def test_maximum_resolution(self, monkeypatch):
+        """Past the cell cap the scan fails before it allocates anything."""
+        assert 4096**2 == GRID_CELL_CAP
+
+        def no_grid(*args):
+            raise AssertionError("the envelope table was allocated")
+
+        monkeypatch.setattr(optimize, "envelope_grid", no_grid)
+        with pytest.raises(ValueError, match="at most 4096"):
+            scan_envelope(4097)
+
     def test_settings_realize_the_envelope_on_saturating_region(self):
         """Where the largest eigenvalue keeps its sign, the two agree."""
         rng = np.random.default_rng(5)
@@ -277,3 +315,211 @@ class TestEnvelopeScan:
         assert tsirelson_envelope(np.pi / 4, -np.pi / 4) == pytest.approx(
             SQRT8, abs=1e-12
         )
+
+
+# ---------------------------------------------------------------- grid tables
+
+
+def _reference_objective(ineq, parametrization, scenario=None):
+    """Reference objective: each row's setting vectors built at once, each
+    term computed on them and added in source order."""
+    rules = auto_assignment(ineq, scenario)
+    tensor = None
+    if parametrization.mode != PRODUCT_FAMILY and any(r.kind == TENSOR for r in rules.values()):
+        tensor = optimize.correlation_tensor(parametrization.rho)
+
+    def evaluate(params):
+        block = parametrization._vector_block(params)
+        n = len(parametrization.variables)
+        vectors = {var: block[:, i, :] for i, var in enumerate(parametrization.variables)}
+        n_a = n_b = None
+        if parametrization.mode == PRODUCT_FAMILY:
+            n_a = block[:, n, :]
+            n_b = n_a if parametrization.tied_state else block[:, n + 1, :]
+        total = None
+        for mono in ineq.terms:
+            rule = rules[mono.variables]
+            if rule.kind == TENSOR:
+                a, b = vectors[rule.var_a], vectors[rule.var_b]
+                if tensor is not None:
+                    term = np.einsum("ki,ij,kj->k", a, tensor, b)
+                else:
+                    term = (a * n_a).sum(axis=1) * (b * n_b).sum(axis=1)
+            else:
+                assert rule.kind == SEQUENTIAL
+                term = (vectors[rule.first] * vectors[rule.second]).sum(axis=1)
+            contribution = mono.coefficient * term
+            total = contribution if total is None else total + contribution
+        return total
+
+    return evaluate
+
+
+def _row_grid(evaluate, axis, m):
+    """(start, values) per _BATCH-cell chunk, every cell's row built and
+    evaluated on its own."""
+    total_cells = len(axis) ** m
+    for start in range(0, total_cells, optimize._BATCH):
+        idx = np.arange(start, min(start + optimize._BATCH, total_cells))
+        unravelled = np.unravel_index(idx, (len(axis),) * m)
+        yield start, evaluate(np.stack([axis[u] for u in unravelled], axis=1))
+
+
+def _random_mixed_state(dimension, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dimension, dimension)) + 1j * rng.normal(size=(dimension, dimension))
+    rho = a @ a.conj().T
+    return validate_density(rho / np.trace(rho).real)
+
+
+def _grid_case(name):
+    """(inequality, state, parametrization, grid points, scenario)."""
+    hybrid = derive_inequality(catalog.hybrid_source())
+    hybrid_vars = (x(1), x(2), y(1), y(2))
+    singlet = singlet_state()
+    if name.startswith("hybrid-singlet"):
+        grid = int(name.rsplit("-", 1)[1])
+        return hybrid, singlet, SettingsParametrization(hybrid_vars, rho=singlet), grid, None
+    if name == "hybrid-mixed":
+        rho = _random_mixed_state(4, seed=11)
+        return hybrid, rho, SettingsParametrization(hybrid_vars, rho=rho), 24, None
+    if name == "chsh-singlet":
+        chsh = derive_inequality(catalog.chsh_source())
+        return chsh, singlet, SettingsParametrization(hybrid_vars, rho=singlet), 24, None
+    if name == "kcbs-mixed":
+        kcbs = derive_inequality(catalog.kcbs_source())
+        variables = tuple(sorted(kcbs.variables(), key=VariableId.sort_key))
+        rho = maximally_mixed(2)
+        return kcbs, rho, SettingsParametrization(variables, rho=rho), 12, None
+    if name == "lg-scenario":
+        lg = derive_inequality(catalog.lg_source())
+        variables = tuple(sorted(lg.variables(), key=VariableId.sort_key))
+        rho = maximally_mixed(2)
+        return lg, rho, SettingsParametrization(variables, rho=rho), 24, catalog.lg_scenario()
+    if name == "product-tied":
+        p = SettingsParametrization(hybrid_vars, mode=PRODUCT_FAMILY)
+        return hybrid, PRODUCT_FAMILY, p, 12, None
+    if name == "product-untied":
+        p = SettingsParametrization(hybrid_vars, mode=PRODUCT_FAMILY, tied_state=False)
+        return hybrid, PRODUCT_FAMILY, p, 8, None
+    if name == "full-sphere":
+        p = SettingsParametrization(hybrid_vars, rho=singlet, full_sphere=True)
+        return hybrid, singlet, p, 6, None
+    # one X1Y1 term whose sub-grid exceeds a chunk, so it is evaluated on the rows
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EvenGroupWarning)
+        pair = derive_inequality(parse_sos("(X1 - Y1)^2 >= 0"))
+    if name == "pair-singlet-300":
+        return pair, singlet, SettingsParametrization((x(1), y(1)), rho=singlet), 300, None
+    if name == "pair-product-48":
+        return pair, PRODUCT_FAMILY, SettingsParametrization((x(1), y(1)), mode=PRODUCT_FAMILY), 48, None
+    raise KeyError(name)
+
+
+GRID_CASES = [
+    "hybrid-singlet-24", "hybrid-singlet-17", "hybrid-mixed", "chsh-singlet", "kcbs-mixed",
+    "lg-scenario", "product-tied", "product-untied", "full-sphere", "pair-singlet-300",
+    "pair-product-48",
+]
+
+
+@pytest.fixture(scope="module")
+def reference_chunks():
+    """Per case, the per-row grid values: computed once, shared by the tests."""
+    cache = {}
+
+    def chunks(name):
+        if name not in cache:
+            ineq, _, p, grid, scenario = _grid_case(name)
+            evaluate = _reference_objective(ineq, p, scenario)
+            cache[name] = list(_row_grid(evaluate, optimize._grid_axes(grid), p.dimension))
+        return cache[name]
+
+    return chunks
+
+
+class _OutOfBudget(Exception):
+    pass
+
+
+def _reference_search(ineq, p, grid_points, scenario, budget, chunks):
+    """The search as it ran on the per-row grid, `chunks` being that grid's
+    values; returns what `_outcome` returns."""
+    evaluate = _reference_objective(ineq, p, scenario)
+    sign = 1.0 if ineq.direction == "<=" else -1.0
+    m = p.dimension
+    axis = optimize._grid_axes(grid_points)
+    evaluations, best_value, best_params = 0, -np.inf, np.zeros(m)
+
+    def offer(values, batch):
+        nonlocal evaluations, best_value, best_params
+        values = sign * values
+        top = int(values.argmax())
+        evaluations += batch.shape[0]
+        if evaluations > budget:
+            raise _OutOfBudget
+        if float(values[top]) > best_value:
+            best_value, best_params = float(values[top]), batch[top].copy()
+
+    converged = False
+    try:
+        for start, values in chunks:
+            idx = np.arange(start, start + len(values))
+            offer(values, np.stack([axis[u] for u in np.unravel_index(idx, (grid_points,) * m)], axis=1))
+        step = 2 * np.pi / grid_points
+        while step >= optimize.REFINEMENT_FLOOR:
+            batch = best_params[None, :] + np.vstack((np.eye(m), -np.eye(m))) * step
+            incumbent = best_value
+            offer(evaluate(batch), batch)
+            if best_value <= incumbent + 1e-15:
+                step /= 2.0
+        converged = True
+    except _OutOfBudget:
+        pass
+    rho, settings = p.realize(best_params)
+    value = evaluate_inequality_quantum(ineq, rho, settings, auto_assignment(ineq, scenario))
+    fields = repr(float(value)), best_params.tobytes(), evaluations, converged
+    return ("done" if converged else "exhausted"), fields
+
+
+def _outcome(ineq, state, p, grid, scenario, budget):
+    def fields(result):
+        return repr(result.value), result.parameters.tobytes(), result.evaluations, result.converged
+
+    try:
+        return "done", fields(maximize_violation(
+            ineq, state, p, budget=budget, grid_points=grid, scenario=scenario
+        ))
+    except BudgetExhausted as exc:
+        return "exhausted", fields(exc.best)
+
+
+class TestGridTables:
+    """The table-driven grid scan against the per-row reference, bit for bit."""
+
+    @pytest.mark.parametrize("name", GRID_CASES)
+    def test_every_cell_matches_the_per_row_objective(self, name, reference_chunks):
+        ineq, _, p, grid, scenario = _grid_case(name)
+        terms = optimize._objective_terms(ineq, p, scenario)
+        scanned = list(optimize._grid_scan(terms, optimize._grid_axes(grid), p.dimension))
+        reference = reference_chunks(name)
+        assert [start for start, _ in scanned] == [start for start, _ in reference]
+        for (_, values), (_, expected) in zip(scanned, reference):
+            assert np.array_equal(values, expected)
+            assert np.array_equal(np.signbit(values), np.signbit(expected))
+
+    @pytest.mark.parametrize("name", GRID_CASES)
+    def test_refinement_rows_match_the_per_row_objective(self, name):
+        ineq, _, p, _, scenario = _grid_case(name)
+        rows = np.random.default_rng(2).uniform(-np.pi, np.pi, size=(64, p.dimension))
+        values = optimize._evaluate(optimize._objective_terms(ineq, p, scenario), rows)
+        expected = _reference_objective(ineq, p, scenario)(rows)
+        assert np.array_equal(values, expected)
+        assert np.array_equal(np.signbit(values), np.signbit(expected))
+
+    @pytest.mark.parametrize("budget", [10, 300, 200_000, DEFAULT_BUDGET])
+    @pytest.mark.parametrize("name", GRID_CASES)
+    def test_results_match_the_per_row_search(self, name, budget, reference_chunks):
+        ineq, state, p, grid, scenario = _grid_case(name)
+        expected = _reference_search(ineq, p, grid, scenario, budget, reference_chunks(name))
+        assert _outcome(ineq, state, p, grid, scenario, budget) == expected
