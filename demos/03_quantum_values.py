@@ -22,7 +22,6 @@ from corrineq.optimize import (
 )
 from corrineq.polynomials import derive_inequality
 from corrineq.quantum import (
-    auto_assignment,
     build_f_operator,
     evaluate_inequality_quantum,
     hybrid_f_product,
@@ -63,28 +62,28 @@ print(f"classical bound {chsh.bound}, 2*sqrt(2) = {SQRT8:.12f}")
 # times with directions descending in pi/4 steps gives the same
 # 2 sqrt(2), and the sequential correlator a.b does not depend on the
 # state at all -- a pure state and the maximally mixed state agree.
+# The scenario file names one party for all four times, so every
+# variable sits on the same qubit and every term is sequential.
 
 lg = derive_inequality(catalog.lg_source())
 times = sorted(lg.variables())
 ladder = ladder_settings(times, 0.0, -np.pi / 4)
-rules = auto_assignment(lg, catalog.lg_scenario())
+lscn = catalog.lg_scenario()
 for label, rho in [("polarized qubit", qubit_state([0.0, 0.0, 1.0])),
                    ("maximally mixed", maximally_mixed(2))]:
-    v = evaluate_inequality_quantum(lg, rho, ladder, assignment=rules)
+    v = evaluate_inequality_quantum(lg, rho, ladder, lscn)
     print(f"sequential combination, {label}: {v:.12f}")
 
 ##############################################################################
-# The hybrid combination mixes both term kinds: two tensor products
-# across the parties, two sequential products within a party.  On the
+# The hybrid combination mixes both term kinds.  Its scenario puts each
+# party on its own qubit: the two terms across the qubits are tensor
+# products, the two within a qubit are sequential products.  On the
 # singlet it also reaches 2 sqrt(2); a numerical search over coplanar
 # settings recovers the same number without being told the answer.
 
 hybrid = derive_inequality(catalog.hybrid_source())
 hscn = catalog.hybrid_scenario()
-hrules = auto_assignment(hybrid, hscn)
-exact = evaluate_inequality_quantum(
-    hybrid, singlet_state(), hybrid_settings(), assignment=hrules
-)
+exact = evaluate_inequality_quantum(hybrid, singlet_state(), hybrid_settings(), hscn)
 print(f"\nhybrid combination at the canonical ladder: {exact:.12f}")
 
 result = maximize_violation(hybrid, singlet_state(), scenario=hscn, seed=3)
@@ -111,9 +110,7 @@ print(f"gap to optimizer value: {abs(operator_norm(f_op) - result.value):.2e}")
 psettings = product_ladder_settings()
 n = psettings[Y2]
 analytic = hybrid_f_product(n, n, psettings)
-matrix = evaluate_inequality_quantum(
-    hybrid, product_state(n, n), psettings, assignment=hrules
-)
+matrix = evaluate_inequality_quantum(hybrid, product_state(n, n), psettings, hscn)
 print(f"\nproduct-state ladder, closed form: {analytic:.12f}")
 print(f"product-state ladder, matrix path: {matrix:.12f}")
 print(f"3/sqrt(2) = {3 / np.sqrt(2):.12f}")

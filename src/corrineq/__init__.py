@@ -45,7 +45,6 @@ from .lhv import (
     reconstruct_pc,
 )
 from .quantum import (
-    auto_assignment,
     build_f_operator,
     evaluate_inequality_quantum,
     hybrid_f_product,
@@ -53,6 +52,7 @@ from .quantum import (
     operator_norm,
     product_ladder_settings,
     product_state,
+    qubit_layout,
     s2_square_closed_form,
     sequential_correlator,
     singlet_state,
@@ -103,7 +103,6 @@ __all__ = [
     "SosExpression",
     "VariableId",
     "admissible_data",
-    "auto_assignment",
     "build_f_operator",
     "catalog",
     "classical_extrema",
@@ -126,6 +125,7 @@ __all__ = [
     "parse_sos",
     "product_ladder_settings",
     "product_state",
+    "qubit_layout",
     "random_dhv_model",
     "reconstruct_pc",
     "s2_square_closed_form",

@@ -445,7 +445,7 @@ def _target_protocol_mc(args) -> dict:
         shots=args.shots,
         seed=args.seed,
     )
-    gap = sig.p_alone - sig.p_after_y1
+    gap = sig.difference
     gap_se = float(np.hypot(sig.se_alone, sig.se_after))
     return _finish({
         "target": "protocol-mc",

@@ -66,7 +66,7 @@ class MissingSetting(KeyError):
 
 
 class MissingAssignment(KeyError):
-    """No evaluation rule was supplied for an inequality term."""
+    """The variables' parties do not fit on two qubits."""
 
 
 class ProvisoViolated(ValueError):

@@ -26,7 +26,7 @@ from .errors import (
     TooManyVariables,
     UndeclaredVariable,
 )
-from .polynomials import CorrelationInequality, MultilinearPoly, derive_inequality
+from .polynomials import CorrelationInequality, MultilinearPoly, derive_inequality, format_varset
 from .simplex import INFEASIBLE, OPTIMAL, FEASIBILITY_TOL, LpProblem, simplex_solve
 
 EXTREMA_VARIABLE_CAP = 24
@@ -68,9 +68,6 @@ class DhvModel:
             total += weight
         if abs(total - 1.0) > WEIGHT_TOL:
             raise ValueError(f"weights sum to {total!r}, expected 1")
-
-    def variables(self):
-        return tuple(sorted(self.support[0][0].values, key=VariableId.sort_key))
 
     def correlator(self, a, b) -> float:
         return sum(w * asg[a] * asg[b] for asg, w in self.support)
@@ -241,8 +238,8 @@ def _normalize_pairs(observed):
         if len(pair) != 2:
             raise ValueError(f"correlator key {key} must name two distinct variables")
         if pair in out:
-            raise ValueError(f"correlator for {''.join(sorted(map(str, pair)))} is given twice")
-        out[pair] = _checked_value(value, f"correlator for {key}")
+            raise ValueError(f"correlator for {format_varset(pair)} is given twice")
+        out[pair] = _checked_value(value, f"correlator for {format_varset(pair)}")
     return out
 
 

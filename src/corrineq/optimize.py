@@ -24,12 +24,11 @@ from .quantum import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    SEQUENTIAL,
-    TENSOR,
-    auto_assignment,
     evaluate_inequality_quantum,
     plane_vector,
     product_state,
+    qubit_layout,
+    term_order,
     tsirelson_envelope,
 )
 
@@ -123,7 +122,6 @@ class SettingsParametrization:
 class OptimizationResult:
     value: float
     parameters: np.ndarray
-    parameter_names: tuple[str, ...]
     settings: dict[VariableId, np.ndarray]
     state: np.ndarray
     evaluations: int
@@ -138,9 +136,10 @@ def _objective_terms(ineq: CorrelationInequality, parametrization: SettingsParam
     angles and, for a tensor term in product mode, the state's.  `term`
     maps a (k, len(columns)) matrix of them to the term's k values.
     """
-    rules = auto_assignment(ineq, scenario)
+    qubit = qubit_layout(ineq.variables(), scenario)
+    pairs = [term_order(mono.variables, qubit) for mono in ineq.terms]
     tensor = None
-    if parametrization.mode == FIXED_STATE and any(r.kind == TENSOR for r in rules.values()):
+    if parametrization.mode == FIXED_STATE and any(qubit[a] != qubit[b] for a, b in pairs):
         tensor = correlation_tensor(parametrization.rho)
     slot = {var: i for i, var in enumerate(parametrization.variables)}
     states = [len(slot)] if parametrization.tied_state else [len(slot), len(slot) + 1]
@@ -157,13 +156,11 @@ def _objective_terms(ineq: CorrelationInequality, parametrization: SettingsParam
         return (v[:, 0] * v[:, 1]).sum(axis=1)
 
     terms = []
-    for mono in ineq.terms:
-        rule = rules[mono.variables]
-        if rule.kind == SEQUENTIAL:
-            slots, term = [slot[rule.first], slot[rule.second]], sequential_term
+    for mono, (a, b) in zip(ineq.terms, pairs):
+        if qubit[a] == qubit[b]:
+            slots, term = [slot[a], slot[b]], sequential_term
         else:
-            slots = [slot[rule.var_a], slot[rule.var_b]] + (states if tensor is None else [])
-            term = tensor_term
+            slots, term = [slot[a], slot[b]] + (states if tensor is None else []), tensor_term
         terms.append((mono.coefficient, [s * width + j for s in slots for j in range(width)], term))
     return terms
 
@@ -223,7 +220,8 @@ def maximize_violation(
     product-state family.  Upper-bound inequalities are maximized,
     lower-bound ones minimized; the result reports the signed value.
     Raises BudgetExhausted (best-so-far attached) if the evaluation
-    budget runs out before the step size reaches 1e-8.
+    budget runs out before the step size reaches 1e-8; the search then
+    has scored exactly `budget` points, and the best of them is attached.
     """
     if isinstance(grid_points, bool) or not isinstance(grid_points, (int, np.integer)) or grid_points < 1:
         raise ValueError(f"grid_points must be an int >= 1, got {grid_points!r}")
@@ -248,15 +246,21 @@ def maximize_violation(
 
     def offer(values, row):
         # batches are offered in a fixed order and only a strictly better
-        # value replaces the incumbent, so ties go to the first cell
+        # value replaces the incumbent, so ties go to the first cell; a
+        # batch that would overrun the budget is scored up to it, then the
+        # search stops
         nonlocal evaluations, best_value, best_params
+        overrun = values.shape[0] > budget - evaluations
+        if overrun:
+            values = values[: int(budget - evaluations)]
         values = sign * values
-        top = int(values.argmax())
         evaluations += values.shape[0]
-        if evaluations > budget:
+        if values.shape[0]:
+            top = int(values.argmax())
+            if values[top] > best_value:
+                best_value, best_params = float(values[top]), row(top)
+        if overrun:
             raise _OutOfBudget
-        if values[top] > best_value:
-            best_value, best_params = float(values[top]), row(top)
 
     def offer_rows(batch):
         offer(_evaluate(terms, batch), lambda top: batch[top].copy())
@@ -284,12 +288,10 @@ def maximize_violation(
         pass
 
     rho, settings = parametrization.realize(best_params)
-    assignment = auto_assignment(ineq, scenario)
-    value = evaluate_inequality_quantum(ineq, rho, settings, assignment)
+    value = evaluate_inequality_quantum(ineq, rho, settings, scenario)
     result = OptimizationResult(
         value=float(value),
         parameters=best_params,
-        parameter_names=parametrization.names,
         settings=settings,
         state=rho,
         evaluations=evaluations,
@@ -344,13 +346,18 @@ def scan_envelope(resolution: int) -> EnvelopeScan:
 
     The maximum is the first grid cell attaining it in row-major order;
     sign-symmetric partners (t1, t2) and (-t1, -t2) carry equal values.
+    The table is filled in blocks of about _BATCH cells, so the working
+    memory beyond the table itself stays bounded.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     if resolution**2 > GRID_CELL_CAP:
         raise ValueError(f"resolution must be at most {math.isqrt(GRID_CELL_CAP)}, got {resolution}")
     thetas = np.linspace(-np.pi, np.pi, resolution)
-    values = envelope_grid(thetas, thetas)
+    values = np.empty((resolution, resolution))
+    rows = max(1, _BATCH // resolution)
+    for start in range(0, resolution, rows):
+        values[start:start + rows] = envelope_grid(thetas[start:start + rows], thetas)
     flat = int(values.argmax())
     i, j = divmod(flat, resolution)
     return EnvelopeScan(

@@ -181,18 +181,6 @@ class CorrelationInequality:
     def as_poly(self) -> MultilinearPoly:
         return MultilinearPoly({m.variables: m.coefficient for m in self.terms})
 
-    def evaluate_correlators(self, correlators) -> float:
-        """Value of the combination given pairwise expectation values."""
-        total = 0.0
-        for mono in self.terms:
-            total += mono.coefficient * correlators[mono.variables]
-        return total
-
-    def satisfied_by(self, value, tolerance=0.0) -> bool:
-        if self.direction == "<=":
-            return value <= float(self.bound) + tolerance
-        return value >= float(self.bound) - tolerance
-
 
 def format_inequality(ineq: CorrelationInequality) -> str:
     """Human text like 'X1Y1 + X1Y2 + X2Y1 - X2Y2 <= 2'."""

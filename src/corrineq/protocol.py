@@ -25,7 +25,7 @@ from . import catalog
 from .dsl import VariableId
 from .lhv import _assignment_rows
 from .polynomials import derive_inequality, format_varset
-from .quantum import _embed, projectors, validate_density
+from .quantum import _embed, projectors, qubit_layout, validate_density
 
 DRAWS_PER_SHOT = 2  # one joint draw at each of the two time slots
 WORD_BITS = 53  # a word is the top 53 bits of the mixed counter: u = word / 2^53
@@ -38,14 +38,12 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
 _HYBRID = catalog.hybrid_scenario()
-# each party's variables in time order (lower index earlier); parties in
-# alphabetical order sit on qubits 0 and 1, as in quantum.auto_assignment
+_QUBIT = qubit_layout(_HYBRID.variables, _HYBRID)
+# each qubit's variables in time order (lower index earlier)
 _TIMELINES = [
-    sorted((v for v in _HYBRID.variables if _HYBRID.party(v) == party), key=VariableId.sort_key)
-    for party in sorted(set(_HYBRID.party_map.values()))
+    sorted((v for v in _QUBIT if _QUBIT[v] == qubit), key=VariableId.sort_key) for qubit in (0, 1)
 ]
 (X1, X2), (Y1, Y2) = _TIMELINES
-_QUBIT = {var: qubit for qubit, line in enumerate(_TIMELINES) for var in line}
 _SLOT = {var: slot for line in _TIMELINES for slot, var in enumerate(line)}
 
 

@@ -1,14 +1,13 @@
 """Exact qubit evaluation of correlation inequalities.
 
 States are plain complex numpy arrays (2x2 or 4x4 density matrices),
-measurement settings are unit Bloch vectors, and correlators come in two
-flavours: tensor-product expectations for commuting cross-party pairs
-and sequential expectations with collapse for same-party pairs.
+measurement settings are unit Bloch vectors, and each party measures
+its own qubit.  Correlators come in two flavours: tensor-product
+expectations for commuting cross-party pairs and sequential expectations
+with collapse for same-party pairs.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from .errors import (
     NonUnitVector,
     NotHermitian,
 )
-from .polynomials import CorrelationInequality, letter_scenario
+from .polynomials import letter_scenario
 
 HERMITICITY_TOL = 1e-10
 
@@ -29,9 +28,6 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
 ID4 = np.eye(4, dtype=complex)
-
-TENSOR = "tensor"
-SEQUENTIAL = "sequential"
 
 
 def unit_vector(v) -> np.ndarray:
@@ -143,83 +139,53 @@ def sequential_correlator(rho, first, second, subsystem=None) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class TermRule:
-    """How to evaluate one inequality term on a two-qubit state.
+def qubit_layout(variables, scenario=None) -> dict:
+    """Qubit of each variable: the scenario's parties, alphabetically, on qubits 0 and 1.
 
-    kind "tensor": var_a acts on subsystem 0 and var_b on subsystem 1,
-    jointly.  kind "sequential": first then second, both on `subsystem`,
-    with collapse in between.
+    Without a scenario the variable letter stands in for the party, so a
+    single-party multi-letter inequality needs its scenario passed
+    explicitly.
     """
-
-    kind: str
-    var_a: VariableId | None = None
-    var_b: VariableId | None = None
-    subsystem: int | None = None
-    first: VariableId | None = None
-    second: VariableId | None = None
-
-
-def tensor_rule(var_on_a, var_on_b) -> TermRule:
-    return TermRule(TENSOR, var_a=var_on_a, var_b=var_on_b)
-
-
-def sequential_rule(subsystem, first, second) -> TermRule:
-    return TermRule(SEQUENTIAL, subsystem=subsystem, first=first, second=second)
-
-
-def auto_assignment(ineq: CorrelationInequality, scenario=None) -> dict:
-    """Default rules: cross-party terms tensor, same-party sequential.
-
-    Parties are ranked alphabetically onto subsystems 0 and 1;
-    sequential order follows ascending variable order, matching a
-    protocol that measures lower indices earlier.  Without a scenario
-    the variable letter stands in for the party, so a single-party
-    multi-letter inequality needs its scenario passed explicitly.
-    """
+    variables = tuple(variables)
     if scenario is None:
-        scenario = letter_scenario(ineq.variables())
-    party_of = {v: scenario.party(v) for v in ineq.variables()}
+        scenario = letter_scenario(variables)
+    party_of = {v: scenario.party(v) for v in variables}
     names = sorted(set(party_of.values()))
     if len(names) > 2:
-        raise MissingAssignment(f"cannot auto-assign {len(names)} parties to two subsystems")
-    side = {name: i for i, name in enumerate(names)}
-    rules = {}
-    for mono in ineq.terms:
-        a, b = sorted(mono.variables, key=VariableId.sort_key)
-        if party_of[a] == party_of[b]:
-            rules[mono.variables] = sequential_rule(side[party_of[a]], a, b)
-        elif side[party_of[a]] == 0:
-            rules[mono.variables] = tensor_rule(a, b)
-        else:
-            rules[mono.variables] = tensor_rule(b, a)
-    return rules
+        raise MissingAssignment(f"cannot place {len(names)} parties on two qubits")
+    return {v: names.index(party) for v, party in party_of.items()}
 
 
-def term_correlator(rho, rule: TermRule, settings) -> float:
+def term_order(variables, qubit) -> list:
+    """A term's two variables by qubit, then in variable order (time order within a party)."""
+    return sorted(variables, key=lambda v: (qubit[v], v.sort_key()))
+
+
+def evaluate_inequality_quantum(ineq, rho, settings, scenario=None) -> float:
+    """Signed sum of per-term correlators on a one- or two-qubit state.
+
+    Each variable sits on its party's qubit (`qubit_layout`).  A term
+    across the two qubits is the tensor-product correlator, qubit 0's
+    variable first; a term within one qubit is the sequential correlator
+    with the lower-indexed variable measured first (Fritz, New J. Phys.
+    12, 083055, 2010).
+    """
+    qubit = qubit_layout(ineq.variables(), scenario)
+
     def setting(var):
         try:
             return settings[var]
         except KeyError:
             raise MissingSetting(f"no direction given for {var}") from None
 
-    if rule.kind == TENSOR:
-        return spatial_correlator(rho, setting(rule.var_a), setting(rule.var_b))
-    if rule.kind == SEQUENTIAL:
-        return sequential_correlator(rho, setting(rule.first), setting(rule.second), rule.subsystem)
-    raise MissingAssignment(f"unknown rule kind {rule.kind!r}")
-
-
-def evaluate_inequality_quantum(ineq, rho, settings, assignment=None) -> float:
-    """Signed sum of per-term correlators under the given rules."""
-    if assignment is None:
-        assignment = auto_assignment(ineq)
     total = 0.0
     for mono in ineq.terms:
-        rule = assignment.get(mono.variables)
-        if rule is None:
-            raise MissingAssignment(f"no rule for term {mono}")
-        total += mono.coefficient * term_correlator(rho, rule, settings)
+        a, b = term_order(mono.variables, qubit)
+        if qubit[a] == qubit[b]:
+            value = sequential_correlator(rho, setting(a), setting(b), qubit[a])
+        else:
+            value = spatial_correlator(rho, setting(a), setting(b))
+        total += mono.coefficient * value
     return total
 
 

@@ -1,6 +1,7 @@
 """End-to-end command tests driven through main()."""
 
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
@@ -191,6 +192,20 @@ class TestCheck:
         assert (code, report["feasible"]) == ((0, True) if feasible else (1, False))
         assert report["certificate"]["violation"] == pytest.approx(1e-8, rel=1e-3)
         assert "witness" not in report
+
+    def test_out_of_range_message_is_independent_of_the_hash_seed(self, tmp_path):
+        path = self.write_input(tmp_path, {"Y1X1": 1.5, "X1Y2": 0.5})
+        runs = [
+            subprocess.run(
+                [sys.executable, "-m", "corrineq.cli", "check", "--input", path,
+                 "--scenario", data_file("chsh.scn")],
+                capture_output=True, text=True, env={**os.environ, "PYTHONHASHSEED": seed},
+            )
+            for seed in ("1", "2")
+        ]
+        for proc in runs:
+            assert proc.returncode == 2
+            assert proc.stderr == "error: correlator for X1Y1 is 1.5, outside [-1, 1]\n"
 
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1e-9"])
     def test_bad_tolerance_exits_2(self, capsys, tmp_path, tolerance):

@@ -221,6 +221,23 @@ class TestJdFeasibility:
         with pytest.raises(ValueError, match="X1Y1"):
             jd_feasibility(catalog.chsh_scenario(), observed)
 
+    def test_repeated_pair_is_named_in_variable_order(self):
+        """Sorted as strings, X10 came before X9."""
+        observed = {(x(9), x(10)): 0.1, (x(10), x(9)): 0.1}
+        with pytest.raises(ValueError) as excinfo:
+            jd_feasibility(catalog.chsh_scenario(), observed)
+        assert str(excinfo.value) == "correlator for X9X10 is given twice"
+
+    @pytest.mark.parametrize("value, complaint", [
+        (1.5, "is 1.5, outside [-1, 1]"),
+        (float("nan"), "is nan, expected a finite number"),
+    ])
+    def test_bad_correlator_is_named_by_its_label(self, value, complaint):
+        """The key used to print as a frozenset repr, in hash-seed order."""
+        with pytest.raises(ValueError) as excinfo:
+            jd_feasibility(catalog.chsh_scenario(), {(y(1), x(1)): value})
+        assert str(excinfo.value) == f"correlator for X1Y1 {complaint}"
+
 
 def dense_feasibility(variables, observed, means):
     """Reference route: one simplex LP over the whole 2**n assignment table.

@@ -1,11 +1,13 @@
 """Settings search, budget handling, and the coplanar envelope scan."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from corrineq import catalog, optimize
+from corrineq.cli import main
 from corrineq.dsl import VariableId, parse_sos
 from corrineq.errors import BudgetExhausted, EvenGroupWarning
 from corrineq.optimize import (
@@ -22,9 +24,6 @@ from corrineq.optimize import (
 )
 from corrineq.polynomials import derive_inequality
 from corrineq.quantum import (
-    SEQUENTIAL,
-    TENSOR,
-    auto_assignment,
     build_f_operator,
     evaluate_inequality_quantum,
     hybrid_settings,
@@ -35,6 +34,7 @@ from corrineq.quantum import (
     tsirelson_envelope,
     validate_density,
 )
+from term_rules import SEQUENTIAL, TENSOR, auto_assignment, reference_value
 
 SQRT8 = 2.0 * np.sqrt(2.0)
 
@@ -130,12 +130,13 @@ class TestMaximizeViolation:
         assert result.value == pytest.approx(SQRT8, abs=1e-6)
 
     def test_budget_running_out_in_grid_keeps_best_of_finished_chunks(self, hybrid):
-        # three 65,536-cell chunks fit in the budget, the fourth overruns it
+        # three 65,536-cell chunks fit in the budget; the fourth is scored
+        # up to the budget, and the search stops there
         with pytest.raises(BudgetExhausted) as excinfo:
             maximize_violation(hybrid, singlet_state(), budget=200_000)
         best = excinfo.value.best
         assert not best.converged
-        assert best.evaluations == 4 * (1 << 16)
+        assert best.evaluations == 200_000
         assert best.value == pytest.approx(SQRT8, abs=1e-12)
 
     def test_budget_exhausted_carries_best_so_far(self, chsh):
@@ -145,6 +146,11 @@ class TestMaximizeViolation:
         assert isinstance(best, OptimizationResult)
         assert not best.converged
         assert np.isfinite(best.value)
+        # only the first ten grid cells were scored, and best is one of them
+        assert best.evaluations == 10
+        axis = optimize._grid_axes(optimize.DEFAULT_GRID_POINTS)
+        cells = [axis[list(np.unravel_index(i, (len(axis),) * 4))] for i in range(10)]
+        assert any(np.array_equal(best.parameters, cell) for cell in cells)
 
     def test_more_budget_never_hurts(self, chsh):
         try:
@@ -235,7 +241,46 @@ class TestParametrization:
             SettingsParametrization((x(1),), mode="fixed")
 
 
+def _whole_table_scan(resolution):
+    """(thetas, values, max, argmax) from one envelope_grid call over the
+    whole table, as the scan ran before it filled the table in row blocks."""
+    thetas = np.linspace(-np.pi, np.pi, resolution)
+    values = envelope_grid(thetas, thetas)
+    i, j = divmod(int(values.argmax()), resolution)
+    return thetas, values, float(values[i, j]), (float(thetas[i]), float(thetas[j]))
+
+
 class TestEnvelopeScan:
+    @pytest.mark.parametrize("resolution", [2, 1000, 4096])
+    def test_row_blocks_match_the_whole_table(self, resolution):
+        thetas, values, max_value, argmax = _whole_table_scan(resolution)
+        scan = scan_envelope(resolution)
+        assert scan.thetas.tobytes() == thetas.tobytes()
+        assert scan.values.tobytes() == values.tobytes()
+        assert (repr(scan.max_value), scan.argmax) == (repr(max_value), argmax)
+
+    @pytest.mark.parametrize("resolution", [2, 300])
+    def test_csv_matches_the_whole_table(self, resolution, capsys):
+        """300 rows span two row blocks; the CSV is a function of the thetas
+        and values, which the test above compares at every size."""
+        thetas, values, _, _ = _whole_table_scan(resolution)
+        expected = "theta1,theta2,value\n" + "".join(
+            f"{t1!r},{t2!r},{v!r}\n"
+            for t1, row in zip(thetas.tolist(), values.tolist())
+            for t2, v in zip(thetas.tolist(), row)
+        )
+        assert main(["reproduce", "tsirelson-envelope", "--grid", str(resolution), "--format", "csv"]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_peak_memory_is_the_table_plus_a_block(self):
+        tracemalloc.start()
+        try:
+            scan_envelope(2000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2000 * 2000 * 8 + 16 * 2**20
+
     def test_grid_matches_scalar_envelope(self):
         rng = np.random.default_rng(3)
         t1 = rng.uniform(-np.pi, np.pi, size=7)
@@ -452,14 +497,16 @@ def _reference_search(ineq, p, grid_points, scenario, budget, chunks):
     evaluations, best_value, best_params = 0, -np.inf, np.zeros(m)
 
     def offer(values, batch):
+        # a batch that would overrun the budget is scored up to it
         nonlocal evaluations, best_value, best_params
-        values = sign * values
-        top = int(values.argmax())
-        evaluations += batch.shape[0]
-        if evaluations > budget:
+        room = budget - evaluations
+        scored = sign * values[:room]
+        evaluations += len(scored)
+        if len(scored) and float(scored.max()) > best_value:
+            top = int(scored.argmax())
+            best_value, best_params = float(scored[top]), batch[top].copy()
+        if len(values) > room:
             raise _OutOfBudget
-        if float(values[top]) > best_value:
-            best_value, best_params = float(values[top]), batch[top].copy()
 
     converged = False
     try:
@@ -477,7 +524,7 @@ def _reference_search(ineq, p, grid_points, scenario, budget, chunks):
     except _OutOfBudget:
         pass
     rho, settings = p.realize(best_params)
-    value = evaluate_inequality_quantum(ineq, rho, settings, auto_assignment(ineq, scenario))
+    value = reference_value(ineq, rho, settings, auto_assignment(ineq, scenario))
     fields = repr(float(value)), best_params.tobytes(), evaluations, converged
     return ("done" if converged else "exhausted"), fields
 

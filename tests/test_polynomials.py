@@ -225,21 +225,6 @@ class TestInequalityFromPoly:
         assert ineq.direction == "<="
 
 
-class TestEvaluate:
-    def test_correlator_evaluation(self):
-        ineq = derive_inequality(catalog.chsh_source())
-        tsirelson = {pair: 0.7071067811865476 for pair in ineq.term_kinds}
-        tsirelson[vs(x(2), y(2))] = -0.7071067811865476
-        value = ineq.evaluate_correlators(tsirelson)
-        assert value == pytest.approx(2.8284271247, abs=1e-9)
-        assert not ineq.satisfied_by(value)
-
-    def test_satisfied_inside_bound(self):
-        ineq = derive_inequality(catalog.chsh_source())
-        inside = ineq.evaluate_correlators({pair: 0.5 for pair in ineq.term_kinds})
-        assert ineq.satisfied_by(inside)
-
-
 class TestClassify:
     def test_catalog_classifications(self):
         cases = [

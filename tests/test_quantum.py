@@ -3,9 +3,10 @@
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from corrineq import catalog
-from corrineq.dsl import VariableId
+from corrineq.dsl import VariableId, parse_scenario, parse_sos
 from corrineq.errors import (
     DimensionMismatch,
     MissingAssignment,
@@ -13,16 +14,13 @@ from corrineq.errors import (
     NonUnitVector,
     NotHermitian,
 )
-from corrineq.polynomials import derive_inequality
+from corrineq.polynomials import derive_inequality, letter_scenario
 from corrineq.quantum import (
     ID2,
     ID4,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    SEQUENTIAL,
-    TENSOR,
-    auto_assignment,
     build_f_operator,
     evaluate_inequality_quantum,
     hybrid_f_product,
@@ -35,17 +33,18 @@ from corrineq.quantum import (
     product_ladder_settings,
     product_state,
     projectors,
+    qubit_layout,
     qubit_state,
     s2_square_closed_form,
     sequential_correlator,
-    sequential_rule,
     singlet_state,
     spatial_correlator,
-    tensor_rule,
+    term_order,
     tsirelson_envelope,
     unit_vector,
     validate_density,
 )
+from term_rules import auto_assignment, reference_value, sequential_rule, tensor_rule
 
 SQRT8 = 2.0 * np.sqrt(2.0)
 
@@ -195,42 +194,53 @@ class TestSequential:
 class TestAssignment:
     def test_cross_party_terms_are_tensor(self):
         ineq = derive_inequality(catalog.chsh_source())
-        rules = auto_assignment(ineq)
-        assert len(rules) == 4
-        for pair, rule in rules.items():
-            assert rule.kind == TENSOR
-            assert rule.var_a.letter == "X"
-            assert rule.var_b.letter == "Y"
-            assert {rule.var_a, rule.var_b} == set(pair)
+        qubit = qubit_layout(ineq.variables())
+        assert qubit == {x(1): 0, x(2): 0, y(1): 1, y(2): 1}
+        for mono in ineq.terms:
+            a, b = term_order(mono.variables, qubit)
+            assert (a.letter, b.letter) == ("X", "Y")
 
     def test_same_party_terms_are_sequential(self):
         ineq = derive_inequality(catalog.lg_source())
-        rules = auto_assignment(ineq, catalog.lg_scenario())
-        assert len(rules) == 4
-        for rule in rules.values():
-            assert rule.kind == SEQUENTIAL
-            assert rule.subsystem == 0
-            assert rule.first < rule.second
+        qubit = qubit_layout(ineq.variables(), catalog.lg_scenario())
+        assert set(qubit.values()) == {0}
+        for mono in ineq.terms:
+            a, b = term_order(mono.variables, qubit)
+            assert a < b
 
     def test_hybrid_mixes_both_kinds(self):
         ineq = derive_inequality(catalog.hybrid_source())
-        rules = auto_assignment(ineq)
-        kinds = sorted(rule.kind for rule in rules.values())
-        assert kinds == [SEQUENTIAL, SEQUENTIAL, TENSOR, TENSOR]
-        seq_subsystems = {
-            rule.subsystem for rule in rules.values() if rule.kind == SEQUENTIAL
-        }
-        assert seq_subsystems == {0, 1}
+        scenario = catalog.hybrid_scenario()
+        qubit = qubit_layout(ineq.variables(), scenario)
+        assert qubit == {x(1): 0, x(2): 0, y(1): 1, y(2): 1}
+        assert qubit == qubit_layout(scenario.variables, scenario)
+        pairs = [term_order(mono.variables, qubit) for mono in ineq.terms]
+        assert sorted(qubit[a] for a, b in pairs if qubit[a] == qubit[b]) == [0, 1]
+
+    def test_party_order_not_letter_order_picks_the_qubit(self):
+        a, b = VariableId("A", 1), VariableId("B", 1)
+        scenario = parse_scenario("variables: A1 B1\nparty Z: A1\nparty Y: B1")
+        assert qubit_layout(scenario.variables, scenario) == {a: 1, b: 0}
+        assert qubit_layout(scenario.variables) == {a: 0, b: 1}
+
+    def test_letters_stand_in_for_parties(self):
+        variables = (x(2), y(1), x(1))
+        assert qubit_layout(variables) == qubit_layout(variables, letter_scenario(variables))
 
     def test_four_letters_without_scenario_raise(self):
         ineq = derive_inequality(catalog.lg_source())
         with pytest.raises(MissingAssignment):
-            auto_assignment(ineq)
-
-    def test_missing_rule_is_reported(self):
-        ineq = derive_inequality(catalog.chsh_source())
+            qubit_layout(ineq.variables())
         with pytest.raises(MissingAssignment):
-            evaluate_inequality_quantum(ineq, singlet_state(), {}, assignment={})
+            evaluate_inequality_quantum(ineq, maximally_mixed(2), {})
+
+    def test_three_party_scenario_raises(self):
+        scenario = parse_scenario("variables: X1 Y1 Z1")
+        ineq = derive_inequality(parse_sos("(X1 + Y1 + Z1)^2 >= 1"))
+        with pytest.raises(MissingAssignment, match="3 parties"):
+            qubit_layout(scenario.variables, scenario)
+        with pytest.raises(MissingAssignment, match="3 parties"):
+            evaluate_inequality_quantum(ineq, singlet_state(), {}, scenario)
 
     def test_missing_setting_is_reported(self):
         ineq = derive_inequality(catalog.chsh_source())
@@ -247,6 +257,51 @@ class TestAssignment:
             frozenset({x(2), y(1)}): tensor_rule(x(2), y(1)),
         }
         assert auto_assignment(ineq) == manual
+        rng = np.random.default_rng(41)
+        rho, settings = random_density(rng, 4), random_settings(rng, HYBRID_VARS)
+        assert evaluate_inequality_quantum(ineq, rho, settings) == reference_value(
+            ineq, rho, settings, manual
+        )
+
+
+def _unit(components):
+    v = np.array(components)
+    return v / np.linalg.norm(v)
+
+
+@st.composite
+def _states(draw, dim):
+    """A density matrix m m^dagger / tr from an arbitrary complex m."""
+    cells = 2 * dim * dim
+    parts = np.array(draw(st.lists(st.floats(-1, 1), min_size=cells, max_size=cells)))
+    m = (parts[: cells // 2] + 1j * parts[cells // 2:]).reshape(dim, dim)
+    rho = m @ m.conj().T
+    assume(np.trace(rho).real > 1e-3)
+    return rho / np.trace(rho).real
+
+
+_DIRECTIONS = st.tuples(*[st.floats(-1, 1)] * 3).filter(lambda v: np.dot(v, v) > 1e-3).map(_unit)
+
+
+class TestLayoutAgainstTermRules:
+    """The qubit-layout evaluator against the old per-term rule tables, bit for bit."""
+
+    CASES = {
+        "chsh": (catalog.chsh_source, None, (4,)),
+        "hybrid": (catalog.hybrid_source, catalog.hybrid_scenario, (4,)),
+        "lg": (catalog.lg_source, catalog.lg_scenario, (2, 4)),
+    }
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(CASES)), data=st.data())
+    def test_value_equals_the_rule_table_value(self, name, data):
+        source, scenario_of, dims = self.CASES[name]
+        ineq = derive_inequality(source())
+        scenario = scenario_of() if scenario_of else None
+        rho = data.draw(_states(data.draw(st.sampled_from(dims))))
+        settings = {v: data.draw(_DIRECTIONS) for v in sorted(ineq.variables())}
+        expected = reference_value(ineq, rho, settings, auto_assignment(ineq, scenario))
+        assert evaluate_inequality_quantum(ineq, rho, settings, scenario) == expected
 
 
 class TestCatalogQuantumValues:
@@ -265,9 +320,8 @@ class TestCatalogQuantumValues:
         ineq = derive_inequality(catalog.lg_source())
         variables = [VariableId(c) for c in "JKLM"]
         settings = ladder_settings(variables, 0.0, -np.pi / 4)
-        rules = auto_assignment(ineq, catalog.lg_scenario())
         value = evaluate_inequality_quantum(
-            ineq, maximally_mixed(2), settings, assignment=rules
+            ineq, maximally_mixed(2), settings, catalog.lg_scenario()
         )
         assert value == pytest.approx(SQRT8, abs=1e-12)
 
@@ -275,11 +329,10 @@ class TestCatalogQuantumValues:
         ineq = derive_inequality(catalog.lg_source())
         variables = [VariableId(c) for c in "JKLM"]
         settings = ladder_settings(variables, 0.7, -np.pi / 4)
-        rules = auto_assignment(ineq, catalog.lg_scenario())
         rng = np.random.default_rng(31)
         values = {
             evaluate_inequality_quantum(
-                ineq, random_density(rng, 2), settings, assignment=rules
+                ineq, random_density(rng, 2), settings, catalog.lg_scenario()
             )
             for _ in range(5)
         }
