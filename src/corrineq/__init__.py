@@ -65,6 +65,7 @@ from .protocol import (
     CounterRng,
     MeasurementChoice,
     admissible_data,
+    choice_sampler,
     estimate_f,
     signaling_test,
     simulate_choice_block,
@@ -105,6 +106,7 @@ __all__ = [
     "admissible_data",
     "build_f_operator",
     "catalog",
+    "choice_sampler",
     "classical_extrema",
     "classify",
     "derive_inequality",

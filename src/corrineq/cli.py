@@ -491,9 +491,10 @@ def cmd_reproduce(args) -> int:
         if args.target != "tsirelson-envelope":
             raise ValueError("csv output is only available for scan tables")
         scan = scan_envelope(args.grid)
+        thetas = list(map(repr, scan.thetas.tolist()))  # each theta formatted once
         sys.stdout.write("theta1,theta2,value\n")
-        for t1, t2, value in scan.rows():
-            sys.stdout.write(f"{t1!r},{t2!r},{value!r}\n")
+        for t1, row in zip(thetas, scan.values):
+            sys.stdout.write("".join(f"{t1},{t2},{v!r}\n" for t2, v in zip(thetas, row.tolist())))
         return 0
     names = TARGETS if args.target == "all" else (args.target,)
     reports, failures = [], []

@@ -236,7 +236,8 @@ def _normalize_pairs(observed):
     for key, value in observed.items():
         pair = frozenset(key)
         if len(pair) != 2:
-            raise ValueError(f"correlator key {key} must name two distinct variables")
+            label = format_varset(key) if all(isinstance(v, VariableId) for v in key) else repr(key)
+            raise ValueError(f"correlator key {label} must name two distinct variables")
         if pair in out:
             raise ValueError(f"correlator for {format_varset(pair)} is given twice")
         out[pair] = _checked_value(value, f"correlator for {format_varset(pair)}")

@@ -312,12 +312,6 @@ class EnvelopeScan:
     max_value: float
     argmax: tuple[float, float]
 
-    def rows(self):
-        """(theta1, theta2, value) triples in row-major order, CSV-ready."""
-        for i, t1 in enumerate(self.thetas):
-            for j, t2 in enumerate(self.thetas):
-                yield float(t1), float(t2), float(self.values[i, j])
-
 
 def envelope_grid(thetas1, thetas2) -> np.ndarray:
     """tsirelson_envelope on every (theta1, theta2) pair of two angle arrays."""

@@ -9,7 +9,9 @@ shipped hybrid scenario (hybrid.scn).
 
 Randomness is a counter-based stream: draw d of shot s hashes
 (seed, salt, 2s + d) through a 64-bit mixer, so any shot can be
-generated independently and results never depend on chunking.
+generated independently and results never depend on chunking.  The
+estimators build each choice's sampler once per call and count its
+joint outcomes block by block.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .quantum import _embed, projectors, qubit_layout, validate_density
 
 DRAWS_PER_SHOT = 2  # one joint draw at each of the two time slots
 WORD_BITS = 53  # a word is the top 53 bits of the mixed counter: u = word / 2^53
-BLOCK_SHOTS = 1 << 17  # shots per simulate_choice_block call in the estimators
+BLOCK_SHOTS = 1 << 16  # shots per simulate_choice_block call; ~2 MB of buffers, about an L2 cache
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -246,47 +248,76 @@ def simulate_shot(rho, choice, settings, seed, shot_index=0, salt=0) -> ShotReco
     return ShotRecord(choice, outcomes, shot_index)
 
 
-def _slot_picks(words, p, picks1=None):
-    """Outcome index per shot in one slot, from its 53-bit words.
+def _cut_points(p):
+    """Integer cut points ceil(c·2^53) of p's cumulative c, along its last axis.
 
-    p is the slot's outcome distribution, or for the second slot one row
-    per first-slot outcome, selected per shot by picks1.  With c the
-    cumulative after a running max and a clip to [0, 1], u < c holds
+    With c taken after a running max and a clip to [0, 1], u < c holds
     exactly when word < ceil(c·2^53), so the first outcome with u < c
     (what the float kernel picked) is the number of cut points at or
-    below the word.  The last cut point, 2^53, is never reached.
+    below the word.  The last cut point is 2^53, which no word reaches.
     """
     c = np.clip(np.maximum.accumulate(_cumulative(p), axis=-1), 0.0, 1.0)
-    cuts = np.ceil(c * float(1 << WORD_BITS)).astype(np.uint64)[..., :-1]
-    if cuts.ndim == 2:
-        cuts = cuts[0] if len(cuts) == 1 else (col.take(picks1) for col in cuts.T)
-    picks = np.zeros(len(words), dtype=np.intp)
-    for cut in cuts:
-        picks += words >= cut
-    return picks
+    return np.ceil(c * float(1 << WORD_BITS)).astype(np.uint64)
 
 
-def simulate_choice_block(rho, choice, settings, seed, shot_indices, salt=0):
-    """Vectorized outcomes for many shots of one choice.
+@dataclass(frozen=True, eq=False)
+class ChoiceSampler:
+    """One choice's exact outcome distribution as integer cut points.
 
-    Consumes the same stream positions as simulate_shot, so a block is
-    bit-identical to looping shot by shot.
+    Joint outcome m = i·k2 + j (slot-1 outcome i, slot-2 outcome j) has
+    int8 sign row signs[m], one column per variable, and takes the shots
+    whose key pick1·2^53 + word1 lies in [bounds[m], bounds[m + 1]).
     """
+
+    variables: tuple[VariableId, ...]
+    signs: np.ndarray
+    cut1: np.ndarray  # slot 1's cut points below 2^53
+    bounds: tuple[int, ...]  # sorted, k1·k2 + 1 of them, from 0 to k1·2^53
+
+    def column(self, var) -> np.ndarray:  # var's sign in each joint outcome
+        return self.signs[:, self.variables.index(var)].astype(np.int64)
+
+
+def _sampler(vars1, vars2, signs1, signs2, p1, p2) -> ChoiceSampler:
+    signs = np.hstack([np.repeat(signs1, len(signs2), axis=0), np.tile(signs2, (len(signs1), 1))])
+    # group i starts at i·2^53; its row of cut points ends at 2^53, the next group's start
+    bounds = [(i << WORD_BITS) + cut for i, row in enumerate(_cut_points(p2).tolist()) for cut in row]
+    return ChoiceSampler(tuple(vars1 + vars2), signs, _cut_points(p1)[:-1], (0, *bounds))
+
+
+def choice_sampler(rho, choice, settings) -> ChoiceSampler:
+    """The sampler of one choice on one state; build once, sample many blocks."""
     rho = validate_density(np.asarray(rho, dtype=complex))
+    return _sampler(*_choice_tables(rho, choice, settings))
+
+
+def simulate_choice_block(sampler: ChoiceSampler, seed, shot_indices, salt=0) -> np.ndarray:
+    """int64 count of each joint outcome over a block of shot ids.
+
+    Draws as simulate_shot does, so the counts are its histogram.
+    """
     rng = CounterRng(seed, salt)
-    vars1, vars2, signs1, signs2, p1, p2 = _choice_tables(rho, choice, settings)
     idx = np.asarray(shot_indices, dtype=np.uint64)
-    words = np.empty(len(idx), dtype=np.uint64)
-    picks1 = np.zeros(len(idx), dtype=np.intp)
-    if vars1:
-        picks1 = _slot_picks(rng.words(idx, 0, out=words), p1)
-    picks2 = np.zeros(len(idx), dtype=np.intp)
-    if vars2:
-        picks2 = _slot_picks(rng.words(idx, 1, out=words), p2, picks1)
-    # take on one 1-D column: fancy-indexing signs[picks, k] is about 3x slower
-    values = {var: signs1[:, k].take(picks1) for k, var in enumerate(vars1)}
-    values.update({var: signs2[:, k].take(picks2) for k, var in enumerate(vars2)})
-    return values
+    # an empty slot 2 has one outcome, and any word < 2^53 stays in its group
+    early = rng.words(idx, 0) if len(sampler.cut1) else None
+    return _joint_counts(sampler, early, rng.words(idx, 1))
+
+
+def _joint_counts(sampler, early, late):
+    """Joint-outcome counts from the slots' words, overwriting both."""
+    above = np.empty(len(late), dtype=bool)
+    # shots with key >= bound, once per distinct bound; count m is tail[m] - tail[m + 1]
+    tails = {0: len(late), sampler.bounds[-1]: 0}
+    if early is not None:
+        picks = np.zeros(len(late), dtype=np.uint8)
+        for i, cut in enumerate(sampler.cut1, 1):
+            picks += np.greater_equal(early, cut, out=above)
+            tails[i << WORD_BITS] = np.count_nonzero(above)  # shots with pick1 >= i
+        late |= np.left_shift(picks, np.uint64(WORD_BITS), out=early)
+    for bound in sampler.bounds:
+        if bound not in tails:
+            tails[bound] = np.count_nonzero(np.greater_equal(late, bound, out=above))
+    return -np.diff([tails[bound] for bound in sampler.bounds])
 
 
 def _blocks(start: int, count: int):
@@ -325,13 +356,14 @@ def estimate_f(rho, settings, shots: int, seed: int) -> ProtocolEstimate:
 
     Shots are split as evenly as possible over the 9 data-yielding
     choices (global shot ids stay consecutive per choice, so estimates
-    are reproducible and chunk-free) and sampled BLOCK_SHOTS at a time.
+    are reproducible and chunk-free) and counted BLOCK_SHOTS at a time.
     Every pooled value is a ±1 product, so a pool is kept as two
     integers, its sum S and count n: the mean is S/n and the ddof=1
     variance (n² − S²)/(n(n − 1)).  A choice feeding two pools of the
     combination also keeps the sum of their shot-wise products, which
-    gives the covariance that the standard error propagates.  Memory is
-    one block; variances are exact fractions, rounded once to float.
+    gives the covariance that the standard error propagates.  Each sum
+    is a dot product of the joint-outcome counts with a sign column;
+    memory is one block's buffers; variances are exact, rounded once.
     """
     if shots < 1:
         raise ValueError("need at least one shot")
@@ -351,17 +383,14 @@ def estimate_f(rho, settings, shots: int, seed: int) -> ProtocolEstimate:
         # sorted: frozenset order follows the hash seed, term order must not
         pairs = sorted(admissible_data(choice), key=format_varset)
         in_f = [pair for pair in pairs if pair in F_COEFFICIENTS]
-        choice_sums = dict.fromkeys(pairs, 0)
-        cross_sums = dict.fromkeys(combinations(in_f, 2), 0)
-        for ids in _blocks(start, count):
-            values = simulate_choice_block(rho, choice, settings, seed, ids)
-            products = {}
-            for pair in pairs:
-                a, b = pair
-                products[pair] = values[a] * values[b]
-                choice_sums[pair] += int(products[pair].sum())
-            for pi, pj in cross_sums:
-                cross_sums[pi, pj] += int((products[pi] * products[pj]).sum())
+        sampler = choice_sampler(rho, choice, settings)
+        hist = sum(simulate_choice_block(sampler, seed, ids) for ids in _blocks(start, count))
+        # a pair's product in each joint outcome; its sums are dot products with hist
+        products = {pair: math.prod(map(sampler.column, pair)) for pair in pairs}
+        choice_sums = {pair: int(hist @ products[pair]) for pair in pairs}
+        cross_sums = {
+            (pi, pj): int(hist @ (products[pi] * products[pj])) for pi, pj in combinations(in_f, 2)
+        }
         for pair in pairs:
             pool = sums.setdefault(pair, [0, 0])
             pool[0] += choice_sums[pair]
@@ -422,7 +451,7 @@ def signaling_test(rho, settings, shots: int, seed: int) -> SignalingReport:
     """Compare the late-time marginal across the two Bob-only choices.
 
     The first shots // 2 ids measure Y2 alone, the rest Y1 then Y2;
-    each arm is sampled BLOCK_SHOTS at a time and kept as a count.
+    each arm is sampled BLOCK_SHOTS at a time into joint-outcome counts.
     """
     if shots < 2:
         raise ValueError("need at least two shots, one per arm")
@@ -434,11 +463,9 @@ def signaling_test(rho, settings, shots: int, seed: int) -> SignalingReport:
     )
     p = []
     for choice, start, count in arms:
-        plus = 0
-        for ids in _blocks(start, count):
-            values = simulate_choice_block(rho, choice, settings, seed, ids, salt=1)
-            plus += int(np.count_nonzero(values[Y2] == 1))
-        p.append(plus / count)
+        sampler = choice_sampler(rho, choice, settings)
+        hist = sum(simulate_choice_block(sampler, seed, ids, salt=1) for ids in _blocks(start, count))
+        p.append(int(hist @ (sampler.column(Y2) == 1)) / count)
     p_a, p_b = p
     se_a = float(np.sqrt(p_a * (1 - p_a) / n_alone))
     se_b = float(np.sqrt(p_b * (1 - p_b) / n_after))

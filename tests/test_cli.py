@@ -11,6 +11,7 @@ import pytest
 
 from corrineq.cli import TARGETS, _pair_key, build_parser, main
 from corrineq.dsl import parse_variable
+from corrineq.optimize import scan_envelope
 
 SQRT8 = 2.828427124746190
 
@@ -348,6 +349,23 @@ class TestReproduce:
         assert code == 0, err
         assert out.encode() == golden.read_bytes()
 
+    @pytest.mark.parametrize("argv, golden, code", [
+        (("--shots", "2"), "protocol_mc_shots_2.json", 1),
+        (("--shots", "3"), "protocol_mc_shots_3.json", 1),
+        (("--shots", "17"), "protocol_mc_shots_17.json", 0),
+        (("--shots", "1000"), "protocol_mc_shots_1000.json", 1),
+        (("--shots", "131073"), "protocol_mc_shots_131073.json", 0),  # one shot past a block
+        (("--shots", "262145"), "protocol_mc_shots_262145.json", 0),
+        (("--shots", "300001"), "protocol_mc_shots_300001.json", 0),
+        (("--seed", "1"), "protocol_mc_seed_1.json", 0),
+    ])
+    def test_protocol_mc_reports_are_pinned(self, capsys, argv, golden, code):
+        """Recorded before the counting kernel, failed checks and all: a
+        few shots fail the 3-sigma checks, and so does 1000 at this seed."""
+        got, out, _ = run_cli(capsys, "reproduce", "protocol-mc", *argv, "--format", "json")
+        assert got == code
+        assert out.encode() == (Path(__file__).parent / "data" / golden).read_bytes()
+
     def test_protocol_mc_single_shot_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "reproduce", "protocol-mc", "--shots", "1")
         assert code == 2
@@ -404,6 +422,22 @@ class TestReproduce:
         t1, t2, value = map(float, lines[1].split(","))
         assert (t1, t2) == (-3.141592653589793, -3.141592653589793)
         assert value == pytest.approx(2.0, abs=1e-12)
+
+    @pytest.mark.parametrize("grid", [2, 7, 64])
+    def test_envelope_csv_matches_row_by_row_formatting(self, capsys, grid):
+        """The CSV is written a row at a time; its bytes are those of one
+        f-string of three reprs per cell."""
+        scan = scan_envelope(grid)
+        expected = "theta1,theta2,value\n" + "".join(
+            f"{float(t1)!r},{float(t2)!r},{float(scan.values[i, j])!r}\n"
+            for i, t1 in enumerate(scan.thetas)
+            for j, t2 in enumerate(scan.thetas)
+        )
+        code, out, _ = run_cli(
+            capsys, "reproduce", "tsirelson-envelope", "--grid", str(grid), "--format", "csv"
+        )
+        assert code == 0  # the CSV path runs no checks
+        assert out == expected
 
     def test_csv_rejected_for_non_tables(self, capsys):
         code, _, err = run_cli(

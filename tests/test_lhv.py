@@ -1,13 +1,18 @@
 """Classical bounds, joint-distribution feasibility, and no-disturbance LPs."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import corrineq
 from corrineq import catalog
 from corrineq.dsl import ScenarioSpec, VariableId
 from corrineq.errors import (
@@ -227,6 +232,36 @@ class TestJdFeasibility:
         with pytest.raises(ValueError) as excinfo:
             jd_feasibility(catalog.chsh_scenario(), observed)
         assert str(excinfo.value) == "correlator for X9X10 is given twice"
+
+    @pytest.mark.parametrize("key, label", [
+        ((x(1), x(1)), "X1X1"),
+        (frozenset({y(1), x(2), x(1)}), "X1X2Y1"),
+        ("X1Y1", "'X1Y1'"),  # a string's characters are no variables to sort
+    ])
+    def test_bad_key_is_named_in_variable_order(self, key, label):
+        """The key used to print raw: VariableId reprs, or a frozenset in hash-seed order."""
+        with pytest.raises(ValueError) as excinfo:
+            jd_feasibility(catalog.chsh_scenario(), {key: 0.5})
+        assert str(excinfo.value) == f"correlator key {label} must name two distinct variables"
+
+    def test_bad_key_message_does_not_depend_on_hash_seed(self):
+        code = (
+            "from corrineq import catalog; from corrineq.dsl import VariableId as V; "
+            "from corrineq.lhv import jd_feasibility\n"
+            "key = frozenset({V('Y', 1), V('X', 2), V('X', 1), V('Y', 2)})\n"
+            "try: jd_feasibility(catalog.chsh_scenario(), {key: 0.5})\n"
+            "except ValueError as exc: print(exc)"
+        )
+        src = str(Path(corrineq.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        messages = {
+            subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+            ).stdout
+            for seed in ("1", "2")
+        }
+        assert messages == {"correlator key X1X2Y1Y2 must name two distinct variables\n"}
 
     @pytest.mark.parametrize("value, complaint", [
         (1.5, "is 1.5, outside [-1, 1]"),

@@ -307,13 +307,6 @@ class TestEnvelopeScan:
         )
         assert off < 2 * spacing
 
-    def test_rows_cover_the_grid(self):
-        scan = scan_envelope(5)
-        rows = list(scan.rows())
-        assert len(rows) == 25
-        values = {(t1, t2): v for t1, t2, v in rows}
-        assert max(values.values()) == scan.max_value
-
     def test_minimum_resolution(self):
         with pytest.raises(ValueError):
             scan_envelope(1)

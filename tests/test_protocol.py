@@ -14,7 +14,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import corrineq
 from corrineq import protocol
+from corrineq.cli import main
 from corrineq.dsl import VariableId
+from corrineq.lhv import _assignment_rows
 from corrineq.polynomials import format_varset
 
 from corrineq.protocol import (
@@ -29,8 +31,10 @@ from corrineq.protocol import (
     MeasurementChoice,
     _choice_tables,
     _cumulative,
-    _slot_picks,
+    _joint_counts,
+    _sampler,
     admissible_data,
+    choice_sampler,
     estimate_f,
     signaling_test,
     simulate_choice_block,
@@ -55,6 +59,67 @@ STATES = {
 }
 
 
+def _slot_picks(words, p, picks1=None):
+    """Outcome index per shot in one slot, from its 53-bit words: the
+    per-shot kernel the joint-outcome counts replaced, kept as their
+    bit-exact reference.
+
+    p is the slot's outcome distribution, or for the second slot one row
+    per first-slot outcome, selected per shot by picks1.  With c the
+    cumulative after a running max and a clip to [0, 1], u < c holds
+    exactly when word < ceil(c·2^53), so the first outcome with u < c is
+    the number of cut points at or below the word.
+    """
+    c = np.clip(np.maximum.accumulate(_cumulative(p), axis=-1), 0.0, 1.0)
+    cuts = np.ceil(c * 2.0**53).astype(np.uint64)[..., :-1]
+    if cuts.ndim == 2:
+        cuts = cuts[0] if len(cuts) == 1 else (col.take(picks1) for col in cuts.T)
+    picks = np.zeros(len(words), dtype=np.intp)
+    for cut in cuts:
+        picks += words >= cut
+    return picks
+
+
+def reference_picks(rho, choice, settings, seed, shot_indices, salt=0):
+    """Per-shot (slot-1, slot-2) outcome indices from _slot_picks; an
+    empty slot has the single outcome 0."""
+    rng = CounterRng(seed, salt)
+    vars1, vars2, _, _, p1, p2 = _choice_tables(rho, choice, settings)
+    idx = np.asarray(shot_indices, dtype=np.uint64)
+    picks1 = _slot_picks(rng.words(idx, 0), p1) if vars1 else np.zeros(len(idx), dtype=np.intp)
+    picks2 = _slot_picks(rng.words(idx, 1), p2, picks1) if vars2 else np.zeros(len(idx), dtype=np.intp)
+    return picks1, picks2
+
+
+def reference_block(rho, choice, settings, seed, shot_indices, salt=0):
+    """One int8 outcome array per measured variable: the per-variable
+    path simulate_choice_block had before it counted joint outcomes."""
+    vars1, vars2, signs1, signs2, _, _ = _choice_tables(rho, choice, settings)
+    picks1, picks2 = reference_picks(rho, choice, settings, seed, shot_indices, salt)
+    values = {var: signs1[:, k].take(picks1) for k, var in enumerate(vars1)}
+    values.update({var: signs2[:, k].take(picks2) for k, var in enumerate(vars2)})
+    return values
+
+
+def histogram(picks1, picks2, k1, k2):
+    """Count of each joint outcome i·k2 + j."""
+    return np.bincount(picks1 * k2 + picks2, minlength=k1 * k2)
+
+
+def reference_counts(rho, choice, settings, seed, shot_indices, salt=0):
+    _, _, signs1, signs2, _, _ = _choice_tables(rho, choice, settings)
+    picks = reference_picks(rho, choice, settings, seed, shot_indices, salt)
+    return histogram(*picks, len(signs1), len(signs2))
+
+
+def joint_index(sampler, outcomes):
+    """The sampler's joint outcome that a shot record's outcomes spell."""
+    row = [outcomes[var] for var in sampler.variables]
+    (hits,) = np.nonzero((sampler.signs == row).all(axis=1))
+    assert len(hits) == 1
+    return int(hits[0])
+
+
 def pooled_reference(rho, settings, shots, seed):
     """The float pooling estimate_f replaced: per-shot float64 products,
     concatenated per pool, with np.var and np.cov for the moments.
@@ -73,7 +138,7 @@ def pooled_reference(rho, settings, shots, seed):
         if count == 0:
             block_products.append({})
             continue
-        values = simulate_choice_block(rho, choice, settings, seed, ids)
+        values = reference_block(rho, choice, settings, seed, ids)
         per_pair = {}
         for pair in admissible_data(choice):
             a, b = sorted(pair, key=VariableId.sort_key)
@@ -127,18 +192,14 @@ def float_picks(p1, p2, u1, u2):
     return picks1, picks2
 
 
-def float_choice_block(rho, choice, settings, seed, shot_indices, salt=0):
-    """simulate_choice_block as it was before integer cut points."""
+def float_choice_counts(rho, choice, settings, seed, shot_indices, salt=0):
+    """Joint-outcome counts of the float kernel used before integer cut
+    points.  An empty slot's single outcome takes every uniform."""
     rng = CounterRng(seed, salt)
-    vars1, vars2, outcomes1, outcomes2, p1, p2 = _choice_tables(rho, choice, settings)
+    _, _, _, _, p1, p2 = _choice_tables(rho, choice, settings)
     idx = np.asarray(shot_indices, dtype=np.uint64)
     picks1, picks2 = float_picks(p1, p2, rng.uniforms(idx, 0), rng.uniforms(idx, 1))
-    values = {}
-    for k, var in enumerate(vars1):
-        values[var] = np.array([o[k] for o in outcomes1], dtype=np.int8)[picks1]
-    for k, var in enumerate(vars2):
-        values[var] = np.array([o[k] for o in outcomes2], dtype=np.int8)[picks2]
-    return values
+    return histogram(picks1, picks2, *p2.shape)
 
 
 def _normalised(draw):
@@ -168,6 +229,25 @@ def boundary_words(p):
     cuts = np.ceil(c * 2.0**53).astype(np.uint64).ravel()
     words = {int(t) + d for t in cuts for d in (-1, 0)} | {0, 2**53 - 1}
     return sorted(w for w in words if 0 <= w < 2**53)
+
+
+def exact_rows(k, rows=1):
+    """born_rows, or rows with one exact 1 and exact zeros elsewhere."""
+    one_hot = st.integers(0, k - 1).map(lambda i: np.eye(k)[i])
+    row = st.one_of(born_rows(k).map(lambda r: r[0]), one_hot)
+    return st.lists(row, min_size=rows, max_size=rows).map(np.array)
+
+
+@st.composite
+def exact_tables(draw):
+    """(p1, p2) with 1, 2 or 4 outcomes per slot; one outcome is an empty slot."""
+    k1, k2 = draw(st.sampled_from([1, 2, 4])), draw(st.sampled_from([1, 2, 4]))
+    return draw(exact_rows(k1))[0], draw(exact_rows(k2, rows=k1))
+
+
+def sign_rows(k):
+    """The int8 sign rows of a slot with k = 2^m outcomes."""
+    return -_assignment_rows(k.bit_length() - 1).astype(np.int8)
 
 
 def random_words(n):
@@ -381,23 +461,31 @@ class TestSingleShot:
 
 class TestBlockEquivalence:
     def test_block_matches_shot_loop(self):
-        """Vectorized sampling must replay the scalar path bit for bit,
-        for every choice, empty slots included."""
+        """A one-shot block counts 1 at the joint outcome simulate_shot
+        draws, for every choice, empty slots included; a block's counts
+        are the sum over its shots."""
         ids = np.arange(32, dtype=np.uint64)
         for rho, choice in iproduct(STATES.values(), ALL_CHOICES):
-            block = simulate_choice_block(rho, choice, SETTINGS, 17, ids)
-            for i in ids:
-                record = simulate_shot(rho, choice, SETTINGS, 17, shot_index=int(i))
-                assert set(block) == set(record.outcomes), choice.label()
-                for var, values in block.items():
-                    assert record.outcomes[var] == values[int(i)], (choice.label(), i)
+            sampler = choice_sampler(rho, choice, SETTINGS)
+            total = np.zeros(len(sampler.signs), dtype=np.int64)
+            for i in range(len(ids)):
+                record = simulate_shot(rho, choice, SETTINGS, 17, shot_index=i)
+                assert set(sampler.variables) == set(record.outcomes), choice.label()
+                one_hot = np.zeros_like(total)
+                one_hot[joint_index(sampler, record.outcomes)] = 1
+                counts = simulate_choice_block(sampler, 17, ids[i : i + 1])
+                assert counts.dtype == np.int64
+                assert np.array_equal(counts, one_hot), (choice.label(), i)
+                total += one_hot
+            assert np.array_equal(simulate_choice_block(sampler, 17, ids), total), choice.label()
 
     def test_block_respects_salt(self):
         ids = np.arange(64, dtype=np.uint64)
-        choice = MeasurementChoice((), (Y1, Y2))
-        a = simulate_choice_block(singlet_state(), choice, SETTINGS, 17, ids)
-        b = simulate_choice_block(singlet_state(), choice, SETTINGS, 17, ids, salt=1)
-        assert not np.array_equal(a[Y2], b[Y2])
+        sampler = choice_sampler(singlet_state(), MeasurementChoice((), (Y1, Y2)), SETTINGS)
+        a = simulate_choice_block(sampler, 17, ids)
+        b = simulate_choice_block(sampler, 17, ids, salt=1)
+        assert a.sum() == b.sum() == 64
+        assert not np.array_equal(a, b)
 
 
 class TestCutPoints:
@@ -446,11 +534,41 @@ class TestCutPoints:
     def test_block_matches_float_kernel(self, state):
         ids = np.arange(1000, 21000, dtype=np.uint64)
         for choice in ALL_CHOICES:
-            got = simulate_choice_block(STATES[state], choice, SETTINGS, 12345, ids, salt=1)
-            want = float_choice_block(STATES[state], choice, SETTINGS, 12345, ids, salt=1)
-            assert got.keys() == want.keys(), choice.label()
-            for var in want:
-                assert np.array_equal(got[var], want[var]), (choice.label(), var)
+            sampler = choice_sampler(STATES[state], choice, SETTINGS)
+            got = simulate_choice_block(sampler, 12345, ids, salt=1)
+            want = float_choice_counts(STATES[state], choice, SETTINGS, 12345, ids, salt=1)
+            assert np.array_equal(got, want), choice.label()
+
+    @pytest.mark.parametrize("state", sorted(STATES))
+    def test_counts_match_the_slot_picks_histogram(self, state):
+        """20,000 ids per choice: the counts are the histogram of the
+        per-shot picks that _slot_picks makes from the same words."""
+        ids = np.arange(5000, 25000, dtype=np.uint64)
+        for choice, salt in iproduct(ALL_CHOICES, (0, 1)):
+            sampler = choice_sampler(STATES[state], choice, SETTINGS)
+            got = simulate_choice_block(sampler, 99, ids, salt)
+            want = reference_counts(STATES[state], choice, SETTINGS, 99, ids, salt)
+            assert np.array_equal(got, want), (choice.label(), salt)
+            assert got.sum() == len(ids)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tables=exact_tables())
+    @example(tables=(np.array([0.0, 1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])))
+    @example(tables=(np.array([0.5, 0.0, 0.0, 0.5]), np.array([[0.0, 0.0, 0.0, 1.0]] * 4)))
+    def test_counts_at_every_bound(self, tables):
+        """Born rows with exact 0 and 1 entries (cut points 0 and 2^53,
+        repeated bounds), zero-weight slot-1 outcomes, an empty slot on
+        either side (one outcome), and words at every cut point and one
+        below it in both slots: the counts are the _slot_picks histogram."""
+        p1, p2 = tables
+        (k1,), (_, k2) = p1.shape, p2.shape
+        sampler = _sampler([], [], sign_rows(k1), sign_rows(k2), p1, p2)
+        shots = list(iproduct(boundary_words(p1), boundary_words(p2)))
+        early, late = np.array(shots, dtype=np.uint64).T
+        picks1 = _slot_picks(early, p1)
+        want = histogram(picks1, _slot_picks(late, p2, picks1), k1, k2)
+        got = _joint_counts(sampler, early.copy() if k1 > 1 else None, late.copy())
+        assert np.array_equal(got, want)
 
 
 class TestEstimateF:
@@ -512,14 +630,14 @@ class TestEstimateF:
         assert est.f_stderr == pytest.approx(f_stderr, rel=1e-12, abs=0.0)
 
     def test_memory_does_not_grow_with_pooled_shots(self):
-        """Pools are integer sums; only one choice block is resident."""
+        """Pools are integer sums; only one choice block's buffers are resident."""
         tracemalloc.start()
         try:
             estimate_f(singlet_state(), SETTINGS, 10**6, 12345)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 15_000_000
+        assert peak < 6_800_000  # the per-variable kernel peaked at 6.8 MB
 
     def test_report_does_not_depend_on_hash_seed(self):
         """Pairs are frozensets, whose iteration order follows the hash seed."""
@@ -559,9 +677,9 @@ class TestBlocks:
         calls = []
         inner = protocol.simulate_choice_block
 
-        def spy(rho, choice, settings, seed, shot_indices, salt=0):
+        def spy(sampler, seed, shot_indices, salt=0):
             calls.append((salt, int(shot_indices[0]), len(shot_indices)))
-            return inner(rho, choice, settings, seed, shot_indices, salt)
+            return inner(sampler, seed, shot_indices, salt)
 
         monkeypatch.setattr(protocol, "simulate_choice_block", spy)
         self.run_both(1000)
@@ -572,6 +690,28 @@ class TestBlocks:
             ends = [start + size for start, size in blocks]
             assert [start for start, _ in blocks] == [0] + ends[:-1]
             assert ends[-1] == 1000
+
+    def test_tables_are_built_once_per_choice(self, monkeypatch, capsys):
+        """The default protocol-mc samples 34 blocks (9 choices of 111,111
+        shots and two arms of 500,000, 2^16 shots a block) but builds the
+        exact tables only once per choice per estimator call: 9 + 2."""
+        tables, blocks = [], []
+        inner_tables, inner_block = protocol._choice_tables, protocol.simulate_choice_block
+
+        def tables_spy(rho, choice, settings):
+            tables.append(choice.label())
+            return inner_tables(rho, choice, settings)
+
+        def block_spy(sampler, seed, shot_indices, salt=0):
+            blocks.append(len(shot_indices))
+            return inner_block(sampler, seed, shot_indices, salt)
+
+        monkeypatch.setattr(protocol, "_choice_tables", tables_spy)
+        monkeypatch.setattr(protocol, "simulate_choice_block", block_spy)
+        assert main(["reproduce", "protocol-mc", "--format", "json"]) == 0
+        capsys.readouterr()
+        assert len(blocks) == 9 * 2 + 2 * 8 and sum(blocks) == 2 * 10**6
+        assert sorted(tables) == sorted([c.label() for c in DATA_CHOICES] + ["(-,Y2)", "(-,Y1Y2)"])
 
     def test_memory_does_not_grow_with_blocks(self, monkeypatch):
         """Each block's arrays are freed before the next; only Python-int
