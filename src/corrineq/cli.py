@@ -43,6 +43,7 @@ from .quantum import (
     plane_vector,
     product_ladder_settings,
     product_state,
+    row_dot,
     s2_square_closed_form,
     singlet_state,
 )
@@ -391,12 +392,11 @@ def _target_tsirelson_envelope(args) -> dict:
 def _target_s2_identity(args) -> dict:
     rng = np.random.default_rng(args.seed)
     names = [VariableId("X", 1), VariableId("X", 2), VariableId("Y", 1), VariableId("Y", 2)]
-    worst = 0.0
-    for _ in range(100):
-        raw = rng.normal(size=(4, 3))
-        settings = {v: row / np.linalg.norm(row) for v, row in zip(names, raw)}
-        _, _, s2 = build_f_operator(settings)
-        worst = max(worst, float(np.abs(s2 @ s2 - s2_square_closed_form(settings)).max()))
+    raw = rng.normal(size=(100, 4, 3))  # trial by trial, the stream of 100 draws of (4, 3)
+    unit = raw / np.sqrt(row_dot(raw, raw))[..., None]  # the bits of np.linalg.norm per row
+    settings = dict(zip(names, np.moveaxis(unit, 1, 0)))
+    _, _, s2 = build_f_operator(settings)
+    worst = float(np.abs(s2 @ s2 - s2_square_closed_form(settings)).max())
     return _finish({
         "target": "s2-identity",
         "seed": args.seed,

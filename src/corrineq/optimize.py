@@ -4,9 +4,10 @@ quantum values of a correlation inequality.
 A coarse grid scan locates the basin, then coordinate pattern search
 with step halving polishes to 1e-8.  Each term's closed form (correlation
 tensor or state for tensor terms, dot products for sequential ones) is
-tabulated once on the grid of the angles it reads for the scan and summed
-row by row for refinement; the reported optimum is re-evaluated through
-the full density-matrix path as an independent check.
+tabulated once on the grid of the angles it reads for the scan, where
+the tables add up by broadcasting over a box of the trailing grid axes,
+and summed row by row for refinement; the reported optimum is
+re-evaluated through the full density-matrix path as an independent check.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .quantum import (
     PAULI_Y,
     PAULI_Z,
     evaluate_inequality_quantum,
+    kron2,
     plane_vector,
     product_state,
     qubit_layout,
@@ -53,7 +55,7 @@ def correlation_tensor(rho) -> np.ndarray:
     t = np.empty((3, 3))
     for i, si in enumerate(paulis):
         for j, sj in enumerate(paulis):
-            t[i, j] = float(np.trace(rho @ np.kron(si, sj)).real)
+            t[i, j] = float(np.trace(rho @ kron2(si, sj)).real)
     return t
 
 
@@ -177,32 +179,54 @@ def _grid_axes(points):
 def _grid_scan(terms, axis, m):
     """(start, values) for each _BATCH-cell chunk of the grid axis^m, in order.
 
-    A term reading k columns is evaluated once on its own sub-grid of
-    len(axis)^k cells (on the chunk's cells where that exceeds _BATCH)
-    and gathered by the digits of the cells' flat indices.  Terms add up
-    as in `_evaluate`, so each cell equals `_evaluate` on its row bit for bit.
+    The leading `outer` axes number the rows of a box over the other
+    axes, the fewest that keep a box at len(axis)^(m - outer) <= _BATCH
+    cells.  A term reading k columns is evaluated once on its own
+    sub-grid of len(axis)^k cells; its table, transposed to ascending
+    columns, is indexed by a chunk's rows on its outer columns and
+    broadcast over the box on its inner ones.  A term whose sub-grid
+    exceeds _BATCH is evaluated on the cells of the chunk's rows instead.
+    The terms add up as in `_evaluate` on the rows a chunk touches and
+    the chunk is sliced out of them, so each cell equals `_evaluate` on
+    its row bit for bit.
     """
     g = len(axis)
+    outer = next(k for k in range(m + 1) if g ** (m - k) <= _BATCH)
+    box = (g,) * (m - outer)
 
     def on_cells(coefficient, term, digits):
         return coefficient * term(np.stack([axis[d] for d in digits], axis=1))
 
-    tables = [
-        on_cells(c, term, np.unravel_index(np.arange(g ** len(cols)), (g,) * len(cols)))
-        if g ** len(cols) <= _BATCH else None
-        for c, cols, term in terms
-    ]
-    for start in range(0, g**m, _BATCH):
-        digits = np.unravel_index(np.arange(start, min(start + _BATCH, g**m)), (g,) * m)
+    def broadcast_table(coefficient, columns, term):
+        """(outer columns, table): one table axis per outer column, then the box's axes."""
+        k = len(columns)
+        table = on_cells(coefficient, term, np.unravel_index(np.arange(g**k), (g,) * k))
+        order = np.argsort(columns)
+        ascending = [columns[i] for i in order]
+        leading = [c for c in ascending if c < outer]
+        shape = [g] * len(leading) + [g if j in ascending else 1 for j in range(outer, m)]
+        return leading, table.reshape((g,) * k).transpose(order).reshape(shape)
+
+    tables = [broadcast_table(*t) if g ** len(t[1]) <= _BATCH else None for t in terms]
+    on_rows = any(tabled is None for tabled in tables)
+    cells, size = g**m, g ** (m - outer)
+    for start in range(0, cells, _BATCH):
+        stop = min(start + _BATCH, cells)
+        first, last = start // size, (stop - 1) // size + 1  # the rows the chunk touches
+        rows = np.unravel_index(np.arange(first, last), (g,) * outer) if outer else ()
+        if on_rows:
+            digits = np.unravel_index(np.arange(first * size, last * size), (g,) * m)
         total = None
-        for (coefficient, columns, term), table in zip(terms, tables):
-            own = [digits[i] for i in columns]
-            if table is None:
-                contribution = on_cells(coefficient, term, own)
+        for (coefficient, columns, term), tabled in zip(terms, tables):
+            if tabled is None:
+                own = [digits[i] for i in columns]
+                contribution = on_cells(coefficient, term, own).reshape((last - first,) + box)
             else:
-                contribution = table[np.ravel_multi_index(own, (g,) * len(own))]
+                leading, table = tabled
+                contribution = table[tuple(rows[c] for c in leading)] if leading else table[None]
             total = contribution if total is None else total + contribution
-        yield start, total
+        block = np.broadcast_to(total, (last - first,) + box).reshape(-1)
+        yield start, block[start - first * size : stop - first * size]
 
 
 def maximize_violation(

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -62,6 +63,15 @@ def _mix64(z):
     return z
 
 
+@lru_cache(maxsize=64)
+def _key(seed: int, salt: int) -> int:
+    """The stream key of (seed, salt), mixed once per pair and kept."""
+    # 0-d arrays, not scalars: unsigned array arithmetic wraps silently
+    base = _mix64(np.array(seed & _MASK, dtype=np.uint64))
+    salted = _mix64(np.array(salt & _MASK, dtype=np.uint64))
+    return int(_mix64(base ^ salted))
+
+
 class CounterRng:
     """Stateless uniform stream: value = f(seed, salt, counter).
 
@@ -71,16 +81,13 @@ class CounterRng:
     """
 
     def __init__(self, seed: int, salt: int = 0):
-        # 0-d arrays, not scalars: unsigned array arithmetic wraps silently
-        base = _mix64(np.array(seed & _MASK, dtype=np.uint64))
-        salted = _mix64(np.array(salt & _MASK, dtype=np.uint64))
-        self.key = _mix64(base ^ salted)
+        self.key = _key(seed, salt)
 
     def words(self, shot_indices, draw: int, out=None) -> np.ndarray:
         """mix64(key + (2·shot + draw)·golden) >> 11, in place in out (new if None)."""
         idx = np.asarray(shot_indices, dtype=np.uint64)
         z = np.multiply(idx, _STRIDE, out=out)
-        z += np.uint64((int(self.key) + draw * _GOLDEN) & _MASK)
+        z += np.uint64((self.key + draw * _GOLDEN) & _MASK)
         z = _mix64(z)
         z >>= np.uint64(64 - WORD_BITS)
         return z

@@ -30,12 +30,19 @@ ID2 = np.eye(2, dtype=complex)
 ID4 = np.eye(4, dtype=complex)
 
 
-def unit_vector(v) -> np.ndarray:
+def row_dot(a, b) -> np.ndarray:
+    """Dot products along the last axis, each one the bits of np.dot on its rows."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def unit_vector(v, rows: bool = False) -> np.ndarray:
+    """v as a float unit 3-vector; with rows=True also a (k, 3) stack, checked row by row."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (3,):
+    if v.shape[-1:] != (3,) or v.ndim > (2 if rows else 1):
         raise NonUnitVector(f"expected 3 components, got shape {v.shape}")
-    if abs(np.dot(v, v) - 1.0) > 1e-9:
-        raise NonUnitVector(f"|v| = {np.linalg.norm(v):.12f} is not 1")
+    off = np.abs(row_dot(v, v) - 1.0) > 1e-9
+    if off.any():
+        raise NonUnitVector(f"|v| = {np.linalg.norm(v[off][0]):.12f} is not 1")
     return v
 
 
@@ -49,10 +56,21 @@ def ladder_settings(variables, start: float, step: float) -> dict:
     return {var: plane_vector(start + i * step) for i, var in enumerate(variables)}
 
 
+def dot_sigma(n) -> np.ndarray:
+    """n0 X + n1 Y + n2 Z for a 3-vector, or a (k, 2, 2) stack for a (k, 3) stack."""
+    n0, n1, n2 = np.moveaxis(np.asarray(n), -1, 0)[..., None, None]
+    return n0 * PAULI_X + n1 * PAULI_Y + n2 * PAULI_Z
+
+
+def kron2(a, b) -> np.ndarray:
+    """np.kron of two 2x2 operators, or of stacks of them: the same products, broadcast."""
+    products = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return products.reshape(products.shape[:-4] + (4, 4))
+
+
 def pauli_observable(direction) -> np.ndarray:
     """n . sigma for a unit Bloch vector n; Hermitian with eigenvalues ±1."""
-    n = unit_vector(direction)
-    return n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z
+    return dot_sigma(unit_vector(direction))
 
 
 def projectors(direction):
@@ -74,7 +92,7 @@ def qubit_state(direction) -> np.ndarray:
 
 def product_state(n_a, n_b) -> np.ndarray:
     """Two-qubit product state |n_a><n_a| x |n_b><n_b|."""
-    return np.kron(qubit_state(n_a), qubit_state(n_b))
+    return kron2(qubit_state(n_a), qubit_state(n_b))
 
 
 def maximally_mixed(dimension: int) -> np.ndarray:
@@ -97,9 +115,9 @@ def validate_density(rho) -> np.ndarray:
 def _embed(op, subsystem: int) -> np.ndarray:
     """Lift a 2x2 operator onto one factor of a two-qubit space."""
     if subsystem == 0:
-        return np.kron(op, ID2)
+        return kron2(op, ID2)
     if subsystem == 1:
-        return np.kron(ID2, op)
+        return kron2(ID2, op)
     raise DimensionMismatch(f"subsystem must be 0 or 1, got {subsystem}")
 
 
@@ -108,7 +126,7 @@ def spatial_correlator(rho, a, b) -> float:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise DimensionMismatch(f"spatial correlator needs a 4x4 state, got {rho.shape}")
-    value = np.trace(rho @ np.kron(pauli_observable(a), pauli_observable(b)))
+    value = np.trace(rho @ kron2(pauli_observable(a), pauli_observable(b)))
     return float(value.real)
 
 
@@ -211,9 +229,9 @@ def product_ladder_settings():
 
 
 def _hybrid_vectors(settings):
-    """Unit vectors of X1, X2, Y1, Y2 from a settings map."""
+    """Unit vectors of X1, X2, Y1, Y2 from a settings map: (3,) each, or (k, 3) stacks."""
     return tuple(
-        unit_vector(settings[VariableId(letter, index)])
+        unit_vector(settings[VariableId(letter, index)], rows=True)
         for letter, index in (("X", 1), ("X", 2), ("Y", 1), ("Y", 2))
     )
 
@@ -236,13 +254,12 @@ def build_f_operator(settings):
 
     S1 carries the two sequential terms as the scalar
     (x1.x2 + y1.y2) times identity; S2 carries the tensor terms
-    (x1.sigma)x(y2.sigma) - (x2.sigma)x(y1.sigma).
+    (x1.sigma)x(y2.sigma) - (x2.sigma)x(y1.sigma).  Settings given as
+    (k, 3) stacks give (k, 4, 4) stacks, each equal to its row's operator.
     """
     x1, x2, y1, y2 = _hybrid_vectors(settings)
-    s1 = float(x1 @ x2 + y1 @ y2) * ID4
-    s2 = np.kron(pauli_observable(x1), pauli_observable(y2)) - np.kron(
-        pauli_observable(x2), pauli_observable(y1)
-    )
+    s1 = (row_dot(x1, x2) + row_dot(y1, y2))[..., None, None] * ID4
+    s2 = kron2(dot_sigma(x1), dot_sigma(y2)) - kron2(dot_sigma(x2), dot_sigma(y1))
     return s1 + s2, s1, s2
 
 
@@ -250,17 +267,13 @@ def s2_square_closed_form(settings) -> np.ndarray:
     """2[I - (x1.x2)(y1.y2) - ((x1 cross x2).sigma) x ((y1 cross y2).sigma)].
 
     Independent of build_f_operator's matrix product; the two must agree
-    element by element.
+    element by element.  Stacks broadcast as in build_f_operator.
     """
     x1, x2, y1, y2 = _hybrid_vectors(settings)
-    cx = np.cross(x1, x2)
-    cy = np.cross(y1, y2)
-
-    def dot_sigma(v):
-        return v[0] * PAULI_X + v[1] * PAULI_Y + v[2] * PAULI_Z
-
+    scalar = 1.0 - row_dot(x1, x2) * row_dot(y1, y2)
     return 2.0 * (
-        ID4 * (1.0 - (x1 @ x2) * (y1 @ y2)) - np.kron(dot_sigma(cx), dot_sigma(cy))
+        ID4 * scalar[..., None, None]
+        - kron2(dot_sigma(np.cross(x1, x2)), dot_sigma(np.cross(y1, y2)))
     )
 
 

@@ -349,6 +349,16 @@ class TestReproduce:
         assert code == 0, err
         assert out.encode() == golden.read_bytes()
 
+    @pytest.mark.parametrize("target, golden", [
+        ("s2-identity", "s2_identity_default.json"),
+        ("hybrid-singlet", "hybrid_singlet_default.json"),
+    ])
+    def test_quantum_default_reports_are_pinned(self, capsys, target, golden):
+        """Recorded before the grid scan broadcast its tables and s2-identity stacked its trials."""
+        code, out, err = run_cli(capsys, "reproduce", target, "--format", "json")
+        assert code == 0, err
+        assert out.encode() == (Path(__file__).parent / "data" / golden).read_bytes()
+
     @pytest.mark.parametrize("argv, golden, code", [
         (("--shots", "2"), "protocol_mc_shots_2.json", 1),
         (("--shots", "3"), "protocol_mc_shots_3.json", 1),

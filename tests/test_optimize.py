@@ -443,6 +443,11 @@ def _grid_case(name):
     if name == "full-sphere":
         p = SettingsParametrization(hybrid_vars, rho=singlet, full_sphere=True)
         return hybrid, singlet, p, 6, None
+    if name == "chsh-reversed-16":
+        # variables listed against their term order, so every term reads descending columns
+        chsh = derive_inequality(catalog.chsh_source())
+        p = SettingsParametrization((y(2), y(1), x(2), x(1)), rho=singlet)
+        return chsh, singlet, p, 16, None
     # one X1Y1 term whose sub-grid exceeds a chunk, so it is evaluated on the rows
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EvenGroupWarning)
@@ -451,14 +456,30 @@ def _grid_case(name):
         return pair, singlet, SettingsParametrization((x(1), y(1)), rho=singlet), 300, None
     if name == "pair-product-48":
         return pair, PRODUCT_FAMILY, SettingsParametrization((x(1), y(1)), mode=PRODUCT_FAMILY), 48, None
+    if name == "triple-product-41":
+        # two tensor terms evaluated on the rows, added around one tabled sequential term
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EvenGroupWarning)
+            triple = derive_inequality(parse_sos("(X1 - Y1 + X2)^2 >= 0"))
+        p = SettingsParametrization((x(1), x(2), y(1)), mode=PRODUCT_FAMILY)
+        return triple, PRODUCT_FAMILY, p, 41, None
     raise KeyError(name)
 
 
 GRID_CASES = [
     "hybrid-singlet-24", "hybrid-singlet-17", "hybrid-mixed", "chsh-singlet", "kcbs-mixed",
-    "lg-scenario", "product-tied", "product-untied", "full-sphere", "pair-singlet-300",
-    "pair-product-48",
+    "lg-scenario", "product-tied", "product-untied", "full-sphere", "chsh-reversed-16",
+    "pair-singlet-300", "pair-product-48", "triple-product-41",
 ]
+
+
+def _scan_layout(name):
+    """(outer axes, per term: its columns and whether it is evaluated on the rows)."""
+    ineq, _, p, grid, scenario = _grid_case(name)
+    m = p.dimension
+    outer = min(k for k in range(m + 1) if grid ** (m - k) <= optimize._BATCH)
+    terms = optimize._objective_terms(ineq, p, scenario)
+    return outer, [(columns, grid ** len(columns) > optimize._BATCH) for _, columns, _ in terms]
 
 
 @pytest.fixture(scope="module")
@@ -536,6 +557,16 @@ def _outcome(ineq, state, p, grid, scenario, budget):
 
 class TestGridTables:
     """The table-driven grid scan against the per-row reference, bit for bit."""
+
+    def test_cases_cover_every_scan_layout(self):
+        layouts = {name: _scan_layout(name) for name in GRID_CASES}
+        assert layouts["chsh-reversed-16"][0] == 0  # the whole grid is one box
+        assert layouts["hybrid-singlet-24"][0] == 1
+        assert layouts["full-sphere"][0] == 2 and layouts["triple-product-41"][0] == 2
+        assert all(columns != sorted(columns) for columns, _ in layouts["chsh-reversed-16"][1])
+        for name in ("pair-singlet-300", "pair-product-48"):  # one term, on the rows
+            assert [on_rows for _, on_rows in layouts[name][1]] == [True]
+        assert [on_rows for _, on_rows in layouts["triple-product-41"][1]] == [False, True, True]
 
     @pytest.mark.parametrize("name", GRID_CASES)
     def test_every_cell_matches_the_per_row_objective(self, name, reference_chunks):

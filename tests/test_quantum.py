@@ -1,11 +1,14 @@
 """Qubit correlators, the operator split, and the coplanar envelope."""
 
+import json
+
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from corrineq import catalog
+from corrineq.cli import main
 from corrineq.dsl import VariableId, parse_scenario, parse_sos
 from corrineq.errors import (
     DimensionMismatch,
@@ -25,6 +28,7 @@ from corrineq.quantum import (
     evaluate_inequality_quantum,
     hybrid_f_product,
     hybrid_settings,
+    kron2,
     ladder_settings,
     maximally_mixed,
     operator_norm,
@@ -35,6 +39,7 @@ from corrineq.quantum import (
     projectors,
     qubit_layout,
     qubit_state,
+    row_dot,
     s2_square_closed_form,
     sequential_correlator,
     singlet_state,
@@ -414,6 +419,115 @@ class TestS2Square:
         alpha, beta = closed[0, 0], -closed[0, 3]
         rebuilt = alpha * ID4 + beta * np.kron(PAULI_Y, PAULI_Y)
         assert np.abs(closed - rebuilt).max() < 1e-12
+
+
+def _reference_sigma(n):
+    return n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z
+
+
+def _reference_f_operator(settings):
+    """build_f_operator for one settings map, as written before stacking."""
+    x1, x2, y1, y2 = (settings[v] for v in HYBRID_VARS)
+    s1 = float(x1 @ x2 + y1 @ y2) * ID4
+    s2 = np.kron(_reference_sigma(x1), _reference_sigma(y2)) - np.kron(
+        _reference_sigma(x2), _reference_sigma(y1)
+    )
+    return s1 + s2, s1, s2
+
+
+def _reference_closed_form(settings):
+    x1, x2, y1, y2 = (settings[v] for v in HYBRID_VARS)
+    cross = np.kron(_reference_sigma(np.cross(x1, x2)), _reference_sigma(np.cross(y1, y2)))
+    return 2.0 * (ID4 * (1.0 - (x1 @ x2) * (y1 @ y2)) - cross)
+
+
+def _reference_trials(seed):
+    """The s2-identity target trial by trial: S2, its closed form and |S2^2 - closed|."""
+    rng = np.random.default_rng(seed)
+    s2s, closed = [], []
+    for _ in range(100):
+        raw = rng.normal(size=(4, 3))
+        settings = {v: row / np.linalg.norm(row) for v, row in zip(HYBRID_VARS, raw)}
+        s2s.append(_reference_f_operator(settings)[2])
+        closed.append(_reference_closed_form(settings))
+    s2s, closed = np.array(s2s), np.array(closed)
+    return s2s, closed, np.abs(s2s @ s2s - closed)
+
+
+def _stacked_settings(seed):
+    raw = np.random.default_rng(seed).normal(size=(100, 4, 3))
+    return dict(zip(HYBRID_VARS, np.moveaxis(raw / np.sqrt(row_dot(raw, raw))[..., None], 1, 0)))
+
+
+def _same_bits(got, expected):
+    parts = ((got.real, expected.real), (got.imag, expected.imag))
+    return got.shape == expected.shape and all(
+        np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)) for a, b in parts
+    )
+
+
+S2_SEEDS = [12345, *range(21)]
+
+
+class TestStackedS2:
+    """Settings stacked over trials against the trial-by-trial reference, bit for bit."""
+
+    @pytest.mark.parametrize("seed", S2_SEEDS)
+    def test_stack_matches_the_trial_loop(self, seed):
+        settings = _stacked_settings(seed)
+        _, _, s2 = build_f_operator(settings)
+        closed = s2_square_closed_form(settings)
+        ref_s2, ref_closed, ref_deviation = _reference_trials(seed)
+        assert _same_bits(s2, ref_s2)
+        assert _same_bits(closed, ref_closed)
+        assert _same_bits(np.abs(s2 @ s2 - closed), ref_deviation)
+
+    @pytest.mark.parametrize("seed", S2_SEEDS)
+    def test_cli_reports_the_loop_maximum(self, capsys, seed):
+        code = main(["reproduce", "s2-identity", "--seed", str(seed), "--format", "json"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert report["max_deviation"] == float(_reference_trials(seed)[2].max())
+
+    def test_single_vectors_keep_their_bits(self):
+        rng = np.random.default_rng(53)
+        for _ in range(50):
+            settings = random_settings(rng, HYBRID_VARS)
+            got, expected = build_f_operator(settings), _reference_f_operator(settings)
+            assert all(_same_bits(a, b) for a, b in zip(got, expected))
+            assert _same_bits(s2_square_closed_form(settings), _reference_closed_form(settings))
+            n = settings[x(1)]
+            assert _same_bits(pauli_observable(n), _reference_sigma(n))
+
+    def test_stack_rows_are_their_own_operators(self):
+        settings = _stacked_settings(7)
+        stacked = build_f_operator(settings)
+        for k in (0, 41, 99):
+            row = build_f_operator({v: rows[k] for v, rows in settings.items()})
+            assert all(_same_bits(a[k], b) for a, b in zip(stacked, row))
+
+    @pytest.mark.parametrize("build", [build_f_operator, s2_square_closed_form])
+    def test_one_non_unit_row_raises(self, build):
+        settings = _stacked_settings(3)
+        settings[y(1)] = settings[y(1)].copy()
+        settings[y(1)][17] *= 1.001
+        with pytest.raises(NonUnitVector, match="1.001"):
+            build(settings)
+
+    def test_unit_vector_refuses_other_shapes(self):
+        unit = np.tile([0.0, 0.0, 1.0], (2, 1))
+        assert np.array_equal(unit_vector(unit, rows=True), unit)
+        for shape, rows in (((3, 3, 3), True), ((4, 2), True), ((), True), ((2, 3), False)):
+            with pytest.raises(NonUnitVector, match="3 components"):
+                unit_vector(np.ones(shape) / np.sqrt(3), rows=rows)
+
+    def test_kron2_is_np_kron(self):
+        rng = np.random.default_rng(54)
+        a = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
+        b = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
+        assert _same_bits(kron2(a, b), np.array([np.kron(p, q) for p, q in zip(a, b)]))
+        assert _same_bits(kron2(a[0], ID2), np.kron(a[0], ID2))
+        assert _same_bits(kron2(ID2, b[1]), np.kron(ID2, b[1]))
 
 
 class TestEnvelope:
