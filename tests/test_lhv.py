@@ -1,5 +1,6 @@
 """Classical bounds, joint-distribution feasibility, and no-disturbance LPs."""
 
+import json
 import math
 import os
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import corrineq
-from corrineq import catalog
+from corrineq import catalog, lhv
 from corrineq.dsl import ScenarioSpec, VariableId
 from corrineq.errors import (
     CoefficientsTooLarge,
@@ -25,6 +26,10 @@ from corrineq.errors import (
 from corrineq.lhv import (
     DeterministicAssignment,
     DhvModel,
+    _assignment_rows,
+    _incidence,
+    _parities,
+    _split_scan,
     classical_extrema,
     jd_feasibility,
     monogamy_check,
@@ -141,6 +146,186 @@ class TestClassicalExtrema:
         )
         with pytest.raises(TooManyVariables):
             classical_extrema(poly)
+
+
+def row_tile_scan(n, terms):
+    """`lhv._split_scan` before high-half rows were grouped by pattern, at
+    its default tile size and without its thread pool: every tile
+    multiplies the ±1 values of all its rows' high monomials by `right`.
+    Kept as the bit-exact reference for the pattern scan."""
+    high = n // 2
+    low = n - high
+    groups = {(): 0}
+    lows = {}
+    split = []
+    for cols, coeff in terms:
+        g = groups.setdefault(tuple(c for c in cols if c < high), len(groups))
+        split.append((g, lows.setdefault(tuple(c - high for c in cols if c >= high), len(lows)), coeff))
+    weights = np.zeros((len(groups), len(lows)))
+    for g, u, coeff in split:
+        weights[g, u] += coeff
+    right = weights @ _parities(_assignment_rows(low), _incidence(low, lows)).T
+    incidence = _incidence(high, groups)
+    rows = min(max(1, (1 << 16) >> low), 1 << high)
+    row_min, row_max = np.empty(1 << high), np.empty(1 << high)
+    arg_min = np.empty(1 << high, dtype=np.int64)
+    arg_max = np.empty(1 << high, dtype=np.int64)
+    for start in range(0, 1 << high, rows):
+        stop = min(start + rows, 1 << high)
+        values = _parities(_assignment_rows(high, np.arange(start, stop)), incidence) @ right
+        at = np.arange(stop - start)
+        lo = arg_min[start:stop] = values.argmin(axis=1)
+        hi = arg_max[start:stop] = values.argmax(axis=1)
+        row_min[start:stop], row_max[start:stop] = values[at, lo], values[at, hi]
+    first = np.arange(1 << high, dtype=np.int64) << low
+    return row_min, first + arg_min, row_max, first + arg_max
+
+
+@st.composite
+def scan_forms(draw, coefficients=st.integers(-3, 3)):
+    """(n, terms) with n <= 18 and degree <= 6: random monomials, or runs
+    of neighbouring columns (wrapping), as in cycles and chains."""
+    n = draw(st.integers(1, 18))
+    scattered = st.lists(st.integers(0, n - 1), unique=True, max_size=min(n, 6))
+    window = st.builds(
+        lambda start, width: [(start + k) % n for k in range(width)],
+        st.integers(0, n - 1), st.integers(1, min(n, 6)),
+    )
+    monomials = draw(st.lists(st.one_of(scattered, window), max_size=12))
+    return n, [(tuple(sorted(cols)), draw(coefficients)) for cols in monomials]
+
+
+def cycle_terms(n, coefficients):
+    return [(tuple(sorted((i, (i + 1) % n))), c) for i, c in zip(range(n), coefficients)]
+
+
+def poly_terms(poly):
+    variables = sorted(poly.variables(), key=VariableId.sort_key)
+    col = {v: i for i, v in enumerate(variables)}
+    return len(variables), [(tuple(sorted(col[v] for v in varset)), c) for varset, c in poly.items()]
+
+
+def dense_poly(n, seed):
+    """The benchmark's dense form: every pair of n variables, coefficients ±1..3."""
+    variables = [x(i) for i in range(1, n + 1)]
+    coeffs = np.random.default_rng(seed).choice(np.array([-3, -2, -1, 1, 2, 3]), size=n * (n - 1) // 2)
+    return MultilinearPoly({frozenset(p): int(c) for p, c in zip(combinations(variables, 2), coeffs)})
+
+
+SCAN_FORMS = {
+    **{f"cycle-{n}": (lambda n=n: derive_inequality(catalog.cycle_source(n)).as_poly()) for n in (19, 21, 23)},
+    **{f"chain-{n}": (lambda n=n: derive_inequality(catalog.alternating_cycle_source(n)).as_poly())
+       for n in (19, 21, 23)},
+    "dense-18": lambda: dense_poly(18, 42),
+    "dense-20": lambda: dense_poly(20, 42),
+}
+
+
+def assert_same_scan(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+
+
+def form_values(n, terms, indices):
+    """The form's value on each assignment index, term by term."""
+    signs = _assignment_rows(n, indices)
+    values = np.zeros(len(indices))
+    for cols, coeff in terms:
+        values += coeff * signs[:, list(cols)].prod(axis=1)
+    return values
+
+
+class TestSplitScan:
+    @settings(max_examples=120, deadline=None)
+    @given(form=scan_forms(), chunk_size=st.sampled_from([1, 7, 1 << 16]), workers=st.sampled_from([None, 2]))
+    # a 6-chain: one varying group besides (), so 4 rows share 2 patterns
+    @example(form=(6, [((i, i + 1), 1) for i in range(5)]), chunk_size=1, workers=2)
+    # no term meets the low half: every group is constant, one pattern
+    @example(form=(8, [((0, 1), 2), ((2,), -1), ((), 3)]), chunk_size=7, workers=None)
+    def test_matches_row_tile_reference(self, form, chunk_size, workers):
+        n, terms = form
+        assert_same_scan(_split_scan(n, terms, chunk_size, workers), row_tile_scan(n, terms))
+
+    @pytest.mark.parametrize("label", sorted(SCAN_FORMS))
+    def test_benchmark_forms_match_row_tile_reference(self, label):
+        n, terms = poly_terms(SCAN_FORMS[label]())
+        want = row_tile_scan(n, terms)
+        for chunk_size, workers in product([1, 7, 1 << 16], [None, 2]):
+            assert_same_scan(_split_scan(n, terms, chunk_size, workers), want)
+
+    @pytest.fixture
+    def tiled_rows(self, monkeypatch):
+        """The number of rows each scan's tiles run over."""
+        counts, tile_extrema = [], lhv._tile_extrema
+
+        def recording(left, right, count, rows, workers):
+            counts.append(count)
+            return tile_extrema(left, right, count, rows, workers)
+
+        monkeypatch.setattr(lhv, "_tile_extrema", recording)
+        return counts
+
+    @pytest.mark.parametrize("label", ["cycle-19", "cycle-23", "chain-23"])
+    def test_sparse_forms_tile_four_patterns_without_the_pool(self, label, tiled_rows, monkeypatch):
+        monkeypatch.setattr(lhv, "ThreadPoolExecutor", None)  # calling it would raise
+        classical_extrema(SCAN_FORMS[label](), workers=2)
+        assert tiled_rows == [4]
+
+    def test_dense_forms_keep_every_row(self, tiled_rows):
+        classical_extrema(SCAN_FORMS["dense-20"](), workers=2)
+        assert tiled_rows == [1 << 10]
+
+    @pytest.mark.parametrize("n", [9, 15, 16])
+    def test_single_tile_scans_keep_every_row(self, n, tiled_rows):
+        _split_scan(n, cycle_terms(n, [1] * n))
+        assert tiled_rows == [1 << n // 2]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        form=scan_forms(st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)),
+        chunk_size=st.sampled_from([1, 7, 1 << 16]),
+    )
+    def test_float_weights_within_tolerance(self, form, chunk_size):
+        self.check_float_weights(*form, chunk_size)
+
+    @pytest.mark.parametrize("n", [17, 19])
+    def test_float_weighted_cycles_within_tolerance(self, n):
+        """The shape of `jd_feasibility`'s pricing scans: cycle edges under
+        Farkas-like float weights."""
+        rng = np.random.default_rng(n)
+        self.check_float_weights(n, cycle_terms(n, rng.normal(size=n).tolist()), 1 << 16)
+
+    @staticmethod
+    def check_float_weights(n, terms, chunk_size):
+        tol = 1e-12 * sum(abs(c) for _, c in terms)
+        lo, lo_at, hi, hi_at = _split_scan(n, terms, chunk_size)
+        ref_lo, _, ref_hi, _ = row_tile_scan(n, terms)
+        assert np.abs(lo - ref_lo).max() <= tol
+        assert np.abs(hi - ref_hi).max() <= tol
+        assert np.abs(form_values(n, terms, lo_at) - lo).max() <= tol
+        assert np.abs(form_values(n, terms, hi_at) - hi).max() <= tol
+        low = n - n // 2
+        first = np.arange(len(lo)) << low
+        for at in (lo_at, hi_at):  # each index lies in its own row
+            assert ((at >= first) & (at < first + (1 << low))).all()
+
+    @pytest.mark.parametrize("label", ["cycle-23", "chain-23"])
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_pinned_results(self, label, workers):
+        """Fields written by the row-tile scan, compared exactly."""
+        want = json.loads((Path(__file__).parent / "data" / "extrema_23.json").read_text())[label]
+        res = classical_extrema(SCAN_FORMS[label](), workers=workers)
+        assert res.minimum == want["minimum"] and res.maximum == want["maximum"]
+        assert res.assignments_checked == want["assignments_checked"]
+        for got, key in ((res.witness_min, "witness_min"), (res.witness_max, "witness_max")):
+            assert {str(v): value for v, value in got.values.items()} == want[key]
+
+    @pytest.mark.parametrize("chunk_size", [0, -3, 2.5, True])
+    def test_rejects_bad_chunk_size(self, chunk_size, monkeypatch):
+        monkeypatch.setattr(lhv, "_split_scan", None)  # the check comes before the scan
+        with pytest.raises(ValueError, match="chunk_size"):
+            classical_extrema(derive_inequality(catalog.chsh_source()), chunk_size=chunk_size)
 
 
 class TestModelsAndDistributions:
