@@ -21,7 +21,7 @@ import numpy as np
 
 from . import catalog
 from .dsl import VariableId, format_sos, parse_scenario, parse_sos, parse_variable
-from .errors import AssertionFailure, TermOutsideContext
+from .errors import AssertionFailure, TermOutsideContext, TooManyVariables
 from .lhv import classical_extrema, jd_feasibility, monogamy_check, nodisturbance_optimum
 from .optimize import maximize_violation, scan_envelope
 from .polynomials import (
@@ -256,7 +256,7 @@ def cmd_check(args) -> int:
             try:
                 nd = nodisturbance_optimum(scenario, cert.pair_coefficients, "max")
                 report["certificate"]["nodisturbance_max"] = nd.value
-            except TermOutsideContext:
+            except (TermOutsideContext, TooManyVariables):
                 report["certificate"]["nodisturbance_max"] = None
     emit(report, args.format)
     return 0 if result.feasible else 1

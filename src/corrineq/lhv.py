@@ -31,6 +31,7 @@ from .simplex import INFEASIBLE, OPTIMAL, FEASIBILITY_TOL, LpProblem, simplex_so
 
 EXTREMA_VARIABLE_CAP = 24
 FEASIBILITY_VARIABLE_CAP = 20
+ND_TABLEAU_CAP = 1 << 24  # cells of the no-disturbance LP's simplex tableau
 EXACT_SUM_LIMIT = 1 << 53  # float64 adds integers exactly below this magnitude
 WEIGHT_TOL = 1e-12
 # column generation in jd_feasibility: the master LP starts from this many
@@ -105,11 +106,14 @@ def _incidence(n, monomials) -> np.ndarray:
     return out
 
 
+_SIGNS = np.array([1.0, -1.0])
+
+
 def _parities(assignments, incidence) -> np.ndarray:
     """±1 value of each monomial (a column of `incidence`) on each assignment row."""
     negatives = (assignments < 0).astype(float)  # float: a BLAS product
     odd = (negatives @ incidence).astype(np.int64) & 1  # integer parity; float % is slow
-    return 1.0 - 2.0 * odd
+    return _SIGNS[odd]  # a gather: faster than converting the parities to float
 
 
 def _split_scan(n, terms, chunk_size=1 << 16, workers=None):
@@ -446,62 +450,80 @@ def nodisturbance_optimum(scenario, objective, direction="max", enforce_consiste
     tuples; overlapping contexts must agree on the marginal of every
     shared outcome pattern.  Setting enforce_consistency=False drops the
     marginal rows, leaving independent per-context tables.
+
+    The LP has one column per outcome of each context, and one row per
+    context plus one per shared pattern of each overlapping pair.  When
+    its simplex tableau, rows * (columns + rows + 1) cells, would exceed
+    ND_TABLEAU_CAP, TooManyVariables is raised before any table is built.
     """
     if direction not in ("min", "max"):
         raise ValueError(f"direction must be min or max, got {direction!r}")
     contexts = [tuple(sorted(ctx, key=VariableId.sort_key)) for ctx in scenario.contexts]
     if not contexts:
         raise TermOutsideContext("scenario declares no contexts")
-    tables = [_assignment_rows(len(ctx)) for ctx in contexts]
-    spans, total = [], 0  # each context's slice of the LP's columns
-    for table in tables:
-        spans.append(slice(total, total + len(table)))
-        total += len(table)
+    places = [{var: i for i, var in enumerate(ctx)} for ctx in contexts]
     homes = {}  # variable -> contexts holding it, in declaration order
     for ci, ctx in enumerate(contexts):
         for var in ctx:
             homes.setdefault(var, []).append(ci)
 
-    pairs = _objective_pairs(objective)
-    c_vec = np.zeros(total)
-    for pair, coeff in pairs.items():
+    terms = []  # (context, its columns of the pair's variables, coefficient)
+    for pair, coeff in _objective_pairs(objective).items():
         a, b = sorted(pair, key=VariableId.sort_key)
-        home = next((ci for ci in homes.get(a, ()) if b in contexts[ci]), None)
+        home = next((ci for ci in homes.get(a, ()) if b in places[ci]), None)
         if home is None:
             raise TermOutsideContext(f"{a}{b} lies in no declared context")
-        ia, ib = contexts[home].index(a), contexts[home].index(b)
-        c_vec[spans[home]] += coeff * tables[home][:, ia] * tables[home][:, ib]
-
-    normalization = np.zeros((len(contexts), total))
-    for ci, span in enumerate(spans):
-        normalization[ci, span] = 1.0
-    rows, rhs = [normalization], [1.0] * len(contexts)
+        terms.append((home, places[home][a], places[home][b], coeff))
+    overlaps = []  # (ci, cj, shared variables' columns in ci, and in cj) for ci < cj
     if enforce_consistency:
         for ci, ctx in enumerate(contexts):
             for cj in sorted({cj for var in ctx for cj in homes[var] if cj > ci}):
-                shared = sorted(set(ctx) & set(contexts[cj]), key=VariableId.sort_key)
-                patterns = _assignment_rows(len(shared))
-                # one row per shared pattern: ci's cells showing it minus cj's
-                block = np.zeros((len(patterns), total))
-                for ck, sign in ((ci, 1.0), (cj, -1.0)):
-                    seen = tables[ck][:, [contexts[ck].index(v) for v in shared]]
-                    block[:, spans[ck]] += sign * (seen[None, :, :] == patterns[:, None, :]).all(axis=2)
-                rows.append(block)
-                rhs.extend([0.0] * len(patterns))
+                shared = [var for var in ctx if var in places[cj]]
+                overlaps.append((ci, cj, tuple(places[ci][v] for v in shared),
+                                 tuple(places[cj][v] for v in shared)))
+    starts = [0]  # each context's first LP column
+    for ctx in contexts:
+        starts.append(starts[-1] + (1 << len(ctx)))
+    total = starts[-1]
+    m = len(contexts) + sum(1 << len(cols) for _, _, cols, _ in overlaps)
+    cells = m * (total + m + 1)
+    if cells > ND_TABLEAU_CAP:
+        raise TooManyVariables(f"the no-disturbance tableau has {cells} cells, above the cap of {ND_TABLEAU_CAP}")
 
-    problem = LpProblem(
-        c=c_vec, a_eq=np.vstack(rows), b_eq=np.array(rhs), maximize=(direction == "max")
-    )
+    tables = {k: _assignment_rows(k) for k in {len(ctx) for ctx in contexts}}  # one per context size
+    c_vec = np.zeros(total)
+    for home, ia, ib, coeff in terms:
+        table = tables[len(contexts[home])]
+        c_vec[starts[home]:starts[home + 1]] += coeff * table[:, ia] * table[:, ib]
+    a_eq = np.zeros((m, total))
+    b_eq = np.zeros(m)
+    b_eq[:len(contexts)] = 1.0
+    a_eq[np.repeat(np.arange(len(contexts)), np.diff(starts)), np.arange(total)] = 1.0
+    # one row per shared pattern: ci's cells showing it minus cj's.  A cell's
+    # row is the code of its shared variables' bits, the first most significant
+    # (the order of _assignment_rows); `offsets` holds each cell's flat offset
+    # from the block's first row and the context's first column
+    flat, offsets = a_eq.reshape(-1), {}
+    row = len(contexts)
+    for ci, cj, cols_i, cols_j in overlaps:
+        for ck, cols, sign in ((ci, cols_i, 1.0), (cj, cols_j, -1.0)):
+            k = len(contexts[ck])
+            if (k, cols) not in offsets:
+                codes = (tables[k][:, cols] > 0) @ (1 << np.arange(len(cols) - 1, -1, -1))
+                offsets[k, cols] = codes * total + np.arange(1 << k)
+            flat[row * total + starts[ck] + offsets[k, cols]] = sign
+        row += 1 << len(cols_i)
+
+    problem = LpProblem(c=c_vec, a_eq=a_eq, b_eq=b_eq, maximize=(direction == "max"))
     solution = simplex_solve(problem)
     if solution.status != OPTIMAL:
         raise ArithmeticError(f"no-disturbance LP came back {solution.status}")
-    behavior = [
-        {tuple(int(v) for v in outcome): float(p) for outcome, p in zip(table, solution.x[span])}
-        for table, span in zip(tables, spans)
-    ]
-    return NdOptimum(
-        float(solution.objective), direction, tuple(contexts), tuple(behavior), enforce_consistency
+    outcomes = {k: [tuple(outcome) for outcome in table.tolist()] for k, table in tables.items()}
+    x = solution.x.tolist()
+    behavior = tuple(
+        dict(zip(outcomes[len(ctx)], x[starts[ci]:starts[ci + 1]])) for ci, ctx in enumerate(contexts)
     )
+    return NdOptimum(float(solution.objective), direction, tuple(contexts), behavior, enforce_consistency)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,13 @@
 """Dense two-phase simplex with Bland's rule, in float64.
 
 The probability polytopes in this package give sparse tableaux, so each
-pivot is one rank-1 update over only the rows with a nonzero in the pivot
-column and the columns with a nonzero in the pivot row.  The reduced-cost
-row is carried along by the same update and recomputed from scratch
-before a phase ends.  Infeasible problems come back with a Farkas vector
-read off the phase-1 reduced costs, which downstream code turns into a
-violated inequality.
+pivot is one rank-1 update, one scatter through the tableau's flat view,
+over only the rows with a nonzero in the pivot column (read once, for the
+ratio test too) and the columns with a nonzero in the pivot row.  The
+reduced-cost row is carried along and recomputed from scratch before a
+phase ends.  Infeasible problems come back with a Farkas vector read off
+the phase-1 reduced costs, which downstream code turns into a violated
+inequality.
 """
 
 from __future__ import annotations
@@ -71,49 +72,63 @@ class LpSolution:
     basis: list = field(default_factory=list)
 
 
-def _pivot(tab, basis, row, col):
+def _pivot(tab, basis, row, col, rows):
+    """Pivot on (row, col); `rows` lists the pivot column's nonzero rows.
+
+    Each updated entry gets the same multiply and subtract as a row-by-row
+    update.  The update writes through a flat view: `tab` is C-contiguous.
+    """
     piv = tab[row, col]
     if abs(piv) < PIVOT_TOL:
         raise NumericalBreakdown(f"pivot {piv:.3e} below {PIVOT_TOL}")
     tab[row] /= piv
-    # rank-1 update restricted to the nonzeros of the pivot column and row;
-    # each entry sees the same multiply and subtract as a row-by-row update
-    rows = tab[:, col].nonzero()[0]
     rows = rows[rows != row]
     cols = tab[row].nonzero()[0]
-    tab[rows[:, None], cols] -= tab[rows, col][:, None] * tab[row, cols]
+    update = tab[rows, col][:, None] * tab[row, cols]
+    tab.reshape(-1)[(rows * tab.shape[1])[:, None] + cols] -= update
     basis[row] = col
 
 
-def _run_simplex(tab, basis, cost, allowed, max_iter):
+def _entering(r, limit):
+    """Bland's entering column: the first of r[:limit] below -OPTIMALITY_TOL, or None."""
+    improving = r[:limit] < -OPTIMALITY_TOL
+    if improving.size:
+        entering = int(improving.argmax())  # first True
+        if improving[entering]:
+            return entering
+    return None
+
+
+def _run_simplex(tab, basis, cost, limit, max_iter):
     """Minimize cost over the tableau in place.  Bland's rule throughout.
 
     tab has shape (m, width+1) with the rhs in the last column; `cost` is
-    length width and `basis` an integer array updated in place.  The
-    reduced costs r = c - c_B . tab are carried from pivot to pivot and
-    recomputed from scratch before optimality is declared, so the returned
-    (reduced_costs, objective, status, iterations) read the final tableau.
+    length width and `basis` an integer array updated in place.  Only the
+    first `limit` columns may enter.  The reduced costs r = c - c_B . tab
+    are carried from pivot to pivot and recomputed from scratch before
+    optimality is declared, so the returned (reduced_costs, objective,
+    status, iterations) read the final tableau.
     """
     wide = tab.shape[1] - 1
     iterations = 0
     r = cost - cost[basis] @ tab[:, :wide]
     while True:
-        candidates = allowed & (r < -OPTIMALITY_TOL)
-        if not candidates.any():
+        entering = _entering(r, limit)
+        if entering is None:
             c_b = cost[basis]
             r = cost - c_b @ tab[:, :wide]
-            candidates = allowed & (r < -OPTIMALITY_TOL)
-            if not candidates.any():
+            entering = _entering(r, limit)
+            if entering is None:
                 return r, float(c_b @ tab[:, wide]), OPTIMAL, iterations
-        entering = int(np.argmax(candidates))  # first True: Bland's entering rule
         column = tab[:, entering]
-        rows = (column > FEASIBILITY_TOL).nonzero()[0]
-        if not rows.size:
+        nonzero = column.nonzero()[0]  # read once: the ratio test's rows and the update's
+        eligible = nonzero[column[nonzero] > FEASIBILITY_TOL]
+        if not eligible.size:
             return r, None, UNBOUNDED, iterations
-        ratios = tab[rows, wide] / column[rows]
-        ties = rows[ratios <= ratios.min() + 1e-12]
+        ratios = tab[eligible, wide] / column[eligible]
+        ties = eligible[ratios <= ratios.min() + 1e-12]
         leaving = int(ties[np.argmin(basis[ties])])  # smallest basis index on ties
-        _pivot(tab, basis, leaving, entering)
+        _pivot(tab, basis, leaving, entering, nonzero)
         r -= r[entering] * tab[leaving, :wide]
         iterations += 1
         if iterations > max_iter:
@@ -153,9 +168,8 @@ def simplex_solve(problem: LpProblem) -> LpSolution:
 
     phase1_cost = np.zeros(wide)
     phase1_cost[art] = 1.0
-    allowed = np.ones(wide, dtype=bool)
     max_iter = 5000 + 50 * (m + wide)
-    r1, val1, status, it1 = _run_simplex(tab, basis, phase1_cost, allowed, max_iter)
+    r1, val1, status, it1 = _run_simplex(tab, basis, phase1_cost, wide, max_iter)
     if status == UNBOUNDED:
         raise NumericalBreakdown("phase 1 reported unbounded; artificial objective is bounded below")
     if val1 > FEASIBILITY_TOL:
@@ -169,7 +183,7 @@ def simplex_solve(problem: LpProblem) -> LpSolution:
         if basis[i] >= n + m_ub:
             nonzero = np.flatnonzero(np.abs(tab[i, :n + m_ub]) > FEASIBILITY_TOL)
             if nonzero.size:
-                _pivot(tab, basis, i, int(nonzero[0]))
+                _pivot(tab, basis, i, int(nonzero[0]), tab[:, nonzero[0]].nonzero()[0])
             else:
                 keep[i] = False
     if not keep.all():
@@ -177,8 +191,8 @@ def simplex_solve(problem: LpProblem) -> LpSolution:
 
     phase2_cost = np.zeros(wide)
     phase2_cost[:n] = c
-    allowed[art] = False
-    r2, val2, status, it2 = _run_simplex(tab, basis, phase2_cost, allowed, max_iter)
+    # the artificials are the trailing columns and never re-enter
+    r2, val2, status, it2 = _run_simplex(tab, basis, phase2_cost, n + m_ub, max_iter)
     if status == UNBOUNDED:
         return LpSolution(UNBOUNDED, None, None, iterations=it1 + it2)
     x = np.zeros(wide)

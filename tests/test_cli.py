@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from corrineq import lhv
 from corrineq.cli import TARGETS, _pair_key, build_parser, main
 from corrineq.dsl import parse_variable
 from corrineq.optimize import scan_envelope
@@ -221,6 +222,17 @@ class TestCheck:
         assert (code, out) == (2, "")
         assert err.startswith("error: tolerance is ")
         assert err.endswith("expected a finite non-negative number\n")
+
+    def test_nodisturbance_over_the_cap_is_null(self, capsys, monkeypatch):
+        monkeypatch.setattr(lhv, "ND_TABLEAU_CAP", 10)
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "chsh_infeasible.json"
+        code, out, _ = run_cli(
+            capsys, "check", "--input", str(path), "--scenario", data_file("chsh.scn"),
+            "--format", "json",
+        )
+        assert code == 1
+        assert '"nodisturbance_max": null' in out
+        assert json.loads(out)["certificate"]["violation"] > 0.8
 
     def test_zero_tolerance_is_allowed(self, capsys, tmp_path):
         path = self.write_input(tmp_path, {"X1Y1": 0.5})

@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 from itertools import combinations, product
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -234,6 +235,15 @@ def form_values(n, terms, indices):
     for cols, coeff in terms:
         values += coeff * signs[:, list(cols)].prod(axis=1)
     return values
+
+
+def test_parities_match_the_float_expression():
+    rng = np.random.default_rng(11)
+    for n, k, rows in ((1, 1, 1), (5, 3, 32), (14, 9, 4096)):
+        assignments = _assignment_rows(n, rng.choice(1 << n, rows, replace=False))
+        incidence = (rng.random((n, k)) < 0.4).astype(float)
+        odd = ((assignments < 0).astype(float) @ incidence).astype(np.int64) & 1
+        assert_same_bits(_parities(assignments, incidence), 1.0 - 2.0 * odd)
 
 
 class TestSplitScan:
@@ -616,6 +626,165 @@ class TestNoDisturbance:
             total = sum(table.values())
             assert total == pytest.approx(1.0, abs=1e-8)
             assert min(table.values()) >= -1e-9
+
+
+def monogamy_objective():
+    derived = derive_inequality(catalog.monogamy_source())
+    return {m.variables: float(m.coefficient) for m in derived.terms}
+
+
+def cycle_objective(n):
+    return {frozenset({x(i), x(i % n + 1)}): 1.0 for i in range(1, n + 1)}
+
+
+def reference_nd_lp(scenario, objective, enforce_consistency):
+    """The no-disturbance LP as the per-pair builder made it: one assignment
+    table per context and per overlapping pair, and one 3-D comparison per
+    pair side.  Returns (c, a_eq, b_eq, behavior(x))."""
+    contexts = [tuple(sorted(ctx, key=VariableId.sort_key)) for ctx in scenario.contexts]
+    tables = [_assignment_rows(len(ctx)) for ctx in contexts]
+    spans, total = [], 0
+    for table in tables:
+        spans.append(slice(total, total + len(table)))
+        total += len(table)
+    homes = {}
+    for ci, ctx in enumerate(contexts):
+        for var in ctx:
+            homes.setdefault(var, []).append(ci)
+
+    c_vec = np.zeros(total)
+    for pair, coeff in lhv._objective_pairs(objective).items():
+        a, b = sorted(pair, key=VariableId.sort_key)
+        home = next(ci for ci in homes.get(a, ()) if b in contexts[ci])
+        ia, ib = contexts[home].index(a), contexts[home].index(b)
+        c_vec[spans[home]] += coeff * tables[home][:, ia] * tables[home][:, ib]
+
+    normalization = np.zeros((len(contexts), total))
+    for ci, span in enumerate(spans):
+        normalization[ci, span] = 1.0
+    rows, rhs = [normalization], [1.0] * len(contexts)
+    if enforce_consistency:
+        for ci, ctx in enumerate(contexts):
+            for cj in sorted({cj for var in ctx for cj in homes[var] if cj > ci}):
+                shared = sorted(set(ctx) & set(contexts[cj]), key=VariableId.sort_key)
+                patterns = _assignment_rows(len(shared))
+                block = np.zeros((len(patterns), total))
+                for ck, sign in ((ci, 1.0), (cj, -1.0)):
+                    seen = tables[ck][:, [contexts[ck].index(v) for v in shared]]
+                    block[:, spans[ck]] += sign * (seen[None, :, :] == patterns[:, None, :]).all(axis=2)
+                rows.append(block)
+                rhs.extend([0.0] * len(patterns))
+
+    def behavior(x):
+        return tuple(
+            {tuple(int(v) for v in outcome): float(p) for outcome, p in zip(table, x[span])}
+            for table, span in zip(tables, spans)
+        )
+    return c_vec, np.vstack(rows), np.array(rhs), behavior
+
+
+def random_nd_scenario(seed):
+    """A scenario with contexts of one to four variables, some nested or
+    repeated, and a float objective on pairs inside them."""
+    rng = np.random.default_rng(seed)
+    variables = tuple(VariableId(letter, i) for letter in "XY" for i in range(1, 4))
+    contexts = []
+    for _ in range(int(rng.integers(2, 6))):
+        size = int(rng.integers(1, 5))
+        contexts.append(frozenset(variables[i] for i in rng.choice(len(variables), size, replace=False)))
+    scenario = ScenarioSpec(variables, {v: v.letter for v in variables}, tuple(contexts))
+    pairs = {frozenset(p) for ctx in contexts for p in combinations(ctx, 2)}
+    pairs = sorted(pairs, key=lambda p: sorted(v.sort_key() for v in p))
+    objective = {pair: round(float(rng.normal()), 3) for pair in pairs if rng.random() < 0.7}
+    return scenario, objective
+
+
+ND_BUILDER_CASES = {
+    **{f"cycle-{n}": (lambda n=n: (catalog.cycle_scenario(n), cycle_objective(n), "min"))
+       for n in (3, 4, 5, 6, 7, 8, 9, 101)},
+    "chsh": lambda: (catalog.chsh_scenario(),
+                     {m.variables: float(m.coefficient) for m in derive_inequality(catalog.chsh_source()).terms},
+                     "max"),
+    "kcbs": lambda: (catalog.kcbs_scenario(),
+                     {m.variables: float(m.coefficient) for m in derive_inequality(catalog.kcbs_source()).terms},
+                     "min"),
+    "monogamy": lambda: (catalog.monogamy_scenario(), monogamy_objective(), "min"),
+    **{f"random-{seed}": (lambda seed=seed: (*random_nd_scenario(seed), "max")) for seed in range(8)},
+}
+
+
+def assert_same_bits(got, want):
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+class TestNoDisturbanceBuilder:
+    @pytest.mark.parametrize("enforce", [True, False])
+    @pytest.mark.parametrize("case", sorted(ND_BUILDER_CASES))
+    def test_matches_per_pair_reference(self, case, enforce):
+        scenario, objective, direction = ND_BUILDER_CASES[case]()
+        solved = []
+
+        def recording_solve(problem):
+            solved.append((problem, simplex_solve(problem)))
+            return solved[-1][1]
+
+        with mock.patch.object(lhv, "simplex_solve", recording_solve):
+            opt = nodisturbance_optimum(scenario, objective, direction, enforce_consistency=enforce)
+        c_vec, a_eq, b_eq, behavior = reference_nd_lp(scenario, objective, enforce)
+        (problem, solution), = solved
+        assert_same_bits(problem.c, c_vec)
+        assert_same_bits(problem.a_eq, a_eq)
+        assert_same_bits(problem.b_eq, b_eq)
+        assert problem.maximize == (direction == "max")
+        # repr tells -0.0 from 0.0 and np.int64 from int
+        assert repr(opt.behavior) == repr(behavior(solution.x))
+        assert opt.value == solution.objective
+
+    def test_random_scenarios_mix_context_sizes(self):
+        sizes = {len(ctx) for seed in range(8) for ctx in random_nd_scenario(seed)[0].contexts}
+        assert sizes == {1, 2, 3, 4}
+
+
+class TestNoDisturbanceCap:
+    def test_refuses_before_building_any_table(self, monkeypatch):
+        # two contexts of 16 variables sharing 15: a 2**15 x 2**17 consistency block
+        shared = [x(i) for i in range(1, 16)]
+        variables = tuple(shared + [x(16), x(17)])
+        scenario = ScenarioSpec(variables, {v: "X" for v in variables},
+                                (frozenset(shared + [x(16)]), frozenset(shared + [x(17)])))
+
+        def no_tables(*args, **kwargs):
+            raise AssertionError("an assignment table was built")
+
+        monkeypatch.setattr(lhv, "_assignment_rows", no_tables)
+        with pytest.raises(TooManyVariables, match="above the cap"):
+            nodisturbance_optimum(scenario, {frozenset({x(1), x(2)}): 1.0}, "max")
+
+    @pytest.mark.parametrize("enforce", [True, False])
+    def test_cap_counts_the_tableau_cells(self, enforce, monkeypatch):
+        # the 3-cycle: 12 columns; 3 normalization rows, plus 2 per overlapping pair
+        rows = 3 + (6 if enforce else 0)
+        cells = rows * (12 + rows + 1)
+        tableaux = []
+
+        def recording_solve(problem):
+            m, n = problem.a_eq.shape
+            tableaux.append(m * (n + m + 1))  # simplex_solve's tableau with no slacks
+            return simplex_solve(problem)
+
+        monkeypatch.setattr(lhv, "simplex_solve", recording_solve)
+        monkeypatch.setattr(lhv, "ND_TABLEAU_CAP", cells)
+        nodisturbance_optimum(catalog.cycle_scenario(3), cycle_objective(3), "min", enforce)
+        assert tableaux == [cells]
+        monkeypatch.setattr(lhv, "ND_TABLEAU_CAP", cells - 1)
+        with pytest.raises(TooManyVariables):
+            nodisturbance_optimum(catalog.cycle_scenario(3), cycle_objective(3), "min", enforce)
+
+    def test_term_outside_context_is_reported_first(self, monkeypatch):
+        monkeypatch.setattr(lhv, "ND_TABLEAU_CAP", 0)
+        with pytest.raises(TermOutsideContext):
+            nodisturbance_optimum(catalog.chsh_scenario(), {frozenset({x(1), x(2)}): 1.0}, "max")
 
 
 @pytest.fixture(scope="module")

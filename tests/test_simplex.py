@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from corrineq import catalog, lhv, simplex
 from corrineq.errors import DimensionMismatch, NumericalBreakdown
+from corrineq.polynomials import derive_inequality
 from corrineq.simplex import (
     FEASIBILITY_TOL,
     INFEASIBLE,
@@ -103,6 +104,16 @@ class TestKnownSolutions:
         sol = solve([1, 1], a_eq=[[1, 1], [2, 2]], b_eq=[1, 2])
         assert sol.status == OPTIMAL
         assert sol.objective == pytest.approx(1.0)
+
+    def test_no_variables(self):
+        # phase 2 may enter no column at all; the parent solver returned optimal here
+        sol = solve(np.zeros(0), a_eq=np.zeros((1, 0)), b_eq=[0.0])
+        assert sol.status == OPTIMAL
+        assert sol.objective == 0.0
+        assert sol.x.shape == (0,) and sol.duals_eq.shape == (1,)
+        assert sol.iterations == 0
+        assert solve(np.zeros(0)).status == OPTIMAL
+        assert solve(np.zeros(0), a_eq=np.zeros((1, 0)), b_eq=[1.0]).status == INFEASIBLE
 
     def test_degenerate_does_not_cycle(self):
         # classic cycling-prone instance; Bland's rule must terminate
@@ -292,9 +303,15 @@ def reference_run_simplex(tab, basis, cost, allowed, max_iter):
 
 
 def reference_kernel():
-    return mock.patch.multiple(
-        simplex, _pivot=reference_pivot, _run_simplex=reference_run_simplex
-    )
+    # the package's kernel gets the pivot column's nonzero rows and the count
+    # of columns that may enter; the reference reads its own and takes a mask
+    def pivot(tab, basis, row, col, rows):
+        reference_pivot(tab, basis, row, col)
+
+    def run_simplex(tab, basis, cost, limit, max_iter):
+        return reference_run_simplex(tab, basis, cost, np.arange(cost.size) < limit, max_iter)
+
+    return mock.patch.multiple(simplex, _pivot=pivot, _run_simplex=run_simplex)
 
 
 def random_matrix(rng, kind, shape):
@@ -367,3 +384,43 @@ class TestAgainstRowByRowKernel:
         assert got.value == want.value == -61.0
         assert pivots[0] == pivots[1] > 0
         assert got.behavior == want.behavior
+
+    @pytest.mark.parametrize("label", ["cycle-101", "monogamy"])
+    def test_nodisturbance_lp_bits(self, label):
+        problems = recorded_nodisturbance_lps(label)
+        assert len(problems) == (4 if label == "monogamy" else 1)
+        for problem in problems:
+            got = simplex_solve(problem)
+            with reference_kernel():
+                want = simplex_solve(problem)
+            assert got.status == OPTIMAL and got.iterations > 0
+            assert_same_solution(got, want)
+            for name in ("x", "duals_eq"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def recorded_nodisturbance_lps(label):
+    """The LPs that nodisturbance_optimum (cycles) or monogamy_check solve."""
+    problems = []
+
+    def recording_solve(problem):
+        problems.append(problem)
+        return simplex_solve(problem)
+
+    with mock.patch.object(lhv, "simplex_solve", recording_solve):
+        if label == "monogamy":
+            derived = derive_inequality(catalog.monogamy_source())
+            scenario = catalog.monogamy_scenario()
+            parts = ({}, {})
+            for mono in derived.terms:
+                parts[scenario.same_party(*mono.variables)][mono.variables] = mono.coefficient
+            lhv.monogamy_check(scenario, *parts)
+        else:
+            n = int(label.split("-")[1])
+            scenario = catalog.cycle_scenario(n)
+            variables = sorted(scenario.variables, key=lambda v: v.sort_key())
+            objective = {
+                frozenset({variables[i], variables[(i + 1) % n]}): 1.0 for i in range(n)
+            }
+            lhv.nodisturbance_optimum(scenario, objective, "min")
+    return problems
