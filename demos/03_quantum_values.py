@@ -3,12 +3,21 @@ How far qubits push past the classical bounds
 =============================================
 
 Every inequality in the catalog caps an algebraic combination of
-correlators at its classical value.  Qubit measurements break those
-caps: entangled pairs for the cross-party combinations, repeated
-measurement of one qubit for the sequential ones.  This script
-evaluates the exact quantum values, confirms them with a numerical
-optimizer, cross-checks against an operator norm, and maps how the
-attainable maximum varies with the two free measurement angles.
+correlators at its classical value.  This script takes three of them,
+`chsh`, `lg` and `hybrid`, and shows qubit measurements breaking their
+caps: an entangled pair for the cross-party combination, repeated
+measurement of one qubit for the sequential one, and both at once for
+the hybrid.  It evaluates their exact quantum values, confirms the
+hybrid's with a numerical optimizer, cross-checks against an operator
+norm, and maps how the attainable maximum varies with the two free
+measurement angles.
+
+The other catalog entries get no quantum value here, and nothing in
+the package computes one.  For the contextual ones (`kcbs`, `cycle7`
+and the KCBS half of `monogamy`) qubits would not do: projective qubit
+measurements admit a noncontextual model, so a KCBS violation needs a
+system of dimension 3 or more (Klyachko, Can, Binicioglu & Shumovsky,
+PRL 101, 020403, 2008).
 """
 
 import numpy as np

@@ -372,9 +372,9 @@ def _target_tsirelson_envelope(args) -> dict:
     never_exceeds = {
         "name": "never-exceeds",
         "expected": f"<= {SQRT8!r}",
-        "actual": float(scan.values.max()),
+        "actual": scan.max_value,
         "tolerance": 1e-12,
-        "pass": bool(scan.values.max() <= SQRT8 + 1e-12),
+        "pass": scan.max_value <= SQRT8 + 1e-12,
     }
     return _finish({
         "target": "tsirelson-envelope",

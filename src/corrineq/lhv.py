@@ -116,89 +116,115 @@ def _parities(assignments, incidence) -> np.ndarray:
     return _SIGNS[odd]  # a gather: faster than converting the parities to float
 
 
-def _split_scan(n, terms, chunk_size=1 << 16, workers=None):
-    """Row-wise extrema of a float64 multilinear form over all 2**n assignments.
+class _SplitPlan:
+    """Row-wise extrema of multilinear forms on fixed monomials over all 2**n assignments.
 
-    `terms` lists (sorted variable columns, coefficient) pairs.  The
-    variables split into a high half (the first n//2, the most
+    The variables split into a high half (the first n//2, the most
     significant bits of the assignment index) and a low half, so index =
-    high * 2**low + low.  Terms are grouped by their high-half monomial,
-    and `right` holds each group's low-half sum on all 2**low low
-    assignments.  A tile of high-half rows is then one matrix product:
-    `left` holds the ±1 value of every group's high monomial on each
-    row, and `left @ right` lists the tile's values in index order.
-
-    A group whose `right` row is the same in every column (its terms
-    have no low-half variable) adds the same amount to a whole high-half
-    row.  When the scan spans several tiles and fewer than n//2 groups
-    vary, those constant groups become a per-row `shift`, and rows with
-    the same ±1 values on the varying groups share one pattern: the
-    tiles then run over one row per pattern, and each pattern's extremes
-    and their columns are copied to its rows and shifted.  For a cycle
-    or a chain that is 4 patterns instead of 2**(n//2) rows.
-
-    A tile covers about `chunk_size` assignments, and at least one row;
-    tiles may be evaluated by a thread pool.  Memory is O(terms * 2**low)
-    while `right` is built, plus O(chunk_size) per tile and, with
-    patterns, O(groups * 2**(n//2)) for every row's signs.  Integer
-    coefficients whose absolute sum is below 2**53 give exact values,
-    the same with and without patterns.
-
-    Returns (row_min, argmin, row_max, argmax), each with one entry per
-    high-half row: the row's extreme values and the earliest assignment
-    index attaining each.
+    high * 2**low + low, and monomials are grouped by their high half.
+    The plan holds what does not depend on the coefficients: each
+    monomial's group and low-half monomial, the low-half monomials' ±1
+    values on all 2**low low assignments, the groups' incidence matrix
+    and each high-half row's first index.  `jd_feasibility` builds one
+    plan per call and scans it under each pricing round's coefficients.
     """
-    high = n // 2
-    low = n - high
-    groups = {(): 0}  # high-half monomial -> row of `right`
-    lows = {}  # low-half monomial -> column of `weights`
-    split = []
-    for cols, coeff in terms:
-        g = groups.setdefault(tuple(c for c in cols if c < high), len(groups))
-        split.append((g, lows.setdefault(tuple(c - high for c in cols if c >= high), len(lows)), coeff))
-    weights = np.zeros((len(groups), len(lows)))
-    for g, u, coeff in split:
-        weights[g, u] += coeff
-    right = weights @ _parities(_assignment_rows(low), _incidence(low, lows)).T
-    incidence = _incidence(high, groups)
-    rows = min(max(1, chunk_size >> low), 1 << high)
-    first = np.arange(1 << high, dtype=np.int64) << low  # index of each row's first assignment
-    # a single-tile scan skips the comparison and keeps the plain row tiles
-    if rows < 1 << high and (varying := (right != right[:, :1]).any(axis=1)).sum() < high:
-        signs = _parities(_assignment_rows(high), incidence)
-        shift = signs[:, ~varying] @ right[~varying, 0]
-        keys = (signs[:, varying] < 0) @ (1 << np.arange(varying.sum()))
-        _, reps, pattern = np.unique(keys, return_index=True, return_inverse=True)
-        left = signs[reps][:, varying]
-        lo, lo_at, hi, hi_at = _tile_extrema(
-            lambda start, stop: left[start:stop], right[varying], len(reps), rows, workers)
-        return (lo[pattern] + shift, first + lo_at[pattern],
-                hi[pattern] + shift, first + hi_at[pattern])
-    lo, lo_at, hi, hi_at = _tile_extrema(
-        lambda start, stop: _parities(_assignment_rows(high, np.arange(start, stop)), incidence),
-        right, 1 << high, rows, workers)
-    return lo, first + lo_at, hi, first + hi_at
+
+    def __init__(self, n, monomials, chunk_size=1 << 16):
+        self.high = high = n // 2
+        low = n - high
+        groups = {(): 0}  # high-half monomial -> row of `right`
+        lows = {}  # low-half monomial -> column of the weights
+        cells = []
+        for cols in monomials:
+            g = groups.setdefault(tuple(c for c in cols if c < high), len(groups))
+            cells.append((g, lows.setdefault(tuple(c - high for c in cols if c >= high), len(lows))))
+        self.shape = (len(groups), len(lows))
+        self.cells = np.array([g * len(lows) + u for g, u in cells], dtype=np.intp)
+        self.low_signs = _parities(_assignment_rows(low), _incidence(low, lows))
+        self.incidence = _incidence(high, groups)
+        self.rows = min(max(1, chunk_size >> low), 1 << high)  # high-half rows per tile
+        self.first = np.arange(1 << high, dtype=np.int64) << low  # index of each row's first assignment
+        self._signs = None  # every high-half row's group values, built when a scan needs them all
+
+    def _all_signs(self):
+        if self._signs is None:
+            self._signs = _parities(_assignment_rows(self.high), self.incidence)
+        return self._signs
+
+    def scan(self, coefficients, workers=None, minima=True):
+        """Row-wise extrema of the form with one coefficient per monomial.
+
+        `right` holds each group's low-half sum on all 2**low low
+        assignments.  A tile of high-half rows is then one matrix
+        product: `left` holds the ±1 value of every group's high monomial
+        on each row, and `left @ right` lists the tile's values in index
+        order.
+
+        A group whose `right` row is the same in every column (its terms
+        have no low-half variable) adds the same amount to a whole
+        high-half row.  When the scan spans several tiles and fewer than
+        n//2 groups vary, those constant groups become a per-row `shift`,
+        and rows with the same ±1 values on the varying groups share one
+        pattern: the tiles then run over one row per pattern, and each
+        pattern's extremes and their columns are copied to its rows and
+        shifted.  For a cycle or a chain that is 4 patterns instead of
+        2**(n//2) rows.
+
+        A tile covers about `chunk_size` assignments, and at least one
+        row; tiles may be evaluated by a thread pool of `workers`.
+        Memory is O(terms * 2**low) for `right`, plus O(chunk_size) per
+        tile and, for a single tile or with patterns, O(groups *
+        2**(n//2)) for every row's signs, which the plan keeps.  Integer
+        coefficients whose absolute sum is below 2**53 give exact
+        values, the same with and without patterns.
+
+        Returns (row_min, argmin, row_max, argmax), or (row_max, argmax)
+        without `minima`, each with one entry per high-half row: the
+        row's extreme values and the earliest assignment index attaining
+        each.
+        """
+        high = self.high
+        weights = np.bincount(self.cells, weights=coefficients, minlength=self.shape[0] * self.shape[1])
+        right = weights.reshape(self.shape) @ self.low_signs.T
+        # a single-tile scan skips the comparison and keeps the plain row tiles
+        if self.rows < 1 << high and (varying := (right != right[:, :1]).any(axis=1)).sum() < high:
+            signs = self._all_signs()
+            shift = signs[:, ~varying] @ right[~varying, 0]
+            keys = (signs[:, varying] < 0) @ (1 << np.arange(varying.sum()))
+            _, reps, pattern = np.unique(keys, return_index=True, return_inverse=True)
+            left = signs[reps][:, varying]
+            extrema = _tile_extrema(
+                lambda start, stop: left[start:stop], right[varying], len(reps), self.rows, workers, minima)
+            return tuple(x for values, at in extrema for x in (values[pattern] + shift, self.first + at[pattern]))
+        if self.rows == 1 << high:
+            signs = self._all_signs()
+            tile = lambda start, stop: signs[start:stop]  # noqa: E731
+        else:
+            tile = lambda start, stop: _parities(  # noqa: E731
+                _assignment_rows(high, np.arange(start, stop)), self.incidence)
+        extrema = _tile_extrema(tile, right, 1 << high, self.rows, workers, minima)
+        return tuple(x for values, at in extrema for x in (values, self.first + at))
 
 
-def _tile_extrema(left, right, count, rows, workers):
-    """Min, max and their earliest columns of each row of `left(0, count) @ right`.
+def _tile_extrema(left, right, count, rows, workers, minima=True):
+    """Extremes and their earliest columns of each row of `left(0, count) @ right`.
 
-    The product is taken `rows` rows at a time, on a thread pool of
-    `workers` when there are several tiles.
+    Returns [(row_min, arg_min), (row_max, arg_max)], or only the maxima
+    when `minima` is false.  The product is taken `rows` rows at a time,
+    on a thread pool of `workers` when there are several tiles.
     """
     tiles = [(s, min(s + rows, count)) for s in range(0, count, rows)]
-    row_min, row_max = np.empty(count), np.empty(count)
-    arg_min = np.empty(count, dtype=np.int64)
-    arg_max = np.empty(count, dtype=np.int64)
+    reducers = (np.argmin, np.argmax) if minima else (np.argmax,)
+    extrema = [(np.empty(count), np.empty(count, dtype=np.int64)) for _ in reducers]
     span = np.arange(rows)
 
     def scan(tile):
         start, stop = tile
         values = left(start, stop) @ right
         at = span[:stop - start]
-        lo = arg_min[start:stop] = values.argmin(axis=1)
-        hi = arg_max[start:stop] = values.argmax(axis=1)
-        row_min[start:stop], row_max[start:stop] = values[at, lo], values[at, hi]
+        for reduce, (extreme, column) in zip(reducers, extrema):
+            best = column[start:stop] = reduce(values, axis=1)
+            extreme[start:stop] = values[at, best]
 
     if workers and workers > 1 and len(tiles) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -206,7 +232,7 @@ def _tile_extrema(left, right, count, rows, workers):
     else:
         for tile in tiles:
             scan(tile)
-    return row_min, arg_min, row_max, arg_max
+    return extrema
 
 
 @dataclass(frozen=True)
@@ -224,7 +250,7 @@ def classical_extrema(poly, workers=None, chunk_size=1 << 16) -> ExtremaResult:
     Witnesses are the lexicographically smallest attaining assignments
     (-1 sorting before +1).
 
-    The scan is the split-product kernel `_split_scan`, which
+    The scan is the split-product kernel `_SplitPlan`, which
     `jd_feasibility` also uses to price columns: one float64 matrix
     product per tile of about `chunk_size` assignments, with tiles
     optionally spread over a thread pool of `workers`.  Terms without a
@@ -259,8 +285,9 @@ def classical_extrema(poly, workers=None, chunk_size=1 << 16) -> ExtremaResult:
         empty = DeterministicAssignment({})
         return ExtremaResult(constant, constant, empty, empty, 1)
 
-    terms = [(tuple(sorted(col[v] for v in varset)), coeff) for varset, coeff in poly.items()]
-    row_min, arg_min, row_max, arg_max = _split_scan(n, terms, chunk_size, workers)
+    varsets, coeffs = zip(*poly.items())
+    plan = _SplitPlan(n, [tuple(sorted(col[v] for v in varset)) for varset in varsets], chunk_size)
+    row_min, arg_min, row_max, arg_max = plan.scan(coeffs, workers)
     lo, hi = int(row_min.argmin()), int(row_max.argmax())  # first row: earliest index
     return ExtremaResult(
         int(row_min[lo]), int(row_max[hi]),
@@ -325,13 +352,17 @@ def jd_feasibility(scenario, observed, means=None, tolerance=FEASIBILITY_TOL) ->
     `_SEED_COLUMNS` best aligned with the data, or every assignment when
     there are no more than that.  While the master is infeasible, its
     phase-1 Farkas vector y prices all 2**n assignments at once with the
-    split-product scan, and up to `_BATCH_COLUMNS` of those priced above
-    FEASIBILITY_TOL join the master.  A feasible master's weights are the
-    witness.  When no assignment prices positive, y also certifies the
-    full LP infeasible: the certificate's bound is the scan's maximum of
-    the combination over all assignments.  Memory is the master's
-    O(m * (columns + m)) tableau for m LP rows plus the scan's
-    O(m * 2**(n - n//2) + chunk), never O(m * 2**n).
+    split-product scan, whose plan is built once per call and which
+    computes only row maxima.  Up to `_BATCH_COLUMNS` of the assignments
+    priced above FEASIBILITY_TOL are appended to the master, and the next
+    solve resumes phase 1 from the last one's tableau (`simplex_solve`'s
+    `start`): the master only gains columns, so its last basis is still a
+    valid start.  A feasible master's weights are the witness.  When no
+    assignment prices positive, y also certifies the full LP infeasible:
+    the certificate's bound is the scan's maximum of the combination over
+    all assignments.  Memory is the master's O(m * (columns + m)) tableau
+    for m LP rows plus the scan's O(m * 2**(n - n//2) + chunk), never
+    O(m * 2**n).
 
     Feasible answers carry the witness model; infeasible answers carry
     the violated inequality.  When the LP is infeasible but the
@@ -366,28 +397,26 @@ def jd_feasibility(scenario, observed, means=None, tolerance=FEASIBILITY_TOL) ->
     rhs = np.array([1.0] + [pairs[p] for p in pair_keys] + [means[v] for v in mean_keys])
 
     incidence = _incidence(n, monomials)
+    plan = _SplitPlan(n, monomials)
 
     def columns(indices):
         values = _parities(_assignment_rows(n, indices), incidence).T
         return np.vstack([np.ones(len(indices)), values])
 
-    def best_rows(weights):
-        """Each high-half row's best assignment under the combination `weights`."""
-        _, _, row_max, arg_max = _split_scan(n, list(zip(monomials, weights)))
-        return row_max, arg_max
-
     if 1 << n <= _SEED_COLUMNS:
         master = np.arange(1 << n)
     else:
-        row_max, arg_max = best_rows(rhs[1:])
+        row_max, arg_max = plan.scan(rhs[1:], minima=False)
         master = np.sort(arg_max[np.argsort(-row_max, kind="stable")[:_SEED_COLUMNS]])
     a_eq = columns(master)
+    solution = None
     while True:
-        solution = simplex_solve(LpProblem(c=np.zeros(len(master)), a_eq=a_eq, b_eq=rhs))
+        # an infeasible master resumes phase 1 from its last tableau
+        solution = simplex_solve(LpProblem(c=np.zeros(len(master)), a_eq=a_eq, b_eq=rhs), start=solution)
         if solution.status != INFEASIBLE:
             break
         y = solution.farkas_eq
-        row_max, arg_max = best_rows(y[1:])
+        row_max, arg_max = plan.scan(y[1:], minima=False)
         prices = y[0] + row_max
         order = np.argsort(-prices, kind="stable")
         known = set(master.tolist())
@@ -395,11 +424,8 @@ def jd_feasibility(scenario, observed, means=None, tolerance=FEASIBILITY_TOL) ->
         if not fresh:
             break
         fresh = np.array(fresh[:_BATCH_COLUMNS])
-        # tight columns (the last basis among them) go first, so that Bland's
-        # rule re-enters them before it tries the fresh ones
-        tight = y @ a_eq >= -FEASIBILITY_TOL
-        master = np.concatenate([master[tight], fresh, master[~tight]])
-        a_eq = np.hstack([a_eq[:, tight], columns(fresh), a_eq[:, ~tight]])
+        master = np.concatenate([master, fresh])
+        a_eq = np.hstack([a_eq, columns(fresh)])
 
     if solution.status == OPTIMAL:
         weights = np.clip(solution.x, 0.0, None)

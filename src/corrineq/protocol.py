@@ -50,9 +50,9 @@ _TIMELINES = [
 _SLOT = {var: slot for line in _TIMELINES for slot, var in enumerate(line)}
 
 
-def _mix64(z):
-    """SplitMix64 finaliser, in place on the uint64 array z."""
-    tmp = np.empty_like(z)
+def _mix64(z, tmp=None):
+    """SplitMix64 finaliser, in place on the uint64 array z (tmp: scratch like z)."""
+    tmp = np.empty_like(z) if tmp is None else tmp
     with np.errstate(over="ignore"):  # wraparound mod 2^64 is the point
         for shift, mult in ((30, _MIX1), (27, _MIX2)):
             np.right_shift(z, np.uint64(shift), out=tmp)
@@ -83,12 +83,12 @@ class CounterRng:
     def __init__(self, seed: int, salt: int = 0):
         self.key = _key(seed, salt)
 
-    def words(self, shot_indices, draw: int, out=None) -> np.ndarray:
-        """mix64(key + (2·shot + draw)·golden) >> 11, in place in out (new if None)."""
+    def words(self, shot_indices, draw: int, out=None, scratch=None) -> np.ndarray:
+        """mix64(key + (2·shot + draw)·golden) >> 11, in place in out; scratch: the mixer's (both new if None)."""
         idx = np.asarray(shot_indices, dtype=np.uint64)
         z = np.multiply(idx, _STRIDE, out=out)
         z += np.uint64((self.key + draw * _GOLDEN) & _MASK)
-        z = _mix64(z)
+        z = _mix64(z, scratch)
         z >>= np.uint64(64 - WORD_BITS)
         return z
 
@@ -298,25 +298,33 @@ def choice_sampler(rho, choice, settings) -> ChoiceSampler:
     return _sampler(*_choice_tables(rho, choice, settings))
 
 
-def simulate_choice_block(sampler: ChoiceSampler, seed, shot_indices, salt=0) -> np.ndarray:
+def _buffers(shots):
+    """Arrays for blocks of up to `shots` shots, reused block after block: (ramp 0 .. shots-1,
+    ids, early, late, mixer scratch) in uint64, a comparison mask and the slot-1 picks."""
+    words = np.empty((4, shots), dtype=np.uint64)
+    return (np.arange(shots, dtype=np.uint64), *words, np.empty(shots, dtype=bool), np.empty(shots, dtype=np.uint8))
+
+
+def simulate_choice_block(sampler: ChoiceSampler, seed, shot_indices, salt=0, out=None) -> np.ndarray:
     """int64 count of each joint outcome over a block of shot ids.
 
-    Draws as simulate_shot does, so the counts are its histogram.
+    Draws as simulate_shot does, so the counts are its histogram.  `out`
+    (from `_buffers`, with room for the block) holds the working arrays.
     """
     rng = CounterRng(seed, salt)
     idx = np.asarray(shot_indices, dtype=np.uint64)
+    _, _, early, late, scratch, above, picks = (b[:len(idx)] for b in out or _buffers(len(idx)))
     # an empty slot 2 has one outcome, and any word < 2^53 stays in its group
-    early = rng.words(idx, 0) if len(sampler.cut1) else None
-    return _joint_counts(sampler, early, rng.words(idx, 1))
+    early = rng.words(idx, 0, early, scratch) if len(sampler.cut1) else None
+    return _joint_counts(sampler, early, rng.words(idx, 1, late, scratch), above, picks)
 
 
-def _joint_counts(sampler, early, late):
-    """Joint-outcome counts from the slots' words, overwriting both."""
-    above = np.empty(len(late), dtype=bool)
+def _joint_counts(sampler, early, late, above, picks):
+    """Joint-outcome counts from the slots' words; overwrites both and the work arrays `above` and `picks`."""
     # shots with key >= bound, once per distinct bound; count m is tail[m] - tail[m + 1]
     tails = {0: len(late), sampler.bounds[-1]: 0}
     if early is not None:
-        picks = np.zeros(len(late), dtype=np.uint8)
+        picks.fill(0)
         for i, cut in enumerate(sampler.cut1, 1):
             picks += np.greater_equal(early, cut, out=above)
             tails[i << WORD_BITS] = np.count_nonzero(above)  # shots with pick1 >= i
@@ -327,10 +335,12 @@ def _joint_counts(sampler, early, late):
     return -np.diff([tails[bound] for bound in sampler.bounds])
 
 
-def _blocks(start: int, count: int):
-    """Consecutive shot ids start .. start+count-1, BLOCK_SHOTS at a time."""
+def _blocks(start: int, count: int, buffers):
+    """Consecutive shot ids start .. start+count-1, BLOCK_SHOTS at a time, in `buffers`' id array."""
+    ramp, ids = buffers[:2]
     for lo in range(start, start + count, BLOCK_SHOTS):
-        yield np.arange(lo, min(lo + BLOCK_SHOTS, start + count), dtype=np.uint64)
+        size = min(BLOCK_SHOTS, start + count - lo)
+        yield np.add(ramp[:size], np.uint64(lo), out=ids[:size])
 
 
 @dataclass(frozen=True)
@@ -378,6 +388,7 @@ def estimate_f(rho, settings, shots: int, seed: int) -> ProtocolEstimate:
     for i in range(shots % len(DATA_CHOICES)):
         counts[i] += 1
 
+    buffers = _buffers(min(BLOCK_SHOTS, counts[0]))  # counts[0] is the largest
     sums: dict[frozenset, list[int]] = {}  # pair -> [S, n]
     shared_blocks = []  # (pair, pair, m * covariance) per choice feeding both
     next_id = 0
@@ -391,7 +402,8 @@ def estimate_f(rho, settings, shots: int, seed: int) -> ProtocolEstimate:
         pairs = sorted(admissible_data(choice), key=format_varset)
         in_f = [pair for pair in pairs if pair in F_COEFFICIENTS]
         sampler = choice_sampler(rho, choice, settings)
-        hist = sum(simulate_choice_block(sampler, seed, ids) for ids in _blocks(start, count))
+        hist = sum(simulate_choice_block(sampler, seed, ids, out=buffers)
+                   for ids in _blocks(start, count, buffers))
         # a pair's product in each joint outcome; its sums are dot products with hist
         products = {pair: math.prod(map(sampler.column, pair)) for pair in pairs}
         choice_sums = {pair: int(hist @ products[pair]) for pair in pairs}
@@ -469,9 +481,11 @@ def signaling_test(rho, settings, shots: int, seed: int) -> SignalingReport:
         (MeasurementChoice((), (Y1, Y2)), n_alone, n_after),
     )
     p = []
+    buffers = _buffers(min(BLOCK_SHOTS, n_after))
     for choice, start, count in arms:
         sampler = choice_sampler(rho, choice, settings)
-        hist = sum(simulate_choice_block(sampler, seed, ids, salt=1) for ids in _blocks(start, count))
+        hist = sum(simulate_choice_block(sampler, seed, ids, salt=1, out=buffers)
+                   for ids in _blocks(start, count, buffers))
         p.append(int(hist @ (sampler.column(Y2) == 1)) / count)
     p_a, p_b = p
     se_a = float(np.sqrt(p_a * (1 - p_a) / n_alone))

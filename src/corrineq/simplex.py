@@ -7,7 +7,9 @@ ratio test too) and the columns with a nonzero in the pivot row.  The
 reduced-cost row is carried along and recomputed from scratch before a
 phase ends.  Infeasible problems come back with a Farkas vector read off
 the phase-1 reduced costs, which downstream code turns into a violated
-inequality.
+inequality.  Such a result also keeps its final phase-1 tableau, so that a
+later solve of the same equality rows with appended columns (column
+generation) can resume phase 1 from it instead of starting over.
 """
 
 from __future__ import annotations
@@ -70,6 +72,8 @@ class LpSolution:
     farkas_ub: np.ndarray | None = None
     iterations: int = 0
     basis: list = field(default_factory=list)
+    # infeasible results: (problem, final phase-1 tableau, basis, row signs)
+    _phase1: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def _pivot(tab, basis, row, col, rows):
@@ -135,12 +139,46 @@ def _run_simplex(tab, basis, cost, limit, max_iter):
             raise NumericalBreakdown(f"no convergence after {max_iter} pivots")
 
 
-def simplex_solve(problem: LpProblem) -> LpSolution:
+def _resume(problem, start):
+    """The phase-1 tableau, basis and row signs of `start` with the new columns.
+
+    `start` is an infeasible solution of an equality-only LP whose rows
+    and right-hand side `problem` repeats and whose columns are a prefix
+    of `problem`'s.  The tableau's artificial block is the inverse of the
+    basis (it began as the identity), so each appended column is that
+    block times the column's sign-corrected rows.  The new columns go
+    before the artificials, whose basis indices shift past them.
+    """
+    if start.status != INFEASIBLE or start._phase1 is None:
+        raise ValueError(f"a warm start needs an infeasible solution, got {start.status}")
+    old, old_tab, old_basis, row_sign = start._phase1
+    if problem.a_ub is not None or old.a_ub is not None:
+        raise ValueError("a warm start takes equality rows only")
+    if problem.a_eq is None or not np.array_equal(problem.b_eq, old.b_eq):
+        raise ValueError("a warm start needs the same equality rows and right-hand side")
+    n_old, n = old.c.shape[0], problem.c.shape[0]
+    if n < n_old or not np.array_equal(problem.a_eq[:, :n_old], old.a_eq):
+        raise ValueError("a warm start needs the earlier columns as a prefix of the new ones")
+    m = old_tab.shape[0]
+    tab = np.empty((m, n + m + 1))
+    tab[:, :n_old] = old_tab[:, :n_old]
+    tab[:, n_old:n] = old_tab[:, n_old:n_old + m] @ (row_sign[:, None] * problem.a_eq[:, n_old:])
+    tab[:, n:] = old_tab[:, n_old:]
+    return tab, np.where(old_basis >= n_old, old_basis + (n - n_old), old_basis), row_sign
+
+
+def simplex_solve(problem: LpProblem, start: LpSolution | None = None) -> LpSolution:
     """Solve an LpProblem; status is optimal, infeasible or unbounded.
 
     Infeasible results carry Farkas row multipliers y with
     y.b > 0 and y.A <= 0 (proof no feasible point exists); optimal
     results carry dual values per constraint row.
+
+    `start`, an infeasible result of an equality-only LP, resumes phase 1
+    from that result's final tableau when `problem` has the same rows and
+    right-hand side and appends columns to the earlier ones.  Its basis is
+    a valid phase-1 start, so only the pivots the new columns allow are
+    taken.  Any other `start` raises ValueError.
     """
     n = problem.c.shape[0]
     a_eq = problem.a_eq if problem.a_eq is not None else np.zeros((0, n))
@@ -153,18 +191,21 @@ def simplex_solve(problem: LpProblem) -> LpSolution:
 
     # standard form: [A_eq 0; A_ub I] x' = b, slack per ub row, artificial per row
     wide = n + m_ub + m
-    tab = np.zeros((m, wide + 1))
-    tab[:m_eq, :n] = a_eq
-    tab[m_eq:, :n] = a_ub
-    tab[m_eq:, n:n + m_ub] = np.eye(m_ub)
-    tab[:m_eq, wide] = b_eq
-    tab[m_eq:, wide] = b_ub
-    negative = tab[:, wide] < 0
-    tab[negative] = -tab[negative]
-    row_sign = np.where(negative, -1.0, 1.0)
-    tab[:, n + m_ub:wide] = np.eye(m)
     art = np.arange(n + m_ub, wide)
-    basis = art.copy()
+    if start is not None:
+        tab, basis, row_sign = _resume(problem, start)
+    else:
+        tab = np.zeros((m, wide + 1))
+        tab[:m_eq, :n] = a_eq
+        tab[m_eq:, :n] = a_ub
+        tab[m_eq:, n:n + m_ub] = np.eye(m_ub)
+        tab[:m_eq, wide] = b_eq
+        tab[m_eq:, wide] = b_ub
+        negative = tab[:, wide] < 0
+        tab[negative] = -tab[negative]
+        row_sign = np.where(negative, -1.0, 1.0)
+        tab[:, n + m_ub:wide] = np.eye(m)
+        basis = art.copy()
 
     phase1_cost = np.zeros(wide)
     phase1_cost[art] = 1.0
@@ -175,7 +216,8 @@ def simplex_solve(problem: LpProblem) -> LpSolution:
     if val1 > FEASIBILITY_TOL:
         # y_i = 1 - reduced cost of artificial i certifies infeasibility
         y = (1.0 - r1[art]) * row_sign
-        return LpSolution(INFEASIBLE, None, None, farkas_eq=y[:m_eq], farkas_ub=y[m_eq:], iterations=it1)
+        return LpSolution(INFEASIBLE, None, None, farkas_eq=y[:m_eq], farkas_ub=y[m_eq:], iterations=it1,
+                          _phase1=(problem, tab, basis, row_sign))
 
     # drive any leftover artificials out of the basis; all-zero rows are redundant
     keep = np.ones(m, dtype=bool)

@@ -30,7 +30,7 @@ from corrineq.lhv import (
     _assignment_rows,
     _incidence,
     _parities,
-    _split_scan,
+    _SplitPlan,
     classical_extrema,
     jd_feasibility,
     monogamy_check,
@@ -150,7 +150,7 @@ class TestClassicalExtrema:
 
 
 def row_tile_scan(n, terms):
-    """`lhv._split_scan` before high-half rows were grouped by pattern, at
+    """The split-product scan before high-half rows were grouped by pattern, at
     its default tile size and without its thread pool: every tile
     multiplies the ±1 values of all its rows' high monomials by `right`.
     Kept as the bit-exact reference for the pattern scan."""
@@ -182,11 +182,65 @@ def row_tile_scan(n, terms):
     return row_min, first + arg_min, row_max, first + arg_max
 
 
+def split_scan_reference(n, terms, chunk_size=1 << 16):
+    """`lhv._split_scan` as it was before the scan was split into a plan and
+    a per-coefficient scan, without its thread pool: it rebuilt every table
+    on each call.  Kept as the bit-exact reference for `_SplitPlan`."""
+    high = n // 2
+    low = n - high
+    groups = {(): 0}
+    lows = {}
+    split = []
+    for cols, coeff in terms:
+        g = groups.setdefault(tuple(c for c in cols if c < high), len(groups))
+        split.append((g, lows.setdefault(tuple(c - high for c in cols if c >= high), len(lows)), coeff))
+    weights = np.zeros((len(groups), len(lows)))
+    for g, u, coeff in split:
+        weights[g, u] += coeff
+    right = weights @ _parities(_assignment_rows(low), _incidence(low, lows)).T
+    incidence = _incidence(high, groups)
+    rows = min(max(1, chunk_size >> low), 1 << high)
+    first = np.arange(1 << high, dtype=np.int64) << low
+
+    def tiles(left, right, count):
+        row_min, row_max = np.empty(count), np.empty(count)
+        arg_min = np.empty(count, dtype=np.int64)
+        arg_max = np.empty(count, dtype=np.int64)
+        for start in range(0, count, rows):
+            stop = min(start + rows, count)
+            values = left(start, stop) @ right
+            at = np.arange(stop - start)
+            lo = arg_min[start:stop] = values.argmin(axis=1)
+            hi = arg_max[start:stop] = values.argmax(axis=1)
+            row_min[start:stop], row_max[start:stop] = values[at, lo], values[at, hi]
+        return row_min, arg_min, row_max, arg_max
+
+    if rows < 1 << high and (varying := (right != right[:, :1]).any(axis=1)).sum() < high:
+        signs = _parities(_assignment_rows(high), incidence)
+        shift = signs[:, ~varying] @ right[~varying, 0]
+        keys = (signs[:, varying] < 0) @ (1 << np.arange(varying.sum()))
+        _, reps, pattern = np.unique(keys, return_index=True, return_inverse=True)
+        left = signs[reps][:, varying]
+        lo, lo_at, hi, hi_at = tiles(lambda start, stop: left[start:stop], right[varying], len(reps))
+        return (lo[pattern] + shift, first + lo_at[pattern],
+                hi[pattern] + shift, first + hi_at[pattern])
+    lo, lo_at, hi, hi_at = tiles(
+        lambda start, stop: _parities(_assignment_rows(high, np.arange(start, stop)), incidence),
+        right, 1 << high)
+    return lo, first + lo_at, hi, first + hi_at
+
+
+def planned_scan(n, terms, chunk_size=1 << 16, workers=None):
+    """The package's scan of (columns, coefficient) terms: a plan, then one scan."""
+    plan = _SplitPlan(n, [cols for cols, _ in terms], chunk_size)
+    return plan.scan([coeff for _, coeff in terms], workers)
+
+
 @st.composite
-def scan_forms(draw, coefficients=st.integers(-3, 3)):
-    """(n, terms) with n <= 18 and degree <= 6: random monomials, or runs
+def scan_forms(draw, coefficients=st.integers(-3, 3), max_n=18):
+    """(n, terms) with n <= max_n and degree <= 6: random monomials, or runs
     of neighbouring columns (wrapping), as in cycles and chains."""
-    n = draw(st.integers(1, 18))
+    n = draw(st.integers(1, max_n))
     scattered = st.lists(st.integers(0, n - 1), unique=True, max_size=min(n, 6))
     window = st.builds(
         lambda start, width: [(start + k) % n for k in range(width)],
@@ -255,23 +309,48 @@ class TestSplitScan:
     @example(form=(8, [((0, 1), 2), ((2,), -1), ((), 3)]), chunk_size=7, workers=None)
     def test_matches_row_tile_reference(self, form, chunk_size, workers):
         n, terms = form
-        assert_same_scan(_split_scan(n, terms, chunk_size, workers), row_tile_scan(n, terms))
+        assert_same_scan(planned_scan(n, terms, chunk_size, workers), row_tile_scan(n, terms))
+
+    @settings(max_examples=80, deadline=None)
+    @given(form=scan_forms(max_n=20), chunk_size=st.sampled_from([1, 7, 1 << 16]),
+           workers=st.sampled_from([None, 2]))
+    def test_plan_matches_the_unplanned_scan(self, form, chunk_size, workers):
+        n, terms = form
+        want = split_scan_reference(n, terms, chunk_size)
+        assert_same_scan(planned_scan(n, terms, chunk_size, workers), want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(form=scan_forms(max_n=20), chunk_size=st.sampled_from([1, 7, 1 << 16]),
+           seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4))
+    def test_one_plan_scans_like_fresh_scans(self, form, chunk_size, seeds):
+        """`jd_feasibility`'s use: one plan scanned under several float
+        coefficient vectors, some entries ±0.0 so that a group can turn
+        constant in one round and vary in the next."""
+        n, terms = form
+        monomials = [cols for cols, _ in terms]
+        plan = _SplitPlan(n, monomials, chunk_size)
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            coeffs = rng.normal(size=len(terms)) * (rng.random(len(terms)) < 0.7)
+            want = split_scan_reference(n, list(zip(monomials, coeffs)), chunk_size)
+            assert_same_scan(plan.scan(coeffs), want)
+            assert_same_scan(plan.scan(coeffs, minima=False), want[2:])
 
     @pytest.mark.parametrize("label", sorted(SCAN_FORMS))
     def test_benchmark_forms_match_row_tile_reference(self, label):
         n, terms = poly_terms(SCAN_FORMS[label]())
         want = row_tile_scan(n, terms)
         for chunk_size, workers in product([1, 7, 1 << 16], [None, 2]):
-            assert_same_scan(_split_scan(n, terms, chunk_size, workers), want)
+            assert_same_scan(planned_scan(n, terms, chunk_size, workers), want)
 
     @pytest.fixture
     def tiled_rows(self, monkeypatch):
         """The number of rows each scan's tiles run over."""
         counts, tile_extrema = [], lhv._tile_extrema
 
-        def recording(left, right, count, rows, workers):
+        def recording(left, right, count, *args):
             counts.append(count)
-            return tile_extrema(left, right, count, rows, workers)
+            return tile_extrema(left, right, count, *args)
 
         monkeypatch.setattr(lhv, "_tile_extrema", recording)
         return counts
@@ -288,7 +367,7 @@ class TestSplitScan:
 
     @pytest.mark.parametrize("n", [9, 15, 16])
     def test_single_tile_scans_keep_every_row(self, n, tiled_rows):
-        _split_scan(n, cycle_terms(n, [1] * n))
+        planned_scan(n, cycle_terms(n, [1] * n))
         assert tiled_rows == [1 << n // 2]
 
     @settings(max_examples=80, deadline=None)
@@ -309,7 +388,7 @@ class TestSplitScan:
     @staticmethod
     def check_float_weights(n, terms, chunk_size):
         tol = 1e-12 * sum(abs(c) for _, c in terms)
-        lo, lo_at, hi, hi_at = _split_scan(n, terms, chunk_size)
+        lo, lo_at, hi, hi_at = planned_scan(n, terms, chunk_size)
         ref_lo, _, ref_hi, _ = row_tile_scan(n, terms)
         assert np.abs(lo - ref_lo).max() <= tol
         assert np.abs(hi - ref_hi).max() <= tol
@@ -333,7 +412,7 @@ class TestSplitScan:
 
     @pytest.mark.parametrize("chunk_size", [0, -3, 2.5, True])
     def test_rejects_bad_chunk_size(self, chunk_size, monkeypatch):
-        monkeypatch.setattr(lhv, "_split_scan", None)  # the check comes before the scan
+        monkeypatch.setattr(lhv, "_SplitPlan", None)  # the check comes before the scan
         with pytest.raises(ValueError, match="chunk_size"):
             classical_extrema(derive_inequality(catalog.chsh_source()), chunk_size=chunk_size)
 
@@ -572,6 +651,28 @@ class TestJdColumnGeneration:
         assert infeasible.certificate.violation > 0.0
         # the dense route held a 2**19 x 19 block, a 20 x 2**19 matrix and its tableau, ~80 MB each
         assert peak < 32 * 2**20
+
+    @pytest.mark.parametrize("margin", [0.02, -0.02])
+    def test_rounds_resume_the_last_master(self, margin, monkeypatch):
+        """Every solve after the first resumes the previous, infeasible one,
+        and its master appends columns to that one's."""
+        calls = []
+
+        def recording_solve(problem, start=None):
+            solution = simplex_solve(problem, start=start)
+            calls.append((problem, start, solution))
+            return solution
+
+        monkeypatch.setattr(lhv, "simplex_solve", recording_solve)
+        n = 13
+        edges = [frozenset({x(i), x(i % n + 1)}) for i in range(1, n + 1)]
+        result = jd_feasibility(catalog.cycle_scenario(n), {e: -(n - 2) / n + margin for e in edges})
+        assert result.feasible == (margin > 0)
+        assert len(calls) > 2 and calls[0][1] is None
+        for (before, _, previous), (problem, start, _) in zip(calls, calls[1:]):
+            assert start is previous and previous.status == "infeasible"
+            k = before.a_eq.shape[1]
+            assert problem.a_eq.shape[1] > k and np.array_equal(problem.a_eq[:, :k], before.a_eq)
 
     def test_all_pairs_12_is_feasible(self):
         variables = tuple(x(i) for i in range(1, 13))

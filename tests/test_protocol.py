@@ -487,6 +487,32 @@ class TestBlockEquivalence:
         assert a.sum() == b.sum() == 64
         assert not np.array_equal(a, b)
 
+    def test_reused_buffers_count_like_fresh_ones(self):
+        """One set of buffers carries every choice's blocks, long and short,
+        with the last block's words and picks still in it."""
+        buffers = protocol._buffers(300)
+        for rho, choice in iproduct(STATES.values(), ALL_CHOICES):
+            sampler = choice_sampler(rho, choice, SETTINGS)
+            for start, count in ((0, 300), (4000, 37), (70, 1)):
+                ids = np.arange(start, start + count, dtype=np.uint64)
+                want = simulate_choice_block(sampler, 17, ids)
+                assert np.array_equal(simulate_choice_block(sampler, 17, ids, out=buffers), want), choice.label()
+
+    def test_blocks_write_consecutive_ids_into_the_buffer(self, monkeypatch):
+        monkeypatch.setattr(protocol, "BLOCK_SHOTS", 64)
+        buffers = protocol._buffers(64)
+        seen = []
+        for ids in protocol._blocks(10, 150, buffers):
+            assert ids.dtype == np.uint64 and np.shares_memory(ids, buffers[1])
+            seen.extend(ids.tolist())
+        assert seen == list(range(10, 160))
+
+    def test_words_with_scratch_match_fresh_words(self):
+        rng = CounterRng(3, salt=1)
+        idx = np.arange(100, 1100, dtype=np.uint64)
+        out, scratch = np.empty(1000, dtype=np.uint64), np.full(1000, 12345, dtype=np.uint64)
+        assert np.array_equal(rng.words(idx, 1, out, scratch), rng.words(idx, 1))
+
 
 class TestCutPoints:
     @settings(max_examples=200, deadline=None)
@@ -567,7 +593,8 @@ class TestCutPoints:
         early, late = np.array(shots, dtype=np.uint64).T
         picks1 = _slot_picks(early, p1)
         want = histogram(picks1, _slot_picks(late, p2, picks1), k1, k2)
-        got = _joint_counts(sampler, early.copy() if k1 > 1 else None, late.copy())
+        work = np.empty(len(late), dtype=bool), np.empty(len(late), dtype=np.uint8)
+        got = _joint_counts(sampler, early.copy() if k1 > 1 else None, late.copy(), *work)
         assert np.array_equal(got, want)
 
 
@@ -677,9 +704,9 @@ class TestBlocks:
         calls = []
         inner = protocol.simulate_choice_block
 
-        def spy(sampler, seed, shot_indices, salt=0):
+        def spy(sampler, seed, shot_indices, salt=0, out=None):
             calls.append((salt, int(shot_indices[0]), len(shot_indices)))
-            return inner(sampler, seed, shot_indices, salt)
+            return inner(sampler, seed, shot_indices, salt, out=out)
 
         monkeypatch.setattr(protocol, "simulate_choice_block", spy)
         self.run_both(1000)
@@ -702,9 +729,9 @@ class TestBlocks:
             tables.append(choice.label())
             return inner_tables(rho, choice, settings)
 
-        def block_spy(sampler, seed, shot_indices, salt=0):
+        def block_spy(sampler, seed, shot_indices, salt=0, out=None):
             blocks.append(len(shot_indices))
-            return inner_block(sampler, seed, shot_indices, salt)
+            return inner_block(sampler, seed, shot_indices, salt, out=out)
 
         monkeypatch.setattr(protocol, "_choice_tables", tables_spy)
         monkeypatch.setattr(protocol, "simulate_choice_block", block_spy)

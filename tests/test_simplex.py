@@ -261,6 +261,108 @@ class TestValidation:
             )
 
 
+@st.composite
+def column_rounds(draw):
+    """(c, a_eq, b_eq, sizes): an equality LP whose columns arrive in
+    rounds, the master after round k holding the first sizes[k] columns."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 14))
+    kind = draw(st.sampled_from(["integer", "rounded-normal", "sparse"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = random_matrix(rng, kind, n) if draw(st.booleans()) else np.zeros(n)
+    b_eq = rng.integers(-2 if draw(st.booleans()) else 0, 3, size=m).astype(float)
+    sizes = sorted(set(draw(st.lists(st.integers(1, n - 1), max_size=4)) if n > 1 else [])) + [n]
+    return c, random_matrix(rng, kind, (m, n)), b_eq, sizes
+
+
+def master(c, a_eq, b_eq, k):
+    return LpProblem(c=c[:k], a_eq=a_eq[:, :k], b_eq=b_eq)
+
+
+class TestWarmStart:
+    """A solve that resumes phase 1 from an earlier infeasible master,
+    against a cold solve of the same columns."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(column_rounds())
+    def test_rounds_of_appended_columns(self, case):
+        c, a_eq, b_eq, sizes = case
+        solution = None
+        for k in sizes:
+            problem = master(c, a_eq, b_eq, k)
+            solution = simplex_solve(problem, start=solution)
+            cold = simplex_solve(problem)
+            assert solution.status == cold.status
+            if solution.status == OPTIMAL:
+                assert np.abs(problem.a_eq @ solution.x - b_eq).max() <= 1e-9
+                assert solution.x.min() >= 0.0
+                assert solution.objective == pytest.approx(cold.objective, abs=1e-9)
+            elif solution.status == INFEASIBLE:
+                y = solution.farkas_eq
+                assert y @ b_eq > 0.0
+                assert (y @ problem.a_eq).max(initial=0.0) <= 1e-9
+            if solution.status != INFEASIBLE:
+                break
+
+    def test_no_new_column_takes_no_pivot(self):
+        problem = LpProblem(c=np.zeros(2), a_eq=np.array([[1.0, 1.0], [1.0, -1.0]]), b_eq=np.array([1.0, 3.0]))
+        first = simplex_solve(problem)
+        again = simplex_solve(problem, start=first)
+        assert first.status == again.status == INFEASIBLE
+        assert again.iterations == 0
+        assert np.array_equal(again.farkas_eq, first.farkas_eq)
+
+    def test_appended_column_makes_it_feasible(self):
+        # x1 - x2 = -1 needs x2 > x1; the first master has only x1
+        a_eq = np.array([[1.0, 1.0], [1.0, -1.0]])
+        b_eq = np.array([1.0, -1.0])
+        first = simplex_solve(LpProblem(c=np.zeros(1), a_eq=a_eq[:, :1], b_eq=b_eq))
+        assert first.status == INFEASIBLE
+        second = simplex_solve(LpProblem(c=np.zeros(2), a_eq=a_eq, b_eq=b_eq), start=first)
+        assert second.status == OPTIMAL
+        assert second.x.tolist() == [0.0, 1.0]
+
+    @pytest.fixture
+    def infeasible(self):
+        a_eq = np.array([[1.0, 1.0], [1.0, -1.0]])
+        b_eq = np.array([1.0, 3.0])
+        problem = LpProblem(c=np.zeros(2), a_eq=a_eq, b_eq=b_eq)
+        return problem, simplex_solve(problem)
+
+    def test_rejects_a_changed_right_hand_side(self, infeasible):
+        problem, start = infeasible
+        with pytest.raises(ValueError, match="right-hand side"):
+            simplex_solve(LpProblem(c=np.zeros(2), a_eq=problem.a_eq, b_eq=np.array([1.0, 2.0])), start=start)
+
+    def test_rejects_fewer_columns(self, infeasible):
+        problem, start = infeasible
+        with pytest.raises(ValueError, match="prefix"):
+            simplex_solve(LpProblem(c=np.zeros(1), a_eq=problem.a_eq[:, :1], b_eq=problem.b_eq), start=start)
+
+    def test_rejects_changed_earlier_columns(self, infeasible):
+        problem, start = infeasible
+        a_eq = np.hstack([problem.a_eq[:, ::-1], [[1.0], [0.0]]])
+        with pytest.raises(ValueError, match="prefix"):
+            simplex_solve(LpProblem(c=np.zeros(3), a_eq=a_eq, b_eq=problem.b_eq), start=start)
+
+    def test_rejects_inequality_rows(self, infeasible):
+        problem, start = infeasible
+        with_ub = LpProblem(c=np.zeros(2), a_eq=problem.a_eq, b_eq=problem.b_eq,
+                            a_ub=np.array([[1.0, 0.0]]), b_ub=np.array([1.0]))
+        with pytest.raises(ValueError, match="equality rows only"):
+            simplex_solve(with_ub, start=start)
+        ub_start = simplex_solve(LpProblem(c=np.zeros(1), a_ub=np.array([[1.0]]), b_ub=np.array([-1.0])))
+        assert ub_start.status == INFEASIBLE
+        with pytest.raises(ValueError, match="equality rows only"):
+            simplex_solve(LpProblem(c=np.zeros(1), a_ub=np.array([[1.0]]), b_ub=np.array([-1.0])), start=ub_start)
+
+    def test_rejects_an_optimal_start(self):
+        problem = LpProblem(c=np.zeros(2), a_eq=np.array([[1.0, 1.0]]), b_eq=np.array([1.0]))
+        start = simplex_solve(problem)
+        assert start.status == OPTIMAL
+        with pytest.raises(ValueError, match="infeasible solution, got optimal"):
+            simplex_solve(problem, start=start)
+
+
 # ---------------------------------------------------------------- reference
 # The row-by-row kernel the sparse rank-1 pivot and the carried reduced-cost
 # row replaced.  Swapped into corrineq.simplex, it must take the same pivots
