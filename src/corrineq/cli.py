@@ -519,6 +519,14 @@ def cmd_reproduce(args) -> int:
 
 # ------------------------------------------------------------------ main
 
+def seed(text) -> int:
+    """--seed's argparse type: an integer >= 0, as numpy's generators require."""
+    value = int(text)  # a ValueError becomes argparse's "invalid seed value"
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative, expected an integer >= 0")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="corrineq",
@@ -553,8 +561,8 @@ def build_parser() -> argparse.ArgumentParser:
     reproduce.add_argument("target", choices=TARGETS + ("all",))
     reproduce.add_argument("--shots", type=int, default=DEFAULT_SHOTS,
                            help="Monte Carlo shots for protocol-mc (default %(default)s)")
-    reproduce.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                           help="random seed of protocol-mc and s2-identity (default %(default)s)")
+    reproduce.add_argument("--seed", type=seed, default=DEFAULT_SEED,
+                           help="random seed of protocol-mc and s2-identity, an integer >= 0 (default %(default)s)")
     reproduce.add_argument("--grid", type=int, default=DEFAULT_GRID,
                            help="grid points per axis for tsirelson-envelope (default %(default)s)")
     add_format(reproduce)

@@ -77,43 +77,35 @@ class DhvModel:
         return sum(w * asg[a] for asg, w in self.support)
 
 
-def _assignment_rows(n, indices=None) -> np.ndarray:
-    """Rows `indices` (default: all 2**n) of the canonical ±1 assignment enumeration.
+def _masks(n, monomials) -> np.ndarray:
+    """One bit mask per monomial (a tuple of variable columns) of n variables.
 
-    Assignment i maps variable j to +1 when bit (n-1-j) of i is set, so
-    ascending i walks the value tuples in lexicographic order with -1
-    first.
+    Assignment index i maps variable j to +1 when bit (n-1-j) of i is set,
+    so ascending i walks the value tuples in lexicographic order with -1
+    first.  Every ±1 table in this module is read through this convention.
     """
-    idx = np.asarray(np.arange(1 << n) if indices is None else indices, dtype=np.uint32)
-    shifts = np.arange(n - 1, -1, -1, dtype=np.uint32)
-    bits = (idx[:, None] >> shifts[None, :]) & 1
-    return (2 * bits.astype(np.int64)) - 1
+    return np.array([sum(1 << (n - 1 - j) for j in cols) for cols in monomials], dtype=np.int64)
 
 
-def _assignment(variables, index) -> DeterministicAssignment:
-    """Assignment `index` of the canonical enumeration over the sorted `variables`."""
-    n, index = len(variables), int(index)
-    return DeterministicAssignment(
-        {v: 1 if index >> (n - 1 - j) & 1 else -1 for j, v in enumerate(variables)}
-    )
+def _monomial_signs(masks, indices) -> np.ndarray:
+    """Float ±1 value of each monomial (a `_masks` entry) on each assignment index.
+
+    A monomial is -1 exactly where an odd number of its bits are clear.
+    """
+    odd = np.bitwise_count(~np.asarray(indices, dtype=np.int64)[:, None] & masks).view(np.int8) & 1
+    return (1 - 2 * odd).astype(float)  # int8 arithmetic, one conversion: faster than a gather
 
 
-def _incidence(n, monomials) -> np.ndarray:
-    """0/1 matrix whose column k marks the variable columns of monomial k."""
-    out = np.zeros((n, len(monomials)))
-    for k, cols in enumerate(monomials):
-        out[list(cols), k] = 1.0
-    return out
+def _assignment_rows(n, indices=None) -> np.ndarray:
+    """Rows `indices` (default: all 2**n) of the canonical ±1 assignment enumeration, as int64."""
+    indices = np.arange(1 << n) if indices is None else indices
+    return _monomial_signs(_masks(n, [(j,) for j in range(n)]), indices).astype(np.int64)
 
 
-_SIGNS = np.array([1.0, -1.0])
-
-
-def _parities(assignments, incidence) -> np.ndarray:
-    """±1 value of each monomial (a column of `incidence`) on each assignment row."""
-    negatives = (assignments < 0).astype(float)  # float: a BLAS product
-    odd = (negatives @ incidence).astype(np.int64) & 1  # integer parity; float % is slow
-    return _SIGNS[odd]  # a gather: faster than converting the parities to float
+def _assignments(variables, indices) -> list[DeterministicAssignment]:
+    """Assignments `indices` of the canonical enumeration over the sorted `variables`."""
+    return [DeterministicAssignment(dict(zip(variables, row)))
+            for row in _assignment_rows(len(variables), indices).tolist()]
 
 
 class _SplitPlan:
@@ -124,9 +116,10 @@ class _SplitPlan:
     high * 2**low + low, and monomials are grouped by their high half.
     The plan holds what does not depend on the coefficients: each
     monomial's group and low-half monomial, the low-half monomials' ±1
-    values on all 2**low low assignments, the groups' incidence matrix
-    and each high-half row's first index.  `jd_feasibility` builds one
-    plan per call and scans it under each pricing round's coefficients.
+    values on all 2**low low assignments, every high-half row's group
+    values, all read off the index bits by `_monomial_signs`, and each
+    row's first index.  `jd_feasibility` builds one plan per call and
+    scans it under each pricing round's coefficients.
     """
 
     def __init__(self, n, monomials, chunk_size=1 << 16):
@@ -140,16 +133,10 @@ class _SplitPlan:
             cells.append((g, lows.setdefault(tuple(c - high for c in cols if c >= high), len(lows))))
         self.shape = (len(groups), len(lows))
         self.cells = np.array([g * len(lows) + u for g, u in cells], dtype=np.intp)
-        self.low_signs = _parities(_assignment_rows(low), _incidence(low, lows))
-        self.incidence = _incidence(high, groups)
+        self.low_signs = _monomial_signs(_masks(low, lows), np.arange(1 << low))
+        self.signs = _monomial_signs(_masks(high, groups), np.arange(1 << high))
         self.rows = min(max(1, chunk_size >> low), 1 << high)  # high-half rows per tile
         self.first = np.arange(1 << high, dtype=np.int64) << low  # index of each row's first assignment
-        self._signs = None  # every high-half row's group values, built when a scan needs them all
-
-    def _all_signs(self):
-        if self._signs is None:
-            self._signs = _parities(_assignment_rows(self.high), self.incidence)
-        return self._signs
 
     def scan(self, coefficients, workers=None, minima=True):
         """Row-wise extrema of the form with one coefficient per monomial.
@@ -162,47 +149,47 @@ class _SplitPlan:
 
         A group whose `right` row is the same in every column (its terms
         have no low-half variable) adds the same amount to a whole
-        high-half row.  When the scan spans several tiles and fewer than
-        n//2 groups vary, those constant groups become a per-row `shift`,
-        and rows with the same ±1 values on the varying groups share one
-        pattern: the tiles then run over one row per pattern, and each
-        pattern's extremes and their columns are copied to its rows and
-        shifted.  For a cycle or a chain that is 4 patterns instead of
-        2**(n//2) rows.
+        high-half row.  In a scan of several tiles such groups leave the
+        product and become a per-row `shift` when the coefficients have
+        an integer dtype: below 2**53 in absolute sum, integers add
+        exactly in any order, and a constant added to a row moves none of
+        its extremes, so the result is the full product's bit for bit.
+        Float coefficients keep the full product unless fewer than n//2
+        groups vary.  Then, for any dtype, rows with the same ±1 values
+        on the varying groups also share one pattern: the tiles run over
+        one row per pattern, and each pattern's extremes and their
+        columns are copied to its rows and shifted.  For a cycle or a
+        chain that is 4 patterns instead of 2**(n//2) rows.
 
         A tile covers about `chunk_size` assignments, and at least one
         row; tiles may be evaluated by a thread pool of `workers`.
-        Memory is O(terms * 2**low) for `right`, plus O(chunk_size) per
-        tile and, for a single tile or with patterns, O(groups *
-        2**(n//2)) for every row's signs, which the plan keeps.  Integer
-        coefficients whose absolute sum is below 2**53 give exact
-        values, the same with and without patterns.
+        Memory is O(terms * 2**low) for `right`, which bounds the plan's
+        O(groups * 2**(n//2)) row signs, plus O(chunk_size) per tile.
 
         Returns (row_min, argmin, row_max, argmax), or (row_max, argmax)
         without `minima`, each with one entry per high-half row: the
         row's extreme values and the earliest assignment index attaining
         each.
         """
-        high = self.high
+        high, signs = self.high, self.signs
+        coefficients = np.asarray(coefficients)
         weights = np.bincount(self.cells, weights=coefficients, minlength=self.shape[0] * self.shape[1])
         right = weights.reshape(self.shape) @ self.low_signs.T
         # a single-tile scan skips the comparison and keeps the plain row tiles
-        if self.rows < 1 << high and (varying := (right != right[:, :1]).any(axis=1)).sum() < high:
-            signs = self._all_signs()
+        if self.rows < 1 << high and (
+                (few := (varying := (right != right[:, :1]).any(axis=1)).sum() < high)
+                or coefficients.dtype.kind in "iu"):
             shift = signs[:, ~varying] @ right[~varying, 0]
-            keys = (signs[:, varying] < 0) @ (1 << np.arange(varying.sum()))
-            _, reps, pattern = np.unique(keys, return_index=True, return_inverse=True)
-            left = signs[reps][:, varying]
+            left, pattern = signs, slice(None)
+            if few:
+                keys = (signs[:, varying] < 0) @ (1 << np.arange(varying.sum()))
+                _, reps, pattern = np.unique(keys, return_index=True, return_inverse=True)
+                left = signs[reps]
+            left = left[:, varying]  # rows, then columns: the layout, and so the float bits, of earlier scans
             extrema = _tile_extrema(
-                lambda start, stop: left[start:stop], right[varying], len(reps), self.rows, workers, minima)
+                lambda start, stop: left[start:stop], right[varying], len(left), self.rows, workers, minima)
             return tuple(x for values, at in extrema for x in (values[pattern] + shift, self.first + at[pattern]))
-        if self.rows == 1 << high:
-            signs = self._all_signs()
-            tile = lambda start, stop: signs[start:stop]  # noqa: E731
-        else:
-            tile = lambda start, stop: _parities(  # noqa: E731
-                _assignment_rows(high, np.arange(start, stop)), self.incidence)
-        extrema = _tile_extrema(tile, right, 1 << high, self.rows, workers, minima)
+        extrema = _tile_extrema(lambda start, stop: signs[start:stop], right, 1 << high, self.rows, workers, minima)
         return tuple(x for values, at in extrema for x in (values, self.first + at))
 
 
@@ -253,16 +240,19 @@ def classical_extrema(poly, workers=None, chunk_size=1 << 16) -> ExtremaResult:
     The scan is the split-product kernel `_SplitPlan`, which
     `jd_feasibility` also uses to price columns: one float64 matrix
     product per tile of about `chunk_size` assignments, with tiles
-    optionally spread over a thread pool of `workers`.  Terms without a
-    variable in the scan's low half are added per row, and rows that
-    agree on the other terms are scored once: at the default
+    optionally spread over a thread pool of `workers`.  When the scan
+    spans several tiles, terms without a variable in its low half leave
+    the product and are added per row, and rows that agree on the other
+    terms are scored once if few groups of them vary: at the default
     `chunk_size`, a cycle or a chain of 17 to 23 variables multiplies 4
-    row patterns in one tile and starts no pool.  `assignments_checked` is 2**n all the
-    same.  The scan reports each high-half row's extremes at their
-    earliest indices, so the first row attaining the overall extreme
-    holds the earliest attaining index for any worker count.  The
-    product is exact while the sum of absolute
-    coefficients is below 2**53; larger inputs raise
+    row patterns in one tile and starts no pool, and a dense quadratic
+    form of 20 variables multiplies 11 term groups instead of 56.
+    `assignments_checked` is 2**n all the same.  The scan reports each
+    high-half row's extremes at their earliest indices, so the first row
+    attaining the overall extreme holds the earliest attaining index for
+    any worker count.  Memory is O(terms * 2**(n - n//2)) plus one tile
+    per worker.  The sums are exact, in any order, while the sum of
+    absolute coefficients is below 2**53; larger inputs raise
     CoefficientsTooLarge before any allocation, and a `chunk_size` that
     is not an integer of at least 1 raises ValueError.
     """
@@ -290,10 +280,7 @@ def classical_extrema(poly, workers=None, chunk_size=1 << 16) -> ExtremaResult:
     row_min, arg_min, row_max, arg_max = plan.scan(coeffs, workers)
     lo, hi = int(row_min.argmin()), int(row_max.argmax())  # first row: earliest index
     return ExtremaResult(
-        int(row_min[lo]), int(row_max[hi]),
-        _assignment(variables, arg_min[lo]), _assignment(variables, arg_max[hi]),
-        1 << n,
-    )
+        int(row_min[lo]), int(row_max[hi]), *_assignments(variables, [arg_min[lo], arg_max[hi]]), 1 << n)
 
 
 def _checked_value(value, what):
@@ -396,12 +383,11 @@ def jd_feasibility(scenario, observed, means=None, tolerance=FEASIBILITY_TOL) ->
     monomials += [(col[var],) for var in mean_keys]
     rhs = np.array([1.0] + [pairs[p] for p in pair_keys] + [means[v] for v in mean_keys])
 
-    incidence = _incidence(n, monomials)
+    masks = _masks(n, monomials)
     plan = _SplitPlan(n, monomials)
 
     def columns(indices):
-        values = _parities(_assignment_rows(n, indices), incidence).T
-        return np.vstack([np.ones(len(indices)), values])
+        return np.vstack([np.ones(len(indices)), _monomial_signs(masks, indices).T])
 
     if 1 << n <= _SEED_COLUMNS:
         master = np.arange(1 << n)
@@ -430,9 +416,8 @@ def jd_feasibility(scenario, observed, means=None, tolerance=FEASIBILITY_TOL) ->
     if solution.status == OPTIMAL:
         weights = np.clip(solution.x, 0.0, None)
         weights /= weights.sum()
-        support = []
-        for j in sorted(np.flatnonzero(weights > WEIGHT_TOL), key=lambda j: master[j]):
-            support.append((_assignment(variables, master[j]), float(weights[j])))
+        atoms = sorted(np.flatnonzero(weights > WEIGHT_TOL), key=lambda j: master[j])
+        support = [(asg, float(weights[j])) for j, asg in zip(atoms, _assignments(variables, master[atoms]))]
         # put any clipped dust on the heaviest atom so weights sum exactly
         drift = 1.0 - sum(w for _, w in support)
         heaviest = max(range(len(support)), key=lambda i: support[i][1])

@@ -172,7 +172,9 @@ def simplex_solve(problem: LpProblem, start: LpSolution | None = None) -> LpSolu
 
     Infeasible results carry Farkas row multipliers y with
     y.b > 0 and y.A <= 0 (proof no feasible point exists); optimal
-    results carry dual values per constraint row.
+    results carry dual values per constraint row, and an x whose basic
+    values in [-FEASIBILITY_TOL, 0) are set to 0.0.  A basic value below
+    -FEASIBILITY_TOL raises NumericalBreakdown.
 
     `start`, an infeasible result of an equality-only LP, resumes phase 1
     from that result's final tableau when `problem` has the same rows and
@@ -237,8 +239,10 @@ def simplex_solve(problem: LpProblem, start: LpSolution | None = None) -> LpSolu
     r2, val2, status, it2 = _run_simplex(tab, basis, phase2_cost, n + m_ub, max_iter)
     if status == UNBOUNDED:
         return LpSolution(UNBOUNDED, None, None, iterations=it1 + it2)
+    if (tab[:, -1] < -FEASIBILITY_TOL).any():
+        raise NumericalBreakdown(f"basic value {tab[:, -1].min():.3e} below -{FEASIBILITY_TOL}")
     x = np.zeros(wide)
-    x[basis] = tab[:, -1]
+    x[basis] = tab[:, -1].clip(0.0)  # values in [-FEASIBILITY_TOL, 0) are rounding dust
     # phase-2 artificial cost is 0, so duals are minus the reduced costs there
     y = -r2[art] * row_sign
     if problem.maximize:

@@ -500,6 +500,26 @@ class TestParser:
                     ("reproduce", "seed"), ("reproduce", "grid")):
             assert options[key], key
 
+    @pytest.mark.parametrize("target", TARGETS + ("all",))
+    def test_negative_seed_is_a_usage_error(self, target, capsys):
+        """Refused before any target runs: numpy's generators take no negative seed."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["reproduce", target, "--seed", "-1"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: ")
+        assert "argument --seed: -1 is negative, expected an integer >= 0" in captured.err
+
+    @pytest.mark.parametrize("text, value", [("0", 0), ("7", 7), (str(2**70), 2**70)])
+    def test_seed_takes_every_non_negative_integer(self, text, value):
+        assert build_parser().parse_args(["reproduce", "s2-identity", "--seed", text]).seed == value
+
+    def test_seed_must_be_an_integer(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["reproduce", "s2-identity", "--seed", "1.5"])
+        assert "argument --seed: invalid seed value: '1.5'" in capsys.readouterr().err
+
     def test_target_order(self):
         """`all` runs the targets, and --help lists them, in this order."""
         assert TARGETS == (

@@ -28,8 +28,8 @@ from corrineq.lhv import (
     DeterministicAssignment,
     DhvModel,
     _assignment_rows,
-    _incidence,
-    _parities,
+    _masks,
+    _monomial_signs,
     _SplitPlan,
     classical_extrema,
     jd_feasibility,
@@ -149,6 +149,35 @@ class TestClassicalExtrema:
             classical_extrema(poly)
 
 
+def reference_rows(n, indices=None):
+    """`lhv._assignment_rows` before it read the sign kernel: rows of the ±1
+    enumeration, variable j being +1 where bit (n-1-j) of the index is set."""
+    idx = np.asarray(np.arange(1 << n) if indices is None else indices, dtype=np.uint32)
+    shifts = np.arange(n - 1, -1, -1, dtype=np.uint32)
+    bits = (idx[:, None] >> shifts[None, :]) & 1
+    return (2 * bits.astype(np.int64)) - 1
+
+
+def _incidence(n, monomials):
+    """0/1 matrix whose column k marks the variable columns of monomial k."""
+    out = np.zeros((n, len(monomials)))
+    for k, cols in enumerate(monomials):
+        out[list(cols), k] = 1.0
+    return out
+
+
+_SIGNS = np.array([1.0, -1.0])
+
+
+def _parities(assignments, incidence):
+    """±1 value of each monomial (a column of `incidence`) on each assignment
+    row.  The package's table route before `lhv._monomial_signs`, kept with
+    `reference_rows` and `_incidence` as the kernel's bit-exact reference."""
+    negatives = (assignments < 0).astype(float)
+    odd = (negatives @ incidence).astype(np.int64) & 1
+    return _SIGNS[odd]
+
+
 def row_tile_scan(n, terms):
     """The split-product scan before high-half rows were grouped by pattern, at
     its default tile size and without its thread pool: every tile
@@ -165,7 +194,7 @@ def row_tile_scan(n, terms):
     weights = np.zeros((len(groups), len(lows)))
     for g, u, coeff in split:
         weights[g, u] += coeff
-    right = weights @ _parities(_assignment_rows(low), _incidence(low, lows)).T
+    right = weights @ _parities(reference_rows(low), _incidence(low, lows)).T
     incidence = _incidence(high, groups)
     rows = min(max(1, (1 << 16) >> low), 1 << high)
     row_min, row_max = np.empty(1 << high), np.empty(1 << high)
@@ -173,7 +202,7 @@ def row_tile_scan(n, terms):
     arg_max = np.empty(1 << high, dtype=np.int64)
     for start in range(0, 1 << high, rows):
         stop = min(start + rows, 1 << high)
-        values = _parities(_assignment_rows(high, np.arange(start, stop)), incidence) @ right
+        values = _parities(reference_rows(high, np.arange(start, stop)), incidence) @ right
         at = np.arange(stop - start)
         lo = arg_min[start:stop] = values.argmin(axis=1)
         hi = arg_max[start:stop] = values.argmax(axis=1)
@@ -197,7 +226,7 @@ def split_scan_reference(n, terms, chunk_size=1 << 16):
     weights = np.zeros((len(groups), len(lows)))
     for g, u, coeff in split:
         weights[g, u] += coeff
-    right = weights @ _parities(_assignment_rows(low), _incidence(low, lows)).T
+    right = weights @ _parities(reference_rows(low), _incidence(low, lows)).T
     incidence = _incidence(high, groups)
     rows = min(max(1, chunk_size >> low), 1 << high)
     first = np.arange(1 << high, dtype=np.int64) << low
@@ -216,7 +245,7 @@ def split_scan_reference(n, terms, chunk_size=1 << 16):
         return row_min, arg_min, row_max, arg_max
 
     if rows < 1 << high and (varying := (right != right[:, :1]).any(axis=1)).sum() < high:
-        signs = _parities(_assignment_rows(high), incidence)
+        signs = _parities(reference_rows(high), incidence)
         shift = signs[:, ~varying] @ right[~varying, 0]
         keys = (signs[:, varying] < 0) @ (1 << np.arange(varying.sum()))
         _, reps, pattern = np.unique(keys, return_index=True, return_inverse=True)
@@ -225,7 +254,7 @@ def split_scan_reference(n, terms, chunk_size=1 << 16):
         return (lo[pattern] + shift, first + lo_at[pattern],
                 hi[pattern] + shift, first + hi_at[pattern])
     lo, lo_at, hi, hi_at = tiles(
-        lambda start, stop: _parities(_assignment_rows(high, np.arange(start, stop)), incidence),
+        lambda start, stop: _parities(reference_rows(high, np.arange(start, stop)), incidence),
         right, 1 << high)
     return lo, first + lo_at, hi, first + hi_at
 
@@ -294,10 +323,48 @@ def form_values(n, terms, indices):
 def test_parities_match_the_float_expression():
     rng = np.random.default_rng(11)
     for n, k, rows in ((1, 1, 1), (5, 3, 32), (14, 9, 4096)):
-        assignments = _assignment_rows(n, rng.choice(1 << n, rows, replace=False))
+        assignments = reference_rows(n, rng.choice(1 << n, rows, replace=False))
         incidence = (rng.random((n, k)) < 0.4).astype(float)
         odd = ((assignments < 0).astype(float) @ incidence).astype(np.int64) & 1
         assert_same_bits(_parities(assignments, incidence), 1.0 - 2.0 * odd)
+
+
+class TestSignKernel:
+    """`_monomial_signs` against the table route it replaced, bit for bit."""
+
+    @staticmethod
+    def check(n, monomials, indices=None):
+        rows = reference_rows(n, indices)
+        idx = np.arange(1 << n) if indices is None else indices
+        assert_same_bits(_monomial_signs(_masks(n, monomials), idx), _parities(rows, _incidence(n, monomials)))
+        assert_same_bits(_assignment_rows(n, indices), rows)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_smallest_enumerations(self, n):
+        self.check(n, [()] + [(j,) for j in range(n)])
+
+    def test_no_monomials(self):
+        assert _monomial_signs(_masks(3, []), np.arange(8)).shape == (8, 0)
+        self.check(3, [])
+
+    def test_top_bit_at_the_variable_cap(self):
+        n = lhv.EXTREMA_VARIABLE_CAP
+        indices = [0, 1, (1 << (n - 1)) - 1, 1 << (n - 1), (1 << n) - 2, (1 << n) - 1]
+        self.check(n, [(), (0,), (n - 1,), (0, n - 1), tuple(range(n)), tuple(range(0, n, 2))], indices)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 14), data=st.data())
+    def test_monomials_on_index_subsets(self, n, data):
+        monomials = data.draw(st.lists(
+            st.lists(st.integers(0, n - 1), unique=True, max_size=n).map(lambda c: tuple(sorted(c))), max_size=9))
+        indices = data.draw(st.none() | st.lists(st.integers(0, (1 << n) - 1), max_size=40))
+        self.check(n, monomials, indices)
+
+    def test_assignments_walk_the_rows(self):
+        variables = [x(1), x(2), y(1)]
+        want = [dict(zip(variables, row)) for row in reference_rows(3).tolist()]
+        assert [asg.values for asg in lhv._assignments(variables, range(8))] == want
+        assert [asg.values for asg in lhv._assignments(variables, [5, 0])] == [want[5], want[0]]
 
 
 class TestSplitScan:
@@ -336,12 +403,57 @@ class TestSplitScan:
             assert_same_scan(plan.scan(coeffs), want)
             assert_same_scan(plan.scan(coeffs, minima=False), want[2:])
 
+    def test_float_pattern_scan_keeps_the_reference_layout(self):
+        """Pattern rows taken before the varying columns: `signs[reps][:, varying]`
+        is column-major, and the other order gave BLAS a row-major `left` whose
+        products differed from the reference in the last bits."""
+        monomials = [(), (), (0, 1, 7), (1, 7), (2, 7), (2, 3, 4, 5, 6, 7), (0, 7), (), (), (), (), (3, 4, 5, 6, 7)]
+        rng = np.random.default_rng(3419)
+        coeffs = rng.normal(size=len(monomials)) * (rng.random(len(monomials)) < 0.7)
+        want = split_scan_reference(14, list(zip(monomials, coeffs)), 1)
+        assert_same_scan(_SplitPlan(14, monomials, 1).scan(coeffs), want)
+
     @pytest.mark.parametrize("label", sorted(SCAN_FORMS))
     def test_benchmark_forms_match_row_tile_reference(self, label):
         n, terms = poly_terms(SCAN_FORMS[label]())
         want = row_tile_scan(n, terms)
         for chunk_size, workers in product([1, 7, 1 << 16], [None, 2]):
             assert_same_scan(planned_scan(n, terms, chunk_size, workers), want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), dense=st.booleans(), chunk_size=st.sampled_from([1, 7, 1 << 16]),
+           workers=st.sampled_from([None, 2]))
+    def test_integer_shift_matches_row_tile_reference(self, data, dense, chunk_size, workers):
+        """Integer forms, whose multi-tile scans drop the constant groups
+        from the product and add them back per row."""
+        if dense:
+            n = data.draw(st.integers(2, 20))
+            coefficients = st.lists(st.integers(-3, 3), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)
+            terms = list(zip(combinations(range(n), 2), data.draw(coefficients)))
+        else:
+            n, terms = data.draw(scan_forms(max_n=20))
+        assert_same_scan(planned_scan(n, terms, chunk_size, workers), row_tile_scan(n, terms))
+
+    @pytest.fixture
+    def tiled_groups(self, monkeypatch):
+        """The number of groups each scan's tile products run over."""
+        counts, tile_extrema = [], lhv._tile_extrema
+
+        def recording(left, right, *args):
+            counts.append(right.shape[0])
+            return tile_extrema(left, right, *args)
+
+        monkeypatch.setattr(lhv, "_tile_extrema", recording)
+        return counts
+
+    def test_integer_dense_scan_multiplies_only_varying_groups(self, tiled_groups):
+        classical_extrema(SCAN_FORMS["dense-20"]())
+        assert tiled_groups == [11]  # (), and one group per high variable; 45 high pairs are constant
+
+    def test_float_dense_scan_keeps_every_group(self, tiled_groups):
+        n, terms = poly_terms(SCAN_FORMS["dense-20"]())
+        planned_scan(n, [(cols, float(c)) for cols, c in terms])
+        assert tiled_groups == [56]
 
     @pytest.fixture
     def tiled_rows(self, monkeypatch):

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from corrineq import catalog, lhv, simplex
 from corrineq.errors import DimensionMismatch, NumericalBreakdown
@@ -284,6 +284,14 @@ class TestWarmStart:
 
     @settings(max_examples=400, deadline=None)
     @given(column_rounds())
+    # the warm start's optimal x held -3.7e-17 where a cold solve gives 0.0
+    @example((np.zeros(14), np.array([
+        [3, 2, -2, -3, -3, 3, 3, -2, 0, -3, 0, 0, -2, -2],
+        [-3, 2, -3, 3, -1, 3, 1, -2, 2, 0, -1, 1, 3, -2],
+        [2, -2, 3, 0, -2, -1, -2, -1, -2, 1, -1, -3, 2, -3]], dtype=float), np.array([2.0, 1.0, -1.0]), [2, 14]))
+    # a cold solve's optimal x held -1.1e-16
+    @example((np.array([0.0, 1.0, -3.0, -3.0]), np.array([[1.0, -1.0, 2.0, -3.0], [0.0, -3.0, 0.0, -3.0]]),
+              np.array([-2.0, -2.0]), [4]))
     def test_rounds_of_appended_columns(self, case):
         c, a_eq, b_eq, sizes = case
         solution = None
@@ -361,6 +369,40 @@ class TestWarmStart:
         assert start.status == OPTIMAL
         with pytest.raises(ValueError, match="infeasible solution, got optimal"):
             simplex_solve(problem, start=start)
+
+
+class TestBasicValues:
+    """Optimal x as the final phase-2 tableau leaves it, shifted by a basic
+    value between the tolerance and zero, or past it."""
+
+    @pytest.fixture
+    def shifted_phase_2(self, monkeypatch):
+        run = simplex._run_simplex
+
+        def shifted(value):
+            def run_then_shift(tab, basis, cost, limit, max_iter):
+                out = run(tab, basis, cost, limit, max_iter)
+                if limit < tab.shape[1] - 1:  # phase 2: the artificials may not enter
+                    tab[0, -1] = value
+                return out
+            monkeypatch.setattr(simplex, "_run_simplex", run_then_shift)
+        return shifted
+
+    def problem(self):
+        return LpProblem(c=np.array([1.0, 1.0]), a_eq=np.array([[1.0, 1.0]]), b_eq=np.array([1.0]))
+
+    @pytest.mark.parametrize("value", [-FEASIBILITY_TOL, -1e-16, -0.0])
+    def test_dust_becomes_positive_zero(self, value, shifted_phase_2):
+        shifted_phase_2(value)
+        solution = simplex_solve(self.problem())
+        assert solution.status == OPTIMAL
+        assert solution.x.tolist() == [0.0, 0.0]
+        assert not np.signbit(solution.x).any()
+
+    def test_value_below_tolerance_raises(self, shifted_phase_2):
+        shifted_phase_2(-2 * FEASIBILITY_TOL)
+        with pytest.raises(NumericalBreakdown, match="basic value"):
+            simplex_solve(self.problem())
 
 
 # ---------------------------------------------------------------- reference
