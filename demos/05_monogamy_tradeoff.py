@@ -36,7 +36,7 @@ edges = [m for m in derived.terms if m not in cross]
 print(f"{len(cross)} cross-party terms, {len(edges)} pentagon edges")
 
 ##############################################################################
-# Each part separately: classical floor by brute force, then the
+# Each part separately: the exact classical floor, then the
 # no-disturbance floor from a linear program over context-wise
 # outcome tables with matching marginals.  Both parts beat their
 # classical floors by a full two units when optimized alone.

@@ -1,6 +1,6 @@
 """Deterministic hidden variables, joint distributions and polytope LPs.
 
-Three views of classicality live here: exhaustive extrema over
+Three views of classicality live here: exact extrema over
 dispersion-free assignments, existence of a joint distribution
 reproducing observed correlators (a feasibility LP over assignment
 weights), and optimization over the no-disturbance polytope of
@@ -29,7 +29,8 @@ from .errors import (
 from .polynomials import CorrelationInequality, MultilinearPoly, derive_inequality, format_varset
 from .simplex import INFEASIBLE, OPTIMAL, FEASIBILITY_TOL, LpProblem, simplex_solve
 
-EXTREMA_VARIABLE_CAP = 24
+EXTREMA_VARIABLE_CAP = 24  # for the scan; narrow forms go to bucket elimination at any size
+ELIMINATION_WIDTH_CAP = 12  # columns in one bucket of _eliminate: tables of at most 2**12 entries
 FEASIBILITY_VARIABLE_CAP = 20
 ND_TABLEAU_CAP = 1 << 24  # cells of the no-disturbance LP's simplex tableau
 EXACT_SUM_LIMIT = 1 << 53  # float64 adds integers exactly below this magnitude
@@ -222,6 +223,99 @@ def _tile_extrema(left, right, count, rows, workers, minima=True):
     return extrema
 
 
+def _spread(scope, sub):
+    """Index into a table over `sub` of each entry of a table over `scope` (sub ⊆ scope).
+
+    A table over a scope of k columns has 2**k entries; bit p of an entry
+    is set where column scope[p] is +1.
+    """
+    index = [0]
+    for var in scope:
+        bit = 1 << sub.index(var) if var in sub else 0
+        index += [i + bit for i in index]
+    return index
+
+
+def _eliminate(n, terms):
+    """Exact min and max of an integer form over all ±1 assignments, by bucket elimination.
+
+    `terms` are (columns, coefficient) pairs, the columns ascending.
+    Variables are eliminated from column n-1 down to 0 (Dechter, "Bucket
+    elimination", Artif. Intell. 113, 1999): column v's bucket holds the
+    terms whose last column is v and the messages of the buckets before
+    it; their sum, maximised (and minimised) over v, is the bucket's
+    message, a table over the bucket's other columns.  Decoding runs from
+    column 0 up and sets each column to -1 unless +1 is strictly better
+    given the columns before it, so each witness is the lexicographically
+    smallest attaining assignment, the one the scan reports.
+
+    The scopes come first, from the terms' columns alone.  When a bucket
+    would hold more than ELIMINATION_WIDTH_CAP columns, the form is wide
+    and None is returned before any table is built.  Otherwise the min and
+    max tables share every scope and index map; their entries are Python
+    ints, so the result is exact.  Each bucket of k columns costs O(2**k)
+    per term and message in it, and keeps its two tables for the decoding.
+
+    Returns (minimum, maximum, min_signs, max_signs), the signs a list of
+    ±1 per column.
+    """
+    constant = 0
+    bucket_terms = [[] for _ in range(n)]  # per bucket: the terms whose last column it is
+    for cols, coeff in terms:
+        if cols:
+            bucket_terms[cols[-1]].append((cols, int(coeff)))
+        else:
+            constant += int(coeff)
+    incoming = [set() for _ in range(n)]  # per bucket: the columns of the messages it receives
+    scopes = [None] * n  # per bucket: the other columns of its terms and messages, ascending, then v
+    for v in range(n - 1, -1, -1):
+        lower = incoming[v].union(*(cols for cols, _ in bucket_terms[v]))
+        lower.discard(v)
+        if len(lower) >= ELIMINATION_WIDTH_CAP:
+            return None
+        lower = sorted(lower)
+        if lower:
+            incoming[lower[-1]].update(lower)
+        scopes[v] = (*lower, v)
+
+    messages = [[] for _ in range(n)]  # per bucket: (scope, min table, max table)
+    tables = [None] * n
+    lo_total = hi_total = constant
+    for v in range(n - 1, -1, -1):
+        scope = scopes[v]
+        table = [0] * (1 << len(scope))
+        for cols, coeff in bucket_terms[v]:
+            values = [coeff]
+            for var in scope:  # the upper half of each doubling has var = +1
+                values = [-x for x in values] + values if var in cols else values + values
+            table = [a + b for a, b in zip(table, values)]
+        lo_table = hi_table = table
+        for sub, lo_msg, hi_msg in messages[v]:
+            index = _spread(scope, sub)
+            lo_table = [a + lo_msg[i] for a, i in zip(lo_table, index)]
+            hi_table = [a + hi_msg[i] for a, i in zip(hi_table, index)]
+        tables[v] = lo_table, hi_table
+        half = len(table) >> 1  # v is the top bit
+        lo_msg = [a if a <= b else b for a, b in zip(lo_table[:half], lo_table[half:])]
+        hi_msg = [a if a >= b else b for a, b in zip(hi_table[:half], hi_table[half:])]
+        if len(scope) > 1:
+            messages[scope[-2]].append((scope[:-1], lo_msg, hi_msg))
+        else:
+            lo_total += lo_msg[0]
+            hi_total += hi_msg[0]
+
+    witnesses = []
+    for side, direction in ((0, -1), (1, 1)):
+        signs = [-1] * n
+        for v, scope in enumerate(scopes):
+            table = tables[v][side]
+            e = sum(1 << p for p, u in enumerate(scope[:-1]) if signs[u] > 0)
+            if direction * (table[e + (1 << len(scope) - 1)] - table[e]) > 0:
+                signs[v] = 1
+        witnesses.append(signs)
+    return lo_total, hi_total, *witnesses
+
+
 @dataclass(frozen=True)
 class ExtremaResult:
     minimum: int
@@ -235,26 +329,31 @@ def classical_extrema(poly, workers=None, chunk_size=1 << 16) -> ExtremaResult:
     """Exact min and max over every deterministic ±1 assignment.
 
     Witnesses are the lexicographically smallest attaining assignments
-    (-1 sorting before +1).
+    (-1 sorting before +1).  `assignments_checked` is 2**n on every route.
+
+    A narrow form, one whose elimination from the last variable down
+    keeps every bucket within ELIMINATION_WIDTH_CAP variables, is solved
+    by bucket elimination (`_eliminate`) at any n: the paper's cycles,
+    chains, CHSH and LG have buckets of 3 variables, so a 1,001-cycle
+    takes O(n) work.  A wider form of at most EXTREMA_VARIABLE_CAP
+    variables is scanned; past that it raises TooManyVariables before
+    any table is built.
 
     The scan is the split-product kernel `_SplitPlan`, which
     `jd_feasibility` also uses to price columns: one float64 matrix
     product per tile of about `chunk_size` assignments, with tiles
-    optionally spread over a thread pool of `workers`.  When the scan
-    spans several tiles, terms without a variable in its low half leave
-    the product and are added per row, and rows that agree on the other
-    terms are scored once if few groups of them vary: at the default
-    `chunk_size`, a cycle or a chain of 17 to 23 variables multiplies 4
-    row patterns in one tile and starts no pool, and a dense quadratic
-    form of 20 variables multiplies 11 term groups instead of 56.
-    `assignments_checked` is 2**n all the same.  The scan reports each
-    high-half row's extremes at their earliest indices, so the first row
-    attaining the overall extreme holds the earliest attaining index for
-    any worker count.  Memory is O(terms * 2**(n - n//2)) plus one tile
-    per worker.  The sums are exact, in any order, while the sum of
-    absolute coefficients is below 2**53; larger inputs raise
-    CoefficientsTooLarge before any allocation, and a `chunk_size` that
-    is not an integer of at least 1 raises ValueError.
+    optionally spread over a thread pool of `workers`; both parameters
+    apply to the scan only.  When the scan spans several tiles, terms
+    without a variable in its low half leave the product and are added
+    per row: a dense quadratic form of 20 variables multiplies 11 term
+    groups instead of 56.  The scan reports each high-half row's extremes
+    at their earliest indices, so the first row attaining the overall
+    extreme holds the earliest attaining index for any worker count.
+    Memory is O(terms * 2**(n - n//2)) plus one tile per worker.  The
+    sums are exact, in any order, while the sum of absolute coefficients
+    is below 2**53; larger inputs raise CoefficientsTooLarge before any
+    allocation, and a `chunk_size` that is not an integer of at least 1
+    raises ValueError.
     """
     if isinstance(chunk_size, bool) or not isinstance(chunk_size, (int, np.integer)) or chunk_size < 1:
         raise ValueError(f"chunk_size is {chunk_size!r}, expected an integer of at least 1")
@@ -262,22 +361,25 @@ def classical_extrema(poly, workers=None, chunk_size=1 << 16) -> ExtremaResult:
         poly = poly.as_poly()
     variables = sorted(poly.variables(), key=VariableId.sort_key)
     n = len(variables)
-    if n > EXTREMA_VARIABLE_CAP:
-        raise TooManyVariables(f"{n} variables exceeds the cap of {EXTREMA_VARIABLE_CAP}")
     magnitude = sum(abs(c) for _, c in poly.items())
     if magnitude >= EXACT_SUM_LIMIT:
         raise CoefficientsTooLarge(
             f"sum of absolute coefficients {magnitude} is not below 2**53"
         )
     col = {v: i for i, v in enumerate(variables)}
-    if n == 0:
-        constant = poly.constant_term()
-        empty = DeterministicAssignment({})
-        return ExtremaResult(constant, constant, empty, empty, 1)
+    terms = [(tuple(sorted(col[v] for v in varset)), c) for varset, c in poly.items()]
+    eliminated = _eliminate(n, terms)
+    if eliminated is not None:
+        lo, hi, *signs = eliminated
+        witnesses = [DeterministicAssignment(dict(zip(variables, row))) for row in signs]
+        return ExtremaResult(lo, hi, *witnesses, 1 << n)
+    if n > EXTREMA_VARIABLE_CAP:
+        raise TooManyVariables(
+            f"{n} variables exceeds the scan's cap of {EXTREMA_VARIABLE_CAP}, and an elimination "
+            f"bucket exceeds the cap of {ELIMINATION_WIDTH_CAP} variables")
 
-    varsets, coeffs = zip(*poly.items())
-    plan = _SplitPlan(n, [tuple(sorted(col[v] for v in varset)) for varset in varsets], chunk_size)
-    row_min, arg_min, row_max, arg_max = plan.scan(coeffs, workers)
+    plan = _SplitPlan(n, [cols for cols, _ in terms], chunk_size)
+    row_min, arg_min, row_max, arg_max = plan.scan([c for _, c in terms], workers)
     lo, hi = int(row_min.argmin()), int(row_max.argmax())  # first row: earliest index
     return ExtremaResult(
         int(row_min[lo]), int(row_max[hi]), *_assignments(variables, [arg_min[lo], arg_max[hi]]), 1 << n)

@@ -48,6 +48,8 @@ _TIMELINES = [
 ]
 (X1, X2), (Y1, Y2) = _TIMELINES
 _SLOT = {var: slot for line in _TIMELINES for slot, var in enumerate(line)}
+# each slot size's int8 sign rows, +1 first; a slot holds at most one variable per qubit
+_SLOT_SIGNS = [-_assignment_rows(k).astype(np.int8) for k in range(len(_TIMELINES) + 1)]
 
 
 def _mix64(z, tmp=None):
@@ -184,7 +186,7 @@ def _slots(choice, settings):
     for slot in range(DRAWS_PER_SHOT):
         variables = [var for var in measured if _SLOT[var] == slot]
         ops = [[_embed(p, _QUBIT[var]) for p in projectors(settings[var])] for var in variables]
-        signs = -_assignment_rows(len(variables)).astype(np.int8)
+        signs = _SLOT_SIGNS[len(variables)]
         projs = []
         for row in signs:
             proj = np.eye(4, dtype=complex)

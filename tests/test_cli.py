@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from corrineq import lhv
+from corrineq import catalog, lhv
 from corrineq.cli import TARGETS, _pair_key, build_parser, main
-from corrineq.dsl import parse_variable
+from corrineq.dsl import format_sos, parse_variable
 from corrineq.optimize import scan_envelope
 
 SQRT8 = 2.828427124746190
@@ -102,6 +102,16 @@ class TestDerive:
         report = json.loads(out)
         assert report["term_kinds"] == dict.fromkeys(("JK", "JM", "KL", "LM"), "same-party")
         assert report["classification"] == "temporal"
+
+    def test_cycle_past_the_scan_cap(self, capsys, tmp_path):
+        source = tmp_path / "cycle-101.rsx"
+        source.write_text(format_sos(catalog.cycle_source(101)) + "\n")
+        code, out, _ = run_cli(capsys, "derive", "--input", str(source), "--format", "json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["bound"] == "-99"
+        assert report["classical"]["minimum"] == -99
+        assert report["classical"]["assignments_checked"] == 2**101
 
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "derive", "--input", "no/such/file.rsx")

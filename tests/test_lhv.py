@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from itertools import combinations, product
 from pathlib import Path
@@ -134,19 +135,42 @@ class TestClassicalExtrema:
         assert poly.evaluate(res.witness_max.values) == res.maximum
 
     def test_threaded_matches_sequential(self):
-        ineq = derive_inequality(catalog.monogamy_source())
-        seq = classical_extrema(ineq)
-        par = classical_extrema(ineq, workers=4, chunk_size=16)
+        """A form too wide for elimination reaches the scan, whose tiles go to the pool."""
+        poly = dense_poly(14, 5)
+        seq = classical_extrema(poly)
+        par = classical_extrema(poly, workers=4, chunk_size=16)
         assert (seq.minimum, seq.maximum) == (par.minimum, par.maximum)
         assert seq.witness_min == par.witness_min
         assert seq.witness_max == par.witness_max
 
-    def test_variable_cap(self):
-        poly = MultilinearPoly(
-            {frozenset({x(i), x(i + 1)}): 1 for i in range(1, 30)}
-        )
-        with pytest.raises(TooManyVariables):
-            classical_extrema(poly)
+    def test_thirty_variable_path_is_solved_exactly(self):
+        variables = [x(i) for i in range(1, 31)]
+        poly = MultilinearPoly({frozenset(pair): 1 for pair in zip(variables, variables[1:])})
+        res = classical_extrema(poly)
+        assert (res.minimum, res.maximum, res.assignments_checked) == (-29, 29, 1 << 30)
+        assert res.witness_min.values == {v: (-1) ** (i + 1) for i, v in enumerate(variables)}
+        assert res.witness_max.values == dict.fromkeys(variables, -1)
+
+    def test_wide_form_past_the_scan_cap_raises_before_any_table(self, monkeypatch):
+        poly = clique_on_a_path(lhv.ELIMINATION_WIDTH_CAP + 1)
+        monkeypatch.setattr(lhv, "_SplitPlan", None)  # calling it would raise
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooManyVariables, match=r"cap of 24.*cap of 12"):
+                classical_extrema(poly)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+def clique_on_a_path(k):
+    """25 variables on a path whose last k are also joined pairwise, so that
+    the first bucket of the elimination holds k variables: a wide form whose
+    tables stay small if the width check ever fails."""
+    variables = [x(i) for i in range(1, 26)]
+    pairs = set(zip(variables, variables[1:])) | set(combinations(variables[-k:], 2))
+    return MultilinearPoly({frozenset(pair): 1 for pair in pairs})
 
 
 def reference_rows(n, indices=None):
@@ -470,7 +494,7 @@ class TestSplitScan:
     @pytest.mark.parametrize("label", ["cycle-19", "cycle-23", "chain-23"])
     def test_sparse_forms_tile_four_patterns_without_the_pool(self, label, tiled_rows, monkeypatch):
         monkeypatch.setattr(lhv, "ThreadPoolExecutor", None)  # calling it would raise
-        classical_extrema(SCAN_FORMS[label](), workers=2)
+        planned_scan(*poly_terms(SCAN_FORMS[label]()), workers=2)
         assert tiled_rows == [4]
 
     def test_dense_forms_keep_every_row(self, tiled_rows):
@@ -527,6 +551,54 @@ class TestSplitScan:
         monkeypatch.setattr(lhv, "_SplitPlan", None)  # the check comes before the scan
         with pytest.raises(ValueError, match="chunk_size"):
             classical_extrema(derive_inequality(catalog.chsh_source()), chunk_size=chunk_size)
+
+
+@st.composite
+def sparse_polys(draw):
+    """Integer polys over up to 16 variables, named so that the sorted order
+    mixes letters: monomials of degree 0 to 3 with coefficients -2..2, so
+    that extremes tie."""
+    n = draw(st.integers(1, 16))
+    names = [VariableId("XYZ"[i % 3], i // 3 + 1) for i in range(n)]
+    monomials = st.lists(st.integers(0, n - 1), unique=True, max_size=3)
+    terms = draw(st.lists(st.tuples(monomials, st.integers(-2, 2)), max_size=n + 4))
+    return MultilinearPoly({frozenset(names[c] for c in cols): coeff for cols, coeff in terms})
+
+
+class TestElimination:
+    @settings(max_examples=200, deadline=None)
+    @given(poly=sparse_polys(), chunk_size=st.sampled_from([1, 7, 1 << 16]))
+    @example(poly=MultilinearPoly({frozenset({x(1), x(2)}): 0, frozenset(): 2}), chunk_size=1)
+    @example(poly=MultilinearPoly({frozenset({x(i), y(i)}): 2 for i in (1, 2)}), chunk_size=1)
+    def test_matches_the_scan(self, poly, chunk_size):
+        got = classical_extrema(poly, chunk_size=chunk_size)
+        with mock.patch.object(lhv, "_eliminate", return_value=None):
+            want = classical_extrema(poly, chunk_size=chunk_size)
+        assert (got.minimum, got.maximum, got.assignments_checked) == (
+            want.minimum, want.maximum, want.assignments_checked)
+        for g, w in ((got.witness_min, want.witness_min), (got.witness_max, want.witness_max)):
+            assert list(g.values.items()) == list(w.values.items())
+
+    def test_narrow_forms_skip_the_scan(self, monkeypatch):
+        monkeypatch.setattr(lhv, "_SplitPlan", None)  # calling it would raise
+        for label in ("cycle-23", "chain-23"):
+            classical_extrema(SCAN_FORMS[label]())
+        assert lhv._eliminate(*poly_terms(SCAN_FORMS["dense-18"]())) is None
+        at_the_cap = clique_on_a_path(lhv.ELIMINATION_WIDTH_CAP)  # 24 + 66 - 11 distinct pairs
+        assert classical_extrema(at_the_cap).maximum == 79
+
+    @pytest.mark.parametrize("family, minimum, maximum, bound", [
+        (catalog.cycle_source, -999, 1001, -999), (catalog.alternating_cycle_source, -1001, 999, 999)])
+    def test_thousand_and_one_variables(self, family, minimum, maximum, bound):
+        ineq = derive_inequality(family(1001))
+        start = time.perf_counter()
+        res = classical_extrema(ineq)
+        assert time.perf_counter() - start < 1.0  # about 40 ms on one core; the scan would need 2**1001 rows
+        assert ineq.bound == bound
+        assert (res.minimum, res.maximum, res.assignments_checked) == (minimum, maximum, 1 << 1001)
+        poly = ineq.as_poly()
+        assert poly.evaluate(res.witness_min.values) == res.minimum
+        assert poly.evaluate(res.witness_max.values) == res.maximum
 
 
 class TestModelsAndDistributions:
