@@ -74,47 +74,38 @@ def _x(i: int) -> VariableId:
     return VariableId("X", i)
 
 
+def _cycle(n: int, even: int, offset: int) -> SosExpression:
+    """Edge groups (X_{2k-1}+even*X_{2k}+X_{2k+1})^2 cover consecutive edges;
+    correction groups (X1-X_{2k+1}+X_{2k+3})^2 cancel the skips and close
+    the cycle, n-2 odd groups in total.  `offset` moves that much of the
+    bound n-2 to the left-hand side."""
+    if n < 5 or n % 2 == 0:
+        raise ValueError(f"cycle length must be odd and at least 5, got {n}")
+    groups = [LinearForm(((1, _x(2 * k - 1)), (even, _x(2 * k)), (1, _x(2 * k + 1))))
+              for k in range(1, (n - 1) // 2 + 1)]
+    groups += [LinearForm(((1, _x(1)), (-1, _x(2 * k + 1)), (1, _x(2 * k + 3))))
+               for k in range(1, (n - 3) // 2 + 1)]
+    return SosExpression(tuple(groups), constant_offset=offset, comparator=">=", bound=n - 2 - offset)
+
+
 def cycle_source(n: int, offset_form: bool = False) -> SosExpression:
     """Sum-of-squares source whose expansion is the n-cycle X1X2+...+XnX1.
 
-    Needs odd n >= 5.  Edge groups (X_{2k-1}+X_{2k}+X_{2k+1})^2 cover
-    consecutive edges; correction groups (X1-X_{2k+1}+X_{2k+3})^2 cancel
-    the skips and close the cycle, n-2 odd groups in total.  With
-    offset_form the statement is written as `... + (n-2) >= 0`, whose
-    sharp bound comes from the parity argument rather than the stated 0.
+    Needs odd n >= 5.  With offset_form the statement is written as
+    `... + (n-2) >= 0`, whose sharp bound comes from the parity argument
+    rather than the stated 0.
     """
-    if n < 5 or n % 2 == 0:
-        raise ValueError(f"cycle length must be odd and at least 5, got {n}")
-    groups = []
-    for k in range(1, (n - 1) // 2 + 1):
-        groups.append(LinearForm(((1, _x(2 * k - 1)), (1, _x(2 * k)), (1, _x(2 * k + 1)))))
-    for k in range(1, (n - 3) // 2 + 1):
-        groups.append(LinearForm(((1, _x(1)), (-1, _x(2 * k + 1)), (1, _x(2 * k + 3)))))
-    if offset_form:
-        return SosExpression(tuple(groups), constant_offset=n - 2, comparator=">=", bound=0)
-    return SosExpression(tuple(groups), comparator=">=", bound=n - 2)
+    return _cycle(n, 1, n - 2 if offset_form else 0)
 
 
 def alternating_cycle_source(n: int) -> SosExpression:
     """Source for the chain X1X2+...+X_{n-1}Xn - XnX1 with bound n-2.
 
-    Same construction as cycle_source with every even-index variable
-    negated, which flips each edge term's sign except the closing one;
-    canonicalization then yields the chain bounded above by n-2.
+    The cycle's source with every even-index variable negated, which
+    flips each edge term's sign except the closing one; canonicalization
+    then yields the chain bounded above by n-2.
     """
-    if n < 5 or n % 2 == 0:
-        raise ValueError(f"cycle length must be odd and at least 5, got {n}")
-
-    def signed(i):
-        return (-1 if i % 2 == 0 else 1, _x(i))
-
-    groups = []
-    for k in range(1, (n - 1) // 2 + 1):
-        groups.append(LinearForm((signed(2 * k - 1), signed(2 * k), signed(2 * k + 1))))
-    for k in range(1, (n - 3) // 2 + 1):
-        sign, var = signed(2 * k + 1)
-        groups.append(LinearForm(((1, _x(1)), (-sign, var), signed(2 * k + 3))))
-    return SosExpression(tuple(groups), comparator=">=", bound=n - 2)
+    return _cycle(n, -1, 0)
 
 
 def cycle_scenario(n: int) -> ScenarioSpec:

@@ -113,6 +113,8 @@ class ScenarioSpec:
 
     def __post_init__(self):
         declared = set(self.variables)
+        if len(declared) != len(self.variables):
+            raise InconsistentContext("a variable is declared twice")
         for var in self.variables:
             if var not in self.party_map:
                 raise UndeclaredVariable(f"no party assigned to {var}")
@@ -372,8 +374,6 @@ def parse_scenario(text: str) -> ScenarioSpec:
                 raise DslSyntaxError("sequential: takes exactly two distinct variables", lineno, 1)
             sequential.append((ids[0], ids[1]))
 
-    if len(set(variables)) != len(variables):
-        raise InconsistentContext("a variable is declared twice")
     party_map = {v: v.letter for v in variables}
     for var, label in party_over.items():
         if var not in party_map:

@@ -81,9 +81,10 @@ class DhvModel:
 def _masks(n, monomials) -> np.ndarray:
     """One bit mask per monomial (a tuple of variable columns) of n variables.
 
-    Assignment index i maps variable j to +1 when bit (n-1-j) of i is set,
+    Assignment index i maps column j to +1 when bit (n-1-j) of i is set,
     so ascending i walks the value tuples in lexicographic order with -1
-    first.  Every ±1 table in this module is read through this convention.
+    first.  Every ±1 table in this module is read through this convention,
+    and `_Columns` is the one numbering of variables as columns.
     """
     return np.array([sum(1 << (n - 1 - j) for j in cols) for cols in monomials], dtype=np.int64)
 
@@ -103,10 +104,23 @@ def _assignment_rows(n, indices=None) -> np.ndarray:
     return _monomial_signs(_masks(n, [(j,) for j in range(n)]), indices).astype(np.int64)
 
 
-def _assignments(variables, indices) -> list[DeterministicAssignment]:
-    """Assignments `indices` of the canonical enumeration over the sorted `variables`."""
-    return [DeterministicAssignment(dict(zip(variables, row)))
-            for row in _assignment_rows(len(variables), indices).tolist()]
+class _Columns:
+    """The one numbering of variables as columns, read by the three classical routes.
+
+    Variable j in `VariableId.sort_key` order is column j, bit n-1-j of an
+    assignment index (`_masks`).  `cols` numbers a set of variables as its
+    ascending columns; `assignments` decodes ±1 rows, one entry per column.
+    """
+
+    def __init__(self, variables):
+        self.variables = tuple(sorted(variables, key=VariableId.sort_key))
+        self.col = {v: j for j, v in enumerate(self.variables)}
+
+    def cols(self, key):
+        return tuple(sorted(self.col[v] for v in key))
+
+    def assignments(self, rows):
+        return [DeterministicAssignment(dict(zip(self.variables, row))) for row in rows]
 
 
 class _SplitPlan:
@@ -187,20 +201,20 @@ class _SplitPlan:
                 _, reps, pattern = np.unique(keys, return_index=True, return_inverse=True)
                 left = signs[reps]
             left = left[:, varying]  # rows, then columns: the layout, and so the float bits, of earlier scans
-            extrema = _tile_extrema(
-                lambda start, stop: left[start:stop], right[varying], len(left), self.rows, workers, minima)
+            extrema = _tile_extrema(left, right[varying], self.rows, workers, minima)
             return tuple(x for values, at in extrema for x in (values[pattern] + shift, self.first + at[pattern]))
-        extrema = _tile_extrema(lambda start, stop: signs[start:stop], right, 1 << high, self.rows, workers, minima)
+        extrema = _tile_extrema(signs, right, self.rows, workers, minima)
         return tuple(x for values, at in extrema for x in (values, self.first + at))
 
 
-def _tile_extrema(left, right, count, rows, workers, minima=True):
-    """Extremes and their earliest columns of each row of `left(0, count) @ right`.
+def _tile_extrema(left, right, rows, workers, minima=True):
+    """Extremes and their earliest columns of each row of `left @ right`.
 
     Returns [(row_min, arg_min), (row_max, arg_max)], or only the maxima
     when `minima` is false.  The product is taken `rows` rows at a time,
     on a thread pool of `workers` when there are several tiles.
     """
+    count = len(left)
     tiles = [(s, min(s + rows, count)) for s in range(0, count, rows)]
     reducers = (np.argmin, np.argmax) if minima else (np.argmax,)
     extrema = [(np.empty(count), np.empty(count, dtype=np.int64)) for _ in reducers]
@@ -208,7 +222,7 @@ def _tile_extrema(left, right, count, rows, workers, minima=True):
 
     def scan(tile):
         start, stop = tile
-        values = left(start, stop) @ right
+        values = left[start:stop] @ right
         at = span[:stop - start]
         for reduce, (extreme, column) in zip(reducers, extrema):
             best = column[start:stop] = reduce(values, axis=1)
@@ -359,20 +373,18 @@ def classical_extrema(poly, workers=None, chunk_size=1 << 16) -> ExtremaResult:
         raise ValueError(f"chunk_size is {chunk_size!r}, expected an integer of at least 1")
     if isinstance(poly, CorrelationInequality):
         poly = poly.as_poly()
-    variables = sorted(poly.variables(), key=VariableId.sort_key)
-    n = len(variables)
     magnitude = sum(abs(c) for _, c in poly.items())
     if magnitude >= EXACT_SUM_LIMIT:
         raise CoefficientsTooLarge(
             f"sum of absolute coefficients {magnitude} is not below 2**53"
         )
-    col = {v: i for i, v in enumerate(variables)}
-    terms = [(tuple(sorted(col[v] for v in varset)), c) for varset, c in poly.items()]
+    form = _Columns(poly.variables())
+    n = len(form.variables)
+    terms = [(form.cols(varset), c) for varset, c in poly.items()]
     eliminated = _eliminate(n, terms)
     if eliminated is not None:
         lo, hi, *signs = eliminated
-        witnesses = [DeterministicAssignment(dict(zip(variables, row))) for row in signs]
-        return ExtremaResult(lo, hi, *witnesses, 1 << n)
+        return ExtremaResult(lo, hi, *form.assignments(signs), 1 << n)
     if n > EXTREMA_VARIABLE_CAP:
         raise TooManyVariables(
             f"{n} variables exceeds the scan's cap of {EXTREMA_VARIABLE_CAP}, and an elimination "
@@ -381,8 +393,8 @@ def classical_extrema(poly, workers=None, chunk_size=1 << 16) -> ExtremaResult:
     plan = _SplitPlan(n, [cols for cols, _ in terms], chunk_size)
     row_min, arg_min, row_max, arg_max = plan.scan([c for _, c in terms], workers)
     lo, hi = int(row_min.argmin()), int(row_max.argmax())  # first row: earliest index
-    return ExtremaResult(
-        int(row_min[lo]), int(row_max[hi]), *_assignments(variables, [arg_min[lo], arg_max[hi]]), 1 << n)
+    witnesses = form.assignments(_assignment_rows(n, [arg_min[lo], arg_max[hi]]).tolist())
+    return ExtremaResult(int(row_min[lo]), int(row_max[hi]), *witnesses, 1 << n)
 
 
 def _checked_value(value, what):
@@ -462,27 +474,21 @@ def jd_feasibility(scenario, observed, means=None, tolerance=FEASIBILITY_TOL) ->
     """
     if not 0.0 <= tolerance < np.inf:  # false for NaN too
         raise ValueError(f"tolerance is {tolerance}, expected a finite non-negative number")
-    variables = tuple(sorted(scenario.variables, key=VariableId.sort_key))
-    n = len(variables)
+    form = _Columns(scenario.variables)
+    n = len(form.variables)
     if n > FEASIBILITY_VARIABLE_CAP:
         raise TooManyVariables(f"{n} variables exceeds the cap of {FEASIBILITY_VARIABLE_CAP}")
-    declared = set(variables)
-    col = {v: i for i, v in enumerate(variables)}
     pairs = _normalize_pairs(observed)
     means = {var: _checked_value(value, f"mean of {var}") for var, value in (means or {}).items()}
-    for pair in pairs:
-        for var in pair:
-            if var not in declared:
-                raise UndeclaredVariable(f"correlator names undeclared {var}")
-    for var in means:
-        if var not in declared:
-            raise UndeclaredVariable(f"mean names undeclared {var}")
+    for what, named in (("correlator", [var for pair in pairs for var in pair]), ("mean", means)):
+        for var in named:
+            if var not in form.col:
+                raise UndeclaredVariable(f"{what} names undeclared {var}")
 
-    pair_keys = sorted(pairs, key=lambda p: tuple(sorted(v.sort_key() for v in p)))
-    mean_keys = sorted(means, key=VariableId.sort_key)
+    pair_keys = sorted(pairs, key=form.cols)
+    mean_keys = sorted(means, key=form.col.get)
     # LP rows after the normalization row, as monomials over variable columns
-    monomials = [tuple(sorted(col[v] for v in pair)) for pair in pair_keys]
-    monomials += [(col[var],) for var in mean_keys]
+    monomials = [form.cols(pair) for pair in pair_keys] + [(form.col[var],) for var in mean_keys]
     rhs = np.array([1.0] + [pairs[p] for p in pair_keys] + [means[v] for v in mean_keys])
 
     masks = _masks(n, monomials)
@@ -519,7 +525,8 @@ def jd_feasibility(scenario, observed, means=None, tolerance=FEASIBILITY_TOL) ->
         weights = np.clip(solution.x, 0.0, None)
         weights /= weights.sum()
         atoms = sorted(np.flatnonzero(weights > WEIGHT_TOL), key=lambda j: master[j])
-        support = [(asg, float(weights[j])) for j, asg in zip(atoms, _assignments(variables, master[atoms]))]
+        witnesses = form.assignments(_assignment_rows(n, master[atoms]).tolist())
+        support = [(asg, float(weights[j])) for j, asg in zip(atoms, witnesses)]
         # put any clipped dust on the heaviest atom so weights sum exactly
         drift = 1.0 - sum(w for _, w in support)
         heaviest = max(range(len(support)), key=lambda i: support[i][1])
@@ -571,29 +578,28 @@ def nodisturbance_optimum(scenario, objective, direction="max", enforce_consiste
     """
     if direction not in ("min", "max"):
         raise ValueError(f"direction must be min or max, got {direction!r}")
-    contexts = [tuple(sorted(ctx, key=VariableId.sort_key)) for ctx in scenario.contexts]
+    form = _Columns(scenario.variables)
+    contexts = [form.cols(ctx) for ctx in scenario.contexts]  # each context's columns, ascending
     if not contexts:
         raise TermOutsideContext("scenario declares no contexts")
-    places = [{var: i for i, var in enumerate(ctx)} for ctx in contexts]
-    homes = {}  # variable -> contexts holding it, in declaration order
+    homes = [[] for _ in form.variables]  # per column: contexts holding it, in declaration order
     for ci, ctx in enumerate(contexts):
-        for var in ctx:
-            homes.setdefault(var, []).append(ci)
+        for j in ctx:
+            homes[j].append(ci)
 
-    terms = []  # (context, its columns of the pair's variables, coefficient)
+    terms = []  # (context, its places of the pair's columns, coefficient)
     for pair, coeff in _objective_pairs(objective).items():
-        a, b = sorted(pair, key=VariableId.sort_key)
-        home = next((ci for ci in homes.get(a, ()) if b in places[ci]), None)
+        a, b = sorted(form.col.get(var, -1) for var in pair)  # -1: undeclared
+        home = next((ci for ci in homes[b] if a in contexts[ci]), None) if a >= 0 else None
         if home is None:
-            raise TermOutsideContext(f"{a}{b} lies in no declared context")
-        terms.append((home, places[home][a], places[home][b], coeff))
-    overlaps = []  # (ci, cj, shared variables' columns in ci, and in cj) for ci < cj
+            raise TermOutsideContext(f"{format_varset(pair)} lies in no declared context")
+        terms.append((home, contexts[home].index(a), contexts[home].index(b), coeff))
+    overlaps = []  # (ci, cj, shared columns' places in ci, and in cj) for ci < cj
     if enforce_consistency:
         for ci, ctx in enumerate(contexts):
-            for cj in sorted({cj for var in ctx for cj in homes[var] if cj > ci}):
-                shared = [var for var in ctx if var in places[cj]]
-                overlaps.append((ci, cj, tuple(places[ci][v] for v in shared),
-                                 tuple(places[cj][v] for v in shared)))
+            for cj in sorted({cj for j in ctx for cj in homes[j] if cj > ci}):
+                shared = [j for j in ctx if j in contexts[cj]]
+                overlaps.append((ci, cj, tuple(map(ctx.index, shared)), tuple(map(contexts[cj].index, shared))))
     starts = [0]  # each context's first LP column
     for ctx in contexts:
         starts.append(starts[-1] + (1 << len(ctx)))
@@ -636,7 +642,8 @@ def nodisturbance_optimum(scenario, objective, direction="max", enforce_consiste
     behavior = tuple(
         dict(zip(outcomes[len(ctx)], x[starts[ci]:starts[ci + 1]])) for ci, ctx in enumerate(contexts)
     )
-    return NdOptimum(float(solution.objective), direction, tuple(contexts), behavior, enforce_consistency)
+    labels = tuple(tuple(form.variables[j] for j in ctx) for ctx in contexts)
+    return NdOptimum(float(solution.objective), direction, labels, behavior, enforce_consistency)
 
 
 @dataclass(frozen=True)

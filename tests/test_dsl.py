@@ -296,6 +296,13 @@ class TestScenarioSpec:
         with pytest.raises(UndeclaredVariable):
             ScenarioSpec((x(1),), {})
 
+    def test_refuses_a_variable_listed_twice(self):
+        """Listed twice, X1 would count twice toward jd_feasibility's variable cap."""
+        with pytest.raises(InconsistentContext, match="a variable is declared twice"):
+            ScenarioSpec((x(1), x(2), x(1)), {x(1): "X", x(2): "X"})
+        with pytest.raises(InconsistentContext, match="a variable is declared twice"):
+            parse_scenario("variables: X1 X2\nvariables: X1\n")
+
     def test_direct_construction(self):
         scn = ScenarioSpec(
             (x(1), x(2)),

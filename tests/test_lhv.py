@@ -51,6 +51,13 @@ def y(i):
     return VariableId("Y", i)
 
 
+def mixed_names(n):
+    """n variables (n <= 18) listed in neither their sort order nor their
+    string order: X10 J10 Y10 X9 J9 Y9 X J Y X1 ..., where J9 sorts before
+    J10 and a bare J before J1."""
+    return [VariableId("XJY"[i % 3], (10, 9, None, 1, 2, 11)[i // 3]) for i in range(n)]
+
+
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
@@ -67,7 +74,7 @@ def singlet_chsh_correlators():
 def multilinear_polys(draw):
     """Integer polys of any degree, constant included, over up to 10 variables."""
     n = draw(st.integers(1, 10))
-    names = [VariableId("XYZ"[i % 3], i // 3 + 1) for i in range(n)]
+    names = mixed_names(n)
     cols = st.lists(st.integers(0, n - 1), unique=True, max_size=n)
     terms = draw(st.lists(st.tuples(cols, st.integers(-3, 3)), max_size=8))
     return MultilinearPoly({frozenset(names[c] for c in cs): coeff for cs, coeff in terms})
@@ -385,10 +392,15 @@ class TestSignKernel:
         self.check(n, monomials, indices)
 
     def test_assignments_walk_the_rows(self):
-        variables = [x(1), x(2), y(1)]
-        want = [dict(zip(variables, row)) for row in reference_rows(3).tolist()]
-        assert [asg.values for asg in lhv._assignments(variables, range(8))] == want
-        assert [asg.values for asg in lhv._assignments(variables, [5, 0])] == [want[5], want[0]]
+        variables = mixed_names(3)  # X10 J10 Y10
+        form = lhv._Columns(variables)
+        assert form.variables == (VariableId("J", 10), x(10), y(10))
+        assert [form.cols({v}) for v in variables] == [(1,), (0,), (2,)]
+        assert form.cols(variables) == (0, 1, 2)
+        want = [list(zip(form.variables, row)) for row in reference_rows(3).tolist()]
+        for indices in (range(8), [5, 0]):
+            got = form.assignments(_assignment_rows(3, indices).tolist())
+            assert [list(asg.values.items()) for asg in got] == [want[i] for i in indices]
 
 
 class TestSplitScan:
@@ -484,9 +496,9 @@ class TestSplitScan:
         """The number of rows each scan's tiles run over."""
         counts, tile_extrema = [], lhv._tile_extrema
 
-        def recording(left, right, count, *args):
-            counts.append(count)
-            return tile_extrema(left, right, count, *args)
+        def recording(left, *args):
+            counts.append(len(left))
+            return tile_extrema(left, *args)
 
         monkeypatch.setattr(lhv, "_tile_extrema", recording)
         return counts
@@ -556,10 +568,10 @@ class TestSplitScan:
 @st.composite
 def sparse_polys(draw):
     """Integer polys over up to 16 variables, named so that the sorted order
-    mixes letters: monomials of degree 0 to 3 with coefficients -2..2, so
-    that extremes tie."""
+    mixes letters and differs from the string order: monomials of degree 0
+    to 3 with coefficients -2..2, so that extremes tie."""
     n = draw(st.integers(1, 16))
-    names = [VariableId("XYZ"[i % 3], i // 3 + 1) for i in range(n)]
+    names = mixed_names(n)
     monomials = st.lists(st.integers(0, n - 1), unique=True, max_size=3)
     terms = draw(st.lists(st.tuples(monomials, st.integers(-2, 2)), max_size=n + 4))
     return MultilinearPoly({frozenset(names[c] for c in cols): coeff for cols, coeff in terms})
@@ -778,9 +790,10 @@ def assert_witness(model, observed, means, tol):
 
 @st.composite
 def jd_cases(draw):
-    """Pair data from a random mixture, or with an odd cycle pushed past its facet."""
+    """Pair data from a random mixture, or with an odd cycle pushed past its facet,
+    on variables declared out of sort order."""
     n = draw(st.integers(3, 8))
-    variables = tuple(x(i) for i in range(1, n + 1))
+    variables = tuple(mixed_names(n))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     model = random_dhv_model(variables, rng, support_size=draw(st.integers(1, 6)))
     every_pair = [frozenset(p) for p in combinations(variables, 2)]
@@ -810,6 +823,10 @@ class TestJdColumnGeneration:
         assert result.feasible == ref_feasible
         if result.feasible:
             assert_witness(result.model, observed, means, 1e-9)
+            # atoms ascend in the ±1 walk of the sorted variables, each listing them in that order
+            assert all(list(asg.values) == sorted(variables) for asg, _ in result.model.support)
+            walk = [list(asg.values.values()) for asg, _ in result.model.support]
+            assert walk == sorted(walk)
         else:
             cert = result.certificate
             assert cert.violation == pytest.approx(ref_violation, abs=1e-9)
@@ -970,9 +987,10 @@ def reference_nd_lp(scenario, objective, enforce_consistency):
 
 def random_nd_scenario(seed):
     """A scenario with contexts of one to four variables, some nested or
-    repeated, and a float objective on pairs inside them."""
+    repeated, and a float objective on pairs inside them.  The variables are
+    declared out of sort order."""
     rng = np.random.default_rng(seed)
-    variables = tuple(VariableId(letter, i) for letter in "XY" for i in range(1, 4))
+    variables = tuple(mixed_names(6))
     contexts = []
     for _ in range(int(rng.integers(2, 6))):
         size = int(rng.integers(1, 5))
