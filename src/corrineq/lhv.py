@@ -14,6 +14,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -480,7 +481,8 @@ def jd_feasibility(scenario, observed, means=None, tolerance=FEASIBILITY_TOL) ->
         raise TooManyVariables(f"{n} variables exceeds the cap of {FEASIBILITY_VARIABLE_CAP}")
     pairs = _normalize_pairs(observed)
     means = {var: _checked_value(value, f"mean of {var}") for var, value in (means or {}).items()}
-    for what, named in (("correlator", [var for pair in pairs for var in pair]), ("mean", means)):
+    named = [var for pair in pairs for var in sorted(pair, key=VariableId.sort_key)]
+    for what, named in (("correlator", named), ("mean", means)):
         for var in named:
             if var not in form.col:
                 raise UndeclaredVariable(f"{what} names undeclared {var}")
@@ -563,6 +565,20 @@ def _objective_pairs(objective):
     return {frozenset(k): float(v) for k, v in dict(objective).items()}
 
 
+def _root(parent, c):
+    """c's root in a union-find forest, halving the path on the way."""
+    while parent[c] != c:
+        parent[c] = c = parent[parent[c]]  # parent[c] is set before c moves
+    return c
+
+
+def _join(parent, a, b):
+    """Merge the groups of a and b under the smaller root; False when they were one group."""
+    a, b = sorted((_root(parent, a), _root(parent, b)))
+    parent[b] = a
+    return a != b
+
+
 def nodisturbance_optimum(scenario, objective, direction="max", enforce_consistency=True) -> NdOptimum:
     """Optimize over context-wise outcome tables with consistent marginals.
 
@@ -571,10 +587,16 @@ def nodisturbance_optimum(scenario, objective, direction="max", enforce_consiste
     shared outcome pattern.  Setting enforce_consistency=False drops the
     marginal rows, leaving independent per-context tables.
 
-    The LP has one column per outcome of each context, and one row per
-    context plus one per shared pattern of each overlapping pair.  When
-    its simplex tableau, rows * (columns + rows + 1) cells, would exceed
-    ND_TABLEAU_CAP, TooManyVariables is raised before any table is built.
+    The LP has one column per outcome of each context and leaves out rows
+    the others imply, decided from the contexts alone.  Contexts sharing S
+    get one row per pattern of S unless other kept overlaps join them
+    through contexts holding S, whose marginals on S then agree already.
+    Each group of contexts joined by kept overlaps has one normalization
+    row, its first context's: an overlap's rows sum to the difference of
+    its two.  The rows are an ordered subset of the per-pair LP's, of the
+    same rank.  When the simplex tableau, rows * (columns + rows + 1)
+    cells, would exceed ND_TABLEAU_CAP, TooManyVariables is raised before
+    any table is built.
     """
     if direction not in ("min", "max"):
         raise ValueError(f"direction must be min or max, got {direction!r}")
@@ -594,17 +616,39 @@ def nodisturbance_optimum(scenario, objective, direction="max", enforce_consiste
         if home is None:
             raise TermOutsideContext(f"{format_varset(pair)} lies in no declared context")
         terms.append((home, contexts[home].index(a), contexts[home].index(b), coeff))
-    overlaps = []  # (ci, cj, shared columns' places in ci, and in cj) for ci < cj
+    overlaps = []  # (ci, cj, shared columns) for ci < cj
     if enforce_consistency:
         for ci, ctx in enumerate(contexts):
             for cj in sorted({cj for j in ctx for cj in homes[j] if cj > ci}):
-                shared = [j for j in ctx if j in contexts[cj]]
-                overlaps.append((ci, cj, tuple(map(ctx.index, shared)), tuple(map(contexts[cj].index, shared))))
+                overlaps.append((ci, cj, tuple(j for j in ctx if j in contexts[cj])))
+    # An overlap on S is implied when other kept overlaps join its contexts
+    # through contexts holding S.  Tested from the smallest S up, all wider
+    # overlaps are kept yet, so each S decides alone: deleting such overlaps in
+    # build order keeps what Kruskal keeps in reverse build order, over the
+    # holders of S already joined by wider overlaps
+    shares = {(ci, cj): shared for ci, cj, shared in overlaps}
+    classes = {}  # shared columns -> their overlaps, in build order
+    for ci, cj, shared in overlaps:
+        classes.setdefault(shared, []).append((ci, cj))
+    dropped = set()
+    for shared, pairs in classes.items():
+        holders = sorted(set(homes[shared[0]]).intersection(*(homes[j] for j in shared[1:])))
+        if len(holders) > 2:  # else its one overlap has no other route
+            parent = {c: c for c in holders}
+            for a, b in combinations(holders, 2):
+                if shares[a, b] != shared:
+                    _join(parent, a, b)
+            dropped.update(pair for pair in reversed(pairs) if not _join(parent, *pair))
+    overlaps = [o for o in overlaps if o[:2] not in dropped]
+    parent = list(range(len(contexts)))
+    for ci, cj, _ in overlaps:
+        _join(parent, ci, cj)
+    norms = [ci for ci, root in enumerate(parent) if root == ci]  # one normalization row per group
     starts = [0]  # each context's first LP column
     for ctx in contexts:
         starts.append(starts[-1] + (1 << len(ctx)))
     total = starts[-1]
-    m = len(contexts) + sum(1 << len(cols) for _, _, cols, _ in overlaps)
+    m = len(norms) + sum(1 << len(cols) for _, _, cols in overlaps)
     cells = m * (total + m + 1)
     if cells > ND_TABLEAU_CAP:
         raise TooManyVariables(f"the no-disturbance tableau has {cells} cells, above the cap of {ND_TABLEAU_CAP}")
@@ -616,22 +660,23 @@ def nodisturbance_optimum(scenario, objective, direction="max", enforce_consiste
         c_vec[starts[home]:starts[home + 1]] += coeff * table[:, ia] * table[:, ib]
     a_eq = np.zeros((m, total))
     b_eq = np.zeros(m)
-    b_eq[:len(contexts)] = 1.0
-    a_eq[np.repeat(np.arange(len(contexts)), np.diff(starts)), np.arange(total)] = 1.0
+    b_eq[:len(norms)] = 1.0
+    for row, ci in enumerate(norms):
+        a_eq[row, starts[ci]:starts[ci + 1]] = 1.0
     # one row per shared pattern: ci's cells showing it minus cj's.  A cell's
     # row is the code of its shared variables' bits, the first most significant
     # (the order of _assignment_rows); `offsets` holds each cell's flat offset
     # from the block's first row and the context's first column
     flat, offsets = a_eq.reshape(-1), {}
-    row = len(contexts)
-    for ci, cj, cols_i, cols_j in overlaps:
-        for ck, cols, sign in ((ci, cols_i, 1.0), (cj, cols_j, -1.0)):
-            k = len(contexts[ck])
+    row = len(norms)
+    for ci, cj, shared in overlaps:
+        for ck, sign in ((ci, 1.0), (cj, -1.0)):
+            k, cols = len(contexts[ck]), tuple(map(contexts[ck].index, shared))
             if (k, cols) not in offsets:
                 codes = (tables[k][:, cols] > 0) @ (1 << np.arange(len(cols) - 1, -1, -1))
                 offsets[k, cols] = codes * total + np.arange(1 << k)
             flat[row * total + starts[ck] + offsets[k, cols]] = sign
-        row += 1 << len(cols_i)
+        row += 1 << len(shared)
 
     problem = LpProblem(c=c_vec, a_eq=a_eq, b_eq=b_eq, maximize=(direction == "max"))
     solution = simplex_solve(problem)

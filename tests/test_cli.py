@@ -219,6 +219,22 @@ class TestCheck:
             assert proc.returncode == 2
             assert proc.stderr == "error: correlator for X1Y1 is 1.5, outside [-1, 1]\n"
 
+    def test_undeclared_variable_is_named_in_sort_order(self, tmp_path):
+        """Both variables are undeclared; the first was named in frozenset
+        order, W under hash seed 4 and A under hash seed 1."""
+        path = self.write_input(tmp_path, {"W A": 0.5})
+        runs = [
+            subprocess.run(
+                [sys.executable, "-m", "corrineq.cli", "check", "--input", path,
+                 "--scenario", data_file("chsh.scn")],
+                capture_output=True, text=True, env={**os.environ, "PYTHONHASHSEED": seed},
+            )
+            for seed in ("1", "4")
+        ]
+        for proc in runs:
+            assert proc.returncode == 2
+            assert proc.stderr == "error: 'correlator names undeclared A'\n"
+
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1e-9"])
     def test_bad_tolerance_exits_2(self, capsys, tmp_path, tolerance):
         """NaN used to print invalid JSON and act as 0; inf passed the

@@ -942,7 +942,14 @@ def cycle_objective(n):
 def reference_nd_lp(scenario, objective, enforce_consistency):
     """The no-disturbance LP as the per-pair builder made it: one assignment
     table per context and per overlapping pair, and one 3-D comparison per
-    pair side.  Returns (c, a_eq, b_eq, behavior(x))."""
+    pair side.  Returns (c, a_eq, b_eq, behavior(x), kept), where `kept`
+    lists the rows of a_eq that the builder keeps, ascending.
+
+    The kept rows are found by a naive search over all pairs.  A pair
+    sharing S is implied when other kept pairs sharing supersets of S
+    connect its two contexts; pairs are tested from the smallest S up, in
+    build order.  Each connected group of contexts keeps the
+    normalization row of its first context."""
     contexts = [tuple(sorted(ctx, key=VariableId.sort_key)) for ctx in scenario.contexts]
     tables = [_assignment_rows(len(ctx)) for ctx in contexts]
     spans, total = [], 0
@@ -965,6 +972,7 @@ def reference_nd_lp(scenario, objective, enforce_consistency):
     for ci, span in enumerate(spans):
         normalization[ci, span] = 1.0
     rows, rhs = [normalization], [1.0] * len(contexts)
+    pairs = []  # (ci, cj, shared variables, first row of the pair's block)
     if enforce_consistency:
         for ci, ctx in enumerate(contexts):
             for cj in sorted({cj for var in ctx for cj in homes[var] if cj > ci}):
@@ -974,15 +982,38 @@ def reference_nd_lp(scenario, objective, enforce_consistency):
                 for ck, sign in ((ci, 1.0), (cj, -1.0)):
                     seen = tables[ck][:, [contexts[ck].index(v) for v in shared]]
                     block[:, spans[ck]] += sign * (seen[None, :, :] == patterns[:, None, :]).all(axis=2)
+                pairs.append((ci, cj, set(shared), len(rhs)))
                 rows.append(block)
                 rhs.extend([0.0] * len(patterns))
+
+    implied = []
+    for pair in sorted(pairs, key=lambda p: len(p[2])):
+        ci, cj, shared, _ = pair
+        links = [(a, b) for a, b, s, _ in pairs if s >= shared and (a, b) != (ci, cj) and (a, b) not in implied]
+        reached, grown = {ci}, True
+        while grown:
+            grown = False
+            for a, b in links:
+                if (a in reached) != (b in reached):
+                    reached |= {a, b}
+                    grown = True
+        if cj in reached:
+            implied.append((ci, cj))
+    kept_pairs = [pair for pair in pairs if pair[:2] not in implied]
+    group = list(range(len(contexts)))  # each context's group label: its smallest member
+    for _ in contexts:
+        for ci, cj, _, _ in kept_pairs:
+            group[ci] = group[cj] = min(group[ci], group[cj])
+    kept = [ci for ci in range(len(contexts)) if group[ci] == ci]
+    for _, _, shared, start in kept_pairs:
+        kept.extend(range(start, start + (1 << len(shared))))
 
     def behavior(x):
         return tuple(
             {tuple(int(v) for v in outcome): float(p) for outcome, p in zip(table, x[span])}
             for table, span in zip(tables, spans)
         )
-    return c_vec, np.vstack(rows), np.array(rhs), behavior
+    return c_vec, np.vstack(rows), np.array(rhs), behavior, kept
 
 
 def random_nd_scenario(seed):
@@ -1000,6 +1031,19 @@ def random_nd_scenario(seed):
     pairs = sorted(pairs, key=lambda p: sorted(v.sort_key() for v in p))
     objective = {pair: round(float(rng.normal()), 3) for pair in pairs if rng.random() < 0.7}
     return scenario, objective
+
+
+@st.composite
+def crowded_nd_scenarios(draw):
+    """Up to nine contexts of one to four of six variables, so that many
+    contexts hold the same shared sets, with an integer objective."""
+    variables = tuple(mixed_names(6))
+    contexts = draw(st.lists(st.frozensets(st.sampled_from(variables), min_size=1, max_size=4),
+                             min_size=1, max_size=9))
+    scenario = ScenarioSpec(variables, {v: v.letter for v in variables}, tuple(contexts))
+    pairs = sorted({frozenset(p) for ctx in contexts for p in combinations(ctx, 2)},
+                   key=lambda p: sorted(v.sort_key() for v in p))
+    return scenario, {pair: float(draw(st.integers(-3, 3))) for pair in pairs}
 
 
 ND_BUILDER_CASES = {
@@ -1021,28 +1065,79 @@ def assert_same_bits(got, want):
     assert got.tobytes() == want.tobytes()
 
 
+def solved_nd_lp(scenario, objective, direction, enforce=True):
+    """nodisturbance_optimum's result, and the one LP it solves with that solve's result."""
+    solved = []
+
+    def recording_solve(problem):
+        solved.append((problem, simplex_solve(problem)))
+        return solved[-1][1]
+
+    with mock.patch.object(lhv, "simplex_solve", recording_solve):
+        opt = nodisturbance_optimum(scenario, objective, direction, enforce_consistency=enforce)
+    (problem, solution), = solved
+    return opt, problem, solution
+
+
 class TestNoDisturbanceBuilder:
     @pytest.mark.parametrize("enforce", [True, False])
     @pytest.mark.parametrize("case", sorted(ND_BUILDER_CASES))
     def test_matches_per_pair_reference(self, case, enforce):
         scenario, objective, direction = ND_BUILDER_CASES[case]()
-        solved = []
-
-        def recording_solve(problem):
-            solved.append((problem, simplex_solve(problem)))
-            return solved[-1][1]
-
-        with mock.patch.object(lhv, "simplex_solve", recording_solve):
-            opt = nodisturbance_optimum(scenario, objective, direction, enforce_consistency=enforce)
-        c_vec, a_eq, b_eq, behavior = reference_nd_lp(scenario, objective, enforce)
-        (problem, solution), = solved
+        opt, problem, solution = solved_nd_lp(scenario, objective, direction, enforce)
+        c_vec, a_eq, b_eq, behavior, kept = reference_nd_lp(scenario, objective, enforce)
         assert_same_bits(problem.c, c_vec)
-        assert_same_bits(problem.a_eq, a_eq)
-        assert_same_bits(problem.b_eq, b_eq)
+        assert_same_bits(problem.a_eq, a_eq[kept])
+        assert_same_bits(problem.b_eq, b_eq[kept])
+        assert kept == sorted(set(kept))  # an ordered subset of the per-pair rows
+        assert np.linalg.matrix_rank(problem.a_eq) == np.linalg.matrix_rank(a_eq)
+        if not enforce:
+            assert kept == list(range(len(b_eq)))  # the per-context LP, bit for bit
         assert problem.maximize == (direction == "max")
         # repr tells -0.0 from 0.0 and np.int64 from int
         assert repr(opt.behavior) == repr(behavior(solution.x))
         assert opt.value == solution.objective
+
+    @pytest.mark.parametrize("case", sorted(ND_BUILDER_CASES))
+    def test_optimum_matches_the_full_lp(self, case):
+        scenario, objective, _ = ND_BUILDER_CASES[case]()
+        self.assert_optimum_matches_the_full_lp(scenario, objective)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_optimum_matches_the_full_lp(self, seed):
+        self.assert_optimum_matches_the_full_lp(*random_nd_scenario(seed))
+
+    @settings(max_examples=200, deadline=None)
+    @given(crowded_nd_scenarios())
+    def test_crowded_optimum_matches_the_full_lp(self, case):
+        self.assert_optimum_matches_the_full_lp(*case)
+
+    @staticmethod
+    def assert_optimum_matches_the_full_lp(scenario, objective):
+        """The reference's rows; the same value as the per-pair LP, and a
+        behavior that meets its every row."""
+        for enforce in (True, False):
+            c_vec, a_eq, b_eq, _, kept = reference_nd_lp(scenario, objective, enforce)
+            for direction in ("min", "max"):
+                opt, problem, _ = solved_nd_lp(scenario, objective, direction, enforce)
+                assert_same_bits(problem.a_eq, a_eq[kept])
+                full = simplex_solve(LpProblem(c=c_vec, a_eq=a_eq, b_eq=b_eq, maximize=direction == "max"))
+                assert abs(opt.value - full.objective) <= 1e-9
+                x_opt = np.array([p for table in opt.behavior for p in table.values()])
+                assert (x_opt >= 0).all()
+                assert np.abs(a_eq @ x_opt - b_eq).max() <= 1e-9
+
+    def test_cycle_101_pivots(self):
+        """303 rows and 400 pivots when every context and pair had its rows."""
+        _, problem, solution = solved_nd_lp(*ND_BUILDER_CASES["cycle-101"]())
+        assert problem.a_eq.shape[0] == 203
+        assert solution.iterations <= 302
+
+    def test_monogamy_rows(self):
+        """The combined objective's LP had 110 rows when every context and pair had its rows."""
+        _, problem, _ = solved_nd_lp(*ND_BUILDER_CASES["monogamy"]())
+        assert problem.a_eq.shape[0] == 61
 
     def test_random_scenarios_mix_context_sizes(self):
         sizes = {len(ctx) for seed in range(8) for ctx in random_nd_scenario(seed)[0].contexts}
@@ -1066,8 +1161,9 @@ class TestNoDisturbanceCap:
 
     @pytest.mark.parametrize("enforce", [True, False])
     def test_cap_counts_the_tableau_cells(self, enforce, monkeypatch):
-        # the 3-cycle: 12 columns; 3 normalization rows, plus 2 per overlapping pair
-        rows = 3 + (6 if enforce else 0)
+        # the 3-cycle: 12 columns; 2 rows per overlapping pair and one normalization
+        # row for the connected contexts, or 3 normalization rows without the pairs
+        rows = 1 + 6 if enforce else 3
         cells = rows * (12 + rows + 1)
         tableaux = []
 
