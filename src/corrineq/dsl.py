@@ -307,19 +307,21 @@ def parse_sos(text: str) -> SosExpression:
     return SosExpression(tuple(groups), offset, comparator, bound)
 
 
+def _signed_sum(terms) -> str:
+    """'a - 2*b + c' from (coefficient, name) pairs: the first sign bare, a unit magnitude unwritten."""
+    bits = []
+    for i, (coeff, name) in enumerate(terms):
+        mag = f"{abs(coeff)}*{name}" if abs(coeff) != 1 else str(name)
+        if i == 0:
+            bits.append(f"-{mag}" if coeff < 0 else mag)
+        else:
+            bits.append(f"{'-' if coeff < 0 else '+'} {mag}")
+    return " ".join(bits)
+
+
 def format_sos(expr: SosExpression) -> str:
     """Canonical text for an expression; round-trips through parse_sos."""
-    parts = []
-    for group in expr.groups:
-        bits = []
-        for i, (coeff, var) in enumerate(group.sorted_terms()):
-            mag = f"{abs(coeff)}*{var}" if abs(coeff) != 1 else str(var)
-            if i == 0:
-                bits.append(f"-{mag}" if coeff < 0 else mag)
-            else:
-                bits.append(f"{'-' if coeff < 0 else '+'} {mag}")
-        parts.append(f"({' '.join(bits)})^2")
-    body = " + ".join(parts)
+    body = " + ".join(f"({_signed_sum(group.sorted_terms())})^2" for group in expr.groups)
     if expr.constant_offset > 0:
         body += f" + {expr.constant_offset}"
     elif expr.constant_offset < 0:

@@ -21,7 +21,13 @@ class ZeroCoefficient(ValueError):
     """A term with coefficient zero was written explicitly."""
 
 
-class UndeclaredVariable(KeyError):
+class _LookupMessage(KeyError):
+    """A KeyError that prints its message as written; KeyError's str is the message's repr."""
+
+    __str__ = BaseException.__str__
+
+
+class UndeclaredVariable(_LookupMessage):
     """An expression mentions a variable absent from the scenario declaration."""
 
 
@@ -61,11 +67,11 @@ class NotHermitian(ValueError):
     """A matrix expected to be Hermitian is not, beyond tolerance."""
 
 
-class MissingSetting(KeyError):
+class MissingSetting(_LookupMessage):
     """No measurement direction was supplied for a variable."""
 
 
-class MissingAssignment(KeyError):
+class MissingAssignment(_LookupMessage):
     """The variables' parties do not fit on two qubits."""
 
 
@@ -77,7 +83,7 @@ class DivisionByZeroCell(ZeroDivisionError):
     """A reconstruction formula divides by a zero-probability cell."""
 
 
-class UnmappedVariable(KeyError):
+class UnmappedVariable(_LookupMessage):
     """Classification needs a party or timing for a variable that has none."""
 
 

@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dsl import ScenarioSpec, SosExpression, VariableId
+from .dsl import ScenarioSpec, SosExpression, VariableId, _signed_sum
 from .errors import EvenGroupWarning, ResidualDegreeError, UnmappedVariable
 
 SPATIAL = "spatial"
@@ -184,18 +184,10 @@ class CorrelationInequality:
 
 def format_inequality(ineq: CorrelationInequality) -> str:
     """Human text like 'X1Y1 + X1Y2 + X2Y1 - X2Y2 <= 2'."""
-    bits = []
-    for i, mono in enumerate(ineq.terms):
-        mag = abs(mono.coefficient)
-        name = format_varset(mono.variables)
-        body = name if mag == 1 else f"{mag}*{name}"
-        if i == 0:
-            bits.append(f"-{body}" if mono.coefficient < 0 else body)
-        else:
-            bits.append(f"{'-' if mono.coefficient < 0 else '+'} {body}")
+    body = _signed_sum((mono.coefficient, format_varset(mono.variables)) for mono in ineq.terms)
     bound = ineq.bound
     btxt = str(bound.numerator) if bound.denominator == 1 else str(bound)
-    return f"{' '.join(bits)} {ineq.direction} {btxt}"
+    return f"{body} {ineq.direction} {btxt}"
 
 
 def expand(expr: SosExpression) -> MultilinearPoly:

@@ -230,30 +230,25 @@ def _cumulative(p):
 
 
 def simulate_shot(rho, choice, settings, seed, shot_index=0, salt=0) -> ShotRecord:
-    """One protocol shot with explicit Born sampling and collapse.
+    """One protocol shot; the float reference for the samplers' integer cut points.
 
-    Draw 0 picks the joint outcome of the early slot, draw 1 of the late
-    slot from the collapsed state; outcomes are recorded per variable.
+    Draw 0 picks the early slot's joint outcome from the Born-rule tables'
+    p1, draw 1 the late slot's from p2 given it; outcomes are per variable.
     """
     rho = validate_density(np.asarray(rho, dtype=complex))
     if rho.shape != (4, 4):
         raise ValueError("the protocol simulates a two-qubit state")
     rng = CounterRng(seed, salt)
-    outcomes: dict[VariableId, int] = {}
-    state = rho
-    for draw, (variables, signs, projs) in enumerate(_slots(choice, settings)):
+    vars1, vars2, signs1, signs2, p1, p2 = _choice_tables(rho, choice, settings)
+
+    def pick(variables, p, draw):
         if not variables:
-            continue  # empty slot: nothing measured, no draw consumed
-        probs = np.array(
-            [float(np.trace(proj @ state @ proj.conj().T).real) for proj in projs]
-        )
-        cum = _cumulative(probs)
-        u = rng.uniform(shot_index, draw)
-        pick = int(np.searchsorted(cum, u, side="right"))
-        proj = projs[pick]
-        weight = probs[pick]
-        state = (proj @ state @ proj.conj().T) / weight
-        outcomes.update(zip(variables, signs[pick].tolist()))
+            return 0  # empty slot: its one outcome, no draw consumed
+        return int(np.searchsorted(_cumulative(p), rng.uniform(shot_index, draw), side="right"))
+
+    i = pick(vars1, p1, 0)
+    j = pick(vars2, p2[i], 1)
+    outcomes = dict(zip(vars1 + vars2, signs1[i].tolist() + signs2[j].tolist()))
     return ShotRecord(choice, outcomes, shot_index)
 
 

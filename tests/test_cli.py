@@ -126,6 +126,15 @@ class TestDerive:
         assert "error:" in err
 
 
+    def test_undeclared_variable_message_is_unquoted(self, capsys):
+        """KeyError's str is the repr of its message; the package's lookup errors print it as written."""
+        code, out, err = run_cli(
+            capsys, "derive", "--input", data_file("chsh.rsx"), "--scenario", data_file("lg.scn")
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: X1 is not declared in the scenario\n"
+
+
 class TestCheck:
     def write_input(self, tmp_path, correlators, means=None):
         payload = {"correlators": correlators}
@@ -233,7 +242,7 @@ class TestCheck:
         ]
         for proc in runs:
             assert proc.returncode == 2
-            assert proc.stderr == "error: 'correlator names undeclared A'\n"
+            assert proc.stderr == "error: correlator names undeclared A\n"
 
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1e-9"])
     def test_bad_tolerance_exits_2(self, capsys, tmp_path, tolerance):
