@@ -130,27 +130,26 @@ class _SplitPlan:
     The variables split into a high half (the first n//2, the most
     significant bits of the assignment index) and a low half, so index =
     high * 2**low + low, and monomials are grouped by their high half.
-    The plan holds what does not depend on the coefficients: each
-    monomial's group and low-half monomial, the low-half monomials' ±1
-    values on all 2**low low assignments, every high-half row's group
-    values, all read off the index bits by `_monomial_signs`, and each
-    row's first index.  `jd_feasibility` builds one plan per call and
-    scans it under each pricing round's coefficients.
+    The plan is built from the monomials' `_masks` and holds what does
+    not depend on the coefficients: each monomial's group (`masks >>
+    low`) and low-half monomial (`masks & (2**low - 1)`), both numbered
+    in order of first appearance with the empty group first, the
+    low-half monomials' ±1 values on all 2**low low assignments, every
+    high-half row's group values, all read off the index bits by
+    `_monomial_signs`, and each row's first index.  `jd_feasibility`
+    builds one plan per call and scans it under each pricing round's
+    coefficients.
     """
 
-    def __init__(self, n, monomials, chunk_size=1 << 16):
+    def __init__(self, n, masks, chunk_size=1 << 16):
         self.high = high = n // 2
         low = n - high
-        groups = {(): 0}  # high-half monomial -> row of `right`
-        lows = {}  # low-half monomial -> column of the weights
-        cells = []
-        for cols in monomials:
-            g = groups.setdefault(tuple(c for c in cols if c < high), len(groups))
-            cells.append((g, lows.setdefault(tuple(c - high for c in cols if c >= high), len(lows))))
+        groups, group = _first_seen(np.concatenate([[0], masks >> low]))  # the empty group is row 0 of `right`
+        lows, column = _first_seen(masks & ((1 << low) - 1))
         self.shape = (len(groups), len(lows))
-        self.cells = np.array([g * len(lows) + u for g, u in cells], dtype=np.intp)
-        self.low_signs = _monomial_signs(_masks(low, lows), np.arange(1 << low))
-        self.signs = _monomial_signs(_masks(high, groups), np.arange(1 << high))
+        self.cells = group[1:] * len(lows) + column
+        self.low_signs = _monomial_signs(lows, np.arange(1 << low))
+        self.signs = _monomial_signs(groups, np.arange(1 << high))
         self.rows = min(max(1, chunk_size >> low), 1 << high)  # high-half rows per tile
         self.first = np.arange(1 << high, dtype=np.int64) << low  # index of each row's first assignment
 
@@ -206,6 +205,13 @@ class _SplitPlan:
             return tuple(x for values, at in extrema for x in (values[pattern] + shift, self.first + at[pattern]))
         extrema = _tile_extrema(signs, right, self.rows, workers, minima)
         return tuple(x for values, at in extrema for x in (values, self.first + at))
+
+
+def _first_seen(values):
+    """The distinct entries of `values` in order of first appearance, and each entry's number in that order."""
+    distinct, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return distinct[order], np.argsort(order)[inverse]
 
 
 def _tile_extrema(left, right, rows, workers, minima=True):
@@ -278,9 +284,9 @@ def _eliminate(n, terms):
     bucket_terms = [[] for _ in range(n)]  # per bucket: the terms whose last column it is
     for cols, coeff in terms:
         if cols:
-            bucket_terms[cols[-1]].append((cols, int(coeff)))
+            bucket_terms[cols[-1]].append((cols, coeff))
         else:
-            constant += int(coeff)
+            constant += coeff
     incoming = [set() for _ in range(n)]  # per bucket: the columns of the messages it receives
     scopes = [None] * n  # per bucket: the other columns of its terms and messages, ascending, then v
     for v in range(n - 1, -1, -1):
@@ -345,6 +351,8 @@ def classical_extrema(poly, workers=None, chunk_size=1 << 16) -> ExtremaResult:
 
     Witnesses are the lexicographically smallest attaining assignments
     (-1 sorting before +1).  `assignments_checked` is 2**n on every route.
+    The coefficients must be whole numbers; any other raises ValueError
+    before any table is built.
 
     A narrow form, one whose elimination from the last variable down
     keeps every bucket within ELIMINATION_WIDTH_CAP variables, is solved
@@ -358,14 +366,19 @@ def classical_extrema(poly, workers=None, chunk_size=1 << 16) -> ExtremaResult:
     `jd_feasibility` also uses to price columns: one float64 matrix
     product per tile of about `chunk_size` assignments, with tiles
     optionally spread over a thread pool of `workers`; both parameters
-    apply to the scan only.  When the scan spans several tiles, terms
-    without a variable in its low half leave the product and are added
-    per row: a dense quadratic form of 20 variables multiplies 11 term
-    groups instead of 56.  The scan reports each high-half row's extremes
-    at their earliest indices, so the first row attaining the overall
-    extreme holds the earliest attaining index for any worker count.
-    Memory is O(terms * 2**(n - n//2)) plus one tile per worker.  The
-    sums are exact, in any order, while the sum of absolute coefficients
+    apply to the scan only.  An even form (every monomial of even degree,
+    so f(x) = f(-x), as in every paper form) is scanned with its first
+    variable fixed to -1, over the indices below 2**(n-1); the mirrored
+    half is covered by symmetry: its extremes are the same, and the
+    mirror of an attaining assignment whose first variable is +1 sorts
+    before it.  When the scan spans several tiles, terms without a
+    variable in its low half leave the product and are added per row: a
+    dense quadratic form of 20 variables, halved to 19, multiplies 10
+    term groups instead of 46.  The scan reports each high-half row's
+    extremes at their earliest indices, so the first row attaining the
+    overall extreme holds the earliest attaining index for any worker
+    count.  Memory is O(terms * 2**(n - n//2)) plus one tile per worker.
+    The sums are exact, in any order, while the sum of absolute coefficients
     is below 2**53; larger inputs raise CoefficientsTooLarge before any
     allocation, and a `chunk_size` that is not an integer of at least 1
     raises ValueError.
@@ -379,9 +392,12 @@ def classical_extrema(poly, workers=None, chunk_size=1 << 16) -> ExtremaResult:
         raise CoefficientsTooLarge(
             f"sum of absolute coefficients {magnitude} is not below 2**53"
         )
+    for varset, c in poly.items():
+        if c != int(c):
+            raise ValueError(f"coefficient {c} of {format_varset(varset) or 'the constant'} is not an integer")
     form = _Columns(poly.variables())
     n = len(form.variables)
-    terms = [(form.cols(varset), c) for varset, c in poly.items()]
+    terms = [(form.cols(varset), int(c)) for varset, c in poly.items()]
     eliminated = _eliminate(n, terms)
     if eliminated is not None:
         lo, hi, *signs = eliminated
@@ -391,8 +407,14 @@ def classical_extrema(poly, workers=None, chunk_size=1 << 16) -> ExtremaResult:
             f"{n} variables exceeds the scan's cap of {EXTREMA_VARIABLE_CAP}, and an elimination "
             f"bucket exceeds the cap of {ELIMINATION_WIDTH_CAP} variables")
 
-    plan = _SplitPlan(n, [cols for cols, _ in terms], chunk_size)
-    row_min, arg_min, row_max, arg_max = plan.scan([c for _, c in terms], workers)
+    masks = _masks(n, [cols for cols, _ in terms])
+    coefficients = np.array([c for _, c in terms], dtype=np.int64)
+    half = n > 0 and not (np.bitwise_count(masks) & 1).any()
+    if half:  # column 0, bit n-1, is fixed to -1: indices below 2**(n-1) decode unchanged
+        coefficients *= 1 - 2 * (masks >> n - 1)
+        masks &= ~(1 << n - 1)
+    plan = _SplitPlan(n - half, masks, chunk_size)
+    row_min, arg_min, row_max, arg_max = plan.scan(coefficients, workers)
     lo, hi = int(row_min.argmin()), int(row_max.argmax())  # first row: earliest index
     witnesses = form.assignments(_assignment_rows(n, [arg_min[lo], arg_max[hi]]).tolist())
     return ExtremaResult(int(row_min[lo]), int(row_max[hi]), *witnesses, 1 << n)
@@ -494,7 +516,7 @@ def jd_feasibility(scenario, observed, means=None, tolerance=FEASIBILITY_TOL) ->
     rhs = np.array([1.0] + [pairs[p] for p in pair_keys] + [means[v] for v in mean_keys])
 
     masks = _masks(n, monomials)
-    plan = _SplitPlan(n, monomials)
+    plan = _SplitPlan(n, masks)
 
     def columns(indices):
         return np.vstack([np.ones(len(indices)), _monomial_signs(masks, indices).T])

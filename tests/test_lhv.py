@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
 from unittest import mock
@@ -119,6 +120,33 @@ class TestClassicalExtrema:
         at = MultilinearPoly({frozenset({x(1), y(1)}): edge, frozenset({x(2), y(1)}): -edge})
         with pytest.raises(CoefficientsTooLarge):
             classical_extrema(at)
+
+    @pytest.mark.parametrize("route, poly", [
+        ("elimination", MultilinearPoly({frozenset({x(1), x(2)}): 0.5, frozenset({x(2), x(3)}): 1})),
+        ("elimination", MultilinearPoly({frozenset({x(1), x(2)}): Fraction(1, 2), frozenset(): 1})),
+        ("scan", MultilinearPoly({frozenset(p): 0.5 if p == (x(1), x(2)) else 1
+                                  for p in combinations([x(i) for i in range(1, 15)], 2)})),
+        ("scan", MultilinearPoly({frozenset(p): 1 for p in combinations([x(i) for i in range(1, 15)], 2)}
+                                 | {frozenset(): Fraction(7, 3)})),
+    ])
+    def test_fractional_coefficients_are_refused_before_any_table(self, route, poly, monkeypatch):
+        """Both routes once truncated them with int(): the 0.5 forms reported
+        -1/1 and -7/90 instead of -1.5/1.5 and -7.5/90.5."""
+        integral = MultilinearPoly({k: 1 for k, _ in poly.items()})
+        assert (lhv._eliminate(*poly_terms(integral)) is None) == (route == "scan")
+        monkeypatch.setattr(lhv, "_eliminate", None)  # calling either route would raise TypeError
+        monkeypatch.setattr(lhv, "_SplitPlan", None)
+        with pytest.raises(ValueError, match="not an integer"):
+            classical_extrema(poly)
+
+    @pytest.mark.parametrize("n", [3, 14])  # elimination, then the scan
+    def test_integer_valued_coefficients_are_kept(self, n):
+        pairs = list(combinations([x(i) for i in range(1, n + 1)], 2))
+        ints = MultilinearPoly({frozenset(p): k % 3 + 1 for k, p in enumerate(pairs)} | {frozenset(): 2})
+        whole = MultilinearPoly({k: float(c) for k, c in ints.items()} | {frozenset(): Fraction(4, 2)})
+        got, want = classical_extrema(whole), classical_extrema(ints)
+        assert (type(got.minimum), type(got.maximum)) == (int, int)
+        assert got == want
 
     def test_chsh(self):
         res = classical_extrema(derive_inequality(catalog.chsh_source()))
@@ -290,9 +318,30 @@ def split_scan_reference(n, terms, chunk_size=1 << 16):
     return lo, first + lo_at, hi, first + hi_at
 
 
+def reference_plan(n, monomials):
+    """`_SplitPlan`'s tables as they were built before the plan read masks:
+    one loop over the monomials numbers the groups (the empty one first) and
+    the low-half monomials in order of first appearance.  Kept as the
+    reference for the mask-built plan."""
+    high = n // 2
+    low = n - high
+    groups = {(): 0}
+    lows = {}
+    cells = []
+    for cols in monomials:
+        g = groups.setdefault(tuple(c for c in cols if c < high), len(groups))
+        cells.append((g, lows.setdefault(tuple(c - high for c in cols if c >= high), len(lows))))
+    return {
+        "shape": (len(groups), len(lows)),
+        "cells": np.array([g * len(lows) + u for g, u in cells], dtype=np.intp),
+        "low_signs": _monomial_signs(_masks(low, lows), np.arange(1 << low)),
+        "signs": _monomial_signs(_masks(high, groups), np.arange(1 << high)),
+    }
+
+
 def planned_scan(n, terms, chunk_size=1 << 16, workers=None):
     """The package's scan of (columns, coefficient) terms: a plan, then one scan."""
-    plan = _SplitPlan(n, [cols for cols, _ in terms], chunk_size)
+    plan = _SplitPlan(n, _masks(n, [cols for cols, _ in terms]), chunk_size)
     return plan.scan([coeff for _, coeff in terms], workers)
 
 
@@ -422,6 +471,21 @@ class TestSplitScan:
         want = split_scan_reference(n, terms, chunk_size)
         assert_same_scan(planned_scan(n, terms, chunk_size, workers), want)
 
+    @settings(max_examples=150, deadline=None)
+    @given(form=scan_forms(max_n=20))
+    @example(form=(1, []))  # no monomials: the empty group alone, no low-half monomial
+    @example(form=(7, [((0, 1), 1), ((4, 5), 1), ((0, 1), 2), ((), 1), ((0, 1, 4, 5), 1), ((4, 5), 3)]))
+    def test_mask_plan_matches_the_per_monomial_plan(self, form):
+        """Equal `cells` give the same float order of `bincount`'s sums, so
+        pricing scans on the mask-built plan keep the per-monomial plan's bits."""
+        n, terms = form
+        monomials = [cols for cols, _ in terms]
+        plan = _SplitPlan(n, _masks(n, monomials))
+        want = reference_plan(n, monomials)
+        assert plan.shape == want["shape"]
+        for name in ("cells", "low_signs", "signs"):
+            assert_same_bits(getattr(plan, name), want[name])
+
     @settings(max_examples=60, deadline=None)
     @given(form=scan_forms(max_n=20), chunk_size=st.sampled_from([1, 7, 1 << 16]),
            seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4))
@@ -431,7 +495,7 @@ class TestSplitScan:
         constant in one round and vary in the next."""
         n, terms = form
         monomials = [cols for cols, _ in terms]
-        plan = _SplitPlan(n, monomials, chunk_size)
+        plan = _SplitPlan(n, _masks(n, monomials), chunk_size)
         for seed in seeds:
             rng = np.random.default_rng(seed)
             coeffs = rng.normal(size=len(terms)) * (rng.random(len(terms)) < 0.7)
@@ -447,7 +511,7 @@ class TestSplitScan:
         rng = np.random.default_rng(3419)
         coeffs = rng.normal(size=len(monomials)) * (rng.random(len(monomials)) < 0.7)
         want = split_scan_reference(14, list(zip(monomials, coeffs)), 1)
-        assert_same_scan(_SplitPlan(14, monomials, 1).scan(coeffs), want)
+        assert_same_scan(_SplitPlan(14, _masks(14, monomials), 1).scan(coeffs), want)
 
     @pytest.mark.parametrize("label", sorted(SCAN_FORMS))
     def test_benchmark_forms_match_row_tile_reference(self, label):
@@ -484,7 +548,9 @@ class TestSplitScan:
 
     def test_integer_dense_scan_multiplies_only_varying_groups(self, tiled_groups):
         classical_extrema(SCAN_FORMS["dense-20"]())
-        assert tiled_groups == [11]  # (), and one group per high variable; 45 high pairs are constant
+        # the half scan fixes X1, leaving 19 variables, 9 in the high half: (), and one group
+        # per high variable, vary; the 36 high pairs are constant
+        assert tiled_groups == [10]
 
     def test_float_dense_scan_keeps_every_group(self, tiled_groups):
         n, terms = poly_terms(SCAN_FORMS["dense-20"]())
@@ -511,7 +577,7 @@ class TestSplitScan:
 
     def test_dense_forms_keep_every_row(self, tiled_rows):
         classical_extrema(SCAN_FORMS["dense-20"](), workers=2)
-        assert tiled_rows == [1 << 10]
+        assert tiled_rows == [1 << 9]  # the half scan's 19 variables
 
     @pytest.mark.parametrize("n", [9, 15, 16])
     def test_single_tile_scans_keep_every_row(self, n, tiled_rows):
@@ -563,6 +629,55 @@ class TestSplitScan:
         monkeypatch.setattr(lhv, "_SplitPlan", None)  # the check comes before the scan
         with pytest.raises(ValueError, match="chunk_size"):
             classical_extrema(derive_inequality(catalog.chsh_source()), chunk_size=chunk_size)
+
+
+@st.composite
+def even_polys(draw):
+    """(poly, even): integer forms over up to 16 variables of pairs, degree-4
+    monomials and a constant, so even; or, when `even` is false, with one
+    monomial of degree 1 or 3 added."""
+    n = draw(st.integers(2, 16))
+    names = mixed_names(n)
+    monomials = st.one_of(*(st.lists(st.integers(0, n - 1), unique=True, min_size=k, max_size=k)
+                            for k in (2, 4) if k <= n))
+    coefficients = st.integers(-3, 3).filter(bool)
+    terms = draw(st.lists(st.tuples(monomials, coefficients), min_size=1, max_size=12))
+    terms.append(([], draw(st.integers(-3, 3))))
+    even = draw(st.booleans())
+    if not even:
+        odd = st.lists(st.integers(0, n - 1), unique=True, min_size=1, max_size=min(n, 3)).filter(lambda c: len(c) % 2)
+        terms.append((draw(odd), draw(coefficients)))
+    return MultilinearPoly({frozenset(names[c] for c in cols): coeff for cols, coeff in terms}), even
+
+
+class TestHalfScan:
+    """The scan of an even form, f(x) = f(-x), fixes the first variable to -1."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(form=even_polys(), chunk_size=st.sampled_from([1, 7, 1 << 16]), workers=st.sampled_from([None, 2]))
+    # X1X2 + X1X2X3X4: every extreme is attained by an assignment and its mirror
+    @example(form=(MultilinearPoly({frozenset({x(1), x(2)}): 1, frozenset({x(i) for i in range(1, 5)}): 1}), True),
+             chunk_size=1, workers=2)
+    # X1 alone: odd, so both halves are scanned
+    @example(form=(MultilinearPoly({frozenset({x(1)}): 2, frozenset(): -1}), False), chunk_size=1, workers=None)
+    def test_matches_the_unhalved_row_tile_reference(self, form, chunk_size, workers):
+        poly, even = form
+        sizes, plan = [], _SplitPlan
+
+        def recording(n, *args):
+            sizes.append(n)
+            return plan(n, *args)
+
+        with mock.patch.object(lhv, "_eliminate", return_value=None), mock.patch.object(lhv, "_SplitPlan", recording):
+            res = classical_extrema(poly, workers=workers, chunk_size=chunk_size)
+        n, terms = poly_terms(poly)
+        assert sizes == [n - even]
+        row_min, arg_min, row_max, arg_max = row_tile_scan(n, terms)
+        lo, hi = row_min.argmin(), row_max.argmax()
+        assert (res.minimum, res.maximum, res.assignments_checked) == (row_min[lo], row_max[hi], 1 << n)
+        variables = sorted(poly.variables(), key=VariableId.sort_key)
+        want = [list(zip(variables, row)) for row in reference_rows(n, [arg_min[lo], arg_max[hi]]).tolist()]
+        assert [list(w.values.items()) for w in (res.witness_min, res.witness_max)] == want
 
 
 @st.composite
