@@ -15,23 +15,27 @@ from corrineq import catalog
 from corrineq.dsl import format_sos
 from corrineq.lhv import classical_extrema, monogamy_check, nodisturbance_optimum
 from corrineq.polynomials import (
+    CROSS_PARTY,
     MultilinearPoly,
     derive_inequality,
     format_inequality,
+    term_kinds,
 )
 
 ##############################################################################
 # The certificate is five squared forms over seven observables.  Its
 # expansion contains exactly the four cross-party products plus the
 # five pentagon edges, so the derived lower bound applies to the sum
-# of both tests.
+# of both tests.  The scenario's parties tell the two apart.
 
 source = catalog.monogamy_source()
+scenario = catalog.monogamy_scenario()
 derived = derive_inequality(source)
 print(f"source:  {format_sos(source)}")
 print(f"derived: {format_inequality(derived)}")
 
-cross = [m for m in derived.terms if any(v.letter == "Y" for v in m.variables)]
+kinds = term_kinds(derived.terms, scenario)
+cross = [m for m in derived.terms if kinds[m.variables] == CROSS_PARTY]
 edges = [m for m in derived.terms if m not in cross]
 print(f"{len(cross)} cross-party terms, {len(edges)} pentagon edges")
 
@@ -41,10 +45,7 @@ print(f"{len(cross)} cross-party terms, {len(edges)} pentagon edges")
 # outcome tables with matching marginals.  Both parts beat their
 # classical floors by a full two units when optimized alone.
 
-scenario = catalog.monogamy_scenario()
-cross_obj = {m.variables: m.coefficient for m in cross}
-edge_obj = {m.variables: m.coefficient for m in edges}
-report = monogamy_check(scenario, cross_obj, edge_obj)
+report = monogamy_check(scenario, source)
 
 cross_poly = MultilinearPoly({m.variables: int(m.coefficient) for m in cross})
 print(f"\ncross-party part: classical min {classical_extrema(cross_poly).minimum}, "

@@ -74,28 +74,25 @@ def _x(i: int) -> VariableId:
     return VariableId("X", i)
 
 
-def _cycle(n: int, even: int, offset: int) -> SosExpression:
+def _cycle(n: int, even: int) -> SosExpression:
     """Edge groups (X_{2k-1}+even*X_{2k}+X_{2k+1})^2 cover consecutive edges;
     correction groups (X1-X_{2k+1}+X_{2k+3})^2 cancel the skips and close
-    the cycle, n-2 odd groups in total.  `offset` moves that much of the
-    bound n-2 to the left-hand side."""
+    the cycle, n-2 odd groups in total."""
     if n < 5 or n % 2 == 0:
         raise ValueError(f"cycle length must be odd and at least 5, got {n}")
     groups = [LinearForm(((1, _x(2 * k - 1)), (even, _x(2 * k)), (1, _x(2 * k + 1))))
               for k in range(1, (n - 1) // 2 + 1)]
     groups += [LinearForm(((1, _x(1)), (-1, _x(2 * k + 1)), (1, _x(2 * k + 3))))
                for k in range(1, (n - 3) // 2 + 1)]
-    return SosExpression(tuple(groups), constant_offset=offset, comparator=">=", bound=n - 2 - offset)
+    return SosExpression(tuple(groups), bound=n - 2)
 
 
-def cycle_source(n: int, offset_form: bool = False) -> SosExpression:
+def cycle_source(n: int) -> SosExpression:
     """Sum-of-squares source whose expansion is the n-cycle X1X2+...+XnX1.
 
-    Needs odd n >= 5.  With offset_form the statement is written as
-    `... + (n-2) >= 0`, whose sharp bound comes from the parity argument
-    rather than the stated 0.
+    Needs odd n >= 5.
     """
-    return _cycle(n, 1, n - 2 if offset_form else 0)
+    return _cycle(n, 1)
 
 
 def alternating_cycle_source(n: int) -> SosExpression:
@@ -105,7 +102,7 @@ def alternating_cycle_source(n: int) -> SosExpression:
     flips each edge term's sign except the closing one; canonicalization
     then yields the chain bounded above by n-2.
     """
-    return _cycle(n, -1, 0)
+    return _cycle(n, -1)
 
 
 def cycle_scenario(n: int) -> ScenarioSpec:

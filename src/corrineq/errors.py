@@ -100,20 +100,3 @@ class BudgetExhausted(RuntimeError):
 
 class EvenGroupWarning(UserWarning):
     """A squared form has an even coefficient sum, so its square can vanish."""
-
-
-class AssertionFailure(AssertionError):
-    """A reproduction target did not hit its reference value.
-
-    Carries the expected and actual values and the tolerance that was
-    applied, so reports can show the miss rather than a bare failure.
-    """
-
-    def __init__(self, name, expected, actual, tolerance):
-        super().__init__(
-            f"{name}: expected {expected} within {tolerance}, got {actual}"
-        )
-        self.name = name
-        self.expected = expected
-        self.actual = actual
-        self.tolerance = tolerance

@@ -726,44 +726,32 @@ class MonogamyReport:
     relaxed_min: float
 
 
-def monogamy_check(scenario, chsh_terms, kcbs_terms, source: SosExpression | None = None,
-                   tolerance=1e-7) -> MonogamyReport:
+def monogamy_check(scenario, source: SosExpression) -> MonogamyReport:
     """LP and symbolic views of the nonlocality-contextuality trade-off.
 
-    The combined objective's no-disturbance minimum is compared against
-    the bound derived from the sum-of-squares source (default: the
-    shipped five-group source whose expansion is CHSH + the pentagon
-    cycle); the report also carries each part's own minimum and the
-    value reachable once marginal-consistency rows are dropped.
+    The source's derived objective has its no-disturbance minimum
+    compared against the derived bound.  The scenario's parties split
+    the objective: cross-party terms are the CHSH part, same-party terms
+    the pentagon part.  The report also carries each part's own minimum
+    and the value reachable once marginal-consistency rows are dropped.
     """
-    if source is None:
-        from .catalog import monogamy_source
-        source = monogamy_source()
-    chsh = _objective_pairs(chsh_terms)
-    kcbs = _objective_pairs(kcbs_terms)
-    combined = dict(chsh)
-    for pair, coeff in kcbs.items():
-        combined[pair] = combined.get(pair, 0.0) + coeff
     derived = derive_inequality(source)
-    derived_pairs = {m.variables: float(m.coefficient) for m in derived.terms}
-    if derived_pairs != combined:
-        raise ValueError("the sum-of-squares source does not expand to the combined objective")
     if derived.direction != ">=":
         raise ValueError("expected a lower-bound inequality from the source")
-
-    combined_opt = nodisturbance_optimum(scenario, combined, "min")
+    combined_opt = nodisturbance_optimum(scenario, derived, "min")  # first: it refuses undeclared terms
+    chsh, kcbs = {}, {}
+    for mono in derived.terms:
+        (kcbs if scenario.same_party(*mono.variables) else chsh)[mono.variables] = mono.coefficient
     chsh_opt = nodisturbance_optimum(scenario, chsh, "min")
     kcbs_opt = nodisturbance_optimum(scenario, kcbs, "min")
-    relaxed = nodisturbance_optimum(scenario, combined, "min", enforce_consistency=False)
-    kcbs_poly = MultilinearPoly({pair: int(coeff) for pair, coeff in kcbs.items()})
-    kcbs_classical = classical_extrema(kcbs_poly).minimum
+    relaxed = nodisturbance_optimum(scenario, derived, "min", enforce_consistency=False)
     return MonogamyReport(
         combined_nd_min=combined_opt.value,
         symbolic_bound=derived.bound,
-        agreement=abs(combined_opt.value - float(derived.bound)) <= tolerance,
+        agreement=abs(combined_opt.value - float(derived.bound)) <= 1e-7,
         chsh_nd_min=chsh_opt.value,
         kcbs_nd_min=kcbs_opt.value,
-        kcbs_classical_min=kcbs_classical,
+        kcbs_classical_min=classical_extrema(MultilinearPoly(kcbs)).minimum,
         relaxed_min=relaxed.value,
     )
 

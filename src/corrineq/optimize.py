@@ -337,13 +337,6 @@ class EnvelopeScan:
     argmax: tuple[float, float]
 
 
-def envelope_grid(thetas1, thetas2) -> np.ndarray:
-    """tsirelson_envelope on every (theta1, theta2) pair of two angle arrays."""
-    t1 = np.asarray(thetas1, dtype=float)[:, None]
-    t2 = np.asarray(thetas2, dtype=float)[None, :]
-    return tsirelson_envelope(t1, t2)
-
-
 def envelope_settings(theta1: float, theta2: float) -> dict[VariableId, np.ndarray]:
     """Coplanar settings whose operator realizes an envelope grid point.
 
@@ -375,7 +368,7 @@ def scan_envelope(resolution: int) -> EnvelopeScan:
     values = np.empty((resolution, resolution))
     rows = max(1, _BATCH // resolution)
     for start in range(0, resolution, rows):
-        values[start:start + rows] = envelope_grid(thetas[start:start + rows], thetas)
+        values[start:start + rows] = tsirelson_envelope(thetas[start:start + rows, None], thetas[None, :])
     flat = int(values.argmax())
     i, j = divmod(flat, resolution)
     return EnvelopeScan(

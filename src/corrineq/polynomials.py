@@ -157,8 +157,6 @@ class CorrelationInequality:
     terms: tuple[Monomial, ...]
     direction: str
     bound: Fraction
-    term_kinds: dict[frozenset[VariableId], str]
-    provenance: SosExpression | None = None
 
     def __post_init__(self):
         for mono in self.terms:
@@ -219,7 +217,7 @@ def implied_lower_bound(expr: SosExpression) -> int:
     return sum(v.implied_bound for v in validate_odd_groups(expr)) + expr.constant_offset
 
 
-def inequality_from_poly(poly, comparator, bound, provenance=None) -> CorrelationInequality:
+def inequality_from_poly(poly, comparator, bound) -> CorrelationInequality:
     """Normalize `poly cmp bound` into a correlator inequality.
 
     The polynomial must contain only a constant and degree-2 terms with
@@ -245,9 +243,7 @@ def inequality_from_poly(poly, comparator, bound, provenance=None) -> Correlatio
         terms = [Monomial(m.variables, -m.coefficient) for m in terms]
         new_bound = -new_bound
         direction = "<=" if direction == ">=" else ">="
-    variables = frozenset().union(*(m.variables for m in terms))
-    kinds = term_kinds(terms, letter_scenario(variables))
-    return CorrelationInequality(tuple(terms), direction, new_bound, kinds, provenance)
+    return CorrelationInequality(tuple(terms), direction, new_bound)
 
 
 def letter_scenario(variables) -> ScenarioSpec:
@@ -284,7 +280,7 @@ def derive_inequality(expr: SosExpression) -> CorrelationInequality:
         effective = max(expr.bound, implied_lower_bound(expr))
     else:
         effective = expr.bound
-    return inequality_from_poly(expand(expr), expr.comparator, effective, provenance=expr)
+    return inequality_from_poly(expand(expr), expr.comparator, effective)
 
 
 def classify(ineq: CorrelationInequality, scenario: ScenarioSpec) -> str:

@@ -165,7 +165,6 @@ DATA_CHOICES = tuple(c for c in ALL_CHOICES if not admissible_data(c).isdisjoint
 class ShotRecord:
     choice: MeasurementChoice
     outcomes: dict[VariableId, int]
-    stream_id: int
 
     def product(self, pair) -> int:
         a, b = pair
@@ -249,7 +248,7 @@ def simulate_shot(rho, choice, settings, seed, shot_index=0, salt=0) -> ShotReco
     i = pick(vars1, p1, 0)
     j = pick(vars2, p2[i], 1)
     outcomes = dict(zip(vars1 + vars2, signs1[i].tolist() + signs2[j].tolist()))
-    return ShotRecord(choice, outcomes, shot_index)
+    return ShotRecord(choice, outcomes)
 
 
 def _cut_points(p):

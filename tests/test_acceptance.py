@@ -21,7 +21,7 @@ from corrineq.lhv import (
     random_dhv_model,
 )
 from corrineq.optimize import maximize_violation, scan_envelope
-from corrineq.polynomials import derive_inequality
+from corrineq.polynomials import derive_inequality, term_kinds
 from corrineq.protocol import estimate_f, signaling_test
 from corrineq.quantum import (
     build_f_operator,
@@ -100,7 +100,7 @@ def test_criterion_04_hybrid_derivation():
     ineq = derive_inequality(catalog.hybrid_source())
     assert ineq.bound == Fraction(2)
     assert ineq.direction == "<="
-    kinds = ineq.term_kinds
+    kinds = term_kinds(ineq.terms, catalog.hybrid_scenario())
     assert kinds[frozenset({x(1), x(2)})] == "same-party"
     assert kinds[frozenset({y(1), y(2)})] == "same-party"
     assert kinds[frozenset({x(1), y(2)})] == "cross-party"
@@ -192,16 +192,7 @@ def test_criterion_09_jd_feasibility():
 
 
 def test_criterion_10_monogamy():
-    derived = derive_inequality(catalog.monogamy_source())
-    chsh_terms, kcbs_terms = {}, {}
-    for mono in derived.terms:
-        part = (
-            chsh_terms
-            if any(v.letter == "Y" for v in mono.variables)
-            else kcbs_terms
-        )
-        part[mono.variables] = mono.coefficient
-    report = monogamy_check(catalog.monogamy_scenario(), chsh_terms, kcbs_terms)
+    report = monogamy_check(catalog.monogamy_scenario(), catalog.monogamy_source())
     assert abs(report.combined_nd_min - (-5.0)) <= 1e-7
     assert report.symbolic_bound == Fraction(-5)
     assert report.agreement

@@ -399,9 +399,11 @@ class TestReproduce:
     @pytest.mark.parametrize("target, golden", [
         ("s2-identity", "s2_identity_default.json"),
         ("hybrid-singlet", "hybrid_singlet_default.json"),
+        ("monogamy", "monogamy_default.json"),
     ])
-    def test_quantum_default_reports_are_pinned(self, capsys, target, golden):
-        """Recorded before the grid scan broadcast its tables and s2-identity stacked its trials."""
+    def test_default_reports_are_pinned(self, capsys, target, golden):
+        """Recorded before the grid scan broadcast its tables, s2-identity stacked its
+        trials and monogamy_check split its own source."""
         code, out, err = run_cli(capsys, "reproduce", target, "--format", "json")
         assert code == 0, err
         assert out.encode() == (Path(__file__).parent / "data" / golden).read_bytes()
@@ -518,7 +520,7 @@ class TestReproduce:
             capsys, "reproduce", "tsirelson-envelope", "--grid", "2"
         )
         assert code == 1
-        assert err.startswith("error: grid-max")
+        assert err == "error: grid-max: expected 2.8284271247461903 within 1e-05, got 2.0\n"
         assert "ok: False" in out
 
 

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import corrineq
 from corrineq import catalog, lhv
-from corrineq.dsl import ScenarioSpec, VariableId
+from corrineq.dsl import ScenarioSpec, VariableId, parse_sos
 from corrineq.errors import (
     CoefficientsTooLarge,
     DivisionByZeroCell,
@@ -1303,14 +1303,7 @@ class TestNoDisturbanceCap:
 
 @pytest.fixture(scope="module")
 def monogamy_report():
-    derived = derive_inequality(catalog.monogamy_source())
-    chsh_terms, kcbs_terms = {}, {}
-    for mono in derived.terms:
-        bucket = (
-            chsh_terms if any(v.letter == "Y" for v in mono.variables) else kcbs_terms
-        )
-        bucket[mono.variables] = mono.coefficient
-    return monogamy_check(catalog.monogamy_scenario(), chsh_terms, kcbs_terms)
+    return monogamy_check(catalog.monogamy_scenario(), catalog.monogamy_source())
 
 
 class TestMonogamy:
@@ -1330,13 +1323,15 @@ class TestMonogamy:
         assert report.relaxed_min == pytest.approx(-9.0, abs=1e-7)
         assert report.relaxed_min < report.combined_nd_min - 1.0
 
-    def test_rejects_mismatched_split(self):
-        with pytest.raises(ValueError):
-            monogamy_check(
-                catalog.monogamy_scenario(),
-                {frozenset({x(1), y(1)}): 1},
-                {frozenset({x(1), x(2)}): 1},
-            )
+    def test_rejects_upper_bound_source(self):
+        with pytest.raises(ValueError, match="lower-bound"):
+            monogamy_check(catalog.chsh_scenario(), catalog.chsh_source())
+
+    def test_rejects_term_outside_scenario(self):
+        """The combined LP runs before the split by party, so a variable the
+        scenario does not declare is refused as a term outside every context."""
+        with pytest.raises(TermOutsideContext, match="X1Y3 lies in no declared context"):
+            monogamy_check(catalog.monogamy_scenario(), parse_sos("(X1 + Y1 + Y3)^2 >= 1"))
 
 
 def loop_reconstruct_pc(table_a, table_b, tolerance=1e-9):

@@ -2,6 +2,7 @@
 
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,12 +18,11 @@ from corrineq.optimize import (
     EnvelopeScan,
     OptimizationResult,
     SettingsParametrization,
-    envelope_grid,
     envelope_settings,
     maximize_violation,
     scan_envelope,
 )
-from corrineq.polynomials import derive_inequality
+from corrineq.polynomials import CorrelationInequality, Monomial, derive_inequality
 from corrineq.quantum import (
     build_f_operator,
     evaluate_inequality_quantum,
@@ -84,6 +84,28 @@ class TestMaximizeViolation:
             for s in range(8)
         ]
         assert max(values) - min(values) == 0.0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_starts_past_the_grid_cap(self, seed, monkeypatch):
+        """Chained Bell with three settings a party, X1Y1 + Y1X2 + X2Y2 + Y2X3
+        + X3Y3 - Y3X1 <= 4: six angles, so the default grid has 24^6 > 2^24
+        cells and the search starts from seeded uniform points instead.  The
+        singlet reaches 6 cos(pi/6) = 3 sqrt(3) (Wehner, PRA 73, 022110, 2006)."""
+        def no_grid(*args):
+            raise AssertionError("the grid scan ran")
+
+        monkeypatch.setattr(optimize, "_grid_scan", no_grid)
+        chain = (x(1), y(1), x(2), y(2), x(3), y(3))
+        terms = tuple(Monomial(frozenset({a, b}), 1) for a, b in zip(chain, chain[1:]))
+        chained = CorrelationInequality(terms + (Monomial(frozenset({y(3), x(1)}), -1),), "<=", Fraction(4))
+        assert optimize.DEFAULT_GRID_POINTS**6 > GRID_CELL_CAP
+        result = maximize_violation(chained, singlet_state(), seed=seed)
+        again = maximize_violation(chained, singlet_state(), seed=seed)
+        assert result.converged
+        assert result.value == pytest.approx(3 * np.sqrt(3), abs=1e-9)
+        assert again.value == result.value
+        assert again.parameters.tobytes() == result.parameters.tobytes()
+        assert evaluate_inequality_quantum(chained, result.state, result.settings) == result.value
 
     def test_lower_bound_inequalities_are_minimized(self):
         """The pentagon cycle sum dips to -5 cos(pi/5) for qubit chains."""
@@ -242,10 +264,10 @@ class TestParametrization:
 
 
 def _whole_table_scan(resolution):
-    """(thetas, values, max, argmax) from one envelope_grid call over the
+    """(thetas, values, max, argmax) from one tsirelson_envelope call over the
     whole table, as the scan ran before it filled the table in row blocks."""
     thetas = np.linspace(-np.pi, np.pi, resolution)
-    values = envelope_grid(thetas, thetas)
+    values = tsirelson_envelope(thetas[:, None], thetas[None, :])
     i, j = divmod(int(values.argmax()), resolution)
     return thetas, values, float(values[i, j]), (float(thetas[i]), float(thetas[j]))
 
@@ -285,7 +307,7 @@ class TestEnvelopeScan:
         rng = np.random.default_rng(3)
         t1 = rng.uniform(-np.pi, np.pi, size=7)
         t2 = rng.uniform(-np.pi, np.pi, size=9)
-        grid = envelope_grid(t1, t2)
+        grid = tsirelson_envelope(t1[:, None], t2[None, :])
         assert grid.shape == (7, 9)
         for i in range(7):
             for j in range(9):
@@ -320,7 +342,7 @@ class TestEnvelopeScan:
         def no_grid(*args):
             raise AssertionError("the envelope table was allocated")
 
-        monkeypatch.setattr(optimize, "envelope_grid", no_grid)
+        monkeypatch.setattr(optimize, "tsirelson_envelope", no_grid)
         with pytest.raises(ValueError, match="at most 4096"):
             scan_envelope(4097)
 

@@ -24,6 +24,7 @@ from corrineq.polynomials import (
     format_inequality,
     implied_lower_bound,
     inequality_from_poly,
+    term_kinds,
     validate_odd_groups,
 )
 
@@ -122,7 +123,7 @@ class TestDeriveCatalog:
     def test_hybrid(self):
         ineq = derive_inequality(catalog.hybrid_source())
         assert format_inequality(ineq) == "X1X2 + X1Y2 - X2Y1 + Y1Y2 <= 2"
-        kinds = set(ineq.term_kinds.values())
+        kinds = set(term_kinds(ineq.terms, catalog.hybrid_scenario()).values())
         assert kinds == {CROSS_PARTY, SAME_PARTY}
 
     def test_monogamy(self):
