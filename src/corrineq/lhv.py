@@ -18,7 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .dsl import ScenarioSpec, SosExpression, VariableId
+from .dsl import SosExpression, VariableId
 from .errors import (
     CoefficientsTooLarge,
     DivisionByZeroCell,

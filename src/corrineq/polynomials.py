@@ -1,10 +1,13 @@
-"""Multilinear algebra over ±1 variables and inequality derivation.
+"""Correlation inequalities read off sums of squares of ±1 linear forms.
 
-Squaring a linear form in dichotomic variables and reducing with v*v = 1
-leaves only a constant and degree-2 cross terms.  Summing squares of
-forms whose coefficients add to an odd number gives a guaranteed lower
-bound (each odd square is at least 1), and rearranging yields a
-correlation inequality with an exact rational bound.
+For ±1 variables (Σ b_i x_i)² = Σ b_i² + 2·Σ_{i<j} b_i b_j x_i x_j, so
+a sum of squared forms plus an offset is a constant plus one
+coefficient per pair of variables.  A form whose coefficients add to an
+odd number takes odd values, so its square is at least 1; summing
+these guarantees a lower bound, and moving the constant across and
+halving gives a correlation inequality with an exact rational bound
+(the hypermetric rows of Deza & Laurent, Geometry of Cuts and Metrics,
+ch. 28).
 """
 
 from __future__ import annotations
@@ -48,10 +51,8 @@ class Monomial:
 class MultilinearPoly:
     """Integer polynomial with every variable appearing at most once per term.
 
-    Internally a map from frozenset of variables to coefficient; the
-    empty set keys the constant.  Multiplication applies v*v = 1, so the
-    product of two terms is keyed by the symmetric difference of their
-    variable sets.
+    A map from frozenset of variables to coefficient, zeros dropped; the
+    empty set keys the constant.
     """
 
     __slots__ = ("_terms",)
@@ -63,25 +64,11 @@ class MultilinearPoly:
                 if coeff != 0:
                     self._terms[frozenset(varset)] = coeff
 
-    @classmethod
-    def constant(cls, value):
-        return cls({frozenset(): value})
-
-    @classmethod
-    def from_linear_form(cls, form):
-        return cls({frozenset([var]): coeff for coeff, var in form.terms})
-
     def items(self):
         return self._terms.items()
 
     def coefficient(self, varset):
         return self._terms.get(frozenset(varset), 0)
-
-    def constant_term(self):
-        return self._terms.get(frozenset(), 0)
-
-    def degrees(self):
-        return sorted({len(s) for s in self._terms})
 
     def monomials(self):
         return [Monomial(s, c) for s, c in sorted(self._terms.items(), key=lambda kv: _varset_key(kv[0]))]
@@ -91,36 +78,6 @@ class MultilinearPoly:
         for s in self._terms:
             out |= s
         return frozenset(out)
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = MultilinearPoly.constant(other)
-        out = dict(self._terms)
-        for s, c in other._terms.items():
-            new = out.get(s, 0) + c
-            if new:
-                out[s] = new
-            else:
-                out.pop(s, None)
-        return MultilinearPoly(out)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return MultilinearPoly({s: c * other for s, c in self._terms.items()})
-        out = {}
-        for s1, c1 in self._terms.items():
-            for s2, c2 in other._terms.items():
-                key = s1 ^ s2  # v*v = 1
-                new = out.get(key, 0) + c1 * c2
-                if new:
-                    out[key] = new
-                else:
-                    out.pop(key, None)
-        return MultilinearPoly(out)
-
-    __rmul__ = __mul__
 
     def evaluate(self, assignment) -> int:
         total = 0
@@ -188,15 +145,6 @@ def format_inequality(ineq: CorrelationInequality) -> str:
     return f"{body} {ineq.direction} {btxt}"
 
 
-def expand(expr: SosExpression) -> MultilinearPoly:
-    """Sum of squared groups plus offset, reduced with v*v = 1."""
-    total = MultilinearPoly.constant(expr.constant_offset)
-    for group in expr.groups:
-        form = MultilinearPoly.from_linear_form(group)
-        total = total + form * form
-    return total
-
-
 def validate_odd_groups(expr: SosExpression) -> list[GroupVerdict]:
     """Per-group parity report.
 
@@ -215,35 +163,6 @@ def validate_odd_groups(expr: SosExpression) -> list[GroupVerdict]:
 def implied_lower_bound(expr: SosExpression) -> int:
     """Guaranteed minimum of the expression value from the parity argument."""
     return sum(v.implied_bound for v in validate_odd_groups(expr)) + expr.constant_offset
-
-
-def inequality_from_poly(poly, comparator, bound) -> CorrelationInequality:
-    """Normalize `poly cmp bound` into a correlator inequality.
-
-    The polynomial must contain only a constant and degree-2 terms with
-    even coefficients (what squaring produces).  Both sides are divided
-    by 2 and the sign is fixed so the first term is positive.
-    """
-    residual = [d for d in poly.degrees() if d not in (0, 2)]
-    if residual:
-        raise ResidualDegreeError(f"expansion left terms of degree {residual}")
-    constant = poly.constant_term()
-    terms = []
-    for mono in poly.monomials():
-        if not mono.variables:
-            continue
-        if mono.coefficient % 2 != 0:
-            raise ResidualDegreeError(f"odd degree-2 coefficient {mono.coefficient} cannot be halved exactly")
-        terms.append(Monomial(mono.variables, mono.coefficient // 2))
-    if not terms:
-        raise ResidualDegreeError("no degree-2 terms survive the expansion")
-    new_bound = Fraction(bound - constant, 2)
-    direction = comparator
-    if terms[0].coefficient < 0:
-        terms = [Monomial(m.variables, -m.coefficient) for m in terms]
-        new_bound = -new_bound
-        direction = "<=" if direction == ">=" else ">="
-    return CorrelationInequality(tuple(terms), direction, new_bound)
 
 
 def letter_scenario(variables) -> ScenarioSpec:
@@ -280,7 +199,31 @@ def derive_inequality(expr: SosExpression) -> CorrelationInequality:
         effective = max(expr.bound, implied_lower_bound(expr))
     else:
         effective = expr.bound
-    return inequality_from_poly(expand(expr), expr.comparator, effective)
+    # each square adds Σ b_i² to the constant and 2·b_i·b_j to each pair; both sides are halved
+    constant = expr.constant_offset
+    pairs = {}
+    for group in expr.groups:
+        terms = group.terms
+        for i, (b, u) in enumerate(terms):
+            constant += b * b
+            for c, v in terms[i + 1:]:
+                key = frozenset((v, u))
+                coefficient = pairs.get(key, 0) + b * c
+                if coefficient:
+                    pairs[key] = coefficient
+                else:
+                    del pairs[key]
+    ordered = sorted(pairs, key=_varset_key)
+    if not ordered:
+        raise ResidualDegreeError("no degree-2 terms survive the expansion")
+    # the sign that makes the first term positive
+    sign = 1 if pairs[ordered[0]] > 0 else -1
+    direction = expr.comparator if sign > 0 else ("<=" if expr.comparator == ">=" else ">=")
+    return CorrelationInequality(
+        tuple(Monomial(key, sign * pairs[key]) for key in ordered),
+        direction,
+        sign * Fraction(effective - constant, 2),
+    )
 
 
 def classify(ineq: CorrelationInequality, scenario: ScenarioSpec) -> str:

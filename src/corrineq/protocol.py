@@ -42,7 +42,7 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 
 _HYBRID = catalog.hybrid_scenario()
 _QUBIT = qubit_layout(_HYBRID.variables, _HYBRID)
-# each qubit's variables in time order (lower index earlier)
+# each qubit's variables in time order (variable order: letter, then index)
 _TIMELINES = [
     sorted((v for v in _QUBIT if _QUBIT[v] == qubit), key=VariableId.sort_key) for qubit in (0, 1)
 ]

@@ -185,9 +185,11 @@ def evaluate_inequality_quantum(ineq, rho, settings, scenario=None) -> float:
     Each variable sits on its party's qubit (`qubit_layout`).  A term
     across the two qubits is the tensor-product correlator, qubit 0's
     variable first; a term within one qubit is the sequential correlator
-    with the lower-indexed variable measured first (Fritz, New J. Phys.
-    12, 083055, 2010).
+    with the variable first in variable order (letter, then index)
+    measured first (Fritz, New J. Phys. 12, 083055, 2010).  The state
+    must pass `validate_density`.
     """
+    rho = validate_density(rho)
     qubit = qubit_layout(ineq.variables(), scenario)
 
     def setting(var):

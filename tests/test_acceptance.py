@@ -9,7 +9,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from corrineq import catalog
 from corrineq.cli import main

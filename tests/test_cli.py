@@ -12,6 +12,7 @@ import pytest
 from corrineq import catalog, lhv
 from corrineq.cli import TARGETS, _pair_key, build_parser, main
 from corrineq.dsl import format_sos, parse_variable
+from corrineq.errors import EvenGroupWarning
 from corrineq.optimize import scan_envelope
 
 SQRT8 = 2.828427124746190
@@ -125,6 +126,14 @@ class TestDerive:
         assert code == 2
         assert "error:" in err
 
+    def test_cancelled_cross_terms_exit_2(self, capsys, tmp_path):
+        # the X1Y1 terms of the two squares cancel, so no pair is left to bound
+        source = tmp_path / "cancel.rsx"
+        source.write_text("(X1 + Y1)^2 + (X1 - Y1)^2 >= 2\n")
+        with pytest.warns(EvenGroupWarning):  # both coefficient sums are even
+            code, out, err = run_cli(capsys, "derive", "--input", str(source))
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == "error: no degree-2 terms survive the expansion"
 
     def test_undeclared_variable_message_is_unquoted(self, capsys):
         """KeyError's str is the repr of its message; the package's lookup errors print it as written."""
@@ -547,6 +556,19 @@ class TestParser:
         assert captured.out == ""
         assert captured.err.startswith("usage: ")
         assert "argument --seed: -1 is negative, expected an integer >= 0" in captured.err
+
+    @pytest.mark.parametrize("command", [
+        ("derive", "--input", "chsh.rsx"),
+        ("check", "--input", "point.json", "--scenario", "chsh.scn"),
+    ])
+    def test_csv_is_a_usage_error_outside_reproduce(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, "--format", "csv"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: ")
+        assert "argument --format: invalid choice: 'csv'" in captured.err
 
     @pytest.mark.parametrize("text, value", [("0", 0), ("7", 7), (str(2**70), 2**70)])
     def test_seed_takes_every_non_negative_integer(self, text, value):

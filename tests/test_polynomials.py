@@ -1,7 +1,9 @@
-"""Expansion of squared forms and derivation of correlation inequalities."""
+"""Derivation of correlation inequalities from sums of squared forms."""
 
 import warnings
 from fractions import Fraction
+from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,14 +18,11 @@ from corrineq.polynomials import (
     SAME_PARTY,
     SPATIAL,
     TEMPORAL,
-    CorrelationInequality,
-    MultilinearPoly,
+    _varset_key,
     classify,
     derive_inequality,
-    expand,
     format_inequality,
     implied_lower_bound,
-    inequality_from_poly,
     term_kinds,
     validate_odd_groups,
 )
@@ -42,56 +41,96 @@ def vs(*names):
 
 
 class TestExpand:
+    """Each square adds Σ b_i² to the constant and 2·b_i·b_j to each pair; both sides are halved."""
+
     def test_single_square(self):
-        poly = expand(parse_sos("(X1 - Y1 - Y2)^2 >= 0"))
-        assert dict(poly.items()) == {
-            frozenset(): 3,
-            vs(x(1), y(1)): -2,
-            vs(x(1), y(2)): -2,
-            vs(y(1), y(2)): 2,
+        # 3 - 2*X1Y1 - 2*X1Y2 + 2*Y1Y2 >= 1, the parity bound of one odd group
+        ineq = derive_inequality(parse_sos("(X1 - Y1 - Y2)^2 >= 0"))
+        assert {m.variables: m.coefficient for m in ineq.terms} == {
+            vs(x(1), y(1)): 1,
+            vs(x(1), y(2)): 1,
+            vs(y(1), y(2)): -1,
         }
+        assert (ineq.direction, ineq.bound) == ("<=", Fraction(1))
 
     def test_cross_terms_cancel(self):
-        poly = expand(parse_sos("(X1 - Y1 - Y2)^2 + (X2 - Y1 + Y2)^2 >= 2"))
-        assert poly.constant_term() == 6
-        assert poly.coefficient(vs(y(1), y(2))) == 0
-        assert poly.coefficient(vs(x(1), y(1))) == -2
-        assert poly.coefficient(vs(x(2), y(2))) == 2
+        # the Y1Y2 terms of the two squares cancel; the constant 6 sets the bound (6 - 2)/2
+        ineq = derive_inequality(parse_sos("(X1 - Y1 - Y2)^2 + (X2 - Y1 + Y2)^2 >= 2"))
+        assert ineq.coefficient(vs(y(1), y(2))) == 0
+        assert ineq.coefficient(vs(x(1), y(1))) == 1
+        assert ineq.coefficient(vs(x(2), y(2))) == -1
+        assert ineq.bound == Fraction(2)
 
     def test_offset_lands_in_constant(self):
-        poly = expand(parse_sos("(J - K)^2 + 5 >= 0"))
-        assert poly.constant_term() == 7
+        # constant 2 + 5 = 7: -2*JK + 7 <= 9 halves to JK >= -1
+        with pytest.warns(EvenGroupWarning):
+            ineq = derive_inequality(parse_sos("(J - K)^2 + 5 <= 9"))
+        assert format_inequality(ineq) == "JK >= -1"
+
+    def test_fractional_bound_survives(self):
+        # 2 - 2*X1Y1 >= 1 halves to a bound of 1/2
+        with pytest.warns(EvenGroupWarning):
+            ineq = derive_inequality(parse_sos("(X1 - Y1)^2 >= 1"))
+        assert format_inequality(ineq) == "X1Y1 <= 1/2"
+        assert ineq.bound == Fraction(1, 2)
 
     def test_square_of_variable_is_one(self):
-        poly = expand(parse_sos("(3*X1)^2 >= 0"))
-        assert dict(poly.items()) == {frozenset(): 9}
+        with pytest.raises(ResidualDegreeError, match="no degree-2 terms survive the expansion"):
+            derive_inequality(parse_sos("(3*X1)^2 >= 0"))
 
 
-class TestMultilinearPoly:
-    def test_multiplication_uses_symmetric_difference(self):
-        a = MultilinearPoly({vs(x(1)): 1, vs(y(1)): 2})
-        square = a * a
-        assert dict(square.items()) == {frozenset(): 5, vs(x(1), y(1)): 4}
+POOL = (x(1), x(2), y(1), y(2), x(3), y(3), VariableId("J"), VariableId("K"))
 
-    def test_zero_coefficients_pruned(self):
-        p = MultilinearPoly({vs(x(1)): 1}) * MultilinearPoly({vs(x(1)): 1})
-        assert dict(p.items()) == {frozenset(): 1}
-        q = p + MultilinearPoly({frozenset(): -1})
-        assert dict(q.items()) == {}
 
-    @given(st.integers(0, 2**12 - 1), st.integers(0, 2**12 - 1))
-    @settings(max_examples=60, deadline=None)
-    def test_product_evaluates_pointwise(self, bits_a, bits_b):
-        names = [x(i) for i in range(4)] + [y(i) for i in range(4)]
-        a = MultilinearPoly(
-            {vs(*names[i : i + 2]): ((bits_a >> i) & 3) - 1 for i in range(0, 8, 2)}
-        )
-        b = MultilinearPoly(
-            {vs(names[i], names[7 - i]): ((bits_b >> i) & 3) - 1 for i in range(3)}
-        )
-        assign = {v: 1 if (bits_a >> j) & 1 else -1 for j, v in enumerate(names)}
-        left = (a * b).evaluate(assign)
-        assert left == a.evaluate(assign) * b.evaluate(assign)
+@st.composite
+def sources(draw):
+    """1-4 squared groups of 1-5 terms over at most 8 variables, coefficients ±1..3."""
+    n = draw(st.integers(1, len(POOL)))
+    groups = []
+    for _ in range(draw(st.integers(1, 4))):
+        picks = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=5, unique=True))
+        coeffs = draw(st.lists(st.sampled_from((-3, -2, -1, 1, 2, 3)), min_size=len(picks), max_size=len(picks)))
+        groups.append(LinearForm(tuple(zip(coeffs, (POOL[i] for i in picks)))))
+    return SosExpression(
+        tuple(groups), draw(st.integers(-5, 5)), draw(st.sampled_from((">=", "<="))), draw(st.integers(-10, 20))
+    )
+
+
+class TestDerivationByEnumeration:
+    @given(sources())
+    @settings(max_examples=300, deadline=None)
+    def test_identity_on_every_assignment(self, expr):
+        """The derived inequality is the source rearranged: checked on every ±1 point, without expanding."""
+        even = any(g.coefficient_sum() % 2 == 0 for g in expr.groups)
+        odd = sum(g.coefficient_sum() % 2 for g in expr.groups)
+        effective = max(expr.bound, odd + expr.constant_offset) if expr.comparator == ">=" else expr.bound
+        variables = sorted(expr.variables(), key=VariableId.sort_key)
+        values = []
+        for signs in product((1, -1), repeat=len(variables)):
+            point = dict(zip(variables, signs))
+            squares = sum(sum(c * point[v] for c, v in g.terms) ** 2 for g in expr.groups)
+            values.append((point, squares + expr.constant_offset))
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if len({value for _, value in values}) == 1:  # a constant sum: no pair survives
+                with pytest.raises(ResidualDegreeError, match="^no degree-2 terms survive the expansion$"):
+                    derive_inequality(expr)
+                ineq = None
+            else:
+                ineq = derive_inequality(expr)
+        assert [w.category for w in caught] == ([EvenGroupWarning] if even else [])
+        if ineq is None:
+            return
+
+        keys = [_varset_key(m.variables) for m in ineq.terms]
+        assert keys == sorted(keys)
+        assert ineq.terms[0].coefficient > 0
+        assert all(m.coefficient for m in ineq.terms)
+        s = 1 if ineq.direction == expr.comparator else -1
+        for point, value in values:
+            correlators = sum(m.coefficient * prod(point[v] for v in m.variables) for m in ineq.terms)
+            assert value - effective == 2 * s * (correlators - ineq.bound)
 
 
 class TestDeriveCatalog:
@@ -203,29 +242,6 @@ class TestValidateOddGroups:
         assert implied_lower_bound(parse_sos("(X1 - Y1)^2 >= 0")) == 0
 
 
-class TestInequalityFromPoly:
-    def test_degree_three_rejected(self):
-        poly = MultilinearPoly({vs(x(1), x(2), x(3)): 2})
-        with pytest.raises(ResidualDegreeError):
-            inequality_from_poly(poly, ">=", 0)
-
-    def test_lone_linear_term_rejected(self):
-        poly = MultilinearPoly({vs(x(1)): 2})
-        with pytest.raises(ResidualDegreeError):
-            inequality_from_poly(poly, ">=", 0)
-
-    def test_odd_pair_coefficient_rejected(self):
-        poly = MultilinearPoly({vs(x(1), y(1)): 3})
-        with pytest.raises(ResidualDegreeError):
-            inequality_from_poly(poly, ">=", 0)
-
-    def test_fractional_bound_survives(self):
-        poly = MultilinearPoly({frozenset(): 3, vs(x(1), y(1)): -2})
-        ineq = inequality_from_poly(poly, ">=", 0)
-        assert ineq.bound == Fraction(3, 2)
-        assert ineq.direction == "<="
-
-
 class TestClassify:
     def test_catalog_classifications(self):
         cases = [
@@ -245,8 +261,7 @@ class TestClassify:
 
 class TestFormatting:
     def test_coefficients_in_output(self):
-        poly = MultilinearPoly({frozenset(): 4, vs(x(1), y(1)): -4})
-        ineq = inequality_from_poly(poly, ">=", 0)
+        ineq = derive_inequality(parse_sos("(2*X1 - Y1)^2 >= 1"))
         assert format_inequality(ineq) == "2*X1Y1 <= 2"
 
     def test_terms_sorted_lexicographically(self):

@@ -382,6 +382,15 @@ class TestHybridValues:
             summed = evaluate_inequality_quantum(ineq, rho, settings)
             assert direct == pytest.approx(summed, abs=1e-12)
 
+    def test_invalid_state_refused_before_any_correlator(self):
+        ineq = derive_inequality(catalog.hybrid_source())
+        with pytest.raises(ValueError, match="trace"):
+            evaluate_inequality_quantum(ineq, 3 * singlet_state(), hybrid_settings())
+        skewed = maximally_mixed(4).astype(complex)
+        skewed[0, 1] = 0.1
+        with pytest.raises(NotHermitian):
+            evaluate_inequality_quantum(ineq, skewed, hybrid_settings())
+
     def test_operator_split_structure(self):
         rng = np.random.default_rng(43)
         settings = random_settings(rng, HYBRID_VARS)
