@@ -13,6 +13,7 @@ import argparse
 import json
 import re
 import sys
+import warnings
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import catalog
 from .dsl import VariableId, format_sos, parse_scenario, parse_sos, parse_variable
-from .errors import TermOutsideContext, TooManyVariables
+from .errors import EvenGroupWarning, TermOutsideContext, TooManyVariables
 from .lhv import classical_extrema, jd_feasibility, monogamy_check, nodisturbance_optimum
 from .optimize import maximize_violation, scan_envelope
 from .polynomials import (
@@ -136,7 +137,10 @@ def _finish(report: dict) -> dict:
 def cmd_derive(args) -> int:
     source = parse_sos(Path(args.input).read_text())
     verdicts = validate_odd_groups(source)
-    ineq = derive_inequality(source)
+    with warnings.catch_warnings():  # one `warning: ...` line, like the `error: ...` lines
+        warnings.simplefilter("always", EvenGroupWarning)
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        ineq = derive_inequality(source)
     scenario = (
         parse_scenario(Path(args.scenario).read_text())
         if args.scenario

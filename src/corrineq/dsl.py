@@ -49,6 +49,10 @@ class VariableId:
     def sort_key(self):
         return (self.letter, self.index is not None, self.index or 0)
 
+    # before Python 3.12 hash(None) is an address, so the generated hash would vary from run to run
+    def __hash__(self):
+        return hash((self.letter, -1 if self.index is None else self.index))
+
     def __str__(self):
         return self.letter if self.index is None else f"{self.letter}{self.index}"
 

@@ -142,7 +142,7 @@ class _SplitPlan:
     """
 
     def __init__(self, n, masks, chunk_size=1 << 16):
-        self.high = high = n // 2
+        high = n // 2
         low = n - high
         groups, group = _first_seen(np.concatenate([[0], masks >> low]))  # the empty group is row 0 of `right`
         lows, column = _first_seen(masks & ((1 << low) - 1))
@@ -158,26 +158,10 @@ class _SplitPlan:
 
         `right` holds each group's low-half sum on all 2**low low
         assignments.  A tile of high-half rows is then one matrix
-        product: `left` holds the ±1 value of every group's high monomial
-        on each row, and `left @ right` lists the tile's values in index
-        order.
-
-        A group whose `right` row is the same in every column (its terms
-        have no low-half variable) adds the same amount to a whole
-        high-half row.  In a scan of several tiles such groups leave the
-        product and become a per-row `shift` when the coefficients have
-        an integer dtype: below 2**53 in absolute sum, integers add
-        exactly in any order, and a constant added to a row moves none of
-        its extremes, so the result is the full product's bit for bit.
-        Float coefficients keep the full product unless fewer than n//2
-        groups vary.  Then, for any dtype, rows with the same ±1 values
-        on the varying groups also share one pattern: the tiles run over
-        one row per pattern, and each pattern's extremes and their
-        columns are copied to its rows and shifted.  For a cycle or a
-        chain that is 4 patterns instead of 2**(n//2) rows.
-
-        A tile covers about `chunk_size` assignments, and at least one
-        row; tiles may be evaluated by a thread pool of `workers`.
+        product: `signs` holds the ±1 value of every group's high monomial
+        on each row, and `signs @ right` lists the tile's values in index
+        order.  A tile covers about `chunk_size` assignments, and at least
+        one row; tiles may be evaluated by a thread pool of `workers`.
         Memory is O(terms * 2**low) for `right`, which bounds the plan's
         O(groups * 2**(n//2)) row signs, plus O(chunk_size) per tile.
 
@@ -186,24 +170,9 @@ class _SplitPlan:
         row's extreme values and the earliest assignment index attaining
         each.
         """
-        high, signs = self.high, self.signs
-        coefficients = np.asarray(coefficients)
         weights = np.bincount(self.cells, weights=coefficients, minlength=self.shape[0] * self.shape[1])
         right = weights.reshape(self.shape) @ self.low_signs.T
-        # a single-tile scan skips the comparison and keeps the plain row tiles
-        if self.rows < 1 << high and (
-                (few := (varying := (right != right[:, :1]).any(axis=1)).sum() < high)
-                or coefficients.dtype.kind in "iu"):
-            shift = signs[:, ~varying] @ right[~varying, 0]
-            left, pattern = signs, slice(None)
-            if few:
-                keys = (signs[:, varying] < 0) @ (1 << np.arange(varying.sum()))
-                _, reps, pattern = np.unique(keys, return_index=True, return_inverse=True)
-                left = signs[reps]
-            left = left[:, varying]  # rows, then columns: the layout, and so the float bits, of earlier scans
-            extrema = _tile_extrema(left, right[varying], self.rows, workers, minima)
-            return tuple(x for values, at in extrema for x in (values[pattern] + shift, self.first + at[pattern]))
-        extrema = _tile_extrema(signs, right, self.rows, workers, minima)
+        extrema = _tile_extrema(self.signs, right, self.rows, workers, minima)
         return tuple(x for values, at in extrema for x in (values, self.first + at))
 
 
@@ -371,14 +340,15 @@ def classical_extrema(poly, workers=None, chunk_size=1 << 16) -> ExtremaResult:
     variable fixed to -1, over the indices below 2**(n-1); the mirrored
     half is covered by symmetry: its extremes are the same, and the
     mirror of an attaining assignment whose first variable is +1 sorts
-    before it.  When the scan spans several tiles, terms without a
-    variable in its low half leave the product and are added per row: a
-    dense quadratic form of 20 variables, halved to 19, multiplies 10
-    term groups instead of 46.  The scan reports each high-half row's
-    extremes at their earliest indices, so the first row attaining the
-    overall extreme holds the earliest attaining index for any worker
-    count.  Memory is O(terms * 2**(n - n//2)) plus one tile per worker.
-    The sums are exact, in any order, while the sum of absolute coefficients
+    before it.  Terms without a variable in the scan's low half stay out
+    of the product: their sum on each high-half row is added to the row's
+    extremes, which moves none of its attaining indices, so a dense
+    quadratic form of 20 variables, halved to 19, multiplies 10 term
+    groups instead of 46.  The scan reports each high-half row's extremes
+    at their earliest indices, so the first row attaining the overall
+    extreme holds the earliest attaining index for any worker count.
+    Memory is O(terms * 2**(n - n//2)) plus one tile per worker.  The
+    sums are exact, in any order, while the sum of absolute coefficients
     is below 2**53; larger inputs raise CoefficientsTooLarge before any
     allocation, and a `chunk_size` that is not an integer of at least 1
     raises ValueError.
@@ -413,8 +383,13 @@ def classical_extrema(poly, workers=None, chunk_size=1 << 16) -> ExtremaResult:
     if half:  # column 0, bit n-1, is fixed to -1: indices below 2**(n-1) decode unchanged
         coefficients *= 1 - 2 * (masks >> n - 1)
         masks &= ~(1 << n - 1)
-    plan = _SplitPlan(n - half, masks, chunk_size)
-    row_min, arg_min, row_max, arg_max = plan.scan(coefficients, workers)
+    low = n - half - (n - half) // 2
+    mixed = masks & ((1 << low) - 1) != 0  # the terms with a low-half variable; the others shift whole rows
+    plan = _SplitPlan(n - half, masks[mixed], chunk_size)
+    row_min, arg_min, row_max, arg_max = plan.scan(coefficients[mixed], workers)
+    shift = _monomial_signs(masks[~mixed] >> low, np.arange(len(row_min))) @ coefficients[~mixed]
+    row_min += shift
+    row_max += shift
     lo, hi = int(row_min.argmin()), int(row_max.argmax())  # first row: earliest index
     witnesses = form.assignments(_assignment_rows(n, [arg_min[lo], arg_max[hi]]).tolist())
     return ExtremaResult(int(row_min[lo]), int(row_max[hi]), *witnesses, 1 << n)

@@ -82,20 +82,9 @@ class SettingsParametrization:
             raise ValueError("fixed mode needs a state")
 
     @property
-    def names(self) -> tuple[str, ...]:
-        out = []
-        slots = list(map(str, self.variables))
-        if self.mode == PRODUCT_FAMILY:
-            slots += ["nA"] if self.tied_state else ["nA", "nB"]
-        for s in slots:
-            out.append(f"theta_{s}")
-            if self.full_sphere:
-                out.append(f"phi_{s}")
-        return tuple(out)
-
-    @property
     def dimension(self) -> int:
-        return len(self.names)
+        states = (1 if self.tied_state else 2) if self.mode == PRODUCT_FAMILY else 0
+        return (len(self.variables) + states) * (2 if self.full_sphere else 1)
 
     def _vector_block(self, params) -> np.ndarray:
         """(k, n_slots, 3) unit vectors from a (k, n_slots * angles per slot) matrix."""

@@ -12,7 +12,6 @@ import pytest
 from corrineq import catalog, lhv
 from corrineq.cli import TARGETS, _pair_key, build_parser, main
 from corrineq.dsl import format_sos, parse_variable
-from corrineq.errors import EvenGroupWarning
 from corrineq.optimize import scan_envelope
 
 SQRT8 = 2.828427124746190
@@ -130,10 +129,20 @@ class TestDerive:
         # the X1Y1 terms of the two squares cancel, so no pair is left to bound
         source = tmp_path / "cancel.rsx"
         source.write_text("(X1 + Y1)^2 + (X1 - Y1)^2 >= 2\n")
-        with pytest.warns(EvenGroupWarning):  # both coefficient sums are even
-            code, out, err = run_cli(capsys, "derive", "--input", str(source))
+        code, out, err = run_cli(capsys, "derive", "--input", str(source))
         assert (code, out) == (2, "")
-        assert err.splitlines()[-1] == "error: no degree-2 terms survive the expansion"
+        assert err == (  # both coefficient sums are even
+            "warning: group(s) [0, 1] have even coefficient sums; their squares may vanish\n"
+            "error: no degree-2 terms survive the expansion\n"
+        )
+
+    def test_even_group_warning_is_one_stderr_line(self, capsys, tmp_path):
+        source = tmp_path / "even.rsx"
+        source.write_text("(X1 + Y1)^2 + (X1 - Y1 + Y2)^2 >= 2\n")
+        code, out, err = run_cli(capsys, "derive", "--input", str(source), "--format", "json")
+        assert code == 0
+        assert json.loads(out)["input"] == str(source)
+        assert err == "warning: group(s) [0] have even coefficient sums; their squares may vanish\n"
 
     def test_undeclared_variable_message_is_unquoted(self, capsys):
         """KeyError's str is the repr of its message; the package's lookup errors print it as written."""

@@ -1,5 +1,9 @@
 """Parsing, formatting, and validation of expression and scenario text."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -50,6 +54,18 @@ class TestVariableId:
     def test_rejects_negative_index(self):
         with pytest.raises(ValueError):
             VariableId("X", -1)
+
+    def test_unindexed_variables_iterate_alike_in_every_run(self):
+        """The generated hash of an unindexed variable hashed None, whose hash
+        was its address before Python 3.12: under one PYTHONHASHSEED a set of
+        J, K, L, M iterated in a different order from one run to the next."""
+        script = 'from corrineq.dsl import VariableId; print(list(frozenset(VariableId(c) for c in "JKLM")))'
+        runs = [
+            subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                           env={**os.environ, "PYTHONHASHSEED": "1"}).stdout
+            for _ in range(2)
+        ]
+        assert runs[0] == runs[1]
 
 
 class TestParseVariable:

@@ -237,43 +237,13 @@ def _parities(assignments, incidence):
     return _SIGNS[odd]
 
 
-def row_tile_scan(n, terms):
-    """The split-product scan before high-half rows were grouped by pattern, at
-    its default tile size and without its thread pool: every tile
-    multiplies the ±1 values of all its rows' high monomials by `right`.
-    Kept as the bit-exact reference for the pattern scan."""
-    high = n // 2
-    low = n - high
-    groups = {(): 0}
-    lows = {}
-    split = []
-    for cols, coeff in terms:
-        g = groups.setdefault(tuple(c for c in cols if c < high), len(groups))
-        split.append((g, lows.setdefault(tuple(c - high for c in cols if c >= high), len(lows)), coeff))
-    weights = np.zeros((len(groups), len(lows)))
-    for g, u, coeff in split:
-        weights[g, u] += coeff
-    right = weights @ _parities(reference_rows(low), _incidence(low, lows)).T
-    incidence = _incidence(high, groups)
-    rows = min(max(1, (1 << 16) >> low), 1 << high)
-    row_min, row_max = np.empty(1 << high), np.empty(1 << high)
-    arg_min = np.empty(1 << high, dtype=np.int64)
-    arg_max = np.empty(1 << high, dtype=np.int64)
-    for start in range(0, 1 << high, rows):
-        stop = min(start + rows, 1 << high)
-        values = _parities(reference_rows(high, np.arange(start, stop)), incidence) @ right
-        at = np.arange(stop - start)
-        lo = arg_min[start:stop] = values.argmin(axis=1)
-        hi = arg_max[start:stop] = values.argmax(axis=1)
-        row_min[start:stop], row_max[start:stop] = values[at, lo], values[at, hi]
-    first = np.arange(1 << high, dtype=np.int64) << low
-    return row_min, first + arg_min, row_max, first + arg_max
-
-
-def split_scan_reference(n, terms, chunk_size=1 << 16):
+def row_tile_scan(n, terms, chunk_size=1 << 16):
     """`lhv._split_scan` as it was before the scan was split into a plan and
     a per-coefficient scan, without its thread pool: it rebuilt every table
-    on each call.  Kept as the bit-exact reference for `_SplitPlan`."""
+    on each call, and each tile of about `chunk_size` assignments multiplies
+    the ±1 values of all its rows' high monomials by `right`.  Kept as the
+    bit-exact reference for `_SplitPlan`'s scan, and for `classical_extrema`'s
+    when given the whole form."""
     high = n // 2
     low = n - high
     groups = {(): 0}
@@ -288,34 +258,18 @@ def split_scan_reference(n, terms, chunk_size=1 << 16):
     right = weights @ _parities(reference_rows(low), _incidence(low, lows)).T
     incidence = _incidence(high, groups)
     rows = min(max(1, chunk_size >> low), 1 << high)
+    row_min, row_max = np.empty(1 << high), np.empty(1 << high)
+    arg_min = np.empty(1 << high, dtype=np.int64)
+    arg_max = np.empty(1 << high, dtype=np.int64)
+    for start in range(0, 1 << high, rows):
+        stop = min(start + rows, 1 << high)
+        values = _parities(reference_rows(high, np.arange(start, stop)), incidence) @ right
+        at = np.arange(stop - start)
+        lo = arg_min[start:stop] = values.argmin(axis=1)
+        hi = arg_max[start:stop] = values.argmax(axis=1)
+        row_min[start:stop], row_max[start:stop] = values[at, lo], values[at, hi]
     first = np.arange(1 << high, dtype=np.int64) << low
-
-    def tiles(left, right, count):
-        row_min, row_max = np.empty(count), np.empty(count)
-        arg_min = np.empty(count, dtype=np.int64)
-        arg_max = np.empty(count, dtype=np.int64)
-        for start in range(0, count, rows):
-            stop = min(start + rows, count)
-            values = left(start, stop) @ right
-            at = np.arange(stop - start)
-            lo = arg_min[start:stop] = values.argmin(axis=1)
-            hi = arg_max[start:stop] = values.argmax(axis=1)
-            row_min[start:stop], row_max[start:stop] = values[at, lo], values[at, hi]
-        return row_min, arg_min, row_max, arg_max
-
-    if rows < 1 << high and (varying := (right != right[:, :1]).any(axis=1)).sum() < high:
-        signs = _parities(reference_rows(high), incidence)
-        shift = signs[:, ~varying] @ right[~varying, 0]
-        keys = (signs[:, varying] < 0) @ (1 << np.arange(varying.sum()))
-        _, reps, pattern = np.unique(keys, return_index=True, return_inverse=True)
-        left = signs[reps][:, varying]
-        lo, lo_at, hi, hi_at = tiles(lambda start, stop: left[start:stop], right[varying], len(reps))
-        return (lo[pattern] + shift, first + lo_at[pattern],
-                hi[pattern] + shift, first + hi_at[pattern])
-    lo, lo_at, hi, hi_at = tiles(
-        lambda start, stop: _parities(reference_rows(high, np.arange(start, stop)), incidence),
-        right, 1 << high)
-    return lo, first + lo_at, hi, first + hi_at
+    return row_min, first + arg_min, row_max, first + arg_max
 
 
 def reference_plan(n, monomials):
@@ -400,6 +354,32 @@ def form_values(n, terms, indices):
     return values
 
 
+def assert_matches_row_tile_scan(res, poly):
+    """`classical_extrema`'s result against the row-tile scan of the whole, unhalved form."""
+    n, terms = poly_terms(poly)
+    row_min, arg_min, row_max, arg_max = row_tile_scan(n, terms)
+    lo, hi = row_min.argmin(), row_max.argmax()
+    assert (res.minimum, res.maximum, res.assignments_checked) == (row_min[lo], row_max[hi], 1 << n)
+    variables = sorted(poly.variables(), key=VariableId.sort_key)
+    want = [list(zip(variables, row)) for row in reference_rows(n, [arg_min[lo], arg_max[hi]]).tolist()]
+    assert [list(w.values.items()) for w in (res.witness_min, res.witness_max)] == want
+
+
+@st.composite
+def split_polys(draw):
+    """Integer polys on X1..Xn, 6 <= n <= 20, with every kind of term the scan
+    splits: a constant, and pairs on the high half only (X2X3), on the low
+    half only (the last two) and across both, from a path through every
+    variable or from all pairs; one degree-1 term makes the form odd, so that
+    the half scan is taken or not."""
+    n = draw(st.integers(6, 20))
+    coefficient = st.integers(-3, 3).filter(bool)
+    pairs = list(combinations(range(n), 2)) if draw(st.booleans()) else [(i, i + 1) for i in range(n - 1)]
+    odd = [(draw(st.integers(0, n - 1)),)] if draw(st.booleans()) else []
+    names = [x(i) for i in range(1, n + 1)]
+    return MultilinearPoly({frozenset(names[c] for c in cols): draw(coefficient) for cols in [(), *pairs, *odd]})
+
+
 def test_parities_match_the_float_expression():
     rng = np.random.default_rng(11)
     for n, k, rows in ((1, 1, 1), (5, 3, 32), (14, 9, 4096)):
@@ -455,9 +435,9 @@ class TestSignKernel:
 class TestSplitScan:
     @settings(max_examples=120, deadline=None)
     @given(form=scan_forms(), chunk_size=st.sampled_from([1, 7, 1 << 16]), workers=st.sampled_from([None, 2]))
-    # a 6-chain: one varying group besides (), so 4 rows share 2 patterns
+    # a 6-chain, one row per tile on two workers
     @example(form=(6, [((i, i + 1), 1) for i in range(5)]), chunk_size=1, workers=2)
-    # no term meets the low half: every group is constant, one pattern
+    # no term meets the low half: every row of `right` is constant
     @example(form=(8, [((0, 1), 2), ((2,), -1), ((), 3)]), chunk_size=7, workers=None)
     def test_matches_row_tile_reference(self, form, chunk_size, workers):
         n, terms = form
@@ -468,7 +448,7 @@ class TestSplitScan:
            workers=st.sampled_from([None, 2]))
     def test_plan_matches_the_unplanned_scan(self, form, chunk_size, workers):
         n, terms = form
-        want = split_scan_reference(n, terms, chunk_size)
+        want = row_tile_scan(n, terms, chunk_size)
         assert_same_scan(planned_scan(n, terms, chunk_size, workers), want)
 
     @settings(max_examples=150, deadline=None)
@@ -499,19 +479,9 @@ class TestSplitScan:
         for seed in seeds:
             rng = np.random.default_rng(seed)
             coeffs = rng.normal(size=len(terms)) * (rng.random(len(terms)) < 0.7)
-            want = split_scan_reference(n, list(zip(monomials, coeffs)), chunk_size)
+            want = row_tile_scan(n, list(zip(monomials, coeffs)), chunk_size)
             assert_same_scan(plan.scan(coeffs), want)
             assert_same_scan(plan.scan(coeffs, minima=False), want[2:])
-
-    def test_float_pattern_scan_keeps_the_reference_layout(self):
-        """Pattern rows taken before the varying columns: `signs[reps][:, varying]`
-        is column-major, and the other order gave BLAS a row-major `left` whose
-        products differed from the reference in the last bits."""
-        monomials = [(), (), (0, 1, 7), (1, 7), (2, 7), (2, 3, 4, 5, 6, 7), (0, 7), (), (), (), (), (3, 4, 5, 6, 7)]
-        rng = np.random.default_rng(3419)
-        coeffs = rng.normal(size=len(monomials)) * (rng.random(len(monomials)) < 0.7)
-        want = split_scan_reference(14, list(zip(monomials, coeffs)), 1)
-        assert_same_scan(_SplitPlan(14, _masks(14, monomials), 1).scan(coeffs), want)
 
     @pytest.mark.parametrize("label", sorted(SCAN_FORMS))
     def test_benchmark_forms_match_row_tile_reference(self, label):
@@ -521,18 +491,13 @@ class TestSplitScan:
             assert_same_scan(planned_scan(n, terms, chunk_size, workers), want)
 
     @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), dense=st.booleans(), chunk_size=st.sampled_from([1, 7, 1 << 16]),
-           workers=st.sampled_from([None, 2]))
-    def test_integer_shift_matches_row_tile_reference(self, data, dense, chunk_size, workers):
-        """Integer forms, whose multi-tile scans drop the constant groups
-        from the product and add them back per row."""
-        if dense:
-            n = data.draw(st.integers(2, 20))
-            coefficients = st.lists(st.integers(-3, 3), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)
-            terms = list(zip(combinations(range(n), 2), data.draw(coefficients)))
-        else:
-            n, terms = data.draw(scan_forms(max_n=20))
-        assert_same_scan(planned_scan(n, terms, chunk_size, workers), row_tile_scan(n, terms))
+    @given(poly=split_polys(), chunk_size=st.sampled_from([1, 7, 1 << 16]), workers=st.sampled_from([None, 2]))
+    def test_integer_shift_matches_row_tile_reference(self, poly, chunk_size, workers):
+        """`classical_extrema`'s scan keeps the terms with no low-half variable
+        out of the product and adds them per row, on one tile or several."""
+        with mock.patch.object(lhv, "_eliminate", return_value=None):
+            res = classical_extrema(poly, workers=workers, chunk_size=chunk_size)
+        assert_matches_row_tile_scan(res, poly)
 
     @pytest.fixture
     def tiled_groups(self, monkeypatch):
@@ -549,7 +514,7 @@ class TestSplitScan:
     def test_integer_dense_scan_multiplies_only_varying_groups(self, tiled_groups):
         classical_extrema(SCAN_FORMS["dense-20"]())
         # the half scan fixes X1, leaving 19 variables, 9 in the high half: (), and one group
-        # per high variable, vary; the 36 high pairs are constant
+        # per high variable, meet the low half; the 36 high pairs are added per row
         assert tiled_groups == [10]
 
     def test_float_dense_scan_keeps_every_group(self, tiled_groups):
@@ -569,11 +534,21 @@ class TestSplitScan:
         monkeypatch.setattr(lhv, "_tile_extrema", recording)
         return counts
 
-    @pytest.mark.parametrize("label", ["cycle-19", "cycle-23", "chain-23"])
-    def test_sparse_forms_tile_four_patterns_without_the_pool(self, label, tiled_rows, monkeypatch):
-        monkeypatch.setattr(lhv, "ThreadPoolExecutor", None)  # calling it would raise
-        planned_scan(*poly_terms(SCAN_FORMS[label]()), workers=2)
-        assert tiled_rows == [4]
+    def test_wide_low_half_multiplies_only_mixed_groups(self, tiled_groups):
+        """A path on X1..X7 and a 13-clique on X8..X20, too wide for
+        elimination: halved to 19 variables, the low half is X11..X20, so
+        only clique terms reach the product, in the groups (), X8, X9, X10."""
+        names = [x(i) for i in range(1, 21)]
+        pairs = list(zip(names[:6], names[1:7])) + list(combinations(names[7:], 2))
+        poly = MultilinearPoly({frozenset(p): (-1) ** k * (k % 3 + 1) for k, p in enumerate(pairs)})
+        res = classical_extrema(poly)
+        assert tiled_groups == [4]
+        assert_matches_row_tile_scan(res, poly)
+
+    def test_float_cycle_tiles_every_row(self, tiled_rows):
+        """The shape of `jd_feasibility`'s pricing scan of a 19-cycle: 8 tiles of 64 rows."""
+        planned_scan(19, cycle_terms(19, np.random.default_rng(19).normal(size=19).tolist()))
+        assert tiled_rows == [1 << 9]
 
     def test_dense_forms_keep_every_row(self, tiled_rows):
         classical_extrema(SCAN_FORMS["dense-20"](), workers=2)
@@ -670,14 +645,8 @@ class TestHalfScan:
 
         with mock.patch.object(lhv, "_eliminate", return_value=None), mock.patch.object(lhv, "_SplitPlan", recording):
             res = classical_extrema(poly, workers=workers, chunk_size=chunk_size)
-        n, terms = poly_terms(poly)
-        assert sizes == [n - even]
-        row_min, arg_min, row_max, arg_max = row_tile_scan(n, terms)
-        lo, hi = row_min.argmin(), row_max.argmax()
-        assert (res.minimum, res.maximum, res.assignments_checked) == (row_min[lo], row_max[hi], 1 << n)
-        variables = sorted(poly.variables(), key=VariableId.sort_key)
-        want = [list(zip(variables, row)) for row in reference_rows(n, [arg_min[lo], arg_max[hi]]).tolist()]
-        assert [list(w.values.items()) for w in (res.witness_min, res.witness_max)] == want
+        assert sizes == [len(poly.variables()) - even]
+        assert_matches_row_tile_scan(res, poly)
 
 
 @st.composite

