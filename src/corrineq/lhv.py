@@ -14,7 +14,6 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
@@ -570,10 +569,9 @@ def _root(parent, c):
 
 
 def _join(parent, a, b):
-    """Merge the groups of a and b under the smaller root; False when they were one group."""
+    """Merge the groups of a and b under the smaller root."""
     a, b = sorted((_root(parent, a), _root(parent, b)))
     parent[b] = a
-    return a != b
 
 
 def nodisturbance_optimum(scenario, objective, direction="max", enforce_consistency=True) -> NdOptimum:
@@ -585,13 +583,18 @@ def nodisturbance_optimum(scenario, objective, direction="max", enforce_consiste
     marginal rows, leaving independent per-context tables.
 
     The LP has one column per outcome of each context and leaves out rows
-    the others imply, decided from the contexts alone.  Contexts sharing S
-    get one row per pattern of S unless other kept overlaps join them
-    through contexts holding S, whose marginals on S then agree already.
-    Each group of contexts joined by kept overlaps has one normalization
-    row, its first context's: an overlap's rows sum to the difference of
-    its two.  The rows are an ordered subset of the per-pair LP's, of the
-    same rank.  When the simplex tableau, rows * (columns + rows + 1)
+    the others imply, decided from the contexts alone.  For each set S
+    that two contexts share exactly, the contexts holding S fall into
+    groups joined by columns outside S, and the wider overlaps inside a
+    group already make its marginals on S agree.  Each group but the last
+    holder's keeps one row per pattern of S, between the group's last
+    context and the last holder.  Each group of contexts joined by shared
+    columns has one normalization row, its first context's: an overlap's
+    rows sum to the difference of its two.  The rows are an ordered subset
+    of the per-pair LP's, of the same rank.  Finding the shared sets takes
+    one intersection per pair of contexts sharing a column, quadratic in
+    the contexts of a star; grouping joins each holder's columns outside S
+    once.  When the simplex tableau, rows * (columns + rows + 1)
     cells, would exceed ND_TABLEAU_CAP, TooManyVariables is raised before
     any table is built.
     """
@@ -613,33 +616,24 @@ def nodisturbance_optimum(scenario, objective, direction="max", enforce_consiste
         if home is None:
             raise TermOutsideContext(f"{format_varset(pair)} lies in no declared context")
         terms.append((home, contexts[home].index(a), contexts[home].index(b), coeff))
-    overlaps = []  # (ci, cj, shared columns) for ci < cj
-    if enforce_consistency:
-        for ci, ctx in enumerate(contexts):
-            for cj in sorted({cj for j in ctx for cj in homes[j] if cj > ci}):
-                overlaps.append((ci, cj, tuple(j for j in ctx if j in contexts[cj])))
-    # An overlap on S is implied when other kept overlaps join its contexts
-    # through contexts holding S.  Tested from the smallest S up, all wider
-    # overlaps are kept yet, so each S decides alone: deleting such overlaps in
-    # build order keeps what Kruskal keeps in reverse build order, over the
-    # holders of S already joined by wider overlaps
-    shares = {(ci, cj): shared for ci, cj, shared in overlaps}
-    classes = {}  # shared columns -> their overlaps, in build order
-    for ci, cj, shared in overlaps:
-        classes.setdefault(shared, []).append((ci, cj))
-    dropped = set()
-    for shared, pairs in classes.items():
-        holders = sorted(set(homes[shared[0]]).intersection(*(homes[j] for j in shared[1:])))
-        if len(holders) > 2:  # else its one overlap has no other route
-            parent = {c: c for c in holders}
-            for a, b in combinations(holders, 2):
-                if shares[a, b] != shared:
-                    _join(parent, a, b)
-            dropped.update(pair for pair in reversed(pairs) if not _join(parent, *pair))
-    overlaps = [o for o in overlaps if o[:2] not in dropped]
+    overlaps = []  # (ci, cj, shared columns) for ci < cj, in build order
     parent = list(range(len(contexts)))
-    for ci, cj, _ in overlaps:
-        _join(parent, ci, cj)
+    if enforce_consistency:
+        shared_sets = {tuple(j for j in ctx if j in contexts[cj])
+                       for ci, ctx in enumerate(contexts) for cj in {cj for j in ctx for cj in homes[j] if cj > ci}}
+        for shared in shared_sets:
+            holders = sorted(set(homes[shared[0]]).intersection(*(homes[j] for j in shared[1:])))
+            groups, firsts = {c: c for c in holders}, {}  # holders joined by a column outside S
+            for c in holders:
+                for j in contexts[c]:
+                    if j not in shared:
+                        _join(groups, c, firsts.setdefault(j, c))
+            lasts = {_root(groups, c): c for c in holders}  # each group's last holder
+            overlaps += [(c, holders[-1], shared) for c in lasts.values() if c != holders[-1]]
+        overlaps.sort()
+        for held in homes:
+            for c in held[1:]:
+                _join(parent, held[0], c)
     norms = [ci for ci, root in enumerate(parent) if root == ci]  # one normalization row per group
     starts = [0]  # each context's first LP column
     for ctx in contexts:

@@ -434,22 +434,18 @@ class TestSignKernel:
 
 class TestSplitScan:
     @settings(max_examples=120, deadline=None)
-    @given(form=scan_forms(), chunk_size=st.sampled_from([1, 7, 1 << 16]), workers=st.sampled_from([None, 2]))
+    @given(form=scan_forms(max_n=20), chunk_size=st.sampled_from([1, 7, 1 << 16]),
+           workers=st.sampled_from([None, 2]))
     # a 6-chain, one row per tile on two workers
     @example(form=(6, [((i, i + 1), 1) for i in range(5)]), chunk_size=1, workers=2)
     # no term meets the low half: every row of `right` is constant
     @example(form=(8, [((0, 1), 2), ((2,), -1), ((), 3)]), chunk_size=7, workers=None)
     def test_matches_row_tile_reference(self, form, chunk_size, workers):
+        """The same bits whatever the tiles of the scan and of the reference."""
         n, terms = form
-        assert_same_scan(planned_scan(n, terms, chunk_size, workers), row_tile_scan(n, terms))
-
-    @settings(max_examples=80, deadline=None)
-    @given(form=scan_forms(max_n=20), chunk_size=st.sampled_from([1, 7, 1 << 16]),
-           workers=st.sampled_from([None, 2]))
-    def test_plan_matches_the_unplanned_scan(self, form, chunk_size, workers):
-        n, terms = form
-        want = row_tile_scan(n, terms, chunk_size)
-        assert_same_scan(planned_scan(n, terms, chunk_size, workers), want)
+        got = planned_scan(n, terms, chunk_size, workers)
+        for reference_chunk in (chunk_size, 1 << 16):
+            assert_same_scan(got, row_tile_scan(n, terms, reference_chunk))
 
     @settings(max_examples=150, deadline=None)
     @given(form=scan_forms(max_n=20))
@@ -1130,6 +1126,13 @@ def crowded_nd_scenarios(draw):
     return scenario, {pair: float(draw(st.integers(-3, 3))) for pair in pairs}
 
 
+def all_pairs_scenario(contexts):
+    """A scenario of the given contexts, with an objective of 1 on every pair inside one."""
+    variables = tuple(dict.fromkeys(v for ctx in contexts for v in ctx))
+    scenario = ScenarioSpec(variables, {v: v.letter for v in variables}, tuple(map(frozenset, contexts)))
+    return scenario, {frozenset(p): 1.0 for ctx in contexts for p in combinations(ctx, 2)}
+
+
 ND_BUILDER_CASES = {
     **{f"cycle-{n}": (lambda n=n: (catalog.cycle_scenario(n), cycle_objective(n), "min"))
        for n in (3, 4, 5, 6, 7, 8, 9, 101)},
@@ -1141,6 +1144,12 @@ ND_BUILDER_CASES = {
                      "min"),
     "monogamy": lambda: (catalog.monogamy_scenario(), monogamy_objective(), "min"),
     **{f"random-{seed}": (lambda seed=seed: (*random_nd_scenario(seed), "max")) for seed in range(8)},
+    # twelve holders of {X1}, each its own group: eleven kept overlaps on X1
+    "star-12": lambda: (*all_pairs_scenario([(x(1), y(i)) for i in range(1, 13)]), "min"),
+    # {X1}'s holders fall into four groups of three joined by a Y, and each
+    # {X1, Yk} has three holders joined by nothing
+    "fan-12": lambda: (*all_pairs_scenario([(x(1), y((i + 2) // 3), VariableId("Z", i)) for i in range(1, 13)]),
+                       "min"),
 }
 
 
@@ -1222,6 +1231,22 @@ class TestNoDisturbanceBuilder:
         """The combined objective's LP had 110 rows when every context and pair had its rows."""
         _, problem, _ = solved_nd_lp(*ND_BUILDER_CASES["monogamy"]())
         assert problem.a_eq.shape[0] == 61
+
+    def test_star_joins_a_few_times_per_context(self):
+        """1,000 contexts X1 Yi share X1 alone: grouping its holders costs a
+        few joins per context, not one per pair of holders (499,500)."""
+        joins, join = 0, lhv._join
+
+        def counting_join(*args):
+            nonlocal joins
+            joins += 1
+            join(*args)
+
+        scenario, objective = all_pairs_scenario([(x(1), y(i)) for i in range(1, 1001)])
+        with mock.patch.object(lhv, "_join", counting_join):
+            opt = nodisturbance_optimum(scenario, objective, "min")
+        assert opt.value == -1000
+        assert joins <= 3 * 1000
 
     def test_random_scenarios_mix_context_sizes(self):
         sizes = {len(ctx) for seed in range(8) for ctx in random_nd_scenario(seed)[0].contexts}
