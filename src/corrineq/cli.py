@@ -24,7 +24,7 @@ from . import catalog
 from .dsl import VariableId, format_sos, parse_scenario, parse_sos, parse_variable
 from .errors import EvenGroupWarning, TermOutsideContext, TooManyVariables
 from .lhv import classical_extrema, jd_feasibility, monogamy_check, nodisturbance_optimum
-from .optimize import maximize_violation, scan_envelope
+from .optimize import envelope_rows, maximize_violation, scan_envelope
 from .polynomials import (
     classify,
     derive_inequality,
@@ -485,11 +485,12 @@ def cmd_reproduce(args) -> int:
     if args.format == "csv":
         if args.target != "tsirelson-envelope":
             raise ValueError("csv output is only available for scan tables")
-        scan = scan_envelope(args.grid)
-        thetas = list(map(repr, scan.thetas.tolist()))  # each theta formatted once
+        grid, blocks = envelope_rows(args.grid)  # checks the grid before the header
+        thetas = list(map(repr, grid.tolist()))  # each theta formatted once
         sys.stdout.write("theta1,theta2,value\n")
-        for t1, row in zip(thetas, scan.values):
-            sys.stdout.write("".join(f"{t1},{t2},{v!r}\n" for t2, v in zip(thetas, row.tolist())))
+        for start, block in blocks:  # written as they arrive, one block held at a time
+            for t1, row in zip(thetas[start:], block.tolist()):
+                sys.stdout.write("".join(f"{t1},{t2},{v!r}\n" for t2, v in zip(thetas, row)))
         return 0
     names = TARGETS if args.target == "all" else (args.target,)
     reports, failures = [], []

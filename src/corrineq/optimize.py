@@ -6,8 +6,10 @@ with step halving polishes to 1e-8.  Each term's closed form (correlation
 tensor or state for tensor terms, dot products for sequential ones) is
 tabulated once on the grid of the angles it reads for the scan, where
 the tables add up by broadcasting over a box of the trailing grid axes,
-and summed row by row for refinement; the reported optimum is
-re-evaluated through the full density-matrix path as an independent check.
+and summed row by row for refinement, where each batch's setting and
+state vectors are built once and every term reads its slots; the
+reported optimum is re-evaluated through the full density-matrix path
+as an independent check.
 """
 
 from __future__ import annotations
@@ -121,11 +123,11 @@ class OptimizationResult:
 
 
 def _objective_terms(ineq: CorrelationInequality, parametrization: SettingsParametrization, scenario=None):
-    """(coefficient, columns, term) per inequality term, in source order.
+    """(coefficient, slots, term) per inequality term, in source order.
 
-    `columns` are the parameter columns the term reads: its variables'
-    angles and, for a tensor term in product mode, the state's.  `term`
-    maps a (k, len(columns)) matrix of them to the term's k values.
+    `slots` are the vector slots the term reads: its variables' and, for
+    a tensor term in product mode, the state's.  `term` maps a
+    (k, len(slots), 3) block of those unit vectors to the term's k values.
     """
     qubit = qubit_layout(ineq.variables(), scenario)
     pairs = [term_order(mono.variables, qubit) for mono in ineq.terms]
@@ -134,16 +136,13 @@ def _objective_terms(ineq: CorrelationInequality, parametrization: SettingsParam
         tensor = correlation_tensor(parametrization.rho)
     slot = {var: i for i, var in enumerate(parametrization.variables)}
     states = [len(slot)] if parametrization.tied_state else [len(slot), len(slot) + 1]
-    width = 2 if parametrization.full_sphere else 1
 
-    def tensor_term(angles):
-        v = parametrization._vector_block(angles)
+    def tensor_term(v):
         if tensor is not None:
             return np.einsum("ki,ij,kj->k", v[:, 0], tensor, v[:, 1])
         return (v[:, 0] * v[:, 2]).sum(axis=1) * (v[:, 1] * v[:, -1]).sum(axis=1)
 
-    def sequential_term(angles):
-        v = parametrization._vector_block(angles)
+    def sequential_term(v):
         return (v[:, 0] * v[:, 1]).sum(axis=1)
 
     terms = []
@@ -152,25 +151,26 @@ def _objective_terms(ineq: CorrelationInequality, parametrization: SettingsParam
             slots, term = [slot[a], slot[b]], sequential_term
         else:
             slots, term = [slot[a], slot[b]] + (states if tensor is None else []), tensor_term
-        terms.append((mono.coefficient, [s * width + j for s in slots for j in range(width)], term))
+        terms.append((mono.coefficient, slots, term))
     return terms
 
 
-def _evaluate(terms, params) -> np.ndarray:
-    """Objective on each row of a (k, dimension) parameter matrix."""
-    return reduce(np.add, (c * term(params[:, columns]) for c, columns, term in terms))
+def _evaluate(terms, vectors) -> np.ndarray:
+    """Objective on each row of a (k, slots, 3) block of unit vectors."""
+    return reduce(np.add, (c * term(vectors[:, slots]) for c, slots, term in terms))
 
 
 def _grid_axes(points):
     return np.linspace(-np.pi, np.pi, points, endpoint=False)
 
 
-def _grid_scan(terms, axis, m):
+def _grid_scan(terms, axis, parametrization):
     """(start, values) for each _BATCH-cell chunk of the grid axis^m, in order.
 
-    The leading `outer` axes number the rows of a box over the other
-    axes, the fewest that keep a box at len(axis)^(m - outer) <= _BATCH
-    cells.  A term reading k columns is evaluated once on its own
+    m is the parametrization's dimension.  The leading `outer` axes
+    number the rows of a box over the other axes, the fewest that keep a
+    box at len(axis)^(m - outer) <= _BATCH cells.  A term reading k
+    parameter columns (its slots' angles) is evaluated once on its own
     sub-grid of len(axis)^k cells; its table, transposed to ascending
     columns, is indexed by a chunk's rows on its outer columns and
     broadcast over the box on its inner ones.  A term whose sub-grid
@@ -179,12 +179,13 @@ def _grid_scan(terms, axis, m):
     the chunk is sliced out of them, so each cell equals `_evaluate` on
     its row bit for bit.
     """
-    g = len(axis)
+    g, m = len(axis), parametrization.dimension
+    width = 2 if parametrization.full_sphere else 1
     outer = next(k for k in range(m + 1) if g ** (m - k) <= _BATCH)
     box = (g,) * (m - outer)
 
     def on_cells(coefficient, term, digits):
-        return coefficient * term(np.stack([axis[d] for d in digits], axis=1))
+        return coefficient * term(parametrization._vector_block(np.stack([axis[d] for d in digits], axis=1)))
 
     def broadcast_table(coefficient, columns, term):
         """(outer columns, table): one table axis per outer column, then the box's axes."""
@@ -196,6 +197,8 @@ def _grid_scan(terms, axis, m):
         shape = [g] * len(leading) + [g if j in ascending else 1 for j in range(outer, m)]
         return leading, table.reshape((g,) * k).transpose(order).reshape(shape)
 
+    # each term on the parameter columns of its slots
+    terms = [(c, [s * width + j for s in slots for j in range(width)], term) for c, slots, term in terms]
     tables = [broadcast_table(*t) if g ** len(t[1]) <= _BATCH else None for t in terms]
     on_rows = any(tabled is None for tabled in tables)
     cells, size = g**m, g ** (m - outer)
@@ -276,14 +279,14 @@ def maximize_violation(
             raise _OutOfBudget
 
     def offer_rows(batch):
-        offer(_evaluate(terms, batch), lambda top: batch[top].copy())
+        offer(_evaluate(terms, parametrization._vector_block(batch)), lambda top: batch[top].copy())
 
     converged = False
     try:
         axis = _grid_axes(grid_points)
         if grid_points**m <= GRID_CELL_CAP:
             shape = (grid_points,) * m
-            for start, values in _grid_scan(terms, axis, m):
+            for start, values in _grid_scan(terms, axis, parametrization):
                 offer(values, lambda top: axis[list(np.unravel_index(start + top, shape))])
         else:
             rng = np.random.default_rng(seed)
@@ -321,7 +324,6 @@ def maximize_violation(
 @dataclass(frozen=True)
 class EnvelopeScan:
     thetas: np.ndarray
-    values: np.ndarray
     max_value: float
     argmax: tuple[float, float]
 
@@ -341,28 +343,40 @@ def envelope_settings(theta1: float, theta2: float) -> dict[VariableId, np.ndarr
     }
 
 
-def scan_envelope(resolution: int) -> EnvelopeScan:
-    """Dense envelope table over [-pi, pi]^2 with its maximum.
+def envelope_rows(resolution: int):
+    """(thetas, blocks) for the envelope over [-pi, pi]^2 on a resolution^2 grid.
 
-    The maximum is the first grid cell attaining it in row-major order;
-    sign-symmetric partners (t1, t2) and (-t1, -t2) carry equal values.
-    The table is filled in blocks of about _BATCH cells, so the working
-    memory beyond the table itself stays bounded.
+    The resolution is checked here, before any block is evaluated;
+    `blocks` then yields (first row, values) for the table's consecutive
+    row blocks of about _BATCH cells each, in order, so no more than one
+    block is held at a time.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     if resolution**2 > GRID_CELL_CAP:
         raise ValueError(f"resolution must be at most {math.isqrt(GRID_CELL_CAP)}, got {resolution}")
     thetas = np.linspace(-np.pi, np.pi, resolution)
-    values = np.empty((resolution, resolution))
     rows = max(1, _BATCH // resolution)
-    for start in range(0, resolution, rows):
-        values[start:start + rows] = tsirelson_envelope(thetas[start:start + rows, None], thetas[None, :])
-    flat = int(values.argmax())
-    i, j = divmod(flat, resolution)
-    return EnvelopeScan(
-        thetas=thetas,
-        values=values,
-        max_value=float(values[i, j]),
-        argmax=(float(thetas[i]), float(thetas[j])),
+    blocks = (
+        (start, tsirelson_envelope(thetas[start:start + rows, None], thetas[None, :]))
+        for start in range(0, resolution, rows)
     )
+    return thetas, blocks
+
+
+def scan_envelope(resolution: int) -> EnvelopeScan:
+    """Maximum of the envelope over [-pi, pi]^2 on a resolution^2 grid.
+
+    The maximum is the first grid cell attaining it in row-major order;
+    sign-symmetric partners (t1, t2) and (-t1, -t2) carry equal values.
+    The row blocks are reduced as they arrive, so the working memory is
+    one block at any resolution.
+    """
+    thetas, blocks = envelope_rows(resolution)
+    max_value, flat = -np.inf, 0
+    for start, block in blocks:
+        top = int(block.argmax())
+        if block.flat[top] > max_value:  # strict, so ties keep the earlier block's cell
+            max_value, flat = float(block.flat[top]), start * resolution + top
+    i, j = divmod(flat, resolution)
+    return EnvelopeScan(thetas=thetas, max_value=max_value, argmax=(float(thetas[i]), float(thetas[j])))

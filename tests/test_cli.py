@@ -7,12 +7,13 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from corrineq import catalog, lhv
 from corrineq.cli import TARGETS, _pair_key, build_parser, main
 from corrineq.dsl import format_sos, parse_variable
-from corrineq.optimize import scan_envelope
+from corrineq.quantum import tsirelson_envelope
 
 SQRT8 = 2.828427124746190
 
@@ -503,12 +504,13 @@ class TestReproduce:
     @pytest.mark.parametrize("grid", [2, 7, 64])
     def test_envelope_csv_matches_row_by_row_formatting(self, capsys, grid):
         """The CSV is written a row at a time; its bytes are those of one
-        f-string of three reprs per cell."""
-        scan = scan_envelope(grid)
+        f-string of three reprs per cell of the whole table."""
+        thetas = np.linspace(-np.pi, np.pi, grid)
+        values = tsirelson_envelope(thetas[:, None], thetas[None, :])
         expected = "theta1,theta2,value\n" + "".join(
-            f"{float(t1)!r},{float(t2)!r},{float(scan.values[i, j])!r}\n"
-            for i, t1 in enumerate(scan.thetas)
-            for j, t2 in enumerate(scan.thetas)
+            f"{float(t1)!r},{float(t2)!r},{float(values[i, j])!r}\n"
+            for i, t1 in enumerate(thetas)
+            for j, t2 in enumerate(thetas)
         )
         code, out, _ = run_cli(
             capsys, "reproduce", "tsirelson-envelope", "--grid", str(grid), "--format", "csv"

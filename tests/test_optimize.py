@@ -3,6 +3,7 @@
 import tracemalloc
 import warnings
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -264,13 +265,35 @@ def _whole_table_scan(resolution):
 
 
 class TestEnvelopeScan:
-    @pytest.mark.parametrize("resolution", [2, 1000, 4096])
+    @pytest.mark.parametrize("resolution", [2, 7, 300, 1000, 4096])
     def test_row_blocks_match_the_whole_table(self, resolution):
+        """The blocks tile the whole table in order, each about _BATCH cells;
+        300 and 1000 end in a short last block."""
         thetas, values, max_value, argmax = _whole_table_scan(resolution)
+        grid, blocks = optimize.envelope_rows(resolution)
+        assert grid.tobytes() == thetas.tobytes()
+        covered = 0
+        for start, block in blocks:
+            assert start == covered
+            assert block.shape[1] == resolution and block.size <= max(resolution, optimize._BATCH)
+            assert block.tobytes() == values[start:start + len(block)].tobytes()
+            covered += len(block)
+        assert covered == resolution
         scan = scan_envelope(resolution)
         assert scan.thetas.tobytes() == thetas.tobytes()
-        assert scan.values.tobytes() == values.tobytes()
         assert (repr(scan.max_value), scan.argmax) == (repr(max_value), argmax)
+
+    def test_ties_keep_the_first_cell_in_row_major_order(self, monkeypatch):
+        """On a flat envelope every cell ties, and the first one wins across
+        the two blocks of a 300-point grid."""
+        assert optimize._BATCH // 300 < 300
+
+        def flat(t1, t2):
+            return np.ones(np.broadcast_shapes(np.shape(t1), np.shape(t2)))
+
+        monkeypatch.setattr(optimize, "tsirelson_envelope", flat)
+        scan = scan_envelope(300)
+        assert (scan.max_value, scan.argmax) == (1.0, (-np.pi, -np.pi))
 
     @pytest.mark.parametrize("resolution", [2, 300])
     def test_csv_matches_the_whole_table(self, resolution, capsys):
@@ -285,14 +308,34 @@ class TestEnvelopeScan:
         assert main(["reproduce", "tsirelson-envelope", "--grid", str(resolution), "--format", "csv"]) == 0
         assert capsys.readouterr().out == expected
 
-    def test_peak_memory_is_the_table_plus_a_block(self):
+    def test_peak_memory_is_one_block(self, monkeypatch):
+        """No N^2 table: the scan at the cap stays within 8 MB, where its
+        table alone took 128 MiB, and the CSV at N = 1000 (written to a sink
+        that keeps only a byte count) within 8 MB, its table's size."""
         tracemalloc.start()
         try:
-            scan_envelope(2000)
+            scan_envelope(4096)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2000 * 2000 * 8 + 16 * 2**20
+        assert peak <= 8 * 10**6
+
+        class Sink:
+            written = 0
+
+            def write(self, text):
+                self.written += len(text)
+
+        sink = Sink()
+        monkeypatch.setattr("sys.stdout", sink)
+        tracemalloc.start()
+        try:
+            code = main(["reproduce", "tsirelson-envelope", "--grid", "1000", "--format", "csv"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and sink.written > 1000**2 * 40  # every row was written, 40+ bytes each
+        assert peak <= 8 * 10**6
 
     def test_grid_matches_scalar_envelope(self):
         rng = np.random.default_rng(3)
@@ -311,7 +354,7 @@ class TestEnvelopeScan:
         assert isinstance(scan, EnvelopeScan)
         assert scan.max_value == pytest.approx(2.8284192633035636, abs=1e-12)
         assert 0.0 < SQRT8 - scan.max_value < 1e-5
-        assert float(scan.values.max()) <= SQRT8 + 1e-12
+        assert scan.max_value <= SQRT8 + 1e-12  # the maximum over every cell
         # argmax sits one grid cell from a (pi/4, -pi/4) partner
         spacing = 2 * np.pi / 999
         t1, t2 = scan.argmax
@@ -336,6 +379,8 @@ class TestEnvelopeScan:
         monkeypatch.setattr(optimize, "tsirelson_envelope", no_grid)
         with pytest.raises(ValueError, match="at most 4096"):
             scan_envelope(4097)
+        with pytest.raises(ValueError, match="at most 4096"):  # before a block is asked for
+            optimize.envelope_rows(4097)
 
     def test_settings_realize_the_envelope_on_saturating_region(self):
         """Where the largest eigenvalue keeps its sign, the two agree."""
@@ -491,8 +536,10 @@ def _scan_layout(name):
     ineq, _, p, grid, scenario = _grid_case(name)
     m = p.dimension
     outer = min(k for k in range(m + 1) if grid ** (m - k) <= optimize._BATCH)
+    width = 2 if p.full_sphere else 1
     terms = optimize._objective_terms(ineq, p, scenario)
-    return outer, [(columns, grid ** len(columns) > optimize._BATCH) for _, columns, _ in terms]
+    columns = [[s * width + j for s in slots for j in range(width)] for _, slots, _ in terms]
+    return outer, [(cols, grid ** len(cols) > optimize._BATCH) for cols in columns]
 
 
 @pytest.fixture(scope="module")
@@ -585,7 +632,7 @@ class TestGridTables:
     def test_every_cell_matches_the_per_row_objective(self, name, reference_chunks):
         ineq, _, p, grid, scenario = _grid_case(name)
         terms = optimize._objective_terms(ineq, p, scenario)
-        scanned = list(optimize._grid_scan(terms, optimize._grid_axes(grid), p.dimension))
+        scanned = list(optimize._grid_scan(terms, optimize._grid_axes(grid), p))
         reference = reference_chunks(name)
         assert [start for start, _ in scanned] == [start for start, _ in reference]
         for (_, values), (_, expected) in zip(scanned, reference):
@@ -596,10 +643,39 @@ class TestGridTables:
     def test_refinement_rows_match_the_per_row_objective(self, name):
         ineq, _, p, _, scenario = _grid_case(name)
         rows = np.random.default_rng(2).uniform(-np.pi, np.pi, size=(64, p.dimension))
-        values = optimize._evaluate(optimize._objective_terms(ineq, p, scenario), rows)
+        values = optimize._evaluate(optimize._objective_terms(ineq, p, scenario), p._vector_block(rows))
         expected = _reference_objective(ineq, p, scenario)(rows)
         assert np.array_equal(values, expected)
         assert np.array_equal(np.signbit(values), np.signbit(expected))
+
+    @pytest.mark.parametrize("product", [False, True])
+    @pytest.mark.parametrize("full_sphere", [False, True])
+    def test_shared_vector_block_matches_per_term_blocks(self, product, full_sphere):
+        """One vector block per batch, read by every term's slots, gives the
+        bits of each term building its vectors from its own angle columns."""
+        hybrid = derive_inequality(catalog.hybrid_source())
+        variables = (x(1), x(2), y(1), y(2))
+        if product:  # the state untied on the sphere
+            p = SettingsParametrization(
+                variables, mode=PRODUCT_FAMILY, tied_state=not full_sphere, full_sphere=full_sphere
+            )
+        else:
+            p = SettingsParametrization(variables, rho=_random_mixed_state(4, seed=3), full_sphere=full_sphere)
+        terms = optimize._objective_terms(hybrid, p, None)
+        width = 2 if full_sphere else 1
+
+        def per_term(params):
+            """The reference: each term builds its vectors from its own angle columns."""
+            columns = [[s * width + j for s in slots for j in range(width)] for _, slots, _ in terms]
+            return reduce(np.add, (
+                c * term(p._vector_block(params[:, cols])) for (c, _, term), cols in zip(terms, columns)
+            ))
+
+        rng = np.random.default_rng(4)
+        for k in (1, 7, 2 * p.dimension, 1000):
+            params = rng.uniform(-np.pi, np.pi, size=(k, p.dimension))
+            values = optimize._evaluate(terms, p._vector_block(params))
+            assert values.tobytes() == per_term(params).tobytes()
 
     @pytest.mark.parametrize("budget", [10, 300, 200_000, DEFAULT_BUDGET])
     @pytest.mark.parametrize("name", GRID_CASES)
