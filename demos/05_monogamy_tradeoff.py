@@ -16,7 +16,6 @@ from corrineq.dsl import format_sos
 from corrineq.lhv import classical_extrema, monogamy_check, nodisturbance_optimum
 from corrineq.polynomials import (
     CROSS_PARTY,
-    MultilinearPoly,
     derive_inequality,
     format_inequality,
     term_kinds,
@@ -47,8 +46,8 @@ print(f"{len(cross)} cross-party terms, {len(edges)} pentagon edges")
 
 report = monogamy_check(scenario, source)
 
-cross_poly = MultilinearPoly({m.variables: int(m.coefficient) for m in cross})
-print(f"\ncross-party part: classical min {classical_extrema(cross_poly).minimum}, "
+cross_terms = {m.variables: m.coefficient for m in cross}
+print(f"\ncross-party part: classical min {classical_extrema(cross_terms).minimum}, "
       f"no-disturbance min {report.chsh_nd_min:+.6f}")
 print(f"pentagon part:    classical min {report.kcbs_classical_min}, "
       f"no-disturbance min {report.kcbs_nd_min:+.6f}")

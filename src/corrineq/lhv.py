@@ -26,7 +26,7 @@ from .errors import (
     TooManyVariables,
     UndeclaredVariable,
 )
-from .polynomials import CorrelationInequality, MultilinearPoly, derive_inequality, format_varset
+from .polynomials import coefficient_map, derive_inequality, format_varset
 from .simplex import INFEASIBLE, OPTIMAL, FEASIBILITY_TOL, LpProblem, simplex_solve
 
 EXTREMA_VARIABLE_CAP = 24  # for the scan; narrow forms go to bucket elimination at any size
@@ -317,10 +317,13 @@ class ExtremaResult:
 def classical_extrema(poly, workers=None, chunk_size=1 << 16) -> ExtremaResult:
     """Exact min and max over every deterministic ±1 assignment.
 
-    Witnesses are the lexicographically smallest attaining assignments
-    (-1 sorting before +1).  `assignments_checked` is 2**n on every route.
-    The coefficients must be whole numbers; any other raises ValueError
-    before any table is built.
+    `poly` is a CorrelationInequality or any map from variable sets to
+    coefficients (`polynomials.coefficient_map`); terms with coefficient 0
+    are dropped, so their variables are not enumerated.  Witnesses are the
+    lexicographically smallest attaining assignments (-1 sorting before
+    +1).  `assignments_checked` is 2**n on every route.  The coefficients
+    must be whole numbers; any other raises ValueError before any table is
+    built.
 
     A narrow form, one whose elimination from the last variable down
     keeps every bucket within ELIMINATION_WIDTH_CAP variables, is solved
@@ -354,19 +357,18 @@ def classical_extrema(poly, workers=None, chunk_size=1 << 16) -> ExtremaResult:
     """
     if isinstance(chunk_size, bool) or not isinstance(chunk_size, (int, np.integer)) or chunk_size < 1:
         raise ValueError(f"chunk_size is {chunk_size!r}, expected an integer of at least 1")
-    if isinstance(poly, CorrelationInequality):
-        poly = poly.as_poly()
-    magnitude = sum(abs(c) for _, c in poly.items())
+    terms = [(varset, c) for varset, c in coefficient_map(poly).items() if c]
+    magnitude = sum(abs(c) for _, c in terms)
     if magnitude >= EXACT_SUM_LIMIT:
         raise CoefficientsTooLarge(
             f"sum of absolute coefficients {magnitude} is not below 2**53"
         )
-    for varset, c in poly.items():
+    for varset, c in terms:
         if c != int(c):
             raise ValueError(f"coefficient {c} of {format_varset(varset) or 'the constant'} is not an integer")
-    form = _Columns(poly.variables())
+    form = _Columns(frozenset().union(*(varset for varset, _ in terms)))
     n = len(form.variables)
-    terms = [(form.cols(varset), int(c)) for varset, c in poly.items()]
+    terms = [(form.cols(varset), int(c)) for varset, c in terms]
     eliminated = _eliminate(n, terms)
     if eliminated is not None:
         lo, hi, *signs = eliminated
@@ -555,12 +557,6 @@ class NdOptimum:
     consistent: bool
 
 
-def _objective_pairs(objective):
-    if isinstance(objective, CorrelationInequality):
-        return {m.variables: float(m.coefficient) for m in objective.terms}
-    return {frozenset(k): float(v) for k, v in dict(objective).items()}
-
-
 def _root(parent, c):
     """c's root in a union-find forest, halving the path on the way."""
     while parent[c] != c:
@@ -581,6 +577,11 @@ def nodisturbance_optimum(scenario, objective, direction="max", enforce_consiste
     tuples; overlapping contexts must agree on the marginal of every
     shared outcome pattern.  Setting enforce_consistency=False drops the
     marginal rows, leaving independent per-context tables.
+
+    `objective` is a CorrelationInequality or any map from variable pairs
+    to coefficients (`polynomials.coefficient_map`), read as floats.  Each
+    key, zero coefficients included, must name two distinct variables
+    (else ValueError) of one declared context (else TermOutsideContext).
 
     The LP has one column per outcome of each context and leaves out rows
     the others imply, decided from the contexts alone.  For each set S
@@ -610,7 +611,9 @@ def nodisturbance_optimum(scenario, objective, direction="max", enforce_consiste
             homes[j].append(ci)
 
     terms = []  # (context, its places of the pair's columns, coefficient)
-    for pair, coeff in _objective_pairs(objective).items():
+    for pair, coeff in coefficient_map(objective).items():
+        if len(pair) != 2:
+            raise ValueError(f"objective key {format_varset(pair) or '1'} must name two distinct variables")
         a, b = sorted(form.col.get(var, -1) for var in pair)  # -1: undeclared
         home = next((ci for ci in homes[b] if a in contexts[ci]), None) if a >= 0 else None
         if home is None:
@@ -648,7 +651,7 @@ def nodisturbance_optimum(scenario, objective, direction="max", enforce_consiste
     c_vec = np.zeros(total)
     for home, ia, ib, coeff in terms:
         table = tables[len(contexts[home])]
-        c_vec[starts[home]:starts[home + 1]] += coeff * table[:, ia] * table[:, ib]
+        c_vec[starts[home]:starts[home + 1]] += float(coeff) * table[:, ia] * table[:, ib]
     a_eq = np.zeros((m, total))
     b_eq = np.zeros(m)
     b_eq[:len(norms)] = 1.0
@@ -720,7 +723,7 @@ def monogamy_check(scenario, source: SosExpression) -> MonogamyReport:
         agreement=abs(combined_opt.value - float(derived.bound)) <= 1e-7,
         chsh_nd_min=chsh_opt.value,
         kcbs_nd_min=kcbs_opt.value,
-        kcbs_classical_min=classical_extrema(MultilinearPoly(kcbs)).minimum,
+        kcbs_classical_min=classical_extrema(kcbs).minimum,
         relaxed_min=relaxed.value,
     )
 

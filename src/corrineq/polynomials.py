@@ -48,53 +48,30 @@ class Monomial:
         return f"{self.coefficient}*{name}"
 
 
-class MultilinearPoly:
-    """Integer polynomial with every variable appearing at most once per term.
+def coefficient_map(form) -> dict:
+    """Each key set's coefficient, from an inequality's terms or a mapping's items.
 
-    A map from frozenset of variables to coefficient, zeros dropped; the
-    empty set keys the constant.
+    A key may be any iterable of variables, the empty one keying the
+    constant; zero coefficients are kept.  A set given twice, such as
+    (X1, Y1) and (Y1, X1), raises ValueError.
     """
+    items = ((m.variables, m.coefficient) for m in form.terms) if isinstance(form, CorrelationInequality) else form.items()
+    out = {}
+    for key, coeff in items:
+        varset = frozenset(key)
+        if varset in out:
+            raise ValueError(f"the coefficient of {format_varset(varset) or 'the constant'} is given twice")
+        out[varset] = coeff
+    return out
 
-    __slots__ = ("_terms",)
 
-    def __init__(self, terms=None):
-        self._terms = {}
-        if terms:
-            for varset, coeff in dict(terms).items():
-                if coeff != 0:
-                    self._terms[frozenset(varset)] = coeff
+class MultilinearPoly(dict):
+    """A coefficient map with its zero coefficients dropped."""
 
-    def items(self):
-        return self._terms.items()
+    __slots__ = ()
 
-    def coefficient(self, varset):
-        return self._terms.get(frozenset(varset), 0)
-
-    def monomials(self):
-        return [Monomial(s, c) for s, c in sorted(self._terms.items(), key=lambda kv: _varset_key(kv[0]))]
-
-    def variables(self):
-        out = set()
-        for s in self._terms:
-            out |= s
-        return frozenset(out)
-
-    def evaluate(self, assignment) -> int:
-        total = 0
-        for s, c in self._terms.items():
-            prod = c
-            for var in s:
-                prod *= assignment[var]
-            total += prod
-        return total
-
-    def __eq__(self, other):
-        return isinstance(other, MultilinearPoly) and self._terms == other._terms
-
-    def __repr__(self):
-        if not self._terms:
-            return "0"
-        return " + ".join(str(m) for m in self.monomials())
+    def __init__(self, terms):
+        super().__init__((varset, c) for varset, c in coefficient_map(terms).items() if c != 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,16 +102,6 @@ class CorrelationInequality:
         for mono in self.terms:
             out |= mono.variables
         return frozenset(out)
-
-    def coefficient(self, varset):
-        target = frozenset(varset)
-        for mono in self.terms:
-            if mono.variables == target:
-                return mono.coefficient
-        return 0
-
-    def as_poly(self) -> MultilinearPoly:
-        return MultilinearPoly({m.variables: m.coefficient for m in self.terms})
 
 
 def format_inequality(ineq: CorrelationInequality) -> str:

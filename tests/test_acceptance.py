@@ -20,7 +20,7 @@ from corrineq.lhv import (
     random_dhv_model,
 )
 from corrineq.optimize import maximize_violation, scan_envelope
-from corrineq.polynomials import derive_inequality, term_kinds
+from corrineq.polynomials import coefficient_map, derive_inequality, term_kinds
 from corrineq.protocol import estimate_f, signaling_test
 from corrineq.quantum import (
     build_f_operator,
@@ -53,10 +53,10 @@ def test_criterion_01_chsh_derivation():
     assert ineq.direction == "<="
     assert ineq.bound == Fraction(2)
     assert len(ineq.terms) == 4
-    assert ineq.coefficient(frozenset({x(1), y(1)})) == 1
-    assert ineq.coefficient(frozenset({x(1), y(2)})) == 1
-    assert ineq.coefficient(frozenset({x(2), y(1)})) == 1
-    assert ineq.coefficient(frozenset({x(2), y(2)})) == -1
+    assert coefficient_map(ineq).get(frozenset({x(1), y(1)}), 0) == 1
+    assert coefficient_map(ineq).get(frozenset({x(1), y(2)}), 0) == 1
+    assert coefficient_map(ineq).get(frozenset({x(2), y(1)}), 0) == 1
+    assert coefficient_map(ineq).get(frozenset({x(2), y(2)}), 0) == -1
     extrema = classical_extrema(ineq)
     assert extrema.maximum == 2
     assert extrema.assignments_checked == 16
@@ -88,10 +88,10 @@ def test_criterion_03_temporal_derivation():
     j, k, l, m = (VariableId(c) for c in "JKLM")
     assert ineq.direction == "<="
     assert ineq.bound == Fraction(2)
-    assert ineq.coefficient(frozenset({j, k})) == 1
-    assert ineq.coefficient(frozenset({k, l})) == 1
-    assert ineq.coefficient(frozenset({l, m})) == 1
-    assert ineq.coefficient(frozenset({j, m})) == -1
+    assert coefficient_map(ineq).get(frozenset({j, k}), 0) == 1
+    assert coefficient_map(ineq).get(frozenset({k, l}), 0) == 1
+    assert coefficient_map(ineq).get(frozenset({l, m}), 0) == 1
+    assert coefficient_map(ineq).get(frozenset({j, m}), 0) == -1
     assert classical_extrema(ineq).maximum == 2
 
 

@@ -617,3 +617,37 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "JK - JM + KL + LM <= 2" in proc.stdout
+
+
+def _pinned_cases():
+    for name in ("chsh", "cycle7", "hybrid", "kcbs", "lg", "monogamy"):
+        yield ("derive", "--input", f"{name}.rsx", "--format", "json"), f"derive_{name}.json"
+        if Path(data_file(f"{name}.scn")).exists():
+            yield (("derive", "--input", f"{name}.rsx", "--scenario", f"{name}.scn", "--format", "json"),
+                   f"derive_{name}_scn.json")
+    for target in ("chsh-bound", "kcbs-bound", "lg-bound", "ncycle-bounds"):
+        yield ("reproduce", target, "--format", "json"), f"{target.replace('-', '_')}_default.json"
+    for demo in ("01_derive_bounds", "05_monogamy_tradeoff"):
+        yield (f"{demo}.py",), f"demo_{demo}.txt"
+
+
+_PINNED = list(_pinned_cases())
+
+
+@pytest.mark.parametrize("argv, golden", _PINNED, ids=[golden for _, golden in _PINNED])
+def test_classical_reports_are_pinned(capsys, monkeypatch, argv, golden):
+    """Recorded before both classical routes read one coefficient map: each
+    derive report (run beside the shipped data, so "input" is its bare name),
+    each bound target and the stdout of the two demos that call classical_extrema."""
+    if argv[0].endswith(".py"):
+        root = Path(__file__).resolve().parents[1]
+        src = Path(catalog.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, str(root / "demos" / argv[0])], capture_output=True, check=True,
+                              cwd=root, env={**os.environ, "PYTHONPATH": str(src)})
+        out = proc.stdout
+    else:
+        monkeypatch.chdir(data_file(""))
+        code, text, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        out = text.encode()
+    assert out == (Path(__file__).parent / "data" / golden).read_bytes()

@@ -40,7 +40,7 @@ from corrineq.lhv import (
     random_dhv_model,
     reconstruct_pc,
 )
-from corrineq.polynomials import MultilinearPoly, derive_inequality
+from corrineq.polynomials import MultilinearPoly, coefficient_map, derive_inequality
 from corrineq.simplex import FEASIBILITY_TOL, OPTIMAL, LpProblem, simplex_solve
 
 
@@ -81,11 +81,21 @@ def multilinear_polys(draw):
     return MultilinearPoly({frozenset(names[c] for c in cs): coeff for cs, coeff in terms})
 
 
+def poly_variables(poly):
+    """The variables of a coefficient map's keys, in sort order."""
+    return sorted(frozenset().union(*poly), key=VariableId.sort_key)
+
+
+def poly_value(poly, assignment):
+    """A coefficient map's value at an assignment, term by term."""
+    return sum(c * math.prod(assignment[v] for v in varset) for varset, c in poly.items())
+
+
 def reference_extrema(poly):
     """First minimum and first maximum over the lexicographic ±1 walk."""
-    variables = sorted(poly.variables(), key=VariableId.sort_key)
+    variables = poly_variables(poly)
     walk = [
-        (poly.evaluate(dict(zip(variables, signs))), dict(zip(variables, signs)))
+        (poly_value(poly, dict(zip(variables, signs))), dict(zip(variables, signs)))
         for signs in product((-1, 1), repeat=len(variables))
     ]
     # min and max return the first of equal keys, i.e. the earliest index
@@ -165,9 +175,9 @@ class TestClassicalExtrema:
     def test_witnesses_attain_extrema(self):
         ineq = derive_inequality(catalog.hybrid_source())
         res = classical_extrema(ineq)
-        poly = ineq.as_poly()
-        assert poly.evaluate(res.witness_min.values) == res.minimum
-        assert poly.evaluate(res.witness_max.values) == res.maximum
+        poly = coefficient_map(ineq)
+        assert poly_value(poly, res.witness_min.values) == res.minimum
+        assert poly_value(poly, res.witness_max.values) == res.maximum
 
     def test_threaded_matches_sequential(self):
         """A form too wide for elimination reaches the scan, whose tiles go to the pool."""
@@ -318,7 +328,7 @@ def cycle_terms(n, coefficients):
 
 
 def poly_terms(poly):
-    variables = sorted(poly.variables(), key=VariableId.sort_key)
+    variables = poly_variables(poly)
     col = {v: i for i, v in enumerate(variables)}
     return len(variables), [(tuple(sorted(col[v] for v in varset)), c) for varset, c in poly.items()]
 
@@ -331,8 +341,8 @@ def dense_poly(n, seed):
 
 
 SCAN_FORMS = {
-    **{f"cycle-{n}": (lambda n=n: derive_inequality(catalog.cycle_source(n)).as_poly()) for n in (19, 21, 23)},
-    **{f"chain-{n}": (lambda n=n: derive_inequality(catalog.alternating_cycle_source(n)).as_poly())
+    **{f"cycle-{n}": (lambda n=n: coefficient_map(derive_inequality(catalog.cycle_source(n)))) for n in (19, 21, 23)},
+    **{f"chain-{n}": (lambda n=n: coefficient_map(derive_inequality(catalog.alternating_cycle_source(n))))
        for n in (19, 21, 23)},
     "dense-18": lambda: dense_poly(18, 42),
     "dense-20": lambda: dense_poly(20, 42),
@@ -360,9 +370,42 @@ def assert_matches_row_tile_scan(res, poly):
     row_min, arg_min, row_max, arg_max = row_tile_scan(n, terms)
     lo, hi = row_min.argmin(), row_max.argmax()
     assert (res.minimum, res.maximum, res.assignments_checked) == (row_min[lo], row_max[hi], 1 << n)
-    variables = sorted(poly.variables(), key=VariableId.sort_key)
+    variables = poly_variables(poly)
     want = [list(zip(variables, row)) for row in reference_rows(n, [arg_min[lo], arg_max[hi]]).tolist()]
     assert [list(w.values.items()) for w in (res.witness_min, res.witness_max)] == want
+
+
+class TestInputForms:
+    """`classical_extrema` reads an inequality, a MultilinearPoly and a plain dict alike."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(form=scan_forms())
+    def test_a_plain_dict_gives_the_multilinear_poly_result(self, form):
+        """Tuple keys in reverse order and a zero term on a variable of its own
+        (not enumerated) give the same result as the MultilinearPoly."""
+        n, terms = form
+        names, summed = mixed_names(n), {}
+        for cols, c in terms:
+            summed[cols] = summed.get(cols, 0) + c
+        poly = MultilinearPoly({frozenset(names[c] for c in cols): c for cols, c in summed.items()})
+        plain = {tuple(names[c] for c in reversed(cols)): c for cols, c in summed.items()}
+        plain[VariableId("Z", 1), names[0]] = 0
+        assert classical_extrema(plain) == classical_extrema(poly)
+
+    @pytest.mark.parametrize("family", [catalog.cycle_source, catalog.alternating_cycle_source])
+    @pytest.mark.parametrize("n", [19, 21, 23])
+    def test_inequality_poly_and_dict_agree(self, family, n):
+        ineq = derive_inequality(family(n))
+        plain = {tuple(sorted(m.variables, reverse=True)): m.coefficient for m in ineq.terms}
+        plain[VariableId("Z", 1), x(1)] = 0
+        want = classical_extrema(ineq)
+        assert classical_extrema(MultilinearPoly(plain)) == want
+        assert classical_extrema(plain) == want
+        assert want.assignments_checked == 1 << n
+
+    def test_a_set_given_twice_raises(self):
+        with pytest.raises(ValueError, match="given twice"):
+            classical_extrema({(x(1), y(1)): 1, (y(1), x(1)): 1})
 
 
 @st.composite
@@ -641,7 +684,7 @@ class TestHalfScan:
 
         with mock.patch.object(lhv, "_eliminate", return_value=None), mock.patch.object(lhv, "_SplitPlan", recording):
             res = classical_extrema(poly, workers=workers, chunk_size=chunk_size)
-        assert sizes == [len(poly.variables()) - even]
+        assert sizes == [len(poly_variables(poly)) - even]
         assert_matches_row_tile_scan(res, poly)
 
 
@@ -688,9 +731,9 @@ class TestElimination:
         assert time.perf_counter() - start < 1.0  # about 40 ms on one core; the scan would need 2**1001 rows
         assert ineq.bound == bound
         assert (res.minimum, res.maximum, res.assignments_checked) == (minimum, maximum, 1 << 1001)
-        poly = ineq.as_poly()
-        assert poly.evaluate(res.witness_min.values) == res.minimum
-        assert poly.evaluate(res.witness_max.values) == res.maximum
+        poly = coefficient_map(ineq)
+        assert poly_value(poly, res.witness_min.values) == res.minimum
+        assert poly_value(poly, res.witness_max.values) == res.maximum
 
 
 class TestModelsAndDistributions:
@@ -714,14 +757,11 @@ class TestJdFeasibility:
         assert cert.violation > 0.5
         assert cert.bound == pytest.approx(2.0, abs=1e-9)
         # the certificate bound is the exact deterministic maximum
-        combo = MultilinearPoly(
-            {pair: 1 for pair in cert.pair_coefficients}
-        )
         values = []
         for bits in range(16):
             assign = {
                 v: 1 if (bits >> i) & 1 else -1
-                for i, v in enumerate(sorted(combo.variables()))
+                for i, v in enumerate(poly_variables(cert.pair_coefficients))
             }
             values.append(
                 sum(
@@ -1000,6 +1040,22 @@ class TestNoDisturbance:
         with pytest.raises(TermOutsideContext):
             nodisturbance_optimum(catalog.chsh_scenario(), objective, "max")
 
+    def test_zero_term_outside_context(self):
+        """Kept, not dropped: check reports nodisturbance_max: null for it."""
+        with pytest.raises(TermOutsideContext):
+            nodisturbance_optimum(catalog.chsh_scenario(), {(x(1), x(2)): 0, (x(1), y(1)): 1}, "max")
+
+    def test_a_pair_given_twice_raises(self):
+        """It once kept one of the two and returned 1.0."""
+        with pytest.raises(ValueError, match="X1Y1 is given twice"):
+            nodisturbance_optimum(catalog.chsh_scenario(), {(x(1), y(1)): 1.0, (y(1), x(1)): 1.0}, "max")
+
+    @pytest.mark.parametrize("key, label", [((x(1),), "X1"), ((x(1), x(1)), "X1"), ((x(1), y(1), y(2)), "X1Y1Y2")])
+    def test_a_key_of_one_or_three_variables_raises(self, key, label):
+        """These once failed to unpack: not enough values, or too many."""
+        with pytest.raises(ValueError, match=f"objective key {label} must name two distinct variables"):
+            nodisturbance_optimum(catalog.chsh_scenario(), {key: 1.0}, "max")
+
     def test_behavior_is_normalized(self):
         ineq = derive_inequality(catalog.chsh_source())
         objective = {m.variables: float(m.coefficient) for m in ineq.terms}
@@ -1042,11 +1098,11 @@ def reference_nd_lp(scenario, objective, enforce_consistency):
             homes.setdefault(var, []).append(ci)
 
     c_vec = np.zeros(total)
-    for pair, coeff in lhv._objective_pairs(objective).items():
+    for pair, coeff in objective.items():
         a, b = sorted(pair, key=VariableId.sort_key)
         home = next(ci for ci in homes.get(a, ()) if b in contexts[ci])
         ia, ib = contexts[home].index(a), contexts[home].index(b)
-        c_vec[spans[home]] += coeff * tables[home][:, ia] * tables[home][:, ib]
+        c_vec[spans[home]] += float(coeff) * tables[home][:, ia] * tables[home][:, ib]
 
     normalization = np.zeros((len(contexts), total))
     for ci, span in enumerate(spans):
@@ -1220,6 +1276,21 @@ class TestNoDisturbanceBuilder:
                 x_opt = np.array([p for table in opt.behavior for p in table.values()])
                 assert (x_opt >= 0).all()
                 assert np.abs(a_eq @ x_opt - b_eq).max() <= 1e-9
+
+    @pytest.mark.parametrize("source, scenario, direction", [
+        (catalog.chsh_source, catalog.chsh_scenario, "max"),
+        (catalog.kcbs_source, catalog.kcbs_scenario, "min"),
+        (catalog.monogamy_source, catalog.monogamy_scenario, "min"),
+    ])
+    def test_inequality_and_dict_build_the_same_lp(self, source, scenario, direction):
+        ineq = derive_inequality(source())
+        want_opt, want, _ = solved_nd_lp(scenario(), ineq, direction)
+        for plain in ({m.variables: float(m.coefficient) for m in ineq.terms},
+                      {tuple(sorted(m.variables, reverse=True)): m.coefficient for m in ineq.terms}):
+            opt, problem, _ = solved_nd_lp(scenario(), plain, direction)
+            for got, ref in ((problem.c, want.c), (problem.a_eq, want.a_eq), (problem.b_eq, want.b_eq)):
+                assert_same_bits(got, ref)
+            assert repr(opt) == repr(want_opt)
 
     def test_cycle_101_pivots(self):
         """303 rows and 400 pivots when every context and pair had its rows."""

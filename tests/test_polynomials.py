@@ -18,8 +18,12 @@ from corrineq.polynomials import (
     SAME_PARTY,
     SPATIAL,
     TEMPORAL,
+    CorrelationInequality,
+    Monomial,
+    MultilinearPoly,
     _varset_key,
     classify,
+    coefficient_map,
     derive_inequality,
     format_inequality,
     implied_lower_bound,
@@ -56,9 +60,9 @@ class TestExpand:
     def test_cross_terms_cancel(self):
         # the Y1Y2 terms of the two squares cancel; the constant 6 sets the bound (6 - 2)/2
         ineq = derive_inequality(parse_sos("(X1 - Y1 - Y2)^2 + (X2 - Y1 + Y2)^2 >= 2"))
-        assert ineq.coefficient(vs(y(1), y(2))) == 0
-        assert ineq.coefficient(vs(x(1), y(1))) == 1
-        assert ineq.coefficient(vs(x(2), y(2))) == -1
+        assert coefficient_map(ineq).get(vs(y(1), y(2)), 0) == 0
+        assert coefficient_map(ineq).get(vs(x(1), y(1)), 0) == 1
+        assert coefficient_map(ineq).get(vs(x(2), y(2)), 0) == -1
         assert ineq.bound == Fraction(2)
 
     def test_offset_lands_in_constant(self):
@@ -220,7 +224,7 @@ class TestDeriveRules:
                 ineq.terms,
                 key=lambda t: sorted(t.variables, key=VariableId.sort_key)[0].sort_key(),
             )
-            assert ineq.coefficient(first.variables) > 0
+            assert coefficient_map(ineq).get(first.variables, 0) > 0
 
 
 class TestValidateOddGroups:
@@ -257,6 +261,35 @@ class TestClassify:
         ineq = derive_inequality(catalog.chsh_source())
         with pytest.raises(UnmappedVariable):
             classify(ineq, catalog.lg_scenario())
+
+
+class TestCoefficientMap:
+    def test_reads_an_inequality_and_a_mapping_alike(self):
+        ineq = derive_inequality(catalog.chsh_source())
+        plain = {tuple(reversed(sorted(m.variables))): m.coefficient for m in ineq.terms}
+        assert coefficient_map(ineq) == coefficient_map(plain) == {m.variables: m.coefficient for m in ineq.terms}
+
+    def test_keys_become_sets_and_zeros_stay(self):
+        got = coefficient_map({(x(1), y(1)): 0, (y(2),): 3, (): -1})
+        assert got == {vs(x(1), y(1)): 0, vs(y(2)): 3, vs(): -1}
+        assert all(type(k) is frozenset for k in got)
+
+    def test_multilinear_poly_drops_zeros(self):
+        poly = MultilinearPoly({(x(1), y(1)): 0, (y(2), x(2)): 2, (): 0.0})
+        assert dict(poly.items()) == {vs(x(2), y(2)): 2}
+
+    @pytest.mark.parametrize("form", [
+        {(x(1), y(1)): 1, (y(1), x(1)): 1},
+        {vs(x(1), y(1)): 1, (y(1), x(1)): 0},
+        {(): 1, frozenset(): 2},
+        CorrelationInequality((Monomial(vs(x(1), y(1)), 1), Monomial(vs(y(1), x(1)), -1)), "<=", Fraction(2)),
+    ])
+    def test_a_set_given_twice_raises(self, form):
+        with pytest.raises(ValueError, match="given twice"):
+            coefficient_map(form)
+        if not isinstance(form, CorrelationInequality):
+            with pytest.raises(ValueError, match="given twice"):
+                MultilinearPoly(form)
 
 
 class TestFormatting:
