@@ -50,11 +50,11 @@ print()
 # re-checking its exact extremes takes a fraction of a second.
 
 for name, expr in [
-    ("pentagon cycle", catalog.kcbs_source()),
-    ("heptagon (offset form)", catalog.cycle7_source()),
-    ("four-time sequential", catalog.lg_source()),
-    ("hybrid tensor/sequential", catalog.hybrid_source()),
-    ("pentagon + cross-party monogamy", catalog.monogamy_source()),
+    ("pentagon cycle", catalog.load_expression("kcbs.rsx")),
+    ("heptagon (offset form)", catalog.load_expression("cycle7.rsx")),
+    ("four-time sequential", catalog.load_expression("lg.rsx")),
+    ("hybrid tensor/sequential", catalog.load_expression("hybrid.rsx")),
+    ("pentagon + cross-party monogamy", catalog.load_expression("monogamy.rsx")),
 ]:
     derived = derive_inequality(expr)
     bounds = classical_extrema(derived)

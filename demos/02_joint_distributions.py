@@ -44,7 +44,7 @@ observed = {
 for pair in PAIRS:
     print(f"  <{format_varset(pair)}> = {observed[pair]:+.6f}")
 
-result = jd_feasibility(catalog.chsh_scenario(), observed)
+result = jd_feasibility(catalog.load_scenario("chsh.scn"), observed)
 print(f"feasible: {result.feasible}")
 cert = result.certificate
 combo = " ".join(
@@ -61,7 +61,7 @@ print()
 # solver hands back an explicit witness distribution.
 
 damped = {pair: 0.7 * value for pair, value in observed.items()}
-result = jd_feasibility(catalog.chsh_scenario(), damped)
+result = jd_feasibility(catalog.load_scenario("chsh.scn"), damped)
 print(f"at 70% strength feasible: {result.feasible}")
 print(f"witness support: {len(result.model.support)} deterministic assignments")
 print()
@@ -75,7 +75,7 @@ rng = np.random.default_rng(7)
 names = (X1, X2, Y1, Y2)
 model = random_dhv_model(names, rng, support_size=4)
 target = {pair: model.correlator(*sorted(pair)) for pair in PAIRS}
-recovered = jd_feasibility(catalog.chsh_scenario(), target)
+recovered = jd_feasibility(catalog.load_scenario("chsh.scn"), target)
 worst = max(
     abs(recovered.model.correlator(*sorted(pair)) - value)
     for pair, value in target.items()

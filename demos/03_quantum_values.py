@@ -55,7 +55,7 @@ Y1, Y2 = VariableId("Y", 1), VariableId("Y", 2)
 # each product at +1/sqrt(2) and the total at 2 sqrt(2) -- well past
 # the classical cap of 2.
 
-chsh = derive_inequality(catalog.chsh_source())
+chsh = derive_inequality(catalog.load_expression("chsh.rsx"))
 settings = {
     X1: plane_vector(0.0),
     X2: plane_vector(np.pi / 2),
@@ -74,10 +74,10 @@ print(f"classical bound {chsh.bound}, 2*sqrt(2) = {SQRT8:.12f}")
 # The scenario file names one party for all four times, so every
 # variable sits on the same qubit and every term is sequential.
 
-lg = derive_inequality(catalog.lg_source())
+lg = derive_inequality(catalog.load_expression("lg.rsx"))
 times = sorted(lg.variables())
 ladder = ladder_settings(times, 0.0, -np.pi / 4)
-lscn = catalog.lg_scenario()
+lscn = catalog.load_scenario("lg.scn")
 for label, rho in [("polarized qubit", qubit_state([0.0, 0.0, 1.0])),
                    ("maximally mixed", maximally_mixed(2))]:
     v = evaluate_inequality_quantum(lg, rho, ladder, lscn)
@@ -90,8 +90,8 @@ for label, rho in [("polarized qubit", qubit_state([0.0, 0.0, 1.0])),
 # singlet it also reaches 2 sqrt(2); a numerical search over coplanar
 # settings recovers the same number without being told the answer.
 
-hybrid = derive_inequality(catalog.hybrid_source())
-hscn = catalog.hybrid_scenario()
+hybrid = derive_inequality(catalog.load_expression("hybrid.rsx"))
+hscn = catalog.load_scenario("hybrid.scn")
 exact = evaluate_inequality_quantum(hybrid, singlet_state(), hybrid_settings(), hscn)
 print(f"\nhybrid combination at the canonical ladder: {exact:.12f}")
 

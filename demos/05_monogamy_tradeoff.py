@@ -27,8 +27,8 @@ from corrineq.polynomials import (
 # five pentagon edges, so the derived lower bound applies to the sum
 # of both tests.  The scenario's parties tell the two apart.
 
-source = catalog.monogamy_source()
-scenario = catalog.monogamy_scenario()
+source = catalog.load_expression("monogamy.rsx")
+scenario = catalog.load_scenario("monogamy.scn")
 derived = derive_inequality(source)
 print(f"source:  {format_sos(source)}")
 print(f"derived: {format_inequality(derived)}")

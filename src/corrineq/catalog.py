@@ -1,8 +1,9 @@
-"""Shipped expression and scenario fixtures plus cycle-family generators.
+"""Shipped expression and scenario files plus cycle-family generators.
 
 The data files under corrineq/data are the canonical statements of the
-inequalities this package reproduces; everything here parses those files
-or builds the odd n-cycle generalizations programmatically.
+inequalities this package reproduces. Callers read them by file name,
+`load_expression("chsh.rsx")` and `load_scenario("chsh.scn")`; the odd
+n-cycle generalizations are built here programmatically.
 """
 
 from __future__ import annotations
@@ -24,50 +25,6 @@ def load_expression(name: str) -> SosExpression:
 def load_scenario(name: str) -> ScenarioSpec:
     """Parse one of the shipped .scn files by file name."""
     return parse_scenario(_data_text(name))
-
-
-def chsh_source() -> SosExpression:
-    return load_expression("chsh.rsx")
-
-
-def kcbs_source() -> SosExpression:
-    return load_expression("kcbs.rsx")
-
-
-def cycle7_source() -> SosExpression:
-    return load_expression("cycle7.rsx")
-
-
-def lg_source() -> SosExpression:
-    return load_expression("lg.rsx")
-
-
-def hybrid_source() -> SosExpression:
-    return load_expression("hybrid.rsx")
-
-
-def monogamy_source() -> SosExpression:
-    return load_expression("monogamy.rsx")
-
-
-def chsh_scenario() -> ScenarioSpec:
-    return load_scenario("chsh.scn")
-
-
-def kcbs_scenario() -> ScenarioSpec:
-    return load_scenario("kcbs.scn")
-
-
-def lg_scenario() -> ScenarioSpec:
-    return load_scenario("lg.scn")
-
-
-def hybrid_scenario() -> ScenarioSpec:
-    return load_scenario("hybrid.scn")
-
-
-def monogamy_scenario() -> ScenarioSpec:
-    return load_scenario("monogamy.scn")
 
 
 def _x(i: int) -> VariableId:

@@ -266,7 +266,7 @@ def cmd_check(args) -> int:
 # ------------------------------------------------------------- reproduce
 
 def _target_chsh_bound(args) -> dict:
-    ineq = derive_inequality(catalog.chsh_source())
+    ineq = derive_inequality(catalog.load_expression("chsh.rsx"))
     extrema = classical_extrema(ineq)
     return _finish({
         "target": "chsh-bound",
@@ -281,7 +281,7 @@ def _target_chsh_bound(args) -> dict:
 
 
 def _target_kcbs_bound(args) -> dict:
-    ineq = derive_inequality(catalog.kcbs_source())
+    ineq = derive_inequality(catalog.load_expression("kcbs.rsx"))
     extrema = classical_extrema(ineq)
     return _finish({
         "target": "kcbs-bound",
@@ -305,13 +305,13 @@ def _target_ncycle_bounds(args) -> dict:
         hi = classical_extrema(chain).maximum
         checks.append(_check(f"chain-{n}-bound", chain.bound, Fraction(n - 2), None))
         checks.append(_check(f"chain-{n}-classical-max", hi, n - 2, None))
-    seven = derive_inequality(catalog.cycle7_source())
+    seven = derive_inequality(catalog.load_expression("cycle7.rsx"))
     checks.append(_check("cycle-7-offset-form-bound", seven.bound, Fraction(-5), None))
     return _finish({"target": "ncycle-bounds", "checks": checks})
 
 
 def _target_lg_bound(args) -> dict:
-    ineq = derive_inequality(catalog.lg_source())
+    ineq = derive_inequality(catalog.load_expression("lg.rsx"))
     extrema = classical_extrema(ineq)
     return _finish({
         "target": "lg-bound",
@@ -324,7 +324,7 @@ def _target_lg_bound(args) -> dict:
 
 
 def _target_hybrid_singlet(args) -> dict:
-    ineq = derive_inequality(catalog.hybrid_source())
+    ineq = derive_inequality(catalog.load_expression("hybrid.rsx"))
     found = maximize_violation(ineq, singlet_state())
     norm = operator_norm(build_f_operator(found.settings)[0])
     ladder = evaluate_inequality_quantum(ineq, singlet_state(), hybrid_settings())
@@ -343,7 +343,7 @@ def _target_hybrid_singlet(args) -> dict:
 
 
 def _target_hybrid_product(args) -> dict:
-    ineq = derive_inequality(catalog.hybrid_source())
+    ineq = derive_inequality(catalog.load_expression("hybrid.rsx"))
     settings = product_ladder_settings()
     direction = settings[VariableId("Y", 2)]
     analytic = hybrid_f_product(direction, direction, settings)
@@ -408,7 +408,7 @@ def _target_s2_identity(args) -> dict:
 
 
 def _target_monogamy(args) -> dict:
-    report_data = monogamy_check(catalog.monogamy_scenario(), catalog.monogamy_source())
+    report_data = monogamy_check(catalog.load_scenario("monogamy.scn"), catalog.load_expression("monogamy.rsx"))
     return _finish({
         "target": "monogamy",
         "symbolic_bound": report_data.symbolic_bound,

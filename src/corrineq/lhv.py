@@ -412,6 +412,8 @@ def _normalize_pairs(observed):
         if len(pair) != 2:
             label = format_varset(key) if all(isinstance(v, VariableId) for v in key) else repr(key)
             raise ValueError(f"correlator key {label} must name two distinct variables")
+        if not all(isinstance(v, VariableId) for v in pair):
+            raise ValueError(f"correlator key {key!r} names a variable that is not a VariableId")
         if pair in out:
             raise ValueError(f"correlator for {format_varset(pair)} is given twice")
         out[pair] = _checked_value(value, f"correlator for {format_varset(pair)}")

@@ -51,11 +51,15 @@ class Monomial:
 def coefficient_map(form) -> dict:
     """Each key set's coefficient, from an inequality's terms or a mapping's items.
 
-    A key may be any iterable of variables, the empty one keying the
-    constant; zero coefficients are kept.  A set given twice, such as
-    (X1, Y1) and (Y1, X1), raises ValueError.
+    A key may be any iterable of VariableIds, the empty one keying the
+    constant; zero coefficients are kept.  A key naming anything else,
+    such as the string "X1", or a set given twice, such as (X1, Y1) and
+    (Y1, X1), raises ValueError.
     """
-    items = ((m.variables, m.coefficient) for m in form.terms) if isinstance(form, CorrelationInequality) else form.items()
+    items = [(m.variables, m.coefficient) for m in form.terms] if isinstance(form, CorrelationInequality) else form.items()
+    if not all(isinstance(v, VariableId) for v in set().union(*(key for key, _ in items))):
+        key = next(key for key, _ in items if not all(isinstance(v, VariableId) for v in key))
+        raise ValueError(f"key {key!r} names a variable that is not a VariableId")
     out = {}
     for key, coeff in items:
         varset = frozenset(key)
@@ -127,11 +131,6 @@ def validate_odd_groups(expr: SosExpression) -> list[GroupVerdict]:
     return out
 
 
-def implied_lower_bound(expr: SosExpression) -> int:
-    """Guaranteed minimum of the expression value from the parity argument."""
-    return sum(v.implied_bound for v in validate_odd_groups(expr)) + expr.constant_offset
-
-
 def letter_scenario(variables) -> ScenarioSpec:
     """One party per variable letter and no contexts: the rule used without a scenario."""
     variables = tuple(sorted(variables, key=VariableId.sort_key))
@@ -162,8 +161,8 @@ def derive_inequality(expr: SosExpression) -> CorrelationInequality:
             EvenGroupWarning,
             stacklevel=2,
         )
-    if expr.comparator == ">=":
-        effective = max(expr.bound, implied_lower_bound(expr))
+    if expr.comparator == ">=":  # the parity minimum: one per odd group, plus the stated offset
+        effective = max(expr.bound, sum(v.implied_bound for v in verdicts) + expr.constant_offset)
     else:
         effective = expr.bound
     # each square adds Σ b_i² to the constant and 2·b_i·b_j to each pair; both sides are halved

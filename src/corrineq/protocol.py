@@ -40,7 +40,7 @@ _STRIDE = np.uint64(DRAWS_PER_SHOT * _GOLDEN & _MASK)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
-_HYBRID = catalog.hybrid_scenario()
+_HYBRID = catalog.load_scenario("hybrid.scn")
 _QUBIT = qubit_layout(_HYBRID.variables, _HYBRID)
 # each qubit's variables in time order (variable order: letter, then index)
 _TIMELINES = [
@@ -126,7 +126,7 @@ ALL_CHOICES = tuple(
 # pair -> coefficient in the hybrid combination, in source order
 F_COEFFICIENTS = {
     mono.variables: mono.coefficient
-    for mono in derive_inequality(catalog.hybrid_source()).terms
+    for mono in derive_inequality(catalog.load_expression("hybrid.rsx")).terms
 }
 
 

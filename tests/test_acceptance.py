@@ -49,7 +49,7 @@ def y(i):
 
 def test_criterion_01_chsh_derivation():
     started = time.monotonic()
-    ineq = derive_inequality(catalog.chsh_source())
+    ineq = derive_inequality(catalog.load_expression("chsh.rsx"))
     assert ineq.direction == "<="
     assert ineq.bound == Fraction(2)
     assert len(ineq.terms) == 4
@@ -65,11 +65,11 @@ def test_criterion_01_chsh_derivation():
 
 def test_criterion_02_cycle_derivations():
     started = time.monotonic()
-    kcbs = derive_inequality(catalog.kcbs_source())
+    kcbs = derive_inequality(catalog.load_expression("kcbs.rsx"))
     assert kcbs.bound == Fraction(-3)
     assert classical_extrema(kcbs).minimum == -3
 
-    seven = derive_inequality(catalog.cycle7_source())
+    seven = derive_inequality(catalog.load_expression("cycle7.rsx"))
     assert seven.bound == Fraction(-5)
     assert classical_extrema(seven).minimum == -5
 
@@ -84,7 +84,7 @@ def test_criterion_02_cycle_derivations():
 
 
 def test_criterion_03_temporal_derivation():
-    ineq = derive_inequality(catalog.lg_source())
+    ineq = derive_inequality(catalog.load_expression("lg.rsx"))
     j, k, l, m = (VariableId(c) for c in "JKLM")
     assert ineq.direction == "<="
     assert ineq.bound == Fraction(2)
@@ -96,10 +96,10 @@ def test_criterion_03_temporal_derivation():
 
 
 def test_criterion_04_hybrid_derivation():
-    ineq = derive_inequality(catalog.hybrid_source())
+    ineq = derive_inequality(catalog.load_expression("hybrid.rsx"))
     assert ineq.bound == Fraction(2)
     assert ineq.direction == "<="
-    kinds = term_kinds(ineq.terms, catalog.hybrid_scenario())
+    kinds = term_kinds(ineq.terms, catalog.load_scenario("hybrid.scn"))
     assert kinds[frozenset({x(1), x(2)})] == "same-party"
     assert kinds[frozenset({y(1), y(2)})] == "same-party"
     assert kinds[frozenset({x(1), y(2)})] == "cross-party"
@@ -109,7 +109,7 @@ def test_criterion_04_hybrid_derivation():
 
 def test_criterion_05_singlet_optimizer():
     started = time.monotonic()
-    ineq = derive_inequality(catalog.hybrid_source())
+    ineq = derive_inequality(catalog.load_expression("hybrid.rsx"))
     found = maximize_violation(ineq, singlet_state())
     assert abs(found.value - SQRT8) <= 1e-6
     f_op, _, _ = build_f_operator(found.settings)
@@ -118,7 +118,7 @@ def test_criterion_05_singlet_optimizer():
 
 
 def test_criterion_06_product_state_value():
-    ineq = derive_inequality(catalog.hybrid_source())
+    ineq = derive_inequality(catalog.load_expression("hybrid.rsx"))
     settings = product_ladder_settings()
     direction = settings[y(2)]
     analytic = hybrid_f_product(direction, direction, settings)
@@ -155,7 +155,7 @@ def test_criterion_08_squared_operator_identity():
 
 def test_criterion_09_jd_feasibility():
     started = time.monotonic()
-    scenario = catalog.chsh_scenario()
+    scenario = catalog.load_scenario("chsh.scn")
     settings = {
         x(1): plane_vector(0.0),
         x(2): plane_vector(np.pi / 2),
@@ -191,7 +191,7 @@ def test_criterion_09_jd_feasibility():
 
 
 def test_criterion_10_monogamy():
-    report = monogamy_check(catalog.monogamy_scenario(), catalog.monogamy_source())
+    report = monogamy_check(catalog.load_scenario("monogamy.scn"), catalog.load_expression("monogamy.rsx"))
     assert abs(report.combined_nd_min - (-5.0)) <= 1e-7
     assert report.symbolic_bound == Fraction(-5)
     assert report.agreement

@@ -159,12 +159,12 @@ class TestClassicalExtrema:
         assert got == want
 
     def test_chsh(self):
-        res = classical_extrema(derive_inequality(catalog.chsh_source()))
+        res = classical_extrema(derive_inequality(catalog.load_expression("chsh.rsx")))
         assert (res.minimum, res.maximum) == (-2, 2)
         assert res.assignments_checked == 16
 
     def test_kcbs(self):
-        res = classical_extrema(derive_inequality(catalog.kcbs_source()))
+        res = classical_extrema(derive_inequality(catalog.load_expression("kcbs.rsx")))
         assert (res.minimum, res.maximum) == (-3, 5)
 
     def test_single_monomial(self):
@@ -173,7 +173,7 @@ class TestClassicalExtrema:
         assert (res.minimum, res.maximum) == (-1, 1)
 
     def test_witnesses_attain_extrema(self):
-        ineq = derive_inequality(catalog.hybrid_source())
+        ineq = derive_inequality(catalog.load_expression("hybrid.rsx"))
         res = classical_extrema(ineq)
         poly = coefficient_map(ineq)
         assert poly_value(poly, res.witness_min.values) == res.minimum
@@ -406,6 +406,12 @@ class TestInputForms:
     def test_a_set_given_twice_raises(self):
         with pytest.raises(ValueError, match="given twice"):
             classical_extrema({(x(1), y(1)): 1, (y(1), x(1)): 1})
+
+    def test_a_string_variable_raises(self):
+        """It once failed with AttributeError: 'str' object has no attribute 'letter'."""
+        with pytest.raises(ValueError) as excinfo:
+            classical_extrema({(x(2), y(2)): 1, ("X1", "Y1"): 1})
+        assert str(excinfo.value) == "key ('X1', 'Y1') names a variable that is not a VariableId"
 
 
 @st.composite
@@ -642,7 +648,7 @@ class TestSplitScan:
     def test_rejects_bad_chunk_size(self, chunk_size, monkeypatch):
         monkeypatch.setattr(lhv, "_SplitPlan", None)  # the check comes before the scan
         with pytest.raises(ValueError, match="chunk_size"):
-            classical_extrema(derive_inequality(catalog.chsh_source()), chunk_size=chunk_size)
+            classical_extrema(derive_inequality(catalog.load_expression("chsh.rsx")), chunk_size=chunk_size)
 
 
 @st.composite
@@ -751,7 +757,7 @@ class TestModelsAndDistributions:
 
 class TestJdFeasibility:
     def test_singlet_chsh_infeasible(self):
-        result = jd_feasibility(catalog.chsh_scenario(), singlet_chsh_correlators())
+        result = jd_feasibility(catalog.load_scenario("chsh.scn"), singlet_chsh_correlators())
         assert not result.feasible
         cert = result.certificate
         assert cert.violation > 0.5
@@ -773,7 +779,7 @@ class TestJdFeasibility:
 
     def test_random_models_round_trip(self):
         rng = np.random.default_rng(11)
-        scenario = catalog.chsh_scenario()
+        scenario = catalog.load_scenario("chsh.scn")
         names = tuple(scenario.variables)
         pairs = [frozenset(ctx) for ctx in scenario.contexts]
         for _ in range(100):
@@ -797,11 +803,11 @@ class TestJdFeasibility:
         scaled = {
             pair: value * 0.7 for pair, value in singlet_chsh_correlators().items()
         }
-        result = jd_feasibility(catalog.chsh_scenario(), scaled)
+        result = jd_feasibility(catalog.load_scenario("chsh.scn"), scaled)
         assert result.feasible
 
     def test_lg_temporal_data(self):
-        scenario = catalog.lg_scenario()
+        scenario = catalog.load_scenario("lg.scn")
         j, k, l, m = (VariableId(c) for c in "JKLM")
         quantum = {
             frozenset({j, k}): INV_SQRT2,
@@ -814,13 +820,13 @@ class TestJdFeasibility:
     def test_repeated_pair_rejected(self):
         observed = {(x(1), y(1)): 0.9, (y(1), x(1)): -0.9, (x(1), y(2)): 0.1}
         with pytest.raises(ValueError, match="X1Y1"):
-            jd_feasibility(catalog.chsh_scenario(), observed)
+            jd_feasibility(catalog.load_scenario("chsh.scn"), observed)
 
     def test_repeated_pair_is_named_in_variable_order(self):
         """Sorted as strings, X10 came before X9."""
         observed = {(x(9), x(10)): 0.1, (x(10), x(9)): 0.1}
         with pytest.raises(ValueError) as excinfo:
-            jd_feasibility(catalog.chsh_scenario(), observed)
+            jd_feasibility(catalog.load_scenario("chsh.scn"), observed)
         assert str(excinfo.value) == "correlator for X9X10 is given twice"
 
     @pytest.mark.parametrize("key, label", [
@@ -831,15 +837,21 @@ class TestJdFeasibility:
     def test_bad_key_is_named_in_variable_order(self, key, label):
         """The key used to print raw: VariableId reprs, or a frozenset in hash-seed order."""
         with pytest.raises(ValueError) as excinfo:
-            jd_feasibility(catalog.chsh_scenario(), {key: 0.5})
+            jd_feasibility(catalog.load_scenario("chsh.scn"), {key: 0.5})
         assert str(excinfo.value) == f"correlator key {label} must name two distinct variables"
+
+    def test_a_string_variable_raises(self):
+        """It once failed with AttributeError: 'str' object has no attribute 'letter'."""
+        with pytest.raises(ValueError) as excinfo:
+            jd_feasibility(catalog.load_scenario("chsh.scn"), {("X1", "Y1"): 0.5})
+        assert str(excinfo.value) == "correlator key ('X1', 'Y1') names a variable that is not a VariableId"
 
     def test_bad_key_message_does_not_depend_on_hash_seed(self):
         code = (
             "from corrineq import catalog; from corrineq.dsl import VariableId as V; "
             "from corrineq.lhv import jd_feasibility\n"
             "key = frozenset({V('Y', 1), V('X', 2), V('X', 1), V('Y', 2)})\n"
-            "try: jd_feasibility(catalog.chsh_scenario(), {key: 0.5})\n"
+            "try: jd_feasibility(catalog.load_scenario('chsh.scn'), {key: 0.5})\n"
             "except ValueError as exc: print(exc)"
         )
         src = str(Path(corrineq.__file__).resolve().parents[1])
@@ -860,7 +872,7 @@ class TestJdFeasibility:
     def test_bad_correlator_is_named_by_its_label(self, value, complaint):
         """The key used to print as a frozenset repr, in hash-seed order."""
         with pytest.raises(ValueError) as excinfo:
-            jd_feasibility(catalog.chsh_scenario(), {(y(1), x(1)): value})
+            jd_feasibility(catalog.load_scenario("chsh.scn"), {(y(1), x(1)): value})
         assert str(excinfo.value) == f"correlator for X1Y1 {complaint}"
 
 
@@ -1013,53 +1025,59 @@ class TestJdColumnGeneration:
     ])
     def test_rejects_non_finite_and_out_of_range_inputs(self, observed, means):
         with pytest.raises(ValueError):
-            jd_feasibility(catalog.chsh_scenario(), observed, means)
+            jd_feasibility(catalog.load_scenario("chsh.scn"), observed, means)
 
     @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1e-9])
     def test_rejects_bad_tolerance(self, tolerance):
         with pytest.raises(ValueError, match="expected a finite non-negative number"):
-            jd_feasibility(catalog.chsh_scenario(), {(x(1), y(1)): 0.5}, tolerance=tolerance)
+            jd_feasibility(catalog.load_scenario("chsh.scn"), {(x(1), y(1)): 0.5}, tolerance=tolerance)
 
 
 class TestNoDisturbance:
     def test_chsh_nd_max_is_pr_box(self):
-        ineq = derive_inequality(catalog.chsh_source())
+        ineq = derive_inequality(catalog.load_expression("chsh.rsx"))
         objective = {m.variables: float(m.coefficient) for m in ineq.terms}
-        opt = nodisturbance_optimum(catalog.chsh_scenario(), objective, "max")
+        opt = nodisturbance_optimum(catalog.load_scenario("chsh.scn"), objective, "max")
         assert opt.value == pytest.approx(4.0, abs=1e-8)
         assert opt.consistent
 
     def test_kcbs_nd_min_beats_classical(self):
-        ineq = derive_inequality(catalog.kcbs_source())
+        ineq = derive_inequality(catalog.load_expression("kcbs.rsx"))
         objective = {m.variables: float(m.coefficient) for m in ineq.terms}
-        opt = nodisturbance_optimum(catalog.kcbs_scenario(), objective, "min")
+        opt = nodisturbance_optimum(catalog.load_scenario("kcbs.scn"), objective, "min")
         assert opt.value == pytest.approx(-5.0, abs=1e-8)
 
     def test_term_outside_context(self):
         objective = {frozenset({x(1), x(2)}): 1.0}
         with pytest.raises(TermOutsideContext):
-            nodisturbance_optimum(catalog.chsh_scenario(), objective, "max")
+            nodisturbance_optimum(catalog.load_scenario("chsh.scn"), objective, "max")
 
     def test_zero_term_outside_context(self):
         """Kept, not dropped: check reports nodisturbance_max: null for it."""
         with pytest.raises(TermOutsideContext):
-            nodisturbance_optimum(catalog.chsh_scenario(), {(x(1), x(2)): 0, (x(1), y(1)): 1}, "max")
+            nodisturbance_optimum(catalog.load_scenario("chsh.scn"), {(x(1), x(2)): 0, (x(1), y(1)): 1}, "max")
 
     def test_a_pair_given_twice_raises(self):
         """It once kept one of the two and returned 1.0."""
         with pytest.raises(ValueError, match="X1Y1 is given twice"):
-            nodisturbance_optimum(catalog.chsh_scenario(), {(x(1), y(1)): 1.0, (y(1), x(1)): 1.0}, "max")
+            nodisturbance_optimum(catalog.load_scenario("chsh.scn"), {(x(1), y(1)): 1.0, (y(1), x(1)): 1.0}, "max")
 
     @pytest.mark.parametrize("key, label", [((x(1),), "X1"), ((x(1), x(1)), "X1"), ((x(1), y(1), y(2)), "X1Y1Y2")])
     def test_a_key_of_one_or_three_variables_raises(self, key, label):
         """These once failed to unpack: not enough values, or too many."""
         with pytest.raises(ValueError, match=f"objective key {label} must name two distinct variables"):
-            nodisturbance_optimum(catalog.chsh_scenario(), {key: 1.0}, "max")
+            nodisturbance_optimum(catalog.load_scenario("chsh.scn"), {key: 1.0}, "max")
+
+    def test_a_string_variable_raises(self):
+        """It once failed with AttributeError: 'str' object has no attribute 'letter'."""
+        with pytest.raises(ValueError) as excinfo:
+            nodisturbance_optimum(catalog.load_scenario("chsh.scn"), {("X1", "Y1"): 1.0}, "max")
+        assert str(excinfo.value) == "key ('X1', 'Y1') names a variable that is not a VariableId"
 
     def test_behavior_is_normalized(self):
-        ineq = derive_inequality(catalog.chsh_source())
+        ineq = derive_inequality(catalog.load_expression("chsh.rsx"))
         objective = {m.variables: float(m.coefficient) for m in ineq.terms}
-        opt = nodisturbance_optimum(catalog.chsh_scenario(), objective, "max")
+        opt = nodisturbance_optimum(catalog.load_scenario("chsh.scn"), objective, "max")
         for table in opt.behavior:
             total = sum(table.values())
             assert total == pytest.approx(1.0, abs=1e-8)
@@ -1067,7 +1085,7 @@ class TestNoDisturbance:
 
 
 def monogamy_objective():
-    derived = derive_inequality(catalog.monogamy_source())
+    derived = derive_inequality(catalog.load_expression("monogamy.rsx"))
     return {m.variables: float(m.coefficient) for m in derived.terms}
 
 
@@ -1192,13 +1210,15 @@ def all_pairs_scenario(contexts):
 ND_BUILDER_CASES = {
     **{f"cycle-{n}": (lambda n=n: (catalog.cycle_scenario(n), cycle_objective(n), "min"))
        for n in (3, 4, 5, 6, 7, 8, 9, 101)},
-    "chsh": lambda: (catalog.chsh_scenario(),
-                     {m.variables: float(m.coefficient) for m in derive_inequality(catalog.chsh_source()).terms},
+    "chsh": lambda: (catalog.load_scenario("chsh.scn"),
+                     {m.variables: float(m.coefficient)
+                      for m in derive_inequality(catalog.load_expression("chsh.rsx")).terms},
                      "max"),
-    "kcbs": lambda: (catalog.kcbs_scenario(),
-                     {m.variables: float(m.coefficient) for m in derive_inequality(catalog.kcbs_source()).terms},
+    "kcbs": lambda: (catalog.load_scenario("kcbs.scn"),
+                     {m.variables: float(m.coefficient)
+                      for m in derive_inequality(catalog.load_expression("kcbs.rsx")).terms},
                      "min"),
-    "monogamy": lambda: (catalog.monogamy_scenario(), monogamy_objective(), "min"),
+    "monogamy": lambda: (catalog.load_scenario("monogamy.scn"), monogamy_objective(), "min"),
     **{f"random-{seed}": (lambda seed=seed: (*random_nd_scenario(seed), "max")) for seed in range(8)},
     # twelve holders of {X1}, each its own group: eleven kept overlaps on X1
     "star-12": lambda: (*all_pairs_scenario([(x(1), y(i)) for i in range(1, 13)]), "min"),
@@ -1277,17 +1297,14 @@ class TestNoDisturbanceBuilder:
                 assert (x_opt >= 0).all()
                 assert np.abs(a_eq @ x_opt - b_eq).max() <= 1e-9
 
-    @pytest.mark.parametrize("source, scenario, direction", [
-        (catalog.chsh_source, catalog.chsh_scenario, "max"),
-        (catalog.kcbs_source, catalog.kcbs_scenario, "min"),
-        (catalog.monogamy_source, catalog.monogamy_scenario, "min"),
-    ])
-    def test_inequality_and_dict_build_the_same_lp(self, source, scenario, direction):
-        ineq = derive_inequality(source())
-        want_opt, want, _ = solved_nd_lp(scenario(), ineq, direction)
+    @pytest.mark.parametrize("name, direction", [("chsh", "max"), ("kcbs", "min"), ("monogamy", "min")])
+    def test_inequality_and_dict_build_the_same_lp(self, name, direction):
+        ineq = derive_inequality(catalog.load_expression(f"{name}.rsx"))
+        scenario = catalog.load_scenario(f"{name}.scn")
+        want_opt, want, _ = solved_nd_lp(scenario, ineq, direction)
         for plain in ({m.variables: float(m.coefficient) for m in ineq.terms},
                       {tuple(sorted(m.variables, reverse=True)): m.coefficient for m in ineq.terms}):
-            opt, problem, _ = solved_nd_lp(scenario(), plain, direction)
+            opt, problem, _ = solved_nd_lp(scenario, plain, direction)
             for got, ref in ((problem.c, want.c), (problem.a_eq, want.a_eq), (problem.b_eq, want.b_eq)):
                 assert_same_bits(got, ref)
             assert repr(opt) == repr(want_opt)
@@ -1363,12 +1380,12 @@ class TestNoDisturbanceCap:
     def test_term_outside_context_is_reported_first(self, monkeypatch):
         monkeypatch.setattr(lhv, "ND_TABLEAU_CAP", 0)
         with pytest.raises(TermOutsideContext):
-            nodisturbance_optimum(catalog.chsh_scenario(), {frozenset({x(1), x(2)}): 1.0}, "max")
+            nodisturbance_optimum(catalog.load_scenario("chsh.scn"), {frozenset({x(1), x(2)}): 1.0}, "max")
 
 
 @pytest.fixture(scope="module")
 def monogamy_report():
-    return monogamy_check(catalog.monogamy_scenario(), catalog.monogamy_source())
+    return monogamy_check(catalog.load_scenario("monogamy.scn"), catalog.load_expression("monogamy.rsx"))
 
 
 class TestMonogamy:
@@ -1390,13 +1407,13 @@ class TestMonogamy:
 
     def test_rejects_upper_bound_source(self):
         with pytest.raises(ValueError, match="lower-bound"):
-            monogamy_check(catalog.chsh_scenario(), catalog.chsh_source())
+            monogamy_check(catalog.load_scenario("chsh.scn"), catalog.load_expression("chsh.rsx"))
 
     def test_rejects_term_outside_scenario(self):
         """The combined LP runs before the split by party, so a variable the
         scenario does not declare is refused as a term outside every context."""
         with pytest.raises(TermOutsideContext, match="X1Y3 lies in no declared context"):
-            monogamy_check(catalog.monogamy_scenario(), parse_sos("(X1 + Y1 + Y3)^2 >= 1"))
+            monogamy_check(catalog.load_scenario("monogamy.scn"), parse_sos("(X1 + Y1 + Y3)^2 >= 1"))
 
 
 def loop_reconstruct_pc(table_a, table_b, tolerance=1e-9):

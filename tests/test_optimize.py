@@ -50,12 +50,12 @@ def y(i):
 
 @pytest.fixture(scope="module")
 def chsh():
-    return derive_inequality(catalog.chsh_source())
+    return derive_inequality(catalog.load_expression("chsh.rsx"))
 
 
 @pytest.fixture(scope="module")
 def hybrid():
-    return derive_inequality(catalog.hybrid_source())
+    return derive_inequality(catalog.load_expression("hybrid.rsx"))
 
 
 class TestMaximizeViolation:
@@ -110,7 +110,7 @@ class TestMaximizeViolation:
 
     def test_lower_bound_inequalities_are_minimized(self):
         """The pentagon cycle sum dips to -5 cos(pi/5) for qubit chains."""
-        kcbs = derive_inequality(catalog.kcbs_source())
+        kcbs = derive_inequality(catalog.load_expression("kcbs.rsx"))
         result = maximize_violation(kcbs, maximally_mixed(2), grid_points=12)
         assert result.direction == "min"
         assert result.value == pytest.approx(-5 * np.cos(np.pi / 5), abs=1e-6)
@@ -146,9 +146,9 @@ class TestMaximizeViolation:
         assert result.value == pytest.approx(SQRT8, abs=1e-6)
 
     def test_scenario_resolves_single_party_letters(self):
-        lg = derive_inequality(catalog.lg_source())
+        lg = derive_inequality(catalog.load_expression("lg.rsx"))
         result = maximize_violation(
-            lg, maximally_mixed(2), scenario=catalog.lg_scenario()
+            lg, maximally_mixed(2), scenario=catalog.load_scenario("lg.scn")
         )
         assert result.value == pytest.approx(SQRT8, abs=1e-6)
 
@@ -470,7 +470,7 @@ def _random_mixed_state(dimension, seed):
 
 def _grid_case(name):
     """(inequality, state, parametrization, grid points, scenario)."""
-    hybrid = derive_inequality(catalog.hybrid_source())
+    hybrid = derive_inequality(catalog.load_expression("hybrid.rsx"))
     hybrid_vars = (x(1), x(2), y(1), y(2))
     singlet = singlet_state()
     if name.startswith("hybrid-singlet"):
@@ -480,18 +480,18 @@ def _grid_case(name):
         rho = _random_mixed_state(4, seed=11)
         return hybrid, rho, SettingsParametrization(hybrid_vars, rho=rho), 24, None
     if name == "chsh-singlet":
-        chsh = derive_inequality(catalog.chsh_source())
+        chsh = derive_inequality(catalog.load_expression("chsh.rsx"))
         return chsh, singlet, SettingsParametrization(hybrid_vars, rho=singlet), 24, None
     if name == "kcbs-mixed":
-        kcbs = derive_inequality(catalog.kcbs_source())
+        kcbs = derive_inequality(catalog.load_expression("kcbs.rsx"))
         variables = tuple(sorted(kcbs.variables(), key=VariableId.sort_key))
         rho = maximally_mixed(2)
         return kcbs, rho, SettingsParametrization(variables, rho=rho), 12, None
     if name == "lg-scenario":
-        lg = derive_inequality(catalog.lg_source())
+        lg = derive_inequality(catalog.load_expression("lg.rsx"))
         variables = tuple(sorted(lg.variables(), key=VariableId.sort_key))
         rho = maximally_mixed(2)
-        return lg, rho, SettingsParametrization(variables, rho=rho), 24, catalog.lg_scenario()
+        return lg, rho, SettingsParametrization(variables, rho=rho), 24, catalog.load_scenario("lg.scn")
     if name == "product-tied":
         p = SettingsParametrization(hybrid_vars, mode=PRODUCT_FAMILY)
         return hybrid, PRODUCT_FAMILY, p, 12, None
@@ -503,7 +503,7 @@ def _grid_case(name):
         return hybrid, singlet, p, 6, None
     if name == "chsh-reversed-16":
         # variables listed against their term order, so every term reads descending columns
-        chsh = derive_inequality(catalog.chsh_source())
+        chsh = derive_inequality(catalog.load_expression("chsh.rsx"))
         p = SettingsParametrization((y(2), y(1), x(2), x(1)), rho=singlet)
         return chsh, singlet, p, 16, None
     # one X1Y1 term whose sub-grid exceeds a chunk, so it is evaluated on the rows
@@ -653,7 +653,7 @@ class TestGridTables:
     def test_shared_vector_block_matches_per_term_blocks(self, product, full_sphere):
         """One vector block per batch, read by every term's slots, gives the
         bits of each term building its vectors from its own angle columns."""
-        hybrid = derive_inequality(catalog.hybrid_source())
+        hybrid = derive_inequality(catalog.load_expression("hybrid.rsx"))
         variables = (x(1), x(2), y(1), y(2))
         if product:  # the state untied on the sphere
             p = SettingsParametrization(

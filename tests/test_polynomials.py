@@ -26,7 +26,6 @@ from corrineq.polynomials import (
     coefficient_map,
     derive_inequality,
     format_inequality,
-    implied_lower_bound,
     term_kinds,
     validate_odd_groups,
 )
@@ -139,38 +138,38 @@ class TestDerivationByEnumeration:
 
 class TestDeriveCatalog:
     def test_chsh(self):
-        ineq = derive_inequality(catalog.chsh_source())
+        ineq = derive_inequality(catalog.load_expression("chsh.rsx"))
         assert format_inequality(ineq) == "X1Y1 + X1Y2 + X2Y1 - X2Y2 <= 2"
         assert ineq.bound == Fraction(2)
 
     def test_kcbs(self):
-        ineq = derive_inequality(catalog.kcbs_source())
+        ineq = derive_inequality(catalog.load_expression("kcbs.rsx"))
         assert (
             format_inequality(ineq)
             == "X1X2 + X1X5 + X2X3 + X3X4 + X4X5 >= -3"
         )
 
     def test_seven_cycle_offset_form(self):
-        ineq = derive_inequality(catalog.cycle7_source())
+        ineq = derive_inequality(catalog.load_expression("cycle7.rsx"))
         assert ineq.direction == ">="
         assert ineq.bound == Fraction(-5)
         assert len(ineq.terms) == 7
 
     def test_lg(self):
-        ineq = derive_inequality(catalog.lg_source())
+        ineq = derive_inequality(catalog.load_expression("lg.rsx"))
         j, k, l, m = (VariableId(c) for c in "JKLM")
         coeffs = {tuple(sorted(t.variables)): t.coefficient for t in ineq.terms}
         assert coeffs == {(j, k): 1, (k, l): 1, (l, m): 1, (j, m): -1}
         assert ineq.bound == Fraction(2)
 
     def test_hybrid(self):
-        ineq = derive_inequality(catalog.hybrid_source())
+        ineq = derive_inequality(catalog.load_expression("hybrid.rsx"))
         assert format_inequality(ineq) == "X1X2 + X1Y2 - X2Y1 + Y1Y2 <= 2"
-        kinds = set(term_kinds(ineq.terms, catalog.hybrid_scenario()).values())
+        kinds = set(term_kinds(ineq.terms, catalog.load_scenario("hybrid.scn")).values())
         assert kinds == {CROSS_PARTY, SAME_PARTY}
 
     def test_monogamy(self):
-        ineq = derive_inequality(catalog.monogamy_source())
+        ineq = derive_inequality(catalog.load_expression("monogamy.rsx"))
         assert ineq.bound == Fraction(-5)
         assert len(ineq.terms) == 9
 
@@ -191,7 +190,7 @@ class TestDeriveRules:
     def test_stated_bound_tightened_by_parity(self):
         # two odd groups imply >= 2 even though the source only claims >= 0
         loose = derive_inequality(parse_sos("(X1 - Y1 - Y2)^2 + (X2 - Y1 + Y2)^2 >= 0"))
-        strict = derive_inequality(catalog.chsh_source())
+        strict = derive_inequality(catalog.load_expression("chsh.rsx"))
         assert loose.terms == strict.terms
         assert loose.bound == strict.bound == Fraction(2)
 
@@ -209,15 +208,15 @@ class TestDeriveRules:
     def test_odd_groups_silent(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            derive_inequality(catalog.chsh_source())
+            derive_inequality(catalog.load_expression("chsh.rsx"))
 
     def test_lex_first_coefficient_positive(self):
         for source in (
-            catalog.chsh_source(),
-            catalog.kcbs_source(),
-            catalog.lg_source(),
-            catalog.hybrid_source(),
-            catalog.monogamy_source(),
+            catalog.load_expression("chsh.rsx"),
+            catalog.load_expression("kcbs.rsx"),
+            catalog.load_expression("lg.rsx"),
+            catalog.load_expression("hybrid.rsx"),
+            catalog.load_expression("monogamy.rsx"),
         ):
             ineq = derive_inequality(source)
             first = min(
@@ -229,7 +228,7 @@ class TestDeriveRules:
 
 class TestValidateOddGroups:
     def test_verdicts(self):
-        verdicts = validate_odd_groups(catalog.chsh_source())
+        verdicts = validate_odd_groups(catalog.load_expression("chsh.rsx"))
         assert [v.parity for v in verdicts] == ["odd", "odd"]
         assert [v.coefficient_sum for v in verdicts] == [-1, 1]
         assert all(v.implied_bound == 1 for v in verdicts)
@@ -240,32 +239,35 @@ class TestValidateOddGroups:
         assert verdicts[0].implied_bound == 0
 
     def test_implied_lower_bound(self):
-        assert implied_lower_bound(catalog.chsh_source()) == 2
+        """The parity minimum: one per odd group plus the stated offset."""
+        def implied(expr):
+            return sum(v.implied_bound for v in validate_odd_groups(expr)) + expr.constant_offset
+        assert implied(catalog.load_expression("chsh.rsx")) == 2
         # five odd groups plus the stated +5 offset
-        assert implied_lower_bound(catalog.cycle7_source()) == 10
-        assert implied_lower_bound(parse_sos("(X1 - Y1)^2 >= 0")) == 0
+        assert implied(catalog.load_expression("cycle7.rsx")) == 10
+        assert implied(parse_sos("(X1 - Y1)^2 >= 0")) == 0
 
 
 class TestClassify:
     def test_catalog_classifications(self):
         cases = [
-            (catalog.chsh_source(), catalog.chsh_scenario(), SPATIAL),
-            (catalog.kcbs_source(), catalog.kcbs_scenario(), CONTEXTUAL),
-            (catalog.lg_source(), catalog.lg_scenario(), TEMPORAL),
-            (catalog.hybrid_source(), catalog.hybrid_scenario(), HYBRID),
+            (catalog.load_expression("chsh.rsx"), catalog.load_scenario("chsh.scn"), SPATIAL),
+            (catalog.load_expression("kcbs.rsx"), catalog.load_scenario("kcbs.scn"), CONTEXTUAL),
+            (catalog.load_expression("lg.rsx"), catalog.load_scenario("lg.scn"), TEMPORAL),
+            (catalog.load_expression("hybrid.rsx"), catalog.load_scenario("hybrid.scn"), HYBRID),
         ]
         for source, scenario, expected in cases:
             assert classify(derive_inequality(source), scenario) == expected
 
     def test_undeclared_variable(self):
-        ineq = derive_inequality(catalog.chsh_source())
+        ineq = derive_inequality(catalog.load_expression("chsh.rsx"))
         with pytest.raises(UnmappedVariable):
-            classify(ineq, catalog.lg_scenario())
+            classify(ineq, catalog.load_scenario("lg.scn"))
 
 
 class TestCoefficientMap:
     def test_reads_an_inequality_and_a_mapping_alike(self):
-        ineq = derive_inequality(catalog.chsh_source())
+        ineq = derive_inequality(catalog.load_expression("chsh.rsx"))
         plain = {tuple(reversed(sorted(m.variables))): m.coefficient for m in ineq.terms}
         assert coefficient_map(ineq) == coefficient_map(plain) == {m.variables: m.coefficient for m in ineq.terms}
 
@@ -298,6 +300,6 @@ class TestFormatting:
         assert format_inequality(ineq) == "2*X1Y1 <= 2"
 
     def test_terms_sorted_lexicographically(self):
-        out = format_inequality(derive_inequality(catalog.monogamy_source()))
+        out = format_inequality(derive_inequality(catalog.load_expression("monogamy.rsx")))
         names = [p.strip("+- ") for p in out.split("  ")[:1]]
         assert out.startswith("X1X2")

@@ -198,7 +198,7 @@ class TestSequential:
 
 class TestAssignment:
     def test_cross_party_terms_are_tensor(self):
-        ineq = derive_inequality(catalog.chsh_source())
+        ineq = derive_inequality(catalog.load_expression("chsh.rsx"))
         qubit = qubit_layout(ineq.variables())
         assert qubit == {x(1): 0, x(2): 0, y(1): 1, y(2): 1}
         for mono in ineq.terms:
@@ -206,16 +206,16 @@ class TestAssignment:
             assert (a.letter, b.letter) == ("X", "Y")
 
     def test_same_party_terms_are_sequential(self):
-        ineq = derive_inequality(catalog.lg_source())
-        qubit = qubit_layout(ineq.variables(), catalog.lg_scenario())
+        ineq = derive_inequality(catalog.load_expression("lg.rsx"))
+        qubit = qubit_layout(ineq.variables(), catalog.load_scenario("lg.scn"))
         assert set(qubit.values()) == {0}
         for mono in ineq.terms:
             a, b = term_order(mono.variables, qubit)
             assert a < b
 
     def test_hybrid_mixes_both_kinds(self):
-        ineq = derive_inequality(catalog.hybrid_source())
-        scenario = catalog.hybrid_scenario()
+        ineq = derive_inequality(catalog.load_expression("hybrid.rsx"))
+        scenario = catalog.load_scenario("hybrid.scn")
         qubit = qubit_layout(ineq.variables(), scenario)
         assert qubit == {x(1): 0, x(2): 0, y(1): 1, y(2): 1}
         assert qubit == qubit_layout(scenario.variables, scenario)
@@ -233,7 +233,7 @@ class TestAssignment:
         assert qubit_layout(variables) == qubit_layout(variables, letter_scenario(variables))
 
     def test_four_letters_without_scenario_raise(self):
-        ineq = derive_inequality(catalog.lg_source())
+        ineq = derive_inequality(catalog.load_expression("lg.rsx"))
         with pytest.raises(MissingAssignment):
             qubit_layout(ineq.variables())
         with pytest.raises(MissingAssignment):
@@ -248,13 +248,13 @@ class TestAssignment:
             evaluate_inequality_quantum(ineq, singlet_state(), {}, scenario)
 
     def test_missing_setting_is_reported(self):
-        ineq = derive_inequality(catalog.chsh_source())
+        ineq = derive_inequality(catalog.load_expression("chsh.rsx"))
         settings = {x(1): plane_vector(0.0)}
         with pytest.raises(MissingSetting):
             evaluate_inequality_quantum(ineq, singlet_state(), settings)
 
     def test_explicit_rules_match_auto(self):
-        ineq = derive_inequality(catalog.hybrid_source())
+        ineq = derive_inequality(catalog.load_expression("hybrid.rsx"))
         manual = {
             frozenset({x(1), x(2)}): sequential_rule(0, x(1), x(2)),
             frozenset({y(1), y(2)}): sequential_rule(1, y(1), y(2)),
@@ -292,17 +292,17 @@ class TestLayoutAgainstTermRules:
     """The qubit-layout evaluator against the old per-term rule tables, bit for bit."""
 
     CASES = {
-        "chsh": (catalog.chsh_source, None, (4,)),
-        "hybrid": (catalog.hybrid_source, catalog.hybrid_scenario, (4,)),
-        "lg": (catalog.lg_source, catalog.lg_scenario, (2, 4)),
+        "chsh": (None, (4,)),
+        "hybrid": ("hybrid.scn", (4,)),
+        "lg": ("lg.scn", (2, 4)),
     }
 
     @settings(max_examples=60, deadline=None)
     @given(name=st.sampled_from(sorted(CASES)), data=st.data())
     def test_value_equals_the_rule_table_value(self, name, data):
-        source, scenario_of, dims = self.CASES[name]
-        ineq = derive_inequality(source())
-        scenario = scenario_of() if scenario_of else None
+        scenario_file, dims = self.CASES[name]
+        ineq = derive_inequality(catalog.load_expression(f"{name}.rsx"))
+        scenario = catalog.load_scenario(scenario_file) if scenario_file else None
         rho = data.draw(_states(data.draw(st.sampled_from(dims))))
         settings = {v: data.draw(_DIRECTIONS) for v in sorted(ineq.variables())}
         expected = reference_value(ineq, rho, settings, auto_assignment(ineq, scenario))
@@ -311,7 +311,7 @@ class TestLayoutAgainstTermRules:
 
 class TestCatalogQuantumValues:
     def test_chsh_reaches_tsirelson_on_singlet(self):
-        ineq = derive_inequality(catalog.chsh_source())
+        ineq = derive_inequality(catalog.load_expression("chsh.rsx"))
         settings = {
             x(1): plane_vector(0.0),
             x(2): plane_vector(np.pi / 2),
@@ -322,22 +322,22 @@ class TestCatalogQuantumValues:
         assert value == pytest.approx(SQRT8, abs=1e-12)
 
     def test_lg_reaches_temporal_tsirelson(self):
-        ineq = derive_inequality(catalog.lg_source())
+        ineq = derive_inequality(catalog.load_expression("lg.rsx"))
         variables = [VariableId(c) for c in "JKLM"]
         settings = ladder_settings(variables, 0.0, -np.pi / 4)
         value = evaluate_inequality_quantum(
-            ineq, maximally_mixed(2), settings, catalog.lg_scenario()
+            ineq, maximally_mixed(2), settings, catalog.load_scenario("lg.scn")
         )
         assert value == pytest.approx(SQRT8, abs=1e-12)
 
     def test_lg_value_is_state_independent(self):
-        ineq = derive_inequality(catalog.lg_source())
+        ineq = derive_inequality(catalog.load_expression("lg.rsx"))
         variables = [VariableId(c) for c in "JKLM"]
         settings = ladder_settings(variables, 0.7, -np.pi / 4)
         rng = np.random.default_rng(31)
         values = {
             evaluate_inequality_quantum(
-                ineq, random_density(rng, 2), settings, catalog.lg_scenario()
+                ineq, random_density(rng, 2), settings, catalog.load_scenario("lg.scn")
             )
             for _ in range(5)
         }
@@ -346,12 +346,12 @@ class TestCatalogQuantumValues:
 
 class TestHybridValues:
     def test_singlet_value_at_descending_ladder(self):
-        ineq = derive_inequality(catalog.hybrid_source())
+        ineq = derive_inequality(catalog.load_expression("hybrid.rsx"))
         value = evaluate_inequality_quantum(ineq, singlet_state(), hybrid_settings())
         assert value == pytest.approx(SQRT8, abs=1e-12)
 
     def test_product_value_at_ascending_ladder(self):
-        ineq = derive_inequality(catalog.hybrid_source())
+        ineq = derive_inequality(catalog.load_expression("hybrid.rsx"))
         settings = product_ladder_settings()
         n = settings[y(2)]
         analytic = hybrid_f_product(n, n, settings)
@@ -360,7 +360,7 @@ class TestHybridValues:
         assert matrix == pytest.approx(analytic, abs=1e-12)
 
     def test_product_paths_agree_on_random_inputs(self):
-        ineq = derive_inequality(catalog.hybrid_source())
+        ineq = derive_inequality(catalog.load_expression("hybrid.rsx"))
         rng = np.random.default_rng(41)
         for _ in range(30):
             settings = random_settings(rng, HYBRID_VARS)
@@ -372,7 +372,7 @@ class TestHybridValues:
             assert matrix == pytest.approx(analytic, abs=1e-12)
 
     def test_operator_expectation_matches_term_sum(self):
-        ineq = derive_inequality(catalog.hybrid_source())
+        ineq = derive_inequality(catalog.load_expression("hybrid.rsx"))
         rng = np.random.default_rng(42)
         for _ in range(10):
             settings = random_settings(rng, HYBRID_VARS)
@@ -383,7 +383,7 @@ class TestHybridValues:
             assert direct == pytest.approx(summed, abs=1e-12)
 
     def test_invalid_state_refused_before_any_correlator(self):
-        ineq = derive_inequality(catalog.hybrid_source())
+        ineq = derive_inequality(catalog.load_expression("hybrid.rsx"))
         with pytest.raises(ValueError, match="trace"):
             evaluate_inequality_quantum(ineq, 3 * singlet_state(), hybrid_settings())
         skewed = maximally_mixed(4).astype(complex)

@@ -552,7 +552,7 @@ def recorded_nodisturbance_lps(label):
 
     with mock.patch.object(lhv, "simplex_solve", recording_solve):
         if label == "monogamy":
-            lhv.monogamy_check(catalog.monogamy_scenario(), catalog.monogamy_source())
+            lhv.monogamy_check(catalog.load_scenario("monogamy.scn"), catalog.load_expression("monogamy.rsx"))
         else:
             n = int(label.split("-")[1])
             scenario = catalog.cycle_scenario(n)
