@@ -14,6 +14,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -305,8 +306,7 @@ def _eliminate(n, terms):
     return lo_total, hi_total, *witnesses
 
 
-@dataclass(frozen=True)
-class ExtremaResult:
+class ExtremaResult(NamedTuple):
     minimum: int
     maximum: int
     witness_min: DeterministicAssignment
@@ -420,8 +420,7 @@ def _normalize_pairs(observed):
     return out
 
 
-@dataclass(frozen=True)
-class InfeasibilityCertificate:
+class InfeasibilityCertificate(NamedTuple):
     """A correlation inequality every DHV model obeys but the data violate.
 
     Coefficients come from Farkas duals of the feasibility LP; the bound
@@ -438,8 +437,7 @@ class InfeasibilityCertificate:
         return self.observed_value - self.bound
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
+class FeasibilityResult(NamedTuple):
     feasible: bool
     model: DhvModel | None = None
     certificate: InfeasibilityCertificate | None = None
@@ -471,7 +469,8 @@ def jd_feasibility(scenario, observed, means=None, tolerance=FEASIBILITY_TOL) ->
     certificate's violation is at most `tolerance`, the data count as
     feasible within tolerance: the result is feasible, has no model, and
     carries the certificate.  A tolerance that is negative, infinite or
-    NaN raises ValueError.
+    NaN raises ValueError, and so does a correlator or mean key naming
+    anything but VariableIds.
     """
     if not 0.0 <= tolerance < np.inf:  # false for NaN too
         raise ValueError(f"tolerance is {tolerance}, expected a finite non-negative number")
@@ -480,6 +479,9 @@ def jd_feasibility(scenario, observed, means=None, tolerance=FEASIBILITY_TOL) ->
     if n > FEASIBILITY_VARIABLE_CAP:
         raise TooManyVariables(f"{n} variables exceeds the cap of {FEASIBILITY_VARIABLE_CAP}")
     pairs = _normalize_pairs(observed)
+    for var in means or ():
+        if not isinstance(var, VariableId):
+            raise ValueError(f"mean key {var!r} is not a VariableId")
     means = {var: _checked_value(value, f"mean of {var}") for var, value in (means or {}).items()}
     named = [var for pair in pairs for var in sorted(pair, key=VariableId.sort_key)]
     for what, named in (("correlator", named), ("mean", means)):
@@ -548,8 +550,7 @@ def jd_feasibility(scenario, observed, means=None, tolerance=FEASIBILITY_TOL) ->
     return FeasibilityResult(certificate.violation <= tolerance, certificate=certificate)
 
 
-@dataclass(frozen=True)
-class NdOptimum:
+class NdOptimum(NamedTuple):
     """Extremum of a correlator combination over no-disturbance behaviors."""
 
     value: float
@@ -687,8 +688,7 @@ def nodisturbance_optimum(scenario, objective, direction="max", enforce_consiste
     return NdOptimum(float(solution.objective), direction, labels, behavior, enforce_consistency)
 
 
-@dataclass(frozen=True)
-class MonogamyReport:
+class MonogamyReport(NamedTuple):
     """No-disturbance trade-off between a nonlocal and a contextual test."""
 
     combined_nd_min: float

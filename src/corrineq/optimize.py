@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -111,8 +112,7 @@ class SettingsParametrization:
         return product_state(vectors[n], vectors[n if self.tied_state else n + 1]), settings
 
 
-@dataclass(frozen=True)
-class OptimizationResult:
+class OptimizationResult(NamedTuple):
     value: float
     parameters: np.ndarray
     settings: dict[VariableId, np.ndarray]
@@ -321,8 +321,7 @@ def maximize_violation(
     return result
 
 
-@dataclass(frozen=True)
-class EnvelopeScan:
+class EnvelopeScan(NamedTuple):
     thetas: np.ndarray
     max_value: float
     argmax: tuple[float, float]

@@ -15,6 +15,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .dsl import ScenarioSpec, SosExpression, VariableId, _signed_sum
 from .errors import EvenGroupWarning, ResidualDegreeError, UnmappedVariable
@@ -36,8 +37,7 @@ def format_varset(varset) -> str:
     return "".join(str(v) for v in sorted(varset, key=VariableId.sort_key))
 
 
-@dataclass(frozen=True, slots=True)
-class Monomial:
+class Monomial(NamedTuple):
     """A product of distinct ±1 variables with an integer coefficient."""
 
     variables: frozenset[VariableId]
@@ -56,13 +56,12 @@ def coefficient_map(form) -> dict:
     such as the string "X1", or a set given twice, such as (X1, Y1) and
     (Y1, X1), raises ValueError.
     """
-    items = [(m.variables, m.coefficient) for m in form.terms] if isinstance(form, CorrelationInequality) else form.items()
-    if not all(isinstance(v, VariableId) for v in set().union(*(key for key, _ in items))):
-        key = next(key for key, _ in items if not all(isinstance(v, VariableId) for v in key))
-        raise ValueError(f"key {key!r} names a variable that is not a VariableId")
     out = {}
-    for key, coeff in items:
+    for key, coeff in form.terms if isinstance(form, CorrelationInequality) else form.items():
         varset = frozenset(key)
+        for v in varset:
+            if not isinstance(v, VariableId):
+                raise ValueError(f"key {key!r} names a variable that is not a VariableId")
         if varset in out:
             raise ValueError(f"the coefficient of {format_varset(varset) or 'the constant'} is given twice")
         out[varset] = coeff
@@ -78,8 +77,7 @@ class MultilinearPoly(dict):
         super().__init__((varset, c) for varset, c in coefficient_map(terms).items() if c != 0)
 
 
-@dataclass(frozen=True, slots=True)
-class GroupVerdict:
+class GroupVerdict(NamedTuple):
     """Odd-sum check for one squared form."""
 
     term_count: int

@@ -17,10 +17,10 @@ joint outcomes block by block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,8 +101,7 @@ class CounterRng:
         return float(self.uniforms(np.array([shot_index], dtype=np.uint64), draw)[0])
 
 
-@dataclass(frozen=True)
-class MeasurementChoice:
+class MeasurementChoice(NamedTuple):
     """What each side measures this shot, in time order."""
 
     alice: tuple[VariableId, ...]
@@ -124,10 +123,7 @@ ALL_CHOICES = tuple(
 )
 
 # pair -> coefficient in the hybrid combination, in source order
-F_COEFFICIENTS = {
-    mono.variables: mono.coefficient
-    for mono in derive_inequality(catalog.load_expression("hybrid.rsx")).terms
-}
+F_COEFFICIENTS = dict(derive_inequality(catalog.load_expression("hybrid.rsx")).terms)
 
 
 def admissible_data(choice: MeasurementChoice) -> frozenset:
@@ -161,8 +157,7 @@ def admissible_data(choice: MeasurementChoice) -> frozenset:
 DATA_CHOICES = tuple(c for c in ALL_CHOICES if not admissible_data(c).isdisjoint(F_COEFFICIENTS))
 
 
-@dataclass(frozen=True)
-class ShotRecord:
+class ShotRecord(NamedTuple):
     choice: MeasurementChoice
     outcomes: dict[VariableId, int]
 
@@ -263,8 +258,7 @@ def _cut_points(p):
     return np.ceil(c * float(1 << WORD_BITS)).astype(np.uint64)
 
 
-@dataclass(frozen=True, eq=False)
-class ChoiceSampler:
+class ChoiceSampler(NamedTuple):
     """One choice's exact outcome distribution as integer cut points.
 
     Joint outcome m = i·k2 + j (slot-1 outcome i, slot-2 outcome j) has
@@ -339,16 +333,14 @@ def _blocks(start: int, count: int, buffers):
         yield np.add(ramp[:size], np.uint64(lo), out=ids[:size])
 
 
-@dataclass(frozen=True)
-class CorrelatorEstimate:
+class CorrelatorEstimate(NamedTuple):
     label: str
     mean: float
     stderr: float
     count: int
 
 
-@dataclass(frozen=True)
-class ProtocolEstimate:
+class ProtocolEstimate(NamedTuple):
     """Pooled correlator estimates and the combined hybrid value."""
 
     terms: dict[str, CorrelatorEstimate]
@@ -435,8 +427,7 @@ def estimate_f(rho, settings, shots: int, seed: int) -> ProtocolEstimate:
     )
 
 
-@dataclass(frozen=True)
-class SignalingReport:
+class SignalingReport(NamedTuple):
     """P(Y2 = +1) with and without a preceding Y1 measurement.
 
     A nonzero difference is the formal signaling carried by temporal

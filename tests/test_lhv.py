@@ -846,6 +846,12 @@ class TestJdFeasibility:
             jd_feasibility(catalog.load_scenario("chsh.scn"), {("X1", "Y1"): 0.5})
         assert str(excinfo.value) == "correlator key ('X1', 'Y1') names a variable that is not a VariableId"
 
+    def test_a_string_mean_key_raises(self):
+        """It once raised UndeclaredVariable: mean names undeclared X1, although X1 is declared."""
+        with pytest.raises(ValueError) as excinfo:
+            jd_feasibility(catalog.load_scenario("chsh.scn"), {(x(1), y(1)): 0.5}, means={"X1": 0.1})
+        assert str(excinfo.value) == "mean key 'X1' is not a VariableId"
+
     def test_bad_key_message_does_not_depend_on_hash_seed(self):
         code = (
             "from corrineq import catalog; from corrineq.dsl import VariableId as V; "
