@@ -24,11 +24,7 @@ import numpy as np
 
 from corrineq import catalog
 from corrineq.dsl import VariableId
-from corrineq.optimize import (
-    SettingsParametrization,
-    maximize_violation,
-    scan_envelope,
-)
+from corrineq.optimize import PRODUCT_FAMILY, maximize_violation, scan_envelope
 from corrineq.polynomials import derive_inequality
 from corrineq.quantum import (
     build_f_operator,
@@ -124,10 +120,7 @@ print(f"\nproduct-state ladder, closed form: {analytic:.12f}")
 print(f"product-state ladder, matrix path: {matrix:.12f}")
 print(f"3/sqrt(2) = {3 / np.sqrt(2):.12f}")
 
-family = SettingsParametrization(tuple(sorted(hybrid.variables())), mode="product")
-best = maximize_violation(
-    hybrid, None, parametrization=family, scenario=hscn, grid_points=12, seed=5
-)
+best = maximize_violation(hybrid, PRODUCT_FAMILY, scenario=hscn, grid_points=12, seed=5)
 print(f"best over all product states and settings: {best.value:.9f}")
 
 ##############################################################################

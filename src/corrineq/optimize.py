@@ -15,14 +15,13 @@ as an independent check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
 
 from .dsl import VariableId
-from .errors import BudgetExhausted
+from .errors import BudgetExhausted, DimensionMismatch
 from .polynomials import CorrelationInequality
 from .quantum import (
     PAULI_X,
@@ -35,6 +34,7 @@ from .quantum import (
     qubit_layout,
     term_order,
     tsirelson_envelope,
+    validate_density,
 )
 
 DEFAULT_GRID_POINTS = 24
@@ -43,7 +43,6 @@ REFINEMENT_FLOOR = 1e-8
 GRID_CELL_CAP = 1 << 24
 _BATCH = 1 << 16
 
-FIXED_STATE = "fixed"
 PRODUCT_FAMILY = "product"
 
 
@@ -54,6 +53,8 @@ class _OutOfBudget(Exception):
 def correlation_tensor(rho) -> np.ndarray:
     """T[i, j] = Tr(rho sigma_i x sigma_j), the two-qubit correlation block."""
     rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (4, 4):
+        raise DimensionMismatch(f"correlation tensor needs a 4x4 state, got {rho.shape}")
     paulis = (PAULI_X, PAULI_Y, PAULI_Z)
     t = np.empty((3, 3))
     for i, si in enumerate(paulis):
@@ -62,31 +63,24 @@ def correlation_tensor(rho) -> np.ndarray:
     return t
 
 
-@dataclass(frozen=True)
-class SettingsParametrization:
+class SettingsParametrization(NamedTuple):
     """Angle parameters and how they become Bloch vectors and a state.
 
-    Coplanar mode gives each variable one angle in the x-z plane;
-    full_sphere gives two (polar, azimuth).  Product mode appends state
-    angles for the two local states, one set when tied, and realizes
-    the product state from them; fixed mode keeps the supplied state.
+    Coplanar settings give each variable one angle in the x-z plane;
+    full_sphere gives two (polar, azimuth).  For the product family
+    (`state` is PRODUCT_FAMILY) the local states take angles after the
+    variables', one set when tied, and the product state is realized
+    from them; any other `state` is a density matrix, kept as it is.
     """
 
     variables: tuple[VariableId, ...]
-    mode: str = FIXED_STATE
-    rho: np.ndarray | None = None
+    state: np.ndarray | str
     full_sphere: bool = False
     tied_state: bool = True
 
-    def __post_init__(self):
-        if self.mode not in (FIXED_STATE, PRODUCT_FAMILY):
-            raise ValueError(f"mode must be fixed or product, got {self.mode!r}")
-        if self.mode == FIXED_STATE and self.rho is None:
-            raise ValueError("fixed mode needs a state")
-
     @property
     def dimension(self) -> int:
-        states = (1 if self.tied_state else 2) if self.mode == PRODUCT_FAMILY else 0
+        states = (1 if self.tied_state else 2) if isinstance(self.state, str) else 0
         return (len(self.variables) + states) * (2 if self.full_sphere else 1)
 
     def _vector_block(self, params) -> np.ndarray:
@@ -106,8 +100,8 @@ class SettingsParametrization:
         """(state, settings) at one parameter point."""
         vectors = self._vector_block(params)[0]
         settings = dict(zip(self.variables, vectors))
-        if self.mode == FIXED_STATE:
-            return self.rho, settings
+        if not isinstance(self.state, str):
+            return self.state, settings
         n = len(self.variables)
         return product_state(vectors[n], vectors[n if self.tied_state else n + 1]), settings
 
@@ -126,14 +120,14 @@ def _objective_terms(ineq: CorrelationInequality, parametrization: SettingsParam
     """(coefficient, slots, term) per inequality term, in source order.
 
     `slots` are the vector slots the term reads: its variables' and, for
-    a tensor term in product mode, the state's.  `term` maps a
+    a tensor term of the product family, the state's.  `term` maps a
     (k, len(slots), 3) block of those unit vectors to the term's k values.
     """
     qubit = qubit_layout(ineq.variables(), scenario)
     pairs = [term_order(mono.variables, qubit) for mono in ineq.terms]
     tensor = None
-    if parametrization.mode == FIXED_STATE and any(qubit[a] != qubit[b] for a, b in pairs):
-        tensor = correlation_tensor(parametrization.rho)
+    if not isinstance(parametrization.state, str) and any(qubit[a] != qubit[b] for a, b in pairs):
+        tensor = correlation_tensor(parametrization.state)
     slot = {var: i for i, var in enumerate(parametrization.variables)}
     states = [len(slot)] if parametrization.tied_state else [len(slot), len(slot) + 1]
 
@@ -224,17 +218,21 @@ def _grid_scan(terms, axis, parametrization):
 def maximize_violation(
     ineq: CorrelationInequality,
     state,
-    parametrization: SettingsParametrization | None = None,
     budget: int = DEFAULT_BUDGET,
     grid_points: int = DEFAULT_GRID_POINTS,
     seed: int = 0,
     scenario=None,
+    full_sphere: bool = False,
+    tied_state: bool = True,
 ) -> OptimizationResult:
-    """Find settings (and state, in product mode) extremizing the combination.
+    """Find settings (and state, for the product family) extremizing the combination.
 
-    `state` is a density matrix, or the string "product" to search the
-    product-state family.  Upper-bound inequalities are maximized,
-    lower-bound ones minimized; the result reports the signed value.
+    `state` is a density matrix, checked before the search starts, or
+    PRODUCT_FAMILY to search product states too: one local state for
+    both qubits when `tied_state`, one each otherwise.  `full_sphere`
+    gives each vector two angles instead of one in the x-z plane.
+    Upper-bound inequalities are maximized, lower-bound ones minimized;
+    the result reports the signed value.
     Raises BudgetExhausted (best-so-far attached) if the evaluation
     budget runs out before the step size reaches 1e-8; the search then
     has scored exactly `budget` points, and the best of them is attached.
@@ -244,14 +242,15 @@ def maximize_violation(
     grid_points = int(grid_points)
     if not budget >= 1:
         raise ValueError(f"budget must be at least 1, got {budget!r}")
-    if parametrization is None:
-        variables = tuple(sorted(ineq.variables(), key=VariableId.sort_key))
-        if isinstance(state, str):
-            if state != PRODUCT_FAMILY:
-                raise ValueError(f"unknown state family {state!r}")
-            parametrization = SettingsParametrization(variables, mode=PRODUCT_FAMILY)
-        else:
-            parametrization = SettingsParametrization(variables, rho=np.asarray(state, dtype=complex))
+    if isinstance(state, str):
+        if state != PRODUCT_FAMILY:
+            raise ValueError(f"unknown state family {state!r}")
+    elif not tied_state:
+        raise ValueError("tied_state=False needs the product family; a fixed state has no local states")
+    else:
+        state = validate_density(state)
+    variables = tuple(sorted(ineq.variables(), key=VariableId.sort_key))
+    parametrization = SettingsParametrization(variables, state, full_sphere, tied_state)
     terms = _objective_terms(ineq, parametrization, scenario)
     sign = 1.0 if ineq.direction == "<=" else -1.0
 

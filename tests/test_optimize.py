@@ -11,7 +11,7 @@ import pytest
 from corrineq import catalog, optimize
 from corrineq.cli import main
 from corrineq.dsl import VariableId, parse_sos
-from corrineq.errors import BudgetExhausted, EvenGroupWarning
+from corrineq.errors import BudgetExhausted, DimensionMismatch, EvenGroupWarning
 from corrineq.optimize import (
     DEFAULT_BUDGET,
     GRID_CELL_CAP,
@@ -126,23 +126,11 @@ class TestMaximizeViolation:
         assert replay == pytest.approx(result.value, abs=1e-12)
 
     def test_untied_product_states_do_no_better(self, hybrid):
-        parametrization = SettingsParametrization(
-            (x(1), x(2), y(1), y(2)), mode=PRODUCT_FAMILY, tied_state=False
-        )
-        result = maximize_violation(
-            hybrid, PRODUCT_FAMILY, parametrization, grid_points=8
-        )
+        result = maximize_violation(hybrid, PRODUCT_FAMILY, grid_points=8, tied_state=False)
         assert result.value == pytest.approx(2.5, abs=1e-6)
 
     def test_full_sphere_finds_no_off_plane_maximum(self, hybrid):
-        parametrization = SettingsParametrization(
-            (x(1), x(2), y(1), y(2)),
-            rho=singlet_state(),
-            full_sphere=True,
-        )
-        result = maximize_violation(
-            hybrid, singlet_state(), parametrization, grid_points=6
-        )
+        result = maximize_violation(hybrid, singlet_state(), grid_points=6, full_sphere=True)
         assert result.value == pytest.approx(SQRT8, abs=1e-6)
 
     def test_scenario_resolves_single_party_letters(self):
@@ -187,8 +175,21 @@ class TestMaximizeViolation:
             assert full.value >= truncated - 1e-12
 
     def test_rejects_unknown_state_family(self, chsh):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown state family 'thermal'"):
             maximize_violation(chsh, "thermal")
+
+    @pytest.mark.parametrize("state, error, message", [
+        (3 * singlet_state(), ValueError, "expected 1"),
+        (maximally_mixed(2), DimensionMismatch, "needs a 4x4 state"),  # CHSH's terms cross the qubits
+    ], ids=["trace-3", "one-qubit"])
+    def test_a_bad_state_raises_before_the_grid_scan(self, chsh, state, error, message, monkeypatch):
+        """The state is checked once, up front, not by the final re-evaluation."""
+        def no_grid(*args):
+            raise AssertionError("the grid scan ran")
+
+        monkeypatch.setattr(optimize, "_grid_scan", no_grid)
+        with pytest.raises(error, match=message):
+            maximize_violation(chsh, state)
 
     @pytest.mark.parametrize("grid_points", [0, -3, 2.0, "24", True, None])
     def test_rejects_bad_grid_points(self, chsh, grid_points):
@@ -211,35 +212,31 @@ class TestMaximizeViolation:
 class TestParametrization:
     def test_names_and_dimension(self):
         """One angle per variable and state slot, two on the full sphere."""
-        fixed = SettingsParametrization((x(1), y(1)), rho=singlet_state())
+        fixed = SettingsParametrization((x(1), y(1)), singlet_state())
         assert fixed.dimension == 2
 
-        tied = SettingsParametrization((x(1), y(1)), mode=PRODUCT_FAMILY)
+        tied = SettingsParametrization((x(1), y(1)), PRODUCT_FAMILY)
         assert tied.dimension == 3
 
-        untied = SettingsParametrization(
-            (x(1), y(1)), mode=PRODUCT_FAMILY, tied_state=False, full_sphere=True
-        )
+        untied = SettingsParametrization((x(1), y(1)), PRODUCT_FAMILY, full_sphere=True, tied_state=False)
         assert untied.dimension == 8
 
     def test_realize_fixed_state(self):
         rho = singlet_state()
-        p = SettingsParametrization((x(1), y(1)), rho=rho)
+        p = SettingsParametrization((x(1), y(1)), rho)
         state, settings = p.realize(np.array([0.0, np.pi / 2]))
         assert state is rho
         assert np.allclose(settings[x(1)], [0.0, 0.0, 1.0])
         assert np.allclose(settings[y(1)], [1.0, 0.0, 0.0], atol=1e-15)
 
     def test_realize_product_state(self):
-        p = SettingsParametrization((x(1),), mode=PRODUCT_FAMILY)
+        p = SettingsParametrization((x(1),), PRODUCT_FAMILY)
         state, _ = p.realize(np.zeros(2))
         expected = product_state([0.0, 0.0, 1.0], [0.0, 0.0, 1.0])
         assert np.abs(state - expected).max() < 1e-15
 
     def test_realize_untied_full_sphere(self):
-        p = SettingsParametrization(
-            (x(1), x(2)), mode=PRODUCT_FAMILY, tied_state=False, full_sphere=True
-        )
+        p = SettingsParametrization((x(1), x(2)), PRODUCT_FAMILY, full_sphere=True, tied_state=False)
         params = np.array([np.pi / 2, 0.0, 0.0, 0.0, np.pi / 2, np.pi / 2, np.pi, 0.0])
         state, settings = p.realize(params)
         assert set(settings) == {x(1), x(2)}
@@ -248,11 +245,14 @@ class TestParametrization:
         expected = product_state([0.0, 1.0, 0.0], [0.0, 0.0, -1.0])
         assert np.abs(state - expected).max() < 1e-15
 
-    def test_invalid_configurations(self):
-        with pytest.raises(ValueError):
-            SettingsParametrization((x(1),), mode="thermal")
-        with pytest.raises(ValueError):
-            SettingsParametrization((x(1),), mode="fixed")
+    def test_invalid_configurations(self, chsh):
+        """maximize_violation builds every parametrization and rejects what
+        has no meaning: the former mode name 'fixed' as a state family, and
+        untied local states for a fixed state."""
+        with pytest.raises(ValueError, match="unknown state family 'fixed'"):
+            maximize_violation(chsh, "fixed")
+        with pytest.raises(ValueError, match="tied_state=False needs the product family"):
+            maximize_violation(chsh, singlet_state(), tied_state=False)
 
 
 def _whole_table_scan(resolution):
@@ -420,16 +420,17 @@ def _reference_objective(ineq, parametrization, scenario=None):
     """Reference objective: each row's setting vectors built at once, each
     term computed on them and added in source order."""
     rules = auto_assignment(ineq, scenario)
+    product = isinstance(parametrization.state, str)
     tensor = None
-    if parametrization.mode != PRODUCT_FAMILY and any(r.kind == TENSOR for r in rules.values()):
-        tensor = optimize.correlation_tensor(parametrization.rho)
+    if not product and any(r.kind == TENSOR for r in rules.values()):
+        tensor = optimize.correlation_tensor(parametrization.state)
 
     def evaluate(params):
         block = parametrization._vector_block(params)
         n = len(parametrization.variables)
         vectors = {var: block[:, i, :] for i, var in enumerate(parametrization.variables)}
         n_a = n_b = None
-        if parametrization.mode == PRODUCT_FAMILY:
+        if product:
             n_a = block[:, n, :]
             n_b = n_a if parametrization.tied_state else block[:, n + 1, :]
         total = None
@@ -469,58 +470,50 @@ def _random_mixed_state(dimension, seed):
 
 
 def _grid_case(name):
-    """(inequality, state, parametrization, grid points, scenario)."""
+    """(inequality, parametrization, grid points, scenario)."""
     hybrid = derive_inequality(catalog.load_expression("hybrid.rsx"))
     hybrid_vars = (x(1), x(2), y(1), y(2))
     singlet = singlet_state()
     if name.startswith("hybrid-singlet"):
         grid = int(name.rsplit("-", 1)[1])
-        return hybrid, singlet, SettingsParametrization(hybrid_vars, rho=singlet), grid, None
+        return hybrid, SettingsParametrization(hybrid_vars, singlet), grid, None
     if name == "hybrid-mixed":
-        rho = _random_mixed_state(4, seed=11)
-        return hybrid, rho, SettingsParametrization(hybrid_vars, rho=rho), 24, None
+        return hybrid, SettingsParametrization(hybrid_vars, _random_mixed_state(4, seed=11)), 24, None
     if name == "chsh-singlet":
         chsh = derive_inequality(catalog.load_expression("chsh.rsx"))
-        return chsh, singlet, SettingsParametrization(hybrid_vars, rho=singlet), 24, None
+        return chsh, SettingsParametrization(hybrid_vars, singlet), 24, None
     if name == "kcbs-mixed":
         kcbs = derive_inequality(catalog.load_expression("kcbs.rsx"))
         variables = tuple(sorted(kcbs.variables(), key=VariableId.sort_key))
-        rho = maximally_mixed(2)
-        return kcbs, rho, SettingsParametrization(variables, rho=rho), 12, None
+        return kcbs, SettingsParametrization(variables, maximally_mixed(2)), 12, None
     if name == "lg-scenario":
         lg = derive_inequality(catalog.load_expression("lg.rsx"))
         variables = tuple(sorted(lg.variables(), key=VariableId.sort_key))
-        rho = maximally_mixed(2)
-        return lg, rho, SettingsParametrization(variables, rho=rho), 24, catalog.load_scenario("lg.scn")
+        return lg, SettingsParametrization(variables, maximally_mixed(2)), 24, catalog.load_scenario("lg.scn")
     if name == "product-tied":
-        p = SettingsParametrization(hybrid_vars, mode=PRODUCT_FAMILY)
-        return hybrid, PRODUCT_FAMILY, p, 12, None
+        return hybrid, SettingsParametrization(hybrid_vars, PRODUCT_FAMILY), 12, None
     if name == "product-untied":
-        p = SettingsParametrization(hybrid_vars, mode=PRODUCT_FAMILY, tied_state=False)
-        return hybrid, PRODUCT_FAMILY, p, 8, None
+        return hybrid, SettingsParametrization(hybrid_vars, PRODUCT_FAMILY, tied_state=False), 8, None
     if name == "full-sphere":
-        p = SettingsParametrization(hybrid_vars, rho=singlet, full_sphere=True)
-        return hybrid, singlet, p, 6, None
+        return hybrid, SettingsParametrization(hybrid_vars, singlet, full_sphere=True), 6, None
     if name == "chsh-reversed-16":
         # variables listed against their term order, so every term reads descending columns
         chsh = derive_inequality(catalog.load_expression("chsh.rsx"))
-        p = SettingsParametrization((y(2), y(1), x(2), x(1)), rho=singlet)
-        return chsh, singlet, p, 16, None
+        return chsh, SettingsParametrization((y(2), y(1), x(2), x(1)), singlet), 16, None
     # one X1Y1 term whose sub-grid exceeds a chunk, so it is evaluated on the rows
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EvenGroupWarning)
         pair = derive_inequality(parse_sos("(X1 - Y1)^2 >= 0"))
     if name == "pair-singlet-300":
-        return pair, singlet, SettingsParametrization((x(1), y(1)), rho=singlet), 300, None
+        return pair, SettingsParametrization((x(1), y(1)), singlet), 300, None
     if name == "pair-product-48":
-        return pair, PRODUCT_FAMILY, SettingsParametrization((x(1), y(1)), mode=PRODUCT_FAMILY), 48, None
+        return pair, SettingsParametrization((x(1), y(1)), PRODUCT_FAMILY), 48, None
     if name == "triple-product-41":
         # two tensor terms evaluated on the rows, added around one tabled sequential term
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", EvenGroupWarning)
             triple = derive_inequality(parse_sos("(X1 - Y1 + X2)^2 >= 0"))
-        p = SettingsParametrization((x(1), x(2), y(1)), mode=PRODUCT_FAMILY)
-        return triple, PRODUCT_FAMILY, p, 41, None
+        return triple, SettingsParametrization((x(1), x(2), y(1)), PRODUCT_FAMILY), 41, None
     raise KeyError(name)
 
 
@@ -533,7 +526,7 @@ GRID_CASES = [
 
 def _scan_layout(name):
     """(outer axes, per term: its columns and whether it is evaluated on the rows)."""
-    ineq, _, p, grid, scenario = _grid_case(name)
+    ineq, p, grid, scenario = _grid_case(name)
     m = p.dimension
     outer = min(k for k in range(m + 1) if grid ** (m - k) <= optimize._BATCH)
     width = 2 if p.full_sphere else 1
@@ -544,15 +537,17 @@ def _scan_layout(name):
 
 @pytest.fixture(scope="module")
 def reference_chunks():
-    """Per case, the per-row grid values: computed once, shared by the tests."""
+    """Per case and variable order, the per-row grid values: computed once,
+    shared by the tests."""
     cache = {}
 
-    def chunks(name):
-        if name not in cache:
-            ineq, _, p, grid, scenario = _grid_case(name)
+    def chunks(name, variables):
+        if (name, variables) not in cache:
+            ineq, p, grid, scenario = _grid_case(name)
+            p = p._replace(variables=variables)
             evaluate = _reference_objective(ineq, p, scenario)
-            cache[name] = list(_row_grid(evaluate, optimize._grid_axes(grid), p.dimension))
-        return cache[name]
+            cache[name, variables] = list(_row_grid(evaluate, optimize._grid_axes(grid), p.dimension))
+        return cache[name, variables]
 
     return chunks
 
@@ -603,13 +598,14 @@ def _reference_search(ineq, p, grid_points, scenario, budget, chunks):
     return ("done" if converged else "exhausted"), fields
 
 
-def _outcome(ineq, state, p, grid, scenario, budget):
+def _outcome(ineq, p, grid, scenario, budget):
     def fields(result):
         return repr(result.value), result.parameters.tobytes(), result.evaluations, result.converged
 
     try:
         return "done", fields(maximize_violation(
-            ineq, state, p, budget=budget, grid_points=grid, scenario=scenario
+            ineq, p.state, budget=budget, grid_points=grid, scenario=scenario,
+            full_sphere=p.full_sphere, tied_state=p.tied_state,
         ))
     except BudgetExhausted as exc:
         return "exhausted", fields(exc.best)
@@ -630,10 +626,10 @@ class TestGridTables:
 
     @pytest.mark.parametrize("name", GRID_CASES)
     def test_every_cell_matches_the_per_row_objective(self, name, reference_chunks):
-        ineq, _, p, grid, scenario = _grid_case(name)
+        ineq, p, grid, scenario = _grid_case(name)
         terms = optimize._objective_terms(ineq, p, scenario)
         scanned = list(optimize._grid_scan(terms, optimize._grid_axes(grid), p))
-        reference = reference_chunks(name)
+        reference = reference_chunks(name, p.variables)
         assert [start for start, _ in scanned] == [start for start, _ in reference]
         for (_, values), (_, expected) in zip(scanned, reference):
             assert np.array_equal(values, expected)
@@ -641,7 +637,7 @@ class TestGridTables:
 
     @pytest.mark.parametrize("name", GRID_CASES)
     def test_refinement_rows_match_the_per_row_objective(self, name):
-        ineq, _, p, _, scenario = _grid_case(name)
+        ineq, p, _, scenario = _grid_case(name)
         rows = np.random.default_rng(2).uniform(-np.pi, np.pi, size=(64, p.dimension))
         values = optimize._evaluate(optimize._objective_terms(ineq, p, scenario), p._vector_block(rows))
         expected = _reference_objective(ineq, p, scenario)(rows)
@@ -656,11 +652,9 @@ class TestGridTables:
         hybrid = derive_inequality(catalog.load_expression("hybrid.rsx"))
         variables = (x(1), x(2), y(1), y(2))
         if product:  # the state untied on the sphere
-            p = SettingsParametrization(
-                variables, mode=PRODUCT_FAMILY, tied_state=not full_sphere, full_sphere=full_sphere
-            )
+            p = SettingsParametrization(variables, PRODUCT_FAMILY, full_sphere, tied_state=not full_sphere)
         else:
-            p = SettingsParametrization(variables, rho=_random_mixed_state(4, seed=3), full_sphere=full_sphere)
+            p = SettingsParametrization(variables, _random_mixed_state(4, seed=3), full_sphere)
         terms = optimize._objective_terms(hybrid, p, None)
         width = 2 if full_sphere else 1
 
@@ -680,6 +674,8 @@ class TestGridTables:
     @pytest.mark.parametrize("budget", [10, 300, 200_000, DEFAULT_BUDGET])
     @pytest.mark.parametrize("name", GRID_CASES)
     def test_results_match_the_per_row_search(self, name, budget, reference_chunks):
-        ineq, state, p, grid, scenario = _grid_case(name)
-        expected = _reference_search(ineq, p, grid, scenario, budget, reference_chunks(name))
-        assert _outcome(ineq, state, p, grid, scenario, budget) == expected
+        ineq, p, grid, scenario = _grid_case(name)
+        # the search lists the variables sorted, so it scans chsh-reversed-16 in chsh's own order
+        p = p._replace(variables=tuple(sorted(ineq.variables(), key=VariableId.sort_key)))
+        expected = _reference_search(ineq, p, grid, scenario, budget, reference_chunks(name, p.variables))
+        assert _outcome(ineq, p, grid, scenario, budget) == expected
