@@ -42,6 +42,7 @@ DEFAULT_BUDGET = 10_000_000
 REFINEMENT_FLOOR = 1e-8
 GRID_CELL_CAP = 1 << 24
 _BATCH = 1 << 16
+ENVELOPE_SLACK = 1e-9
 
 PRODUCT_FAMILY = "product"
 
@@ -341,6 +342,17 @@ def envelope_settings(theta1: float, theta2: float) -> dict[VariableId, np.ndarr
     }
 
 
+def _envelope_layout(resolution: int) -> tuple[np.ndarray, int]:
+    """(thetas, rows per block) of the resolution^2 envelope grid over
+    [-pi, pi]^2, after checking the resolution; blocks hold about _BATCH
+    cells each."""
+    if resolution < 2:
+        raise ValueError("resolution must be at least 2")
+    if resolution**2 > GRID_CELL_CAP:
+        raise ValueError(f"resolution must be at most {math.isqrt(GRID_CELL_CAP)}, got {resolution}")
+    return np.linspace(-np.pi, np.pi, resolution), max(1, _BATCH // resolution)
+
+
 def envelope_rows(resolution: int):
     """(thetas, blocks) for the envelope over [-pi, pi]^2 on a resolution^2 grid.
 
@@ -349,12 +361,7 @@ def envelope_rows(resolution: int):
     row blocks of about _BATCH cells each, in order, so no more than one
     block is held at a time.
     """
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
-    if resolution**2 > GRID_CELL_CAP:
-        raise ValueError(f"resolution must be at most {math.isqrt(GRID_CELL_CAP)}, got {resolution}")
-    thetas = np.linspace(-np.pi, np.pi, resolution)
-    rows = max(1, _BATCH // resolution)
+    thetas, rows = _envelope_layout(resolution)
     blocks = (
         (start, tsirelson_envelope(thetas[start:start + rows, None], thetas[None, :]))
         for start in range(0, resolution, rows)
@@ -362,17 +369,57 @@ def envelope_rows(resolution: int):
     return thetas, blocks
 
 
+def _separable_rows(t1: np.ndarray, right: np.ndarray, out=None) -> np.ndarray:
+    """c2 + 2 sigma (s1 k2 - k1 s2) for sigma = +1 on the first len(t1) rows
+    and -1 on the rest, with s, k the sine and cosine of half an angle and
+    `right` the (3, N) rows cos t2, k2, s2: one (2 len(t1) x 3) @ (3 x N)
+    product."""
+    s, k = 2 * np.sin(t1 / 2), 2 * np.cos(t1 / 2)
+    left = np.ones((2 * len(t1), 3))
+    left[:, 1] = np.concatenate((s, -s))
+    left[:, 2] = np.concatenate((-k, k))
+    return np.matmul(left, right, out=out)
+
+
+def _envelope_bounds(thetas: np.ndarray, rows: int) -> list[float]:
+    """Each row block's maximum of cos t1 + cos t2 + 2|sin((t1 - t2)/2)|,
+    the envelope before its outer |.| in separable form, through one
+    reused buffer."""
+    right = np.stack((np.cos(thetas), np.cos(thetas / 2), np.sin(thetas / 2)))
+    buf = np.empty((2 * rows, len(thetas)))
+    bounds = []
+    for start in range(0, len(thetas), rows):
+        t1 = thetas[start:start + rows]
+        row_max = _separable_rows(t1, right, out=buf[:2 * len(t1)]).max(axis=1)
+        bounds.append(float((np.maximum(row_max[:len(t1)], row_max[len(t1):]) + np.cos(t1)).max()))
+    return bounds
+
+
 def scan_envelope(resolution: int) -> EnvelopeScan:
     """Maximum of the envelope over [-pi, pi]^2 on a resolution^2 grid.
 
     The maximum is the first grid cell attaining it in row-major order;
     sign-symmetric partners (t1, t2) and (-t1, -t2) carry equal values.
-    The row blocks are reduced as they arrive, so the working memory is
-    one block at any resolution.
+    sqrt(2) sqrt(1 - cos(t1 - t2)) = 2|sin(t1/2) cos(t2/2) - cos(t1/2)
+    sin(t2/2)|, so each row block is first bounded in that separable form
+    (`_envelope_bounds`; the inner sum is at least -2, so a block's bound
+    on the envelope is max(its separable maximum, 2)).  Only the blocks
+    whose bound plus ENVELOPE_SLACK reaches the largest separable maximum
+    minus ENVELOPE_SLACK are evaluated exactly, on the same row slices as
+    `envelope_rows` and in order: the two forms differ by far less than
+    the slack on every cell, so each block holding a maximal cell is
+    evaluated, and `max_value` and `argmax` carry the bits of the exact
+    scan over every cell.  The working memory is one block at any
+    resolution.
     """
-    thetas, blocks = envelope_rows(resolution)
+    thetas, rows = _envelope_layout(resolution)
+    bounds = _envelope_bounds(thetas, rows)
+    floor = max(bounds) - ENVELOPE_SLACK
     max_value, flat = -np.inf, 0
-    for start, block in blocks:
+    for start, bound in zip(range(0, resolution, rows), bounds):
+        if max(bound, 2.0) + ENVELOPE_SLACK < floor:
+            continue
+        block = tsirelson_envelope(thetas[start:start + rows, None], thetas[None, :])
         top = int(block.argmax())
         if block.flat[top] > max_value:  # strict, so ties keep the earlier block's cell
             max_value, flat = float(block.flat[top]), start * resolution + top

@@ -620,27 +620,32 @@ class TestEntryPoint:
 
 
 def _pinned_cases():
+    """(argv, golden file, exit code) for each pinned report."""
     for name in ("chsh", "cycle7", "hybrid", "kcbs", "lg", "monogamy"):
-        yield ("derive", "--input", f"{name}.rsx", "--format", "json"), f"derive_{name}.json"
+        yield ("derive", "--input", f"{name}.rsx", "--format", "json"), f"derive_{name}.json", 0
         if Path(data_file(f"{name}.scn")).exists():
             yield (("derive", "--input", f"{name}.rsx", "--scenario", f"{name}.scn", "--format", "json"),
-                   f"derive_{name}_scn.json")
+                   f"derive_{name}_scn.json", 0)
     for target in ("chsh-bound", "kcbs-bound", "lg-bound", "ncycle-bounds"):
-        yield ("reproduce", target, "--format", "json"), f"{target.replace('-', '_')}_default.json"
+        yield ("reproduce", target, "--format", "json"), f"{target.replace('-', '_')}_default.json", 0
+    for grid in (2, 7, 300, 400, 1000, 4096):  # 2, 7 and 400 miss the quantum value by more than 1e-5
+        yield (("reproduce", "tsirelson-envelope", "--grid", str(grid), "--format", "json"),
+               f"tsirelson_envelope_grid_{grid}.json", int(grid in (2, 7, 400)))
     for demo in ("01_derive_bounds", "02_joint_distributions", "03_quantum_values", "04_sequential_protocol",
                  "05_monogamy_tradeoff"):
-        yield (f"{demo}.py",), f"demo_{demo}.txt"
+        yield (f"{demo}.py",), f"demo_{demo}.txt", 0
 
 
 _PINNED = list(_pinned_cases())
 
 
-@pytest.mark.parametrize("argv, golden", _PINNED, ids=[golden for _, golden in _PINNED])
-def test_classical_reports_are_pinned(capsys, monkeypatch, argv, golden):
+@pytest.mark.parametrize("argv, golden, exit_code", _PINNED, ids=[golden for _, golden, _ in _PINNED])
+def test_classical_reports_are_pinned(capsys, monkeypatch, argv, golden, exit_code):
     """Recorded before both classical routes read one coefficient map: each
     derive report (run beside the shipped data, so "input" is its bare name),
     each bound target and the stdout of demos 01 and 05; demos 02 to 04 were
-    recorded before the catalog's per-file wrappers gave way to the loaders."""
+    recorded before the catalog's per-file wrappers gave way to the loaders,
+    and the envelope reports before the scan bounded its row blocks first."""
     if argv[0].endswith(".py"):
         root = Path(__file__).resolve().parents[1]
         src = Path(catalog.__file__).resolve().parents[1]
@@ -650,6 +655,6 @@ def test_classical_reports_are_pinned(capsys, monkeypatch, argv, golden):
     else:
         monkeypatch.chdir(data_file(""))
         code, text, err = run_cli(capsys, *argv)
-        assert code == 0, err
+        assert code == exit_code, err
         out = text.encode()
     assert out == (Path(__file__).parent / "data" / golden).read_bytes()

@@ -292,8 +292,45 @@ class TestEnvelopeScan:
             return np.ones(np.broadcast_shapes(np.shape(t1), np.shape(t2)))
 
         monkeypatch.setattr(optimize, "tsirelson_envelope", flat)
+        # the real bounds would pick block 0 alone; flat ones make both blocks candidates
+        monkeypatch.setattr(optimize, "_envelope_bounds", lambda thetas, rows: [1.0] * len(range(0, len(thetas), rows)))
         scan = scan_envelope(300)
         assert (scan.max_value, scan.argmax) == (1.0, (-np.pi, -np.pi))
+
+    @pytest.mark.parametrize("resolution, at_most", [(1000, 2), (4096, 4)])
+    def test_only_blocks_holding_a_maximal_cell_are_evaluated(self, monkeypatch, resolution, at_most):
+        """The separable bounds rule out every other block: at N = 1000 the
+        two blocks holding a maximal cell of the whole table, of 16."""
+        evaluated = []
+
+        def counting(t1, t2):
+            evaluated.append(float(t1.flat[0]))
+            return tsirelson_envelope(t1, t2)
+
+        monkeypatch.setattr(optimize, "tsirelson_envelope", counting)
+        scan = scan_envelope(resolution)
+        assert len(evaluated) <= at_most
+        if resolution == 1000:
+            thetas, values, max_value, _ = _whole_table_scan(resolution)
+            rows = optimize._envelope_layout(resolution)[1]
+            holding = sorted({int(i) // rows * rows for i in np.nonzero(values == max_value)[0]})
+            assert evaluated == [float(thetas[start]) for start in holding]
+            assert len(holding) == 2 and len(range(0, resolution, rows)) == 16
+            assert repr(scan.max_value) == repr(max_value)
+
+    @pytest.mark.parametrize("resolution", [2, 3, 7, 300, 400, 1000, 1001, 4096])
+    def test_separable_form_is_within_the_slack_on_every_cell(self, resolution):
+        """|cos t1 + max over sigma of the separable row| matches the exact
+        envelope on every cell to ENVELOPE_SLACK / 1000 (3.1e-14 at most on
+        these grids), so the slack covers the bound's rounding."""
+        thetas, rows = optimize._envelope_layout(resolution)
+        right = np.stack((np.cos(thetas), np.cos(thetas / 2), np.sin(thetas / 2)))
+        for start in range(0, resolution, rows):
+            t1 = thetas[start:start + rows]
+            products = optimize._separable_rows(t1, right)
+            separable = np.abs(np.cos(t1)[:, None] + np.maximum(products[:len(t1)], products[len(t1):]))
+            exact = tsirelson_envelope(t1[:, None], thetas[None, :])
+            assert np.abs(separable - exact).max() <= optimize.ENVELOPE_SLACK / 1000
 
     @pytest.mark.parametrize("resolution", [2, 300])
     def test_csv_matches_the_whole_table(self, resolution, capsys):
@@ -370,13 +407,15 @@ class TestEnvelopeScan:
         assert scan.max_value == pytest.approx(2.0, abs=1e-12)
 
     def test_maximum_resolution(self, monkeypatch):
-        """Past the cell cap the scan fails before it allocates anything."""
+        """Past the cell cap the scan fails before it allocates anything,
+        bound or exact."""
         assert 4096**2 == GRID_CELL_CAP
 
         def no_grid(*args):
             raise AssertionError("the envelope table was allocated")
 
         monkeypatch.setattr(optimize, "tsirelson_envelope", no_grid)
+        monkeypatch.setattr(optimize, "_envelope_bounds", no_grid)
         with pytest.raises(ValueError, match="at most 4096"):
             scan_envelope(4097)
         with pytest.raises(ValueError, match="at most 4096"):  # before a block is asked for
