@@ -204,13 +204,14 @@ def _refuse_repeated_keys(pairs):
     return data
 
 
-def _read_values(entries: dict, parse, label) -> dict:
-    """Parse each key of a JSON object; two keys that name the same thing are an error."""
+def _read_values(entries: dict, parse) -> dict:
+    """Parse each key of a JSON object into a variable set; two keys that name the same set are an error."""
     out = {}
     for key, value in entries.items():
         parsed = parse(key)
         if parsed in out:
-            raise ValueError(f"{label(parsed)} is given twice")
+            what = "correlator for" if len(parsed) == 2 else "mean of"
+            raise ValueError(f"{what} {format_varset(parsed)} is given twice")
         out[parsed] = float(value)
     return out
 
@@ -218,15 +219,12 @@ def _read_values(entries: dict, parse, label) -> dict:
 def cmd_check(args) -> int:
     scenario = parse_scenario(Path(args.scenario).read_text())
     data = json.loads(Path(args.input).read_text(), object_pairs_hook=_refuse_repeated_keys)
-    observed = _read_values(
-        data.get("correlators", {}), _pair_key, lambda pair: f"correlator for {format_varset(pair)}"
-    )
+    observed = _read_values(data.get("correlators", {}), _pair_key)
     if not observed:
         raise ValueError("no correlators found in the input file")
-    means = _read_values(
-        data.get("means", {}), lambda key: parse_variable(key.strip()), lambda var: f"mean of {var}"
-    ) or None
-    result = jd_feasibility(scenario, observed, means, tolerance=args.tolerance)
+    # a mean is the observed value of a one-variable key
+    means = _read_values(data.get("means", {}), lambda key: frozenset({parse_variable(key.strip())}))
+    result = jd_feasibility(scenario, {**observed, **means}, tolerance=args.tolerance)
     report = {
         "scenario": args.scenario,
         "input": args.input,

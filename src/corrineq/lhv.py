@@ -405,21 +405,6 @@ def _checked_value(value, what):
     return value
 
 
-def _normalize_pairs(observed):
-    out = {}
-    for key, value in observed.items():
-        pair = frozenset(key)
-        if len(pair) != 2:
-            label = format_varset(key) if all(isinstance(v, VariableId) for v in key) else repr(key)
-            raise ValueError(f"correlator key {label} must name two distinct variables")
-        if not all(isinstance(v, VariableId) for v in pair):
-            raise ValueError(f"correlator key {key!r} names a variable that is not a VariableId")
-        if pair in out:
-            raise ValueError(f"correlator for {format_varset(pair)} is given twice")
-        out[pair] = _checked_value(value, f"correlator for {format_varset(pair)}")
-    return out
-
-
 class InfeasibilityCertificate(NamedTuple):
     """A correlation inequality every DHV model obeys but the data violate.
 
@@ -443,8 +428,15 @@ class FeasibilityResult(NamedTuple):
     certificate: InfeasibilityCertificate | None = None
 
 
-def jd_feasibility(scenario, observed, means=None, tolerance=FEASIBILITY_TOL) -> FeasibilityResult:
-    """Does any joint distribution reproduce the observed correlators?
+def jd_feasibility(scenario, observed, tolerance=FEASIBILITY_TOL) -> FeasibilityResult:
+    """Does any joint distribution reproduce the observed correlators and means?
+
+    `observed` maps variable sets to observed values and is read through
+    `polynomials.coefficient_map`.  The data are moments of the ±1
+    variables: a key of two variables is a correlator, a key of one a
+    mean.  Any other key, and a value not finite or outside [-1, 1], raise
+    ValueError.  The LP rows after the normalization row are the
+    correlators, then the means, each group in column order.
 
     The LP asks for convex weights over the deterministic assignments of
     the scenario's variables, and is solved by column generation.  A
@@ -469,8 +461,7 @@ def jd_feasibility(scenario, observed, means=None, tolerance=FEASIBILITY_TOL) ->
     certificate's violation is at most `tolerance`, the data count as
     feasible within tolerance: the result is feasible, has no model, and
     carries the certificate.  A tolerance that is negative, infinite or
-    NaN raises ValueError, and so does a correlator or mean key naming
-    anything but VariableIds.
+    NaN raises ValueError.
     """
     if not 0.0 <= tolerance < np.inf:  # false for NaN too
         raise ValueError(f"tolerance is {tolerance}, expected a finite non-negative number")
@@ -478,22 +469,20 @@ def jd_feasibility(scenario, observed, means=None, tolerance=FEASIBILITY_TOL) ->
     n = len(form.variables)
     if n > FEASIBILITY_VARIABLE_CAP:
         raise TooManyVariables(f"{n} variables exceeds the cap of {FEASIBILITY_VARIABLE_CAP}")
-    pairs = _normalize_pairs(observed)
-    for var in means or ():
-        if not isinstance(var, VariableId):
-            raise ValueError(f"mean key {var!r} is not a VariableId")
-    means = {var: _checked_value(value, f"mean of {var}") for var, value in (means or {}).items()}
-    named = [var for pair in pairs for var in sorted(pair, key=VariableId.sort_key)]
-    for what, named in (("correlator", named), ("mean", means)):
-        for var in named:
+    data = {}
+    for key, value in coefficient_map(observed).items():
+        name = format_varset(key)
+        if len(key) not in (1, 2):
+            raise ValueError(f"observed key {name or '()'} names {len(key)} variables, expected one or two")
+        data[key] = _checked_value(value, f"correlator for {name}" if len(key) == 2 else f"mean of {name}")
+        for var in sorted(key, key=VariableId.sort_key):
             if var not in form.col:
-                raise UndeclaredVariable(f"{what} names undeclared {var}")
+                raise UndeclaredVariable(f"{'correlator' if len(key) == 2 else 'mean'} names undeclared {var}")
 
-    pair_keys = sorted(pairs, key=form.cols)
-    mean_keys = sorted(means, key=form.col.get)
-    # LP rows after the normalization row, as monomials over variable columns
-    monomials = [form.cols(pair) for pair in pair_keys] + [(form.col[var],) for var in mean_keys]
-    rhs = np.array([1.0] + [pairs[p] for p in pair_keys] + [means[v] for v in mean_keys])
+    # the LP rows after the normalization row, as monomials over variable columns
+    keys = sorted(data, key=lambda key: (len(key) == 1, form.cols(key)))
+    monomials = [form.cols(key) for key in keys]
+    rhs = np.array([1.0] + [data[key] for key in keys])
 
     masks = _masks(n, monomials)
     plan = _SplitPlan(n, masks)
@@ -544,7 +533,8 @@ def jd_feasibility(scenario, observed, means=None, tolerance=FEASIBILITY_TOL) ->
     for coeff, value in zip(coeffs, rhs[1:].tolist()):
         observed_value += coeff * value
     certificate = InfeasibilityCertificate(
-        dict(zip(pair_keys, coeffs)), dict(zip(mean_keys, coeffs[len(pair_keys):])),
+        {key: c for key, c in zip(keys, coeffs) if len(key) == 2},
+        {var: c for key, c in zip(keys, coeffs) if len(key) == 1 for var in key},
         bound=float(row_max.max()), observed_value=observed_value,
     )
     return FeasibilityResult(certificate.violation <= tolerance, certificate=certificate)

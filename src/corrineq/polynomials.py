@@ -53,17 +53,23 @@ def coefficient_map(form) -> dict:
 
     A key may be any iterable of VariableIds, the empty one keying the
     constant; zero coefficients are kept.  A key naming anything else,
-    such as the string "X1", or a set given twice, such as (X1, Y1) and
-    (Y1, X1), raises ValueError.
+    such as the string "X1", a bare VariableId, a key naming one
+    variable twice, such as (X1, X1), whose product is the constant and
+    not X1, and a set given twice, such as (X1, Y1) and (Y1, X1), raise
+    ValueError.
     """
     out = {}
     for key, coeff in form.terms if isinstance(form, CorrelationInequality) else form.items():
-        varset = frozenset(key)
+        if isinstance(key, VariableId):  # X1's own key is the set {X1}
+            raise ValueError(f"key {key} is a variable, not a set of variables")
+        varset = frozenset(key)  # a frozenset key is returned as it is, with no hashing
         for v in varset:
             if not isinstance(v, VariableId):
                 raise ValueError(f"key {key!r} names a variable that is not a VariableId")
+        if varset is not key and len(varset) < len(tuple(key)):
+            raise ValueError(f"key {format_varset(tuple(key))} names a variable twice")
         if varset in out:
-            raise ValueError(f"the coefficient of {format_varset(varset) or 'the constant'} is given twice")
+            raise ValueError(f"{format_varset(varset) or 'the constant'} is given twice")
         out[varset] = coeff
     return out
 

@@ -26,9 +26,10 @@ import numpy as np
 
 from . import catalog
 from .dsl import VariableId
+from .errors import DimensionMismatch
 from .lhv import _assignment_rows
 from .polynomials import derive_inequality, format_varset
-from .quantum import _embed, projectors, qubit_layout, validate_density
+from .quantum import _embed, direction_for, projectors, qubit_layout, validate_density
 
 DRAWS_PER_SHOT = 2  # one joint draw at each of the two time slots
 WORD_BITS = 53  # a word is the top 53 bits of the mixed counter: u = word / 2^53
@@ -179,7 +180,7 @@ def _slots(choice, settings):
     slots = []
     for slot in range(DRAWS_PER_SHOT):
         variables = [var for var in measured if _SLOT[var] == slot]
-        ops = [[_embed(p, _QUBIT[var]) for p in projectors(settings[var])] for var in variables]
+        ops = [[_embed(p, _QUBIT[var]) for p in projectors(direction_for(settings, var))] for var in variables]
         signs = _SLOT_SIGNS[len(variables)]
         projs = []
         for row in signs:
@@ -196,8 +197,12 @@ def _choice_tables(rho, choice, settings):
 
     Returns (slot variable lists, each slot's int8 sign matrix, p1 over
     slot-1 outcomes, conditional p2[o1] over slot-2 outcomes), each
-    probability from the Born rule with collapse between slots.
+    probability from the Born rule with collapse between slots.  Every
+    sampler starts here, so here `rho` must be a valid two-qubit state.
     """
+    rho = validate_density(np.asarray(rho, dtype=complex))
+    if rho.shape != (4, 4):
+        raise DimensionMismatch("the protocol simulates a two-qubit state, got a 2x2 state")
     (vars1, signs1, projs1), (vars2, signs2, projs2) = _slots(choice, settings)
     p1 = np.zeros(len(projs1))
     p2 = np.zeros((len(projs1), len(projs2)))
@@ -229,9 +234,6 @@ def simulate_shot(rho, choice, settings, seed, shot_index=0, salt=0) -> ShotReco
     Draw 0 picks the early slot's joint outcome from the Born-rule tables'
     p1, draw 1 the late slot's from p2 given it; outcomes are per variable.
     """
-    rho = validate_density(np.asarray(rho, dtype=complex))
-    if rho.shape != (4, 4):
-        raise ValueError("the protocol simulates a two-qubit state")
     rng = CounterRng(seed, salt)
     vars1, vars2, signs1, signs2, p1, p2 = _choice_tables(rho, choice, settings)
 
@@ -284,7 +286,6 @@ def _sampler(vars1, vars2, signs1, signs2, p1, p2) -> ChoiceSampler:
 
 def choice_sampler(rho, choice, settings) -> ChoiceSampler:
     """The sampler of one choice on one state; build once, sample many blocks."""
-    rho = validate_density(np.asarray(rho, dtype=complex))
     return _sampler(*_choice_tables(rho, choice, settings))
 
 

@@ -179,6 +179,14 @@ def term_order(variables, qubit) -> list:
     return sorted(variables, key=lambda v: (qubit[v], v.sort_key()))
 
 
+def direction_for(settings, var) -> np.ndarray:
+    """The measurement direction `settings` gives `var`; MissingSetting when it gives none."""
+    try:
+        return settings[var]
+    except KeyError:
+        raise MissingSetting(f"no direction given for {var}") from None
+
+
 def evaluate_inequality_quantum(ineq, rho, settings, scenario=None) -> float:
     """Signed sum of per-term correlators on a one- or two-qubit state.
 
@@ -191,20 +199,13 @@ def evaluate_inequality_quantum(ineq, rho, settings, scenario=None) -> float:
     """
     rho = validate_density(rho)
     qubit = qubit_layout(ineq.variables(), scenario)
-
-    def setting(var):
-        try:
-            return settings[var]
-        except KeyError:
-            raise MissingSetting(f"no direction given for {var}") from None
-
     total = 0.0
     for mono in ineq.terms:
         a, b = term_order(mono.variables, qubit)
         if qubit[a] == qubit[b]:
-            value = sequential_correlator(rho, setting(a), setting(b), qubit[a])
+            value = sequential_correlator(rho, direction_for(settings, a), direction_for(settings, b), qubit[a])
         else:
-            value = spatial_correlator(rho, setting(a), setting(b))
+            value = spatial_correlator(rho, direction_for(settings, a), direction_for(settings, b))
         total += mono.coefficient * value
     return total
 

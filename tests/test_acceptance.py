@@ -182,8 +182,8 @@ def test_criterion_09_jd_feasibility():
     for _ in range(100):
         model = random_dhv_model(names, rng, support_size=int(rng.integers(1, 8)))
         observed = {pair: model.correlator(*sorted(pair)) for pair in pairs}
-        means = {v: model.mean(v) for v in names}
-        result = jd_feasibility(scenario, observed, means)
+        means = {frozenset({v}): model.mean(v) for v in names}
+        result = jd_feasibility(scenario, {**observed, **means})
         if not result.feasible:
             failures += 1
     assert failures == 0

@@ -631,6 +631,21 @@ def _pinned_cases():
     for grid in (2, 7, 300, 400, 1000, 4096):  # 2, 7 and 400 miss the quantum value by more than 1e-5
         yield (("reproduce", "tsirelson-envelope", "--grid", str(grid), "--format", "json"),
                f"tsirelson_envelope_grid_{grid}.json", int(grid in (2, 7, 400)))
+    # check reports run from the repository root, beside the scenarios and the inputs they name
+    scenarios = {"chsh": "src/corrineq/data/chsh.scn", "monogamy": "src/corrineq/data/monogamy.scn",
+                 "cycle-9": "tests/data/check_inputs/cycle-9.scn", "mixed": "tests/data/check_inputs/mixed.scn"}
+    checks = [("perfbench/inputs/chsh_feasible.json", 0), ("perfbench/inputs/chsh_infeasible.json", 1)]
+    checks += [(f"tests/data/check_inputs/{name}.json", code) for name, code in (
+        ("chsh-means-feasible", 0), ("chsh-means-infeasible", 1), ("chsh-tsirelson-means", 1),
+        ("monogamy-pentagon", 1),
+        *((f"{scn}-{side}{means}", int(side == "outside"))
+          for scn in ("cycle-9", "mixed") for side in ("inside", "outside") for means in ("", "-means")),
+    )]
+    for path, code in checks:
+        stem = Path(path).stem
+        scenario = next(scn for prefix, scn in scenarios.items() if stem.startswith(prefix))
+        yield (("check", "--input", path, "--scenario", scenario, "--format", "json"),
+               f"check_{stem.replace('-', '_')}.json", code)
     for demo in ("01_derive_bounds", "02_joint_distributions", "03_quantum_values", "04_sequential_protocol",
                  "05_monogamy_tradeoff"):
         yield (f"{demo}.py",), f"demo_{demo}.txt", 0
@@ -645,15 +660,17 @@ def test_classical_reports_are_pinned(capsys, monkeypatch, argv, golden, exit_co
     derive report (run beside the shipped data, so "input" is its bare name),
     each bound target and the stdout of demos 01 and 05; demos 02 to 04 were
     recorded before the catalog's per-file wrappers gave way to the loaders,
-    and the envelope reports before the scan bounded its row blocks first."""
+    the envelope reports before the scan bounded its row blocks first, and
+    the check reports before jd_feasibility read means as degree-1 keys of
+    its one observed-value map."""
+    root = Path(__file__).resolve().parents[1]
     if argv[0].endswith(".py"):
-        root = Path(__file__).resolve().parents[1]
         src = Path(catalog.__file__).resolve().parents[1]
         proc = subprocess.run([sys.executable, str(root / "demos" / argv[0])], capture_output=True, check=True,
                               cwd=root, env={**os.environ, "PYTHONPATH": str(src)})
         out = proc.stdout
     else:
-        monkeypatch.chdir(data_file(""))
+        monkeypatch.chdir(root if argv[0] == "check" else data_file(""))
         code, text, err = run_cli(capsys, *argv)
         assert code == exit_code, err
         out = text.encode()

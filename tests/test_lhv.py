@@ -25,6 +25,7 @@ from corrineq.errors import (
     ProvisoViolated,
     TermOutsideContext,
     TooManyVariables,
+    UndeclaredVariable,
 )
 from corrineq.lhv import (
     DeterministicAssignment,
@@ -407,6 +408,19 @@ class TestInputForms:
         with pytest.raises(ValueError, match="given twice"):
             classical_extrema({(x(1), y(1)): 1, (y(1), x(1)): 1})
 
+    @pytest.mark.parametrize("route", [
+        lambda: classical_extrema({(x(1), x(1)): 3}),
+        lambda: nodisturbance_optimum(catalog.load_scenario("chsh.scn"), {(x(1), y(1)): 1, (x(1), x(1)): 1}),
+        lambda: jd_feasibility(catalog.load_scenario("chsh.scn"), {(x(1), y(1)): 0.5, (x(1), x(1)): 0.5}),
+    ], ids=["extrema", "nodisturbance", "feasibility"])
+    def test_a_key_naming_a_variable_twice_raises(self, route):
+        """X1·X1 = 1, so (X1, X1) keys the constant; read as the set {X1}, it
+        made classical_extrema report -3 and 3 for the constant 3, and would
+        make jd_feasibility read a correlator as a mean."""
+        with pytest.raises(ValueError) as excinfo:
+            route()
+        assert str(excinfo.value) == "key X1X1 names a variable twice"
+
     def test_a_string_variable_raises(self):
         """It once failed with AttributeError: 'str' object has no attribute 'letter'."""
         with pytest.raises(ValueError) as excinfo:
@@ -788,7 +802,7 @@ class TestJdFeasibility:
                 pair: model.correlator(*sorted(pair)) for pair in pairs
             }
             means = {v: model.mean(v) for v in names}
-            result = jd_feasibility(scenario, observed, means)
+            result = jd_feasibility(scenario, with_means(observed, means))
             assert result.feasible
             for pair, value in observed.items():
                 assert result.model.correlator(*sorted(pair)) == pytest.approx(
@@ -827,7 +841,7 @@ class TestJdFeasibility:
         observed = {(x(9), x(10)): 0.1, (x(10), x(9)): 0.1}
         with pytest.raises(ValueError) as excinfo:
             jd_feasibility(catalog.load_scenario("chsh.scn"), observed)
-        assert str(excinfo.value) == "correlator for X9X10 is given twice"
+        assert str(excinfo.value) == "X9X10 is given twice"
 
     @pytest.mark.parametrize("key, label", [
         ((x(1), x(1)), "X1X1"),
@@ -837,20 +851,59 @@ class TestJdFeasibility:
     def test_bad_key_is_named_in_variable_order(self, key, label):
         """The key used to print raw: VariableId reprs, or a frozenset in hash-seed order."""
         with pytest.raises(ValueError) as excinfo:
-            jd_feasibility(catalog.load_scenario("chsh.scn"), {key: 0.5})
-        assert str(excinfo.value) == f"correlator key {label} must name two distinct variables"
+            jd_feasibility(catalog.load_scenario("chsh.scn"), {(x(1), y(1)): 0.5, key: 0.5})
+        assert str(excinfo.value) == {
+            "X1X1": "key X1X1 names a variable twice",  # not a mean of X1: X1·X1 = 1
+            "X1X2Y1": "observed key X1X2Y1 names 3 variables, expected one or two",
+            "'X1Y1'": "key 'X1Y1' names a variable that is not a VariableId",
+        }[label]
+
+    def test_a_bare_variable_key_raises(self):
+        """The key of X1's mean is the set {X1}; X1 alone once failed with TypeError: not iterable."""
+        with pytest.raises(ValueError) as excinfo:
+            jd_feasibility(catalog.load_scenario("chsh.scn"), {(x(1), y(1)): 0.5, x(1): 0.1})
+        assert str(excinfo.value) == "key X1 is a variable, not a set of variables"
+
+    def test_a_key_of_no_variable_raises(self):
+        """The constant is no observed value: every assignment gives it 1."""
+        with pytest.raises(ValueError) as excinfo:
+            jd_feasibility(catalog.load_scenario("chsh.scn"), {(x(1), y(1)): 0.5, (): 1.0})
+        assert str(excinfo.value) == "observed key () names 0 variables, expected one or two"
 
     def test_a_string_variable_raises(self):
         """It once failed with AttributeError: 'str' object has no attribute 'letter'."""
         with pytest.raises(ValueError) as excinfo:
             jd_feasibility(catalog.load_scenario("chsh.scn"), {("X1", "Y1"): 0.5})
-        assert str(excinfo.value) == "correlator key ('X1', 'Y1') names a variable that is not a VariableId"
+        assert str(excinfo.value) == "key ('X1', 'Y1') names a variable that is not a VariableId"
 
     def test_a_string_mean_key_raises(self):
         """It once raised UndeclaredVariable: mean names undeclared X1, although X1 is declared."""
         with pytest.raises(ValueError) as excinfo:
-            jd_feasibility(catalog.load_scenario("chsh.scn"), {(x(1), y(1)): 0.5}, means={"X1": 0.1})
-        assert str(excinfo.value) == "mean key 'X1' is not a VariableId"
+            jd_feasibility(catalog.load_scenario("chsh.scn"), {(x(1), y(1)): 0.5, "X1": 0.1})
+        assert str(excinfo.value) == "key 'X1' names a variable that is not a VariableId"
+
+    @pytest.mark.parametrize("observed, error, message", [
+        ({(x(1), y(1)): 0.5, (x(1),): 1.5}, ValueError, "mean of X1 is 1.5, outside [-1, 1]"),
+        ({(x(1), y(1)): 0.5, (x(9),): 0.5}, UndeclaredVariable, "mean names undeclared X9"),
+        ({(x(1), x(9)): 0.5}, UndeclaredVariable, "correlator names undeclared X9"),
+    ])
+    def test_messages_name_the_value_by_its_degree(self, observed, error, message):
+        with pytest.raises(error) as excinfo:
+            jd_feasibility(catalog.load_scenario("chsh.scn"), observed)
+        assert str(excinfo.value) == message
+
+    def test_key_order_leaves_every_bit(self):
+        """The rows are the correlators, then the means, each in column order, however the map lists them."""
+        scenario = catalog.load_scenario("chsh.scn")
+        r = INV_SQRT2
+        observed = {(x(1), y(1)): r, (x(1), y(2)): r, (x(2), y(1)): r, (x(2), y(2)): -r,
+                    (x(1),): 0.1, (x(2),): -0.2, (y(1),): 0.0, (y(2),): 0.3}
+        forward = jd_feasibility(scenario, observed)
+        backward = jd_feasibility(scenario, {tuple(reversed(k)): v for k, v in reversed(observed.items())})
+        assert not forward.feasible
+        assert forward.certificate == backward.certificate
+        assert list(forward.certificate.pair_coefficients) == [frozenset(k) for k in list(observed)[:4]]
+        assert list(forward.certificate.mean_coefficients) == [x(1), x(2), y(1), y(2)]
 
     def test_bad_key_message_does_not_depend_on_hash_seed(self):
         code = (
@@ -869,7 +922,7 @@ class TestJdFeasibility:
             ).stdout
             for seed in ("1", "2")
         }
-        assert messages == {"correlator key X1X2Y1Y2 must name two distinct variables\n"}
+        assert messages == {"observed key X1X2Y1Y2 names 4 variables, expected one or two\n"}
 
     @pytest.mark.parametrize("value, complaint", [
         (1.5, "is 1.5, outside [-1, 1]"),
@@ -880,6 +933,11 @@ class TestJdFeasibility:
         with pytest.raises(ValueError) as excinfo:
             jd_feasibility(catalog.load_scenario("chsh.scn"), {(y(1), x(1)): value})
         assert str(excinfo.value) == f"correlator for X1Y1 {complaint}"
+
+
+def with_means(observed, means):
+    """One observed-value map: each mean is the value of its variable's one-variable key."""
+    return {**observed, **{frozenset({var}): value for var, value in means.items()}}
 
 
 def dense_feasibility(variables, observed, means):
@@ -957,7 +1015,7 @@ class TestJdColumnGeneration:
         ref_feasible, ref_violation = dense_feasibility(variables, observed, means)
         assert ref_feasible == feasible
         scenario = ScenarioSpec(variables, {v: "X" for v in variables})
-        result = jd_feasibility(scenario, observed, means)
+        result = jd_feasibility(scenario, with_means(observed, means))
         assert result.feasible == ref_feasible
         if result.feasible:
             assert_witness(result.model, observed, means, 1e-9)
@@ -1031,7 +1089,7 @@ class TestJdColumnGeneration:
     ])
     def test_rejects_non_finite_and_out_of_range_inputs(self, observed, means):
         with pytest.raises(ValueError):
-            jd_feasibility(catalog.load_scenario("chsh.scn"), observed, means)
+            jd_feasibility(catalog.load_scenario("chsh.scn"), with_means(observed, means or {}))
 
     @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1e-9])
     def test_rejects_bad_tolerance(self, tolerance):
@@ -1070,9 +1128,13 @@ class TestNoDisturbance:
 
     @pytest.mark.parametrize("key, label", [((x(1),), "X1"), ((x(1), x(1)), "X1"), ((x(1), y(1), y(2)), "X1Y1Y2")])
     def test_a_key_of_one_or_three_variables_raises(self, key, label):
-        """These once failed to unpack: not enough values, or too many."""
-        with pytest.raises(ValueError, match=f"objective key {label} must name two distinct variables"):
+        """These once failed to unpack: not enough values, or too many.
+        (X1, X1) is refused as it is read, since X1·X1 is the constant."""
+        with pytest.raises(ValueError) as excinfo:
             nodisturbance_optimum(catalog.load_scenario("chsh.scn"), {key: 1.0}, "max")
+        assert str(excinfo.value) == (
+            "key X1X1 names a variable twice" if len(set(key)) < len(key)
+            else f"objective key {label} must name two distinct variables")
 
     def test_a_string_variable_raises(self):
         """It once failed with AttributeError: 'str' object has no attribute 'letter'."""

@@ -294,6 +294,20 @@ class TestCoefficientMap:
                 MultilinearPoly(form)
 
 
+    @pytest.mark.parametrize("key, name", [((x(1), x(1)), "X1X1"), ((y(2), x(1), y(2)), "X1Y2Y2")])
+    def test_a_key_naming_a_variable_twice_raises(self, key, name):
+        """The product of a variable with itself is 1, not the variable."""
+        for read in (coefficient_map, MultilinearPoly):
+            with pytest.raises(ValueError) as excinfo:
+                read({key: 1})
+            assert str(excinfo.value) == f"key {name} names a variable twice"
+
+    def test_a_set_given_twice_is_named_in_variable_order(self):
+        with pytest.raises(ValueError) as excinfo:
+            coefficient_map({(x(9), x(10)): 1, (x(10), x(9)): 1})
+        assert str(excinfo.value) == "X9X10 is given twice"
+
+
 class TestFormatting:
     def test_coefficients_in_output(self):
         ineq = derive_inequality(parse_sos("(2*X1 - Y1)^2 >= 1"))

@@ -16,6 +16,7 @@ import corrineq
 from corrineq import protocol
 from corrineq.cli import main
 from corrineq.dsl import VariableId
+from corrineq.errors import DimensionMismatch, MissingSetting
 from corrineq.lhv import _assignment_rows
 from corrineq.polynomials import format_varset
 
@@ -42,6 +43,7 @@ from corrineq.protocol import (
 )
 from corrineq.quantum import (
     hybrid_settings,
+    maximally_mixed,
     plane_vector,
     product_state,
     sequential_correlator,
@@ -449,7 +451,7 @@ class TestSingleShot:
             assert record.product(frozenset({X1, X2})) == 1
 
     def test_requires_two_qubit_state(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionMismatch, match="^the protocol simulates a two-qubit state, got a 2x2 state$"):
             simulate_shot(
                 np.eye(2) / 2, MeasurementChoice((X1,), ()), SETTINGS, seed=0
             )
@@ -792,3 +794,27 @@ class TestSignaling:
         assert report.p_alone == 1.0
         assert report.p_after_y1 == 1.0
         assert report.z_score == 0.0
+
+
+class TestEstimatorInputs:
+    """The estimators' samplers check the state and the settings where the
+    shot simulator does, so a bad input fails with the package's message."""
+
+    @pytest.mark.parametrize("estimator", [estimate_f, signaling_test])
+    def test_one_qubit_state_is_refused(self, estimator):
+        """It once failed inside numpy with matmul's core-dimension message."""
+        with pytest.raises(DimensionMismatch) as excinfo:
+            estimator(maximally_mixed(2), SETTINGS, 100, 7)
+        assert str(excinfo.value) == "the protocol simulates a two-qubit state, got a 2x2 state"
+
+    @pytest.mark.parametrize("run", [
+        lambda settings: estimate_f(singlet_state(), settings, 100, 7),
+        lambda settings: signaling_test(singlet_state(), settings, 100, 7),
+        lambda settings: simulate_shot(singlet_state(), MeasurementChoice((), (Y1, Y2)), settings, 7),
+    ], ids=["estimate_f", "signaling_test", "simulate_shot"])
+    def test_missing_setting_is_named(self, run):
+        """It once raised a bare KeyError printing VariableId(letter='Y', index=2)."""
+        settings = {var: vec for var, vec in SETTINGS.items() if var != Y2}
+        with pytest.raises(MissingSetting) as excinfo:
+            run(settings)
+        assert str(excinfo.value) == "no direction given for Y2"
