@@ -10,6 +10,7 @@ machine-readable record (sorted keys, fixed seeds, no timestamps), and
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -251,7 +252,7 @@ def cmd_check(args) -> int:
             "observed_value": cert.observed_value,
             "violation": cert.violation,
         }
-        if not cert.mean_coefficients:
+        if not any(cert.mean_coefficients.values()):  # the combination reads correlators alone
             try:
                 nd = nodisturbance_optimum(scenario, cert.pair_coefficients, "max")
                 report["certificate"]["nodisturbance_max"] = nd.value
@@ -519,7 +520,14 @@ def seed(text) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first call (not at import).
+
+    It holds no per-call state: `parse_args` returns a fresh namespace
+    each time, and the commands look up the functions they call when they
+    run.
+    """
     parser = argparse.ArgumentParser(
         prog="corrineq",
         description="Derive, bound, check, and simulate correlation inequalities.",

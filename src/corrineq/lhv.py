@@ -528,7 +528,7 @@ def jd_feasibility(scenario, observed, tolerance=FEASIBILITY_TOL) -> Feasibility
 
     if solution.status != INFEASIBLE:
         raise ArithmeticError(f"feasibility LP came back {solution.status}")
-    coeffs = [float(c) for c in y[1:]]
+    coeffs = (y[1:] + 0.0).tolist()  # + 0.0 turns any -0.0 of the Farkas vector into +0.0
     observed_value = 0.0
     for coeff, value in zip(coeffs, rhs[1:].tolist()):
         observed_value += coeff * value

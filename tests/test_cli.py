@@ -1,5 +1,6 @@
 """End-to-end command tests driven through main()."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -601,6 +602,54 @@ class TestParser:
         assert tuple(target.choices) == TARGETS + ("all",)
 
 
+class TestParserReuse:
+    """main() builds one parser per process; no call may see another's state."""
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_later_calls_construct_no_parser(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        build_parser.cache_clear()
+        counts = []
+        for _ in range(3):
+            assert run_cli(capsys, "reproduce", "chsh-bound", "--format", "json")[0] == 0
+            counts.append(len(built))
+        assert counts == [4, 4, 4]  # the parser and its three subcommands, all on the first call
+
+    def test_seed_falls_back_to_its_default(self, capsys):
+        reports = [json.loads(run_cli(capsys, "reproduce", "s2-identity", *argv, "--format", "json")[1])
+                   for argv in (("--seed", "7"), ())]
+        assert [r["seed"] for r in reports] == [7, 12345]
+
+    def test_usage_error_leaves_no_trace(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["reproduce", "s2-identity", "--seed", "-1", "--format", "json"])
+        assert exit_info.value.code == 2
+        capsys.readouterr()
+        code, out, err = run_cli(capsys, "reproduce", "s2-identity", "--format", "json")
+        assert (code, err) == (0, "")
+        assert out.encode() == (Path(__file__).parent / "data" / "s2_identity_default.json").read_bytes()
+
+    @pytest.mark.parametrize("argv", [("--help",), ("reproduce", "--help")])
+    def test_help_is_the_same_every_time(self, capsys, argv):
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exit_info:
+                main(list(argv))
+            assert exit_info.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0].startswith("usage: corrineq")
+        assert texts[0] == texts[1]
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(
@@ -662,7 +711,9 @@ def test_classical_reports_are_pinned(capsys, monkeypatch, argv, golden, exit_co
     recorded before the catalog's per-file wrappers gave way to the loaders,
     the envelope reports before the scan bounded its row blocks first, and
     the check reports before jd_feasibility read means as degree-1 keys of
-    its one observed-value map."""
+    its one observed-value map.  Four check reports with means were
+    recorded again when certificates stopped printing -0.0 and check
+    gave nodisturbance_max whenever no mean coefficient is nonzero."""
     root = Path(__file__).resolve().parents[1]
     if argv[0].endswith(".py"):
         src = Path(catalog.__file__).resolve().parents[1]

@@ -905,6 +905,15 @@ class TestJdFeasibility:
         assert list(forward.certificate.pair_coefficients) == [frozenset(k) for k in list(observed)[:4]]
         assert list(forward.certificate.mean_coefficients) == [x(1), x(2), y(1), y(2)]
 
+    def test_certificate_has_no_signed_zero(self):
+        """The Farkas vector of this point holds -0.0 for X2Y2; the certificate prints it as 0.0."""
+        observed = {(x(1), y(1)): 0.4, (x(1), y(2)): 0.4, (x(2), y(1)): 0.4, (x(2), y(2)): -0.4,
+                    (y(1),): -0.9, (x(1),): 0.9}
+        cert = jd_feasibility(catalog.load_scenario("chsh.scn"), observed).certificate
+        coeffs = [*cert.pair_coefficients.values(), *cert.mean_coefficients.values()]
+        assert 0.0 in coeffs
+        assert all(math.copysign(1.0, c) == 1.0 for c in coeffs if c == 0.0)
+
     def test_bad_key_message_does_not_depend_on_hash_seed(self):
         code = (
             "from corrineq import catalog; from corrineq.dsl import VariableId as V; "
