@@ -63,6 +63,10 @@ class NonUnitVector(ValueError):
     """A Bloch direction does not have unit length."""
 
 
+class NotAShotRange(ValueError):
+    """Shot ids were given as anything but a range with step 1."""
+
+
 class NotHermitian(ValueError):
     """A matrix expected to be Hermitian is not, beyond tolerance."""
 

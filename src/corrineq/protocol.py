@@ -7,11 +7,13 @@ pooled into the hybrid combination with propagated standard errors.
 The choices, time slots, qubits and usable pairs all follow from the
 shipped hybrid scenario (hybrid.scn).
 
-Randomness is a counter-based stream: draw d of shot s hashes
-(seed, salt, 2s + d) through a 64-bit mixer, so any shot can be
-generated independently and results never depend on chunking.  The
-estimators build each choice's sampler once per call and count its
-joint outcomes block by block.
+Randomness is a counter-based stream: draw d of shot s hashes the
+counter key(seed, salt) + (2s + d)·golden through a 64-bit mixer, so
+any shot can be generated independently and results never depend on
+chunking.  The estimators check the state and embed the projectors once
+per call, build each choice's sampler once, and count its joint outcomes
+over blocks of consecutive shots, whose counters are one scalar plus a
+ramp fixed per call; a slot with a certain outcome draws no words.
 """
 
 from __future__ import annotations
@@ -26,18 +28,19 @@ import numpy as np
 
 from . import catalog
 from .dsl import VariableId
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NotAShotRange
 from .lhv import _assignment_rows
 from .polynomials import derive_inequality, format_varset
 from .quantum import _embed, direction_for, projectors, qubit_layout, validate_density
 
 DRAWS_PER_SHOT = 2  # one joint draw at each of the two time slots
 WORD_BITS = 53  # a word is the top 53 bits of the mixed counter: u = word / 2^53
-BLOCK_SHOTS = 1 << 16  # shots per simulate_choice_block call; ~2 MB of buffers, about an L2 cache
+BLOCK_SHOTS = 1 << 16  # shots per simulate_choice_block call; 4 uint64 arrays, a mask and picks: ~2 MB, an L2 cache
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
-_STRIDE = np.uint64(DRAWS_PER_SHOT * _GOLDEN & _MASK)
+_STRIDE = np.uint64(DRAWS_PER_SHOT * _GOLDEN & _MASK)  # the counter step from one shot to the next
+_GROUP = 1 << WORD_BITS  # the span of a word; slot-1 pick i puts a shot's key in group [i·2^53, (i + 1)·2^53)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
@@ -75,31 +78,41 @@ def _key(seed: int, salt: int) -> int:
     return int(_mix64(base ^ salted))
 
 
+def _shot_range(shot_ids) -> range:
+    if isinstance(shot_ids, range) and shot_ids.step == 1:
+        return shot_ids
+    raise NotAShotRange(f"shot ids must be a range with step 1, got {shot_ids!r:.40}")
+
+
 class CounterRng:
     """Stateless uniform stream: value = f(seed, salt, counter).
 
-    words(shots, draw) returns one 53-bit uint64 word per shot index,
-    the top bits of the mixed counter word; uniforms(shots, draw) is
-    the same stream as float64 in [0, 1), word / 2^53.
+    Shot ids come as a range with step 1.  mixed(shots, draw) is each
+    shot's mixed 64-bit counter, words(shots, draw) its top 53 bits, and
+    uniforms(shots, draw) the same stream as float64 in [0, 1), word / 2^53.
     """
 
     def __init__(self, seed: int, salt: int = 0):
         self.key = _key(seed, salt)
 
-    def words(self, shot_indices, draw: int, out=None, scratch=None) -> np.ndarray:
-        """mix64(key + (2·shot + draw)·golden) >> 11, in place in out; scratch: the mixer's (both new if None)."""
-        idx = np.asarray(shot_indices, dtype=np.uint64)
-        z = np.multiply(idx, _STRIDE, out=out)
-        z += np.uint64((self.key + draw * _GOLDEN) & _MASK)
-        z = _mix64(z, scratch)
-        z >>= np.uint64(64 - WORD_BITS)
-        return z
+    def mixed(self, shot_ids, draw: int, out=None, scratch=None, steps=None) -> np.ndarray:
+        """mix64(key + (2·shot + draw)·golden), in place in out; steps: the shots' counter steps
+        0, 2·golden, 4·golden, ... as `_buffers` holds them; scratch: the mixer's (each new if None)."""
+        shots = _shot_range(shot_ids)
+        steps = np.arange(len(shots), dtype=np.uint64) * _STRIDE if steps is None else steps
+        first = (self.key + (DRAWS_PER_SHOT * shots.start + draw) * _GOLDEN) & _MASK
+        return _mix64(np.add(steps, np.uint64(first), out=out), scratch)
 
-    def uniforms(self, shot_indices, draw: int) -> np.ndarray:
-        return self.words(shot_indices, draw) / float(1 << WORD_BITS)
+    def words(self, shot_ids, draw: int, out=None, scratch=None, steps=None) -> np.ndarray:
+        """The top 53 bits of `mixed`, in place in out."""
+        z = self.mixed(shot_ids, draw, out, scratch, steps)
+        return np.right_shift(z, np.uint64(64 - WORD_BITS), out=z)
+
+    def uniforms(self, shot_ids, draw: int) -> np.ndarray:
+        return self.words(shot_ids, draw) / float(_GROUP)
 
     def uniform(self, shot_index: int, draw: int) -> float:
-        return float(self.uniforms(np.array([shot_index], dtype=np.uint64), draw)[0])
+        return float(self.uniforms(range(shot_index, shot_index + 1), draw)[0])
 
 
 class MeasurementChoice(NamedTuple):
@@ -167,43 +180,50 @@ class ShotRecord(NamedTuple):
         return self.outcomes[a] * self.outcomes[b]
 
 
-def _slots(choice, settings):
+def _prepared(rho, settings, choices):
+    """`rho` checked as a two-qubit state, and the projectors (+1, -1) on its party's qubit of each
+    variable the choices measure, in measuring order; every sampler starts here, once per call."""
+    rho = validate_density(np.asarray(rho, dtype=complex))
+    if rho.shape != (4, 4):
+        raise DimensionMismatch("the protocol simulates a two-qubit state, got a 2x2 state")
+    measured = dict.fromkeys(var for choice in choices for var in choice.alice + choice.bob)
+    return rho, {var: [_embed(p, _QUBIT[var]) for p in projectors(direction_for(settings, var))] for var in measured}
+
+
+def _slots(choice, ops):
     """Per time slot: its variables, int8 sign matrix and outcome projectors.
 
     A variable's slot is its place in its party's time order, and its
-    projectors act on its party's qubit; cross-party operators in a slot
-    commute, so the slot is sampled jointly.  Sign rows are outcomes, +1
-    first; columns are the slot's variables, Alice's first.  An empty
-    slot has one empty outcome, whose projector is the identity.
+    projectors (`ops`, from `_prepared`) act on its party's qubit;
+    cross-party operators in a slot commute, so the slot is sampled
+    jointly.  Sign rows are outcomes, +1 first; columns are the slot's
+    variables, Alice's first.  An empty slot has one empty outcome, whose
+    projector is the identity.
     """
     measured = choice.alice + choice.bob
     slots = []
     for slot in range(DRAWS_PER_SHOT):
         variables = [var for var in measured if _SLOT[var] == slot]
-        ops = [[_embed(p, _QUBIT[var]) for p in projectors(direction_for(settings, var))] for var in variables]
         signs = _SLOT_SIGNS[len(variables)]
         projs = []
         for row in signs:
             proj = np.eye(4, dtype=complex)
-            for sign, (plus, minus) in zip(row, ops):
-                proj = proj @ (plus if sign == 1 else minus)
+            for sign, var in zip(row, variables):
+                proj = proj @ ops[var][0 if sign == 1 else 1]
             projs.append(proj)
         slots.append((variables, signs, projs))
     return slots
 
 
-def _choice_tables(rho, choice, settings):
+def _choice_tables(rho, choice, ops):
     """Exact two-stage outcome distribution for one choice.
 
     Returns (slot variable lists, each slot's int8 sign matrix, p1 over
     slot-1 outcomes, conditional p2[o1] over slot-2 outcomes), each
-    probability from the Born rule with collapse between slots.  Every
-    sampler starts here, so here `rho` must be a valid two-qubit state.
+    probability from the Born rule with collapse between slots.  `rho`
+    and `ops` come from `_prepared`.
     """
-    rho = validate_density(np.asarray(rho, dtype=complex))
-    if rho.shape != (4, 4):
-        raise DimensionMismatch("the protocol simulates a two-qubit state, got a 2x2 state")
-    (vars1, signs1, projs1), (vars2, signs2, projs2) = _slots(choice, settings)
+    (vars1, signs1, projs1), (vars2, signs2, projs2) = _slots(choice, ops)
     p1 = np.zeros(len(projs1))
     p2 = np.zeros((len(projs1), len(projs2)))
     for i, proj1 in enumerate(projs1):
@@ -220,9 +240,7 @@ def _choice_tables(rho, choice, settings):
 
 def _cumulative(p):
     cum = np.cumsum(p, axis=-1)
-    if abs(float(np.take(cum, -1, axis=-1).min()) - 1.0) > 1e-9 or abs(
-        float(np.take(cum, -1, axis=-1).max()) - 1.0
-    ) > 1e-9:
+    if np.abs(cum[..., -1] - 1.0).max() > 1e-9:
         raise ArithmeticError("outcome probabilities do not sum to 1")
     cum[..., -1] = 1.0
     return cum
@@ -235,7 +253,8 @@ def simulate_shot(rho, choice, settings, seed, shot_index=0, salt=0) -> ShotReco
     p1, draw 1 the late slot's from p2 given it; outcomes are per variable.
     """
     rng = CounterRng(seed, salt)
-    vars1, vars2, signs1, signs2, p1, p2 = _choice_tables(rho, choice, settings)
+    rho, ops = _prepared(rho, settings, [choice])
+    vars1, vars2, signs1, signs2, p1, p2 = _choice_tables(rho, choice, ops)
 
     def pick(variables, p, draw):
         if not variables:
@@ -265,12 +284,12 @@ class ChoiceSampler(NamedTuple):
 
     Joint outcome m = i·k2 + j (slot-1 outcome i, slot-2 outcome j) has
     int8 sign row signs[m], one column per variable, and takes the shots
-    whose key pick1·2^53 + word1 lies in [bounds[m], bounds[m + 1]).
+    whose key pick1·2^53 + late word lies in [bounds[m], bounds[m + 1]).
     """
 
     variables: tuple[VariableId, ...]
     signs: np.ndarray
-    cut1: np.ndarray  # slot 1's cut points below 2^53
+    cut1: np.ndarray  # slot 1's cut points but the last, which is 2^53
     bounds: tuple[int, ...]  # sorted, k1·k2 + 1 of them, from 0 to k1·2^53
 
     def column(self, var) -> np.ndarray:  # var's sign in each joint outcome
@@ -286,52 +305,72 @@ def _sampler(vars1, vars2, signs1, signs2, p1, p2) -> ChoiceSampler:
 
 def choice_sampler(rho, choice, settings) -> ChoiceSampler:
     """The sampler of one choice on one state; build once, sample many blocks."""
-    return _sampler(*_choice_tables(rho, choice, settings))
+    rho, ops = _prepared(rho, settings, [choice])
+    return _sampler(*_choice_tables(rho, choice, ops))
 
 
 def _buffers(shots):
-    """Arrays for blocks of up to `shots` shots, reused block after block: (ramp 0 .. shots-1,
-    ids, early, late, mixer scratch) in uint64, a comparison mask and the slot-1 picks."""
-    words = np.empty((4, shots), dtype=np.uint64)
-    return (np.arange(shots, dtype=np.uint64), *words, np.empty(shots, dtype=bool), np.empty(shots, dtype=np.uint8))
+    """Arrays for blocks of up to `shots` shots, reused block after block: (the counter steps of
+    consecutive shots, early, late, mixer scratch) in uint64, a comparison mask and the slot-1 picks."""
+    words = np.empty((3, shots), dtype=np.uint64)
+    steps = np.arange(shots, dtype=np.uint64) * _STRIDE
+    return (steps, *words, np.empty(shots, dtype=bool), np.empty(shots, dtype=np.uint8))
+
+
+def _drawn(cuts) -> bool:
+    """Whether a slot's picks read its words: not when every cut point sits at a group's edge."""
+    return any(int(cut) % _GROUP for cut in cuts)
 
 
 def simulate_choice_block(sampler: ChoiceSampler, seed, shot_indices, salt=0, out=None) -> np.ndarray:
-    """int64 count of each joint outcome over a block of shot ids.
+    """int64 count of each joint outcome over a block of shots, a range of consecutive ids.
 
-    Draws as simulate_shot does, so the counts are its histogram.  `out`
-    (from `_buffers`, with room for the block) holds the working arrays.
+    Draws as simulate_shot does, so the counts are its histogram.  A slot
+    whose cut points all sit at 0 or 2^53 (an empty slot, or a certain
+    outcome) draws no words: its pick is the same in every shot, and the
+    other slot's words do not depend on it.  `out` (from `_buffers`, with
+    room for the block) holds the working arrays.
     """
+    shots = _shot_range(shot_indices)
     rng = CounterRng(seed, salt)
-    idx = np.asarray(shot_indices, dtype=np.uint64)
-    _, _, early, late, scratch, above, picks = (b[:len(idx)] for b in out or _buffers(len(idx)))
-    # an empty slot 2 has one outcome, and any word < 2^53 stays in its group
-    early = rng.words(idx, 0, early, scratch) if len(sampler.cut1) else None
-    return _joint_counts(sampler, early, rng.words(idx, 1, late, scratch), above, picks)
+    steps, early, late, scratch, above, picks = (b[:len(shots)] for b in out or _buffers(len(shots)))
+    early = rng.mixed(shots, 0, early, scratch, steps) if _drawn(sampler.cut1) else None
+    late = rng.words(shots, 1, late, scratch, steps) if _drawn(sampler.bounds) else None
+    return _joint_counts(sampler, early, late, above, picks, unshifted=True)
 
 
-def _joint_counts(sampler, early, late, above, picks):
-    """Joint-outcome counts from the slots' words; overwrites both and the work arrays `above` and `picks`."""
-    # shots with key >= bound, once per distinct bound; count m is tail[m] - tail[m + 1]
-    tails = {0: len(late), sampler.bounds[-1]: 0}
-    if early is not None:
-        picks.fill(0)
-        for i, cut in enumerate(sampler.cut1, 1):
-            picks += np.greater_equal(early, cut, out=above)
-            tails[i << WORD_BITS] = np.count_nonzero(above)  # shots with pick1 >= i
-        late |= np.left_shift(picks, np.uint64(WORD_BITS), out=early)
+def _joint_counts(sampler, early, late, above, picks, unshifted=False):
+    """Joint-outcome counts from the slots' words; overwrites both and the work arrays `above` and `picks`.
+
+    Words are 53-bit, except `unshifted` early ones: full mixed counters,
+    whose top 53 bits are the words, so word >= cut exactly when counter
+    >= cut·2^11 (for cut < 2^53).  A slot that `_drawn` says needs no
+    words may pass None for them.
+    """
+    cut1 = sampler.cut1.tolist()
+    # shots with key >= bound, once per distinct bound; count m is tail[m] - tail[m + 1].  Group i
+    # (shots with pick1 >= i) takes every shot past a cut point at 0 and none past one at 2^53
+    tails = {0: len(above), sampler.bounds[-1]: 0}
+    tails.update({i << WORD_BITS: len(above) if cut == 0 else 0 for i, cut in enumerate(cut1, 1)})
+    inside = [(i, cut) for i, cut in enumerate(cut1, 1) if 0 < cut < _GROUP]
+    base = cut1.count(0)  # the pick every shot reaches: cut points are sorted, those at 0 first
+    picks.fill(base)
+    for i, cut in inside:
+        np.greater_equal(early, np.uint64(cut << (64 - WORD_BITS) if unshifted else cut), out=above)
+        tails[i << WORD_BITS] = np.count_nonzero(above)
+        picks += above
+    if late is not None:
+        late |= np.left_shift(picks, np.uint64(WORD_BITS), out=early) if inside else np.uint64(base << WORD_BITS)
     for bound in sampler.bounds:
         if bound not in tails:
             tails[bound] = np.count_nonzero(np.greater_equal(late, bound, out=above))
     return -np.diff([tails[bound] for bound in sampler.bounds])
 
 
-def _blocks(start: int, count: int, buffers):
-    """Consecutive shot ids start .. start+count-1, BLOCK_SHOTS at a time, in `buffers`' id array."""
-    ramp, ids = buffers[:2]
-    for lo in range(start, start + count, BLOCK_SHOTS):
-        size = min(BLOCK_SHOTS, start + count - lo)
-        yield np.add(ramp[:size], np.uint64(lo), out=ids[:size])
+def _blocks(start: int, count: int):
+    """Shot ids start .. start+count-1 as consecutive ranges of at most BLOCK_SHOTS ids."""
+    ids = range(start, start + count)
+    return (ids[lo:lo + BLOCK_SHOTS] for lo in range(0, count, BLOCK_SHOTS))
 
 
 class CorrelatorEstimate(NamedTuple):
@@ -371,12 +410,11 @@ def estimate_f(rho, settings, shots: int, seed: int) -> ProtocolEstimate:
     is a dot product of the joint-outcome counts with a sign column;
     memory is one block's buffers; variances are exact, rounded once.
     """
-    if shots < 1:
-        raise ValueError("need at least one shot")
-    counts = [shots // len(DATA_CHOICES)] * len(DATA_CHOICES)
-    for i in range(shots % len(DATA_CHOICES)):
-        counts[i] += 1
-
+    if shots < len(DATA_CHOICES):
+        raise ValueError(f"need at least {len(DATA_CHOICES)} shots, one per data choice")
+    n_choices = len(DATA_CHOICES)
+    counts = [shots // n_choices + (i < shots % n_choices) for i in range(n_choices)]
+    rho, ops = _prepared(rho, settings, DATA_CHOICES)
     buffers = _buffers(min(BLOCK_SHOTS, counts[0]))  # counts[0] is the largest
     sums: dict[frozenset, list[int]] = {}  # pair -> [S, n]
     shared_blocks = []  # (pair, pair, m * covariance) per choice feeding both
@@ -385,20 +423,15 @@ def estimate_f(rho, settings, shots: int, seed: int) -> ProtocolEstimate:
     for choice, count in zip(DATA_CHOICES, counts):
         choice_counts[choice.label()] = count
         start, next_id = next_id, next_id + count
-        if count == 0:
-            continue
         # sorted: frozenset order follows the hash seed, term order must not
         pairs = sorted(admissible_data(choice), key=format_varset)
         in_f = [pair for pair in pairs if pair in F_COEFFICIENTS]
-        sampler = choice_sampler(rho, choice, settings)
-        hist = sum(simulate_choice_block(sampler, seed, ids, out=buffers)
-                   for ids in _blocks(start, count, buffers))
+        sampler = _sampler(*_choice_tables(rho, choice, ops))
+        hist = sum(simulate_choice_block(sampler, seed, ids, out=buffers) for ids in _blocks(start, count))
         # a pair's product in each joint outcome; its sums are dot products with hist
         products = {pair: math.prod(map(sampler.column, pair)) for pair in pairs}
         choice_sums = {pair: int(hist @ products[pair]) for pair in pairs}
-        cross_sums = {
-            (pi, pj): int(hist @ (products[pi] * products[pj])) for pi, pj in combinations(in_f, 2)
-        }
+        cross_sums = {(pi, pj): int(hist @ (products[pi] * products[pj])) for pi, pj in combinations(in_f, 2)}
         for pair in pairs:
             pool = sums.setdefault(pair, [0, 0])
             pool[0] += choice_sums[pair]
@@ -414,18 +447,13 @@ def estimate_f(rho, settings, shots: int, seed: int) -> ProtocolEstimate:
         label = format_varset(pair)
         estimates[label] = CorrelatorEstimate(label, means[pair], math.sqrt(mean_vars[pair]), n)
 
-    f_value = sum(
-        coeff * means[pair] for pair, coeff in F_COEFFICIENTS.items() if pair in means
-    )
-    f_var = sum(
-        coeff**2 * mean_vars[pair] for pair, coeff in F_COEFFICIENTS.items() if pair in means
-    )
+    # with a shot per data choice, every term of F has a pool
+    f_value = sum(coeff * means[pair] for pair, coeff in F_COEFFICIENTS.items())
+    f_var = sum(coeff**2 * mean_vars[pair] for pair, coeff in F_COEFFICIENTS.items())
     # blocks feeding two pools at once correlate those pool means
     for pi, pj, m_cov in shared_blocks:
         f_var += 2 * F_COEFFICIENTS[pi] * F_COEFFICIENTS[pj] * m_cov / (sums[pi][1] * sums[pj][1])
-    return ProtocolEstimate(
-        estimates, float(f_value), math.sqrt(max(f_var, 0)), shots, seed, choice_counts
-    )
+    return ProtocolEstimate(estimates, float(f_value), math.sqrt(max(f_var, 0)), shots, seed, choice_counts)
 
 
 class SignalingReport(NamedTuple):
@@ -469,11 +497,11 @@ def signaling_test(rho, settings, shots: int, seed: int) -> SignalingReport:
         (MeasurementChoice((), (Y1, Y2)), n_alone, n_after),
     )
     p = []
+    rho, ops = _prepared(rho, settings, [choice for choice, _, _ in arms])
     buffers = _buffers(min(BLOCK_SHOTS, n_after))
     for choice, start, count in arms:
-        sampler = choice_sampler(rho, choice, settings)
-        hist = sum(simulate_choice_block(sampler, seed, ids, salt=1, out=buffers)
-                   for ids in _blocks(start, count, buffers))
+        sampler = _sampler(*_choice_tables(rho, choice, ops))
+        hist = sum(simulate_choice_block(sampler, seed, ids, salt=1, out=buffers) for ids in _blocks(start, count))
         p.append(int(hist @ (sampler.column(Y2) == 1)) / count)
     p_a, p_b = p
     se_a = float(np.sqrt(p_a * (1 - p_a) / n_alone))

@@ -429,8 +429,8 @@ class TestReproduce:
         assert out.encode() == (Path(__file__).parent / "data" / golden).read_bytes()
 
     @pytest.mark.parametrize("argv, golden, code", [
-        (("--shots", "2"), "protocol_mc_shots_2.json", 1),
-        (("--shots", "3"), "protocol_mc_shots_3.json", 1),
+        (("--shots", "9"), "protocol_mc_shots_9.json", 1),  # one shot per data choice, the fewest
+        (("--shots", "10"), "protocol_mc_shots_10.json", 1),
         (("--shots", "17"), "protocol_mc_shots_17.json", 0),
         (("--shots", "1000"), "protocol_mc_shots_1000.json", 1),
         (("--shots", "131073"), "protocol_mc_shots_131073.json", 0),  # one shot past a block
@@ -439,8 +439,9 @@ class TestReproduce:
         (("--seed", "1"), "protocol_mc_seed_1.json", 0),
     ])
     def test_protocol_mc_reports_are_pinned(self, capsys, argv, golden, code):
-        """Recorded before the counting kernel, failed checks and all: a
-        few shots fail the 3-sigma checks, and so does 1000 at this seed."""
+        """Recorded before the counting kernel (9 and 10 shots before the
+        range kernel), failed checks and all: a few shots fail the 3-sigma
+        checks, and so does 1000 at this seed."""
         got, out, _ = run_cli(capsys, "reproduce", "protocol-mc", *argv, "--format", "json")
         assert got == code
         assert out.encode() == (Path(__file__).parent / "data" / golden).read_bytes()
@@ -449,7 +450,16 @@ class TestReproduce:
         code, out, err = run_cli(capsys, "reproduce", "protocol-mc", "--shots", "1")
         assert code == 2
         assert out == ""
-        assert err == "error: need at least two shots, one per arm\n"
+        assert err == "error: need at least 9 shots, one per data choice\n"
+
+    @pytest.mark.parametrize("shots", ["2", "3", "8"])
+    def test_protocol_mc_too_few_shots_exits_2(self, capsys, shots):
+        """Below one shot per data choice, F would sum only some of its
+        terms; 2 and 3 shots once reported such an F with a zero stderr."""
+        code, out, err = run_cli(capsys, "reproduce", "protocol-mc", "--shots", shots)
+        assert code == 2
+        assert out == ""
+        assert err == "error: need at least 9 shots, one per data choice\n"
 
     def test_all_aggregates_every_target(self, capsys):
         code, out, err = run_cli(

@@ -16,7 +16,7 @@ import corrineq
 from corrineq import protocol
 from corrineq.cli import main
 from corrineq.dsl import VariableId
-from corrineq.errors import DimensionMismatch, MissingSetting
+from corrineq.errors import DimensionMismatch, MissingSetting, NotAShotRange
 from corrineq.lhv import _assignment_rows
 from corrineq.polynomials import format_varset
 
@@ -33,6 +33,7 @@ from corrineq.protocol import (
     _choice_tables,
     _cumulative,
     _joint_counts,
+    _prepared,
     _sampler,
     admissible_data,
     choice_sampler,
@@ -82,21 +83,40 @@ def _slot_picks(words, p, picks1=None):
     return picks
 
 
+GOLDEN = 0x9E3779B97F4A7C15
+
+
+def counter_words(seed, salt, shot_ids, draw):
+    """The 53-bit words of draw `draw` for any shot ids, from the counter
+    formula mix64(key + (2·id + draw)·golden) >> 11 in wrapping uint64
+    arithmetic on an id array: the per-id path that the range kernel's
+    one scalar plus a fixed ramp replaced."""
+    ids = np.fromiter(shot_ids, dtype=np.uint64, count=len(shot_ids))
+    key = CounterRng(seed, salt).key
+    z = ids * np.uint64(2 * GOLDEN % 2**64) + np.uint64((key + draw * GOLDEN) % 2**64)
+    return protocol._mix64(z) >> np.uint64(11)
+
+
+def choice_tables(rho, choice, settings):
+    """One choice's exact tables from a raw state and settings."""
+    state, ops = _prepared(rho, settings, [choice])
+    return _choice_tables(state, choice, ops)
+
+
 def reference_picks(rho, choice, settings, seed, shot_indices, salt=0):
-    """Per-shot (slot-1, slot-2) outcome indices from _slot_picks; an
-    empty slot has the single outcome 0."""
-    rng = CounterRng(seed, salt)
-    vars1, vars2, _, _, p1, p2 = _choice_tables(rho, choice, settings)
-    idx = np.asarray(shot_indices, dtype=np.uint64)
-    picks1 = _slot_picks(rng.words(idx, 0), p1) if vars1 else np.zeros(len(idx), dtype=np.intp)
-    picks2 = _slot_picks(rng.words(idx, 1), p2, picks1) if vars2 else np.zeros(len(idx), dtype=np.intp)
+    """Per-shot (slot-1, slot-2) outcome indices from _slot_picks on the
+    counter formula's words; an empty slot has the single outcome 0."""
+    vars1, vars2, _, _, p1, p2 = choice_tables(rho, choice, settings)
+    none = np.zeros(len(shot_indices), dtype=np.intp)
+    picks1 = _slot_picks(counter_words(seed, salt, shot_indices, 0), p1) if vars1 else none
+    picks2 = _slot_picks(counter_words(seed, salt, shot_indices, 1), p2, picks1) if vars2 else none
     return picks1, picks2
 
 
 def reference_block(rho, choice, settings, seed, shot_indices, salt=0):
     """One int8 outcome array per measured variable: the per-variable
     path simulate_choice_block had before it counted joint outcomes."""
-    vars1, vars2, signs1, signs2, _, _ = _choice_tables(rho, choice, settings)
+    vars1, vars2, signs1, signs2, _, _ = choice_tables(rho, choice, settings)
     picks1, picks2 = reference_picks(rho, choice, settings, seed, shot_indices, salt)
     values = {var: signs1[:, k].take(picks1) for k, var in enumerate(vars1)}
     values.update({var: signs2[:, k].take(picks2) for k, var in enumerate(vars2)})
@@ -109,7 +129,7 @@ def histogram(picks1, picks2, k1, k2):
 
 
 def reference_counts(rho, choice, settings, seed, shot_indices, salt=0):
-    _, _, signs1, signs2, _, _ = _choice_tables(rho, choice, settings)
+    _, _, signs1, signs2, _, _ = choice_tables(rho, choice, settings)
     picks = reference_picks(rho, choice, settings, seed, shot_indices, salt)
     return histogram(*picks, len(signs1), len(signs2))
 
@@ -135,11 +155,8 @@ def pooled_reference(rho, settings, shots, seed):
     next_id = 0
     for choice, count in zip(DATA_CHOICES, counts):
         choice_counts[choice.label()] = count
-        ids = np.arange(next_id, next_id + count, dtype=np.uint64)
+        ids = range(next_id, next_id + count)
         next_id += count
-        if count == 0:
-            block_products.append({})
-            continue
         values = reference_block(rho, choice, settings, seed, ids)
         per_pair = {}
         for pair in admissible_data(choice):
@@ -198,9 +215,8 @@ def float_choice_counts(rho, choice, settings, seed, shot_indices, salt=0):
     """Joint-outcome counts of the float kernel used before integer cut
     points.  An empty slot's single outcome takes every uniform."""
     rng = CounterRng(seed, salt)
-    _, _, _, _, p1, p2 = _choice_tables(rho, choice, settings)
-    idx = np.asarray(shot_indices, dtype=np.uint64)
-    picks1, picks2 = float_picks(p1, p2, rng.uniforms(idx, 0), rng.uniforms(idx, 1))
+    _, _, _, _, p1, p2 = choice_tables(rho, choice, settings)
+    picks1, picks2 = float_picks(p1, p2, rng.uniforms(shot_indices, 0), rng.uniforms(shot_indices, 1))
     return histogram(picks1, picks2, *p2.shape)
 
 
@@ -259,12 +275,12 @@ def random_words(n):
 class TestCounterRng:
     def test_pinned_stream(self):
         """Golden values guard the mixer against silent drift."""
-        got = CounterRng(42).uniforms(np.arange(4, dtype=np.uint64), 0)
+        got = CounterRng(42).uniforms(range(4), 0)
         expected = [0.80155884, 0.45010883, 0.39986439, 0.54529241]
         assert np.allclose(got, expected, atol=5e-9)
 
     def test_pinned_words(self):
-        got = CounterRng(42).words(np.arange(4, dtype=np.uint64), 0)
+        got = CounterRng(42).words(range(4), 0)
         assert got.dtype == np.uint64
         assert got.tolist() == [
             7219800151606398, 4054219913238450, 3601658229721317, 4911557380431486
@@ -273,7 +289,7 @@ class TestCounterRng:
     def test_words_are_the_uniforms_scaled(self):
         """uniforms is words / 2^53, computed in place in the out buffer."""
         rng = CounterRng(7, salt=3)
-        idx = np.arange(5000, dtype=np.uint64)
+        idx = range(5000)
         out = np.empty(len(idx), dtype=np.uint64)
         words = rng.words(idx, 1, out=out)
         assert words is out
@@ -282,23 +298,23 @@ class TestCounterRng:
 
     def test_chunking_does_not_matter(self):
         rng = CounterRng(99)
-        whole = rng.uniforms(np.arange(100, dtype=np.uint64), 1)
+        whole = rng.uniforms(range(100), 1)
         parts = np.concatenate(
             [
-                rng.uniforms(np.arange(0, 37, dtype=np.uint64), 1),
-                rng.uniforms(np.arange(37, 100, dtype=np.uint64), 1),
+                rng.uniforms(range(0, 37), 1),
+                rng.uniforms(range(37, 100), 1),
             ]
         )
         assert np.array_equal(whole, parts)
 
     def test_scalar_matches_vector(self):
         rng = CounterRng(5, salt=3)
-        block = rng.uniforms(np.arange(10, dtype=np.uint64), 0)
+        block = rng.uniforms(range(10), 0)
         for i in range(10):
             assert rng.uniform(i, 0) == block[i]
 
     def test_streams_separate_by_seed_salt_and_draw(self):
-        idx = np.arange(64, dtype=np.uint64)
+        idx = range(64)
         base = CounterRng(7).uniforms(idx, 0)
         assert not np.array_equal(base, CounterRng(8).uniforms(idx, 0))
         assert not np.array_equal(base, CounterRng(7, salt=1).uniforms(idx, 0))
@@ -306,7 +322,7 @@ class TestCounterRng:
         assert np.array_equal(base, CounterRng(7).uniforms(idx, 0))
 
     def test_values_are_uniform_enough(self):
-        u = CounterRng(1).uniforms(np.arange(20000, dtype=np.uint64), 0)
+        u = CounterRng(1).uniforms(range(20000), 0)
         assert u.min() >= 0.0 and u.max() < 1.0
         assert abs(u.mean() - 0.5) < 0.01
         assert abs(np.var(u) - 1.0 / 12.0) < 0.01
@@ -394,7 +410,7 @@ def ideal_correlator(rho, settings, pair):
 
 def born_expectation(rho, choice, settings, pair):
     """Exact expectation of a measured pair's product under the choice."""
-    vars1, vars2, signs1, signs2, p1, p2 = _choice_tables(rho, choice, settings)
+    vars1, vars2, signs1, signs2, p1, p2 = choice_tables(rho, choice, settings)
     column = {var: signs1[:, [k]] for k, var in enumerate(vars1)}
     column.update({var: signs2[:, k] for k, var in enumerate(vars2)})
     a, b = pair
@@ -466,7 +482,7 @@ class TestBlockEquivalence:
         """A one-shot block counts 1 at the joint outcome simulate_shot
         draws, for every choice, empty slots included; a block's counts
         are the sum over its shots."""
-        ids = np.arange(32, dtype=np.uint64)
+        ids = range(32)
         for rho, choice in iproduct(STATES.values(), ALL_CHOICES):
             sampler = choice_sampler(rho, choice, SETTINGS)
             total = np.zeros(len(sampler.signs), dtype=np.int64)
@@ -482,7 +498,7 @@ class TestBlockEquivalence:
             assert np.array_equal(simulate_choice_block(sampler, 17, ids), total), choice.label()
 
     def test_block_respects_salt(self):
-        ids = np.arange(64, dtype=np.uint64)
+        ids = range(64)
         sampler = choice_sampler(singlet_state(), MeasurementChoice((), (Y1, Y2)), SETTINGS)
         a = simulate_choice_block(sampler, 17, ids)
         b = simulate_choice_block(sampler, 17, ids, salt=1)
@@ -496,24 +512,35 @@ class TestBlockEquivalence:
         for rho, choice in iproduct(STATES.values(), ALL_CHOICES):
             sampler = choice_sampler(rho, choice, SETTINGS)
             for start, count in ((0, 300), (4000, 37), (70, 1)):
-                ids = np.arange(start, start + count, dtype=np.uint64)
+                ids = range(start, start + count)
                 want = simulate_choice_block(sampler, 17, ids)
                 assert np.array_equal(simulate_choice_block(sampler, 17, ids, out=buffers), want), choice.label()
 
-    def test_blocks_write_consecutive_ids_into_the_buffer(self, monkeypatch):
+    def test_blocks_are_consecutive_ranges(self, monkeypatch):
         monkeypatch.setattr(protocol, "BLOCK_SHOTS", 64)
-        buffers = protocol._buffers(64)
-        seen = []
-        for ids in protocol._blocks(10, 150, buffers):
-            assert ids.dtype == np.uint64 and np.shares_memory(ids, buffers[1])
-            seen.extend(ids.tolist())
-        assert seen == list(range(10, 160))
+        blocks = list(protocol._blocks(10, 150))
+        assert blocks == [range(10, 74), range(74, 138), range(138, 160)]
 
     def test_words_with_scratch_match_fresh_words(self):
+        """Words written into given out, scratch and counter-step arrays are
+        the fresh ones, and both are the counter formula's."""
         rng = CounterRng(3, salt=1)
-        idx = np.arange(100, 1100, dtype=np.uint64)
+        idx = range(100, 1100)
         out, scratch = np.empty(1000, dtype=np.uint64), np.full(1000, 12345, dtype=np.uint64)
-        assert np.array_equal(rng.words(idx, 1, out, scratch), rng.words(idx, 1))
+        steps = protocol._buffers(1000)[0]
+        assert np.array_equal(rng.words(idx, 1, out, scratch, steps), rng.words(idx, 1))
+        assert np.array_equal(rng.words(idx, 1), counter_words(3, 1, idx, 1))
+
+    @pytest.mark.parametrize("ids", [
+        np.arange(4, dtype=np.uint64), [0, 1, 2, 3], (0, 1), 7, range(0, 8, 2), range(8, 0, -1),
+    ], ids=["array", "list", "tuple", "int", "step-2", "step-minus-1"])
+    def test_shot_ids_must_be_a_step_one_range(self, ids):
+        rng = CounterRng(3)
+        sampler = choice_sampler(singlet_state(), MeasurementChoice((X1,), (Y2,)), SETTINGS)
+        for call in (lambda: rng.words(ids, 0), lambda: rng.uniforms(ids, 1),
+                     lambda: simulate_choice_block(sampler, 3, ids)):
+            with pytest.raises(NotAShotRange, match="^shot ids must be a range with step 1, got "):
+                call()
 
 
 class TestCutPoints:
@@ -554,13 +581,13 @@ class TestCutPoints:
         """On the protocol's own states searchsorted reads sorted
         cumulatives, so the old and new first-slot picks agree there."""
         for choice in ALL_CHOICES:
-            *_, p1, p2 = _choice_tables(STATES[state], choice, SETTINGS)
+            *_, p1, p2 = choice_tables(STATES[state], choice, SETTINGS)
             assert np.all(np.diff(_cumulative(p1)) >= 0.0), choice.label()
             assert np.all(np.diff(_cumulative(p2), axis=-1) >= 0.0), choice.label()
 
     @pytest.mark.parametrize("state", sorted(STATES))
     def test_block_matches_float_kernel(self, state):
-        ids = np.arange(1000, 21000, dtype=np.uint64)
+        ids = range(1000, 21000)
         for choice in ALL_CHOICES:
             sampler = choice_sampler(STATES[state], choice, SETTINGS)
             got = simulate_choice_block(sampler, 12345, ids, salt=1)
@@ -571,13 +598,44 @@ class TestCutPoints:
     def test_counts_match_the_slot_picks_histogram(self, state):
         """20,000 ids per choice: the counts are the histogram of the
         per-shot picks that _slot_picks makes from the same words."""
-        ids = np.arange(5000, 25000, dtype=np.uint64)
+        ids = range(5000, 25000)
         for choice, salt in iproduct(ALL_CHOICES, (0, 1)):
             sampler = choice_sampler(STATES[state], choice, SETTINGS)
             got = simulate_choice_block(sampler, 99, ids, salt)
             want = reference_counts(STATES[state], choice, SETTINGS, 99, ids, salt)
             assert np.array_equal(got, want), (choice.label(), salt)
             assert got.sum() == len(ids)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        start=st.one_of(st.integers(0, 2**20), st.integers(2**40, 2**63 - 2**10)),
+        count=st.integers(1, 3 * 64),
+        seed=st.integers(0, 2**64 - 1),
+        salt=st.sampled_from([0, 1]),
+        state=st.sampled_from(sorted(STATES) + ["polarized"]),
+        choice=st.sampled_from(ALL_CHOICES),
+        data=st.data(),
+    )
+    def test_range_counts_match_the_slot_picks_histogram(self, start, count, seed, salt, state, choice, data):
+        """Past 2^40 a start's counter start·2·golden wraps 2^64 many times;
+        the range kernel's one scalar per block must wrap the same way.  The
+        estimators' blocks of at most BLOCK_SHOTS ids, one call over the
+        whole range, and any two halves of it all count what the per-id
+        counter formula's picks do."""
+        rho = STATES.get(state, TestBlocks.POLARIZED)
+        sampler = choice_sampler(rho, choice, SETTINGS)
+        ids = range(start, start + count)
+        want = reference_counts(rho, choice, SETTINGS, seed, ids, salt)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(protocol, "BLOCK_SHOTS", 64)
+            buffers = protocol._buffers(64)
+            blocks = sum(simulate_choice_block(sampler, seed, block, salt, out=buffers)
+                         for block in protocol._blocks(start, count))
+        assert np.array_equal(blocks, want)
+        assert np.array_equal(simulate_choice_block(sampler, seed, ids, salt), want)
+        cut = data.draw(st.integers(0, count))
+        halves = [simulate_choice_block(sampler, seed, part, salt) for part in (ids[:cut], ids[cut:])]
+        assert np.array_equal(halves[0] + halves[1], want)
 
     @settings(max_examples=300, deadline=None)
     @given(tables=exact_tables())
@@ -598,6 +656,24 @@ class TestCutPoints:
         work = np.empty(len(late), dtype=bool), np.empty(len(late), dtype=np.uint8)
         got = _joint_counts(sampler, early.copy() if k1 > 1 else None, late.copy(), *work)
         assert np.array_equal(got, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tables=exact_tables(), start=st.integers(0, 2**40), seed=st.integers(0, 2**32))
+    @example(tables=(np.array([0.0, 1.0]), np.array([[0.5, 0.5], [0.3, 0.7]])), start=0, seed=0)
+    @example(tables=(np.array([0.0, 0.4, 0.6, 0.0]), np.array([[0.0, 1.0]] * 4)), start=0, seed=0)
+    def test_block_counts_at_every_bound(self, tables, start, seed):
+        """test_counts_at_every_bound's tables, sampled through
+        simulate_choice_block: a slot whose cut points all sit at 0 or 2^53
+        draws no words, and the counts are still the _slot_picks histogram
+        of the counter formula's words, a certain slot-1 pick past 0
+        included."""
+        p1, p2 = tables
+        (k1,), (_, k2) = p1.shape, p2.shape
+        sampler = _sampler([], [], sign_rows(k1), sign_rows(k2), p1, p2)
+        ids = range(start, start + 300)
+        picks1 = _slot_picks(counter_words(seed, 0, ids, 0), p1)
+        want = histogram(picks1, _slot_picks(counter_words(seed, 0, ids, 1), p2, picks1), k1, k2)
+        assert np.array_equal(simulate_choice_block(sampler, seed, ids), want)
 
 
 class TestEstimateF:
@@ -635,9 +711,20 @@ class TestEstimateF:
         with pytest.raises(ValueError):
             estimate_f(singlet_state(), SETTINGS, 0, 7)
 
+    @pytest.mark.parametrize("shots", [1, 2, 8])
+    def test_needs_one_shot_per_data_choice(self, shots):
+        """With fewer shots than data choices, F would sum only some of its terms."""
+        with pytest.raises(ValueError, match="^need at least 9 shots, one per data choice$"):
+            estimate_f(singlet_state(), SETTINGS, shots, 7)
+
+    def test_one_shot_per_data_choice_is_enough(self):
+        est = estimate_f(singlet_state(), SETTINGS, len(DATA_CHOICES), 7)
+        assert set(est.choice_counts.values()) == {1}
+        assert {format_varset(pair) for pair in F_COEFFICIENTS} <= set(est.terms)  # every term of F
+
     @settings(max_examples=60, deadline=None)
     @given(
-        shots=st.one_of(st.integers(1, 60), st.sampled_from([999, 18001])),
+        shots=st.one_of(st.integers(len(DATA_CHOICES), 60), st.sampled_from([999, 18001])),
         seed=st.sampled_from([0, 7, 123, 12345, 2**40 + 1]),
         state=st.sampled_from(sorted(STATES)),
     )
@@ -742,6 +829,26 @@ class TestBlocks:
         assert len(blocks) == 9 * 2 + 2 * 8 and sum(blocks) == 2 * 10**6
         assert sorted(tables) == sorted([c.label() for c in DATA_CHOICES] + ["(-,Y2)", "(-,Y1Y2)"])
 
+    def test_a_certain_slot_hashes_nothing(self, monkeypatch):
+        """Polarized along y2, the (-,Y2) arm's one outcome is certain: its
+        blocks call no mixer and count every shot at Y2 = +1, while the
+        (-,Y1Y2) arm still hashes both draws of each shot."""
+        alone = choice_sampler(self.POLARIZED, MeasurementChoice((), (Y2,)), SETTINGS)
+        after = choice_sampler(self.POLARIZED, MeasurementChoice((), (Y1, Y2)), SETTINGS)
+        CounterRng(7, salt=1)  # the stream key is mixed once and cached
+        mixed = []
+        inner = protocol._mix64
+        monkeypatch.setattr(protocol, "_mix64", lambda z, tmp=None: mixed.append(len(z)) or inner(z, tmp))
+        counts = simulate_choice_block(alone, 7, range(5000), salt=1)
+        assert mixed == []
+        assert counts.tolist() == [5000, 0] and alone.column(Y2).tolist() == [1, -1]
+        assert simulate_choice_block(after, 7, range(5000, 8000), salt=1).sum() == 3000
+        assert mixed == [3000, 3000]
+        mixed.clear()
+        report = signaling_test(self.POLARIZED, SETTINGS, 1000, 7)
+        assert report.p_alone == 1.0
+        assert mixed == [500, 500]  # the (-,Y1Y2) arm's one block
+
     def test_memory_does_not_grow_with_blocks(self, monkeypatch):
         """Each block's arrays are freed before the next; only Python-int
         sums carry over, so 4x the shots cost no extra heap."""
@@ -806,6 +913,18 @@ class TestEstimatorInputs:
         with pytest.raises(DimensionMismatch) as excinfo:
             estimator(maximally_mixed(2), SETTINGS, 100, 7)
         assert str(excinfo.value) == "the protocol simulates a two-qubit state, got a 2x2 state"
+
+    @pytest.mark.parametrize("estimator, variables", [(estimate_f, 4), (signaling_test, 2)])
+    def test_inputs_are_prepared_once_per_call(self, monkeypatch, estimator, variables):
+        """One state check per call, and one embedded projector pair per
+        measured variable, however many choices and slots use them."""
+        checked, embedded = [], []
+        inner_check, inner_embed = protocol.validate_density, protocol._embed
+        monkeypatch.setattr(protocol, "validate_density", lambda rho: checked.append(1) or inner_check(rho))
+        monkeypatch.setattr(protocol, "_embed", lambda op, qubit: embedded.append(qubit) or inner_embed(op, qubit))
+        estimator(singlet_state(), SETTINGS, 1000, 7)
+        assert len(checked) == 1
+        assert len(embedded) == 2 * variables
 
     @pytest.mark.parametrize("run", [
         lambda settings: estimate_f(singlet_state(), settings, 100, 7),
