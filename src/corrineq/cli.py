@@ -98,10 +98,6 @@ def _human_lines(obj, indent=0):
 def _scalar(value):
     if isinstance(value, float):
         return f"{value:.12g}"
-    if isinstance(value, list) and not value:
-        return "[]"
-    if isinstance(value, dict) and not value:
-        return "{}"
     return str(value)
 
 
@@ -205,26 +201,38 @@ def _refuse_repeated_keys(pairs):
     return data
 
 
-def _read_values(entries: dict, parse) -> dict:
-    """Parse each key of a JSON object into a variable set; two keys that name the same set are an error."""
+_JSON_TYPES = {bool: "a boolean", int: "a number", float: "a number", str: "a string",
+               type(None): "null", list: "an array", dict: "an object"}
+
+
+def _json(value, types: tuple, what: str):
+    """value, refused unless a JSON value of `types` (a JSON boolean is no number)."""
+    if type(value) not in types:
+        raise ValueError(f"{what} must be {_JSON_TYPES[types[0]]}, got {_JSON_TYPES[type(value)]}")
+    return value
+
+
+def _read_values(entries, parse, what: str) -> dict:
+    """Each key of the JSON object `what` as a variable set, its number as a float; a set named twice is an error."""
     out = {}
-    for key, value in entries.items():
+    for key, value in _json(entries, (dict,), what).items():
         parsed = parse(key)
         if parsed in out:
-            what = "correlator for" if len(parsed) == 2 else "mean of"
-            raise ValueError(f"{what} {format_varset(parsed)} is given twice")
-        out[parsed] = float(value)
+            kind = "correlator for" if len(parsed) == 2 else "mean of"
+            raise ValueError(f"{kind} {format_varset(parsed)} is given twice")
+        out[parsed] = float(_json(value, (int, float), f"{what} value of {key!r}"))
     return out
 
 
 def cmd_check(args) -> int:
     scenario = parse_scenario(Path(args.scenario).read_text())
     data = json.loads(Path(args.input).read_text(), object_pairs_hook=_refuse_repeated_keys)
-    observed = _read_values(data.get("correlators", {}), _pair_key)
+    data = _json(data, (dict,), "the input")
+    observed = _read_values(data.get("correlators", {}), _pair_key, "correlators")
     if not observed:
         raise ValueError("no correlators found in the input file")
     # a mean is the observed value of a one-variable key
-    means = _read_values(data.get("means", {}), lambda key: frozenset({parse_variable(key.strip())}))
+    means = _read_values(data.get("means", {}), lambda key: frozenset({parse_variable(key.strip())}), "means")
     result = jd_feasibility(scenario, {**observed, **means}, tolerance=args.tolerance)
     report = {
         "scenario": args.scenario,
@@ -264,31 +272,26 @@ def cmd_check(args) -> int:
 
 # ------------------------------------------------------------- reproduce
 
-def _target_chsh_bound(args) -> dict:
-    ineq = derive_inequality(catalog.load_expression("chsh.rsx"))
-    extrema = classical_extrema(ineq)
-    return _finish({
-        "target": "chsh-bound",
-        "inequality": format_inequality(ineq),
-        "checks": [
-            _check("derived-bound", ineq.bound, Fraction(2), None),
-            _check("direction", ineq.direction, "<=", None),
-            _check("term-count", len(ineq.terms), 4, None),
-            _check("classical-max", extrema.maximum, 2, None),
-        ],
-    })
+# target -> (catalog file, bound, extra exact checks, the classical extremum that attains the bound)
+_BOUND_TARGETS = {
+    "chsh-bound": ("chsh.rsx", 2, {"direction": "<=", "term-count": 4}, "max"),
+    "kcbs-bound": ("kcbs.rsx", -3, {"direction": ">="}, "min"),
+    "lg-bound": ("lg.rsx", 2, {}, "max"),
+}
 
 
-def _target_kcbs_bound(args) -> dict:
-    ineq = derive_inequality(catalog.load_expression("kcbs.rsx"))
+def _target_bound(name, args) -> dict:
+    source, bound, extras, side = _BOUND_TARGETS[name]
+    ineq = derive_inequality(catalog.load_expression(source))
     extrema = classical_extrema(ineq)
+    actual = {"direction": ineq.direction, "term-count": len(ineq.terms)}
     return _finish({
-        "target": "kcbs-bound",
+        "target": name,
         "inequality": format_inequality(ineq),
         "checks": [
-            _check("derived-bound", ineq.bound, Fraction(-3), None),
-            _check("direction", ineq.direction, ">=", None),
-            _check("classical-min", extrema.minimum, -3, None),
+            _check("derived-bound", ineq.bound, Fraction(bound), None),
+            *(_check(check, actual[check], want, None) for check, want in extras.items()),
+            _check(f"classical-{side}", getattr(extrema, f"{side}imum"), bound, None),
         ],
     })
 
@@ -307,19 +310,6 @@ def _target_ncycle_bounds(args) -> dict:
     seven = derive_inequality(catalog.load_expression("cycle7.rsx"))
     checks.append(_check("cycle-7-offset-form-bound", seven.bound, Fraction(-5), None))
     return _finish({"target": "ncycle-bounds", "checks": checks})
-
-
-def _target_lg_bound(args) -> dict:
-    ineq = derive_inequality(catalog.load_expression("lg.rsx"))
-    extrema = classical_extrema(ineq)
-    return _finish({
-        "target": "lg-bound",
-        "inequality": format_inequality(ineq),
-        "checks": [
-            _check("derived-bound", ineq.bound, Fraction(2), None),
-            _check("classical-max", extrema.maximum, 2, None),
-        ],
-    })
 
 
 def _target_hybrid_singlet(args) -> dict:
@@ -466,10 +456,10 @@ def _target_protocol_mc(args) -> dict:
 
 
 _TARGET_FUNCS = {
-    "chsh-bound": _target_chsh_bound,
-    "kcbs-bound": _target_kcbs_bound,
+    "chsh-bound": functools.partial(_target_bound, "chsh-bound"),
+    "kcbs-bound": functools.partial(_target_bound, "kcbs-bound"),
     "ncycle-bounds": _target_ncycle_bounds,
-    "lg-bound": _target_lg_bound,
+    "lg-bound": functools.partial(_target_bound, "lg-bound"),
     "hybrid-singlet": _target_hybrid_singlet,
     "hybrid-product": _target_hybrid_product,
     "tsirelson-envelope": _target_tsirelson_envelope,

@@ -29,7 +29,6 @@ from .quantum import (
     PAULI_Z,
     evaluate_inequality_quantum,
     kron2,
-    plane_vector,
     product_state,
     qubit_layout,
     term_order,
@@ -325,21 +324,6 @@ class EnvelopeScan(NamedTuple):
     thetas: np.ndarray
     max_value: float
     argmax: tuple[float, float]
-
-
-def envelope_settings(theta1: float, theta2: float) -> dict[VariableId, np.ndarray]:
-    """Coplanar settings whose operator realizes an envelope grid point.
-
-    The X pair opens clockwise by theta1 from the z axis, the Y pair
-    counter-clockwise by theta2 from a quarter turn below; at the
-    saturating angles this reproduces the descending pi/4 ladder.
-    """
-    return {
-        VariableId("X", 1): plane_vector(0.0),
-        VariableId("X", 2): plane_vector(-theta1),
-        VariableId("Y", 1): plane_vector(-np.pi / 2),
-        VariableId("Y", 2): plane_vector(-np.pi / 2 + theta2),
-    }
 
 
 def _envelope_layout(resolution: int) -> tuple[np.ndarray, int]:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -303,12 +303,6 @@ def _sampler(vars1, vars2, signs1, signs2, p1, p2) -> ChoiceSampler:
     return ChoiceSampler(tuple(vars1 + vars2), signs, _cut_points(p1)[:-1], (0, *bounds))
 
 
-def choice_sampler(rho, choice, settings) -> ChoiceSampler:
-    """The sampler of one choice on one state; build once, sample many blocks."""
-    rho, ops = _prepared(rho, settings, [choice])
-    return _sampler(*_choice_tables(rho, choice, ops))
-
-
 def _buffers(shots):
     """Arrays for blocks of up to `shots` shots, reused block after block: (the counter steps of
     consecutive shots, early, late, mixer scratch) in uint64, a comparison mask and the slot-1 picks."""
@@ -336,17 +330,13 @@ def simulate_choice_block(sampler: ChoiceSampler, seed, shot_indices, salt=0, ou
     steps, early, late, scratch, above, picks = (b[:len(shots)] for b in out or _buffers(len(shots)))
     early = rng.mixed(shots, 0, early, scratch, steps) if _drawn(sampler.cut1) else None
     late = rng.words(shots, 1, late, scratch, steps) if _drawn(sampler.bounds) else None
-    return _joint_counts(sampler, early, late, above, picks, unshifted=True)
+    return _joint_counts(sampler, early, late, above, picks)
 
 
-def _joint_counts(sampler, early, late, above, picks, unshifted=False):
-    """Joint-outcome counts from the slots' words; overwrites both and the work arrays `above` and `picks`.
-
-    Words are 53-bit, except `unshifted` early ones: full mixed counters,
-    whose top 53 bits are the words, so word >= cut exactly when counter
-    >= cut·2^11 (for cut < 2^53).  A slot that `_drawn` says needs no
-    words may pass None for them.
-    """
+def _joint_counts(sampler, early, late, above, picks):
+    """Joint-outcome counts from the slots' draws: early ones full mixed counters, whose top 53 bits are the
+    words (word >= cut exactly when counter >= cut·2^11, for cut < 2^53), late ones 53-bit words.  Overwrites
+    both and the work arrays `above` and `picks`; a slot that `_drawn` says needs no words may pass None."""
     cut1 = sampler.cut1.tolist()
     # shots with key >= bound, once per distinct bound; count m is tail[m] - tail[m + 1].  Group i
     # (shots with pick1 >= i) takes every shot past a cut point at 0 and none past one at 2^53
@@ -356,7 +346,7 @@ def _joint_counts(sampler, early, late, above, picks, unshifted=False):
     base = cut1.count(0)  # the pick every shot reaches: cut points are sorted, those at 0 first
     picks.fill(base)
     for i, cut in inside:
-        np.greater_equal(early, np.uint64(cut << (64 - WORD_BITS) if unshifted else cut), out=above)
+        np.greater_equal(early, np.uint64(cut << (64 - WORD_BITS)), out=above)
         tails[i << WORD_BITS] = np.count_nonzero(above)
         picks += above
     if late is not None:
@@ -371,6 +361,16 @@ def _blocks(start: int, count: int):
     """Shot ids start .. start+count-1 as consecutive ranges of at most BLOCK_SHOTS ids."""
     ids = range(start, start + count)
     return (ids[lo:lo + BLOCK_SHOTS] for lo in range(0, count, BLOCK_SHOTS))
+
+
+def _counted(rho, settings, arms, seed, salt):
+    """(sampler, int64 joint-outcome counts) of each (choice, first shot id, shots) arm, in order: one
+    `_prepared` per call, one sampler per arm, and one set of buffers for every block of every arm."""
+    rho, ops = _prepared(rho, settings, [choice for choice, _, _ in arms])
+    out = _buffers(min(BLOCK_SHOTS, max(count for _, _, count in arms)))
+    for choice, start, count in arms:
+        sampler = _sampler(*_choice_tables(rho, choice, ops))
+        yield sampler, sum(simulate_choice_block(sampler, seed, ids, salt, out=out) for ids in _blocks(start, count))
 
 
 class CorrelatorEstimate(NamedTuple):
@@ -414,20 +414,14 @@ def estimate_f(rho, settings, shots: int, seed: int) -> ProtocolEstimate:
         raise ValueError(f"need at least {len(DATA_CHOICES)} shots, one per data choice")
     n_choices = len(DATA_CHOICES)
     counts = [shots // n_choices + (i < shots % n_choices) for i in range(n_choices)]
-    rho, ops = _prepared(rho, settings, DATA_CHOICES)
-    buffers = _buffers(min(BLOCK_SHOTS, counts[0]))  # counts[0] is the largest
+    arms = list(zip(DATA_CHOICES, [0, *accumulate(counts[:-1])], counts))
     sums: dict[frozenset, list[int]] = {}  # pair -> [S, n]
     shared_blocks = []  # (pair, pair, m * covariance) per choice feeding both
-    next_id = 0
-    choice_counts = {}
-    for choice, count in zip(DATA_CHOICES, counts):
-        choice_counts[choice.label()] = count
-        start, next_id = next_id, next_id + count
+    choice_counts = {choice.label(): count for choice, _, count in arms}
+    for (choice, _, count), (sampler, hist) in zip(arms, _counted(rho, settings, arms, seed, salt=0)):
         # sorted: frozenset order follows the hash seed, term order must not
         pairs = sorted(admissible_data(choice), key=format_varset)
         in_f = [pair for pair in pairs if pair in F_COEFFICIENTS]
-        sampler = _sampler(*_choice_tables(rho, choice, ops))
-        hist = sum(simulate_choice_block(sampler, seed, ids, out=buffers) for ids in _blocks(start, count))
         # a pair's product in each joint outcome; its sums are dot products with hist
         products = {pair: math.prod(map(sampler.column, pair)) for pair in pairs}
         choice_sums = {pair: int(hist @ products[pair]) for pair in pairs}
@@ -496,14 +490,10 @@ def signaling_test(rho, settings, shots: int, seed: int) -> SignalingReport:
         (MeasurementChoice((), (Y2,)), 0, n_alone),
         (MeasurementChoice((), (Y1, Y2)), n_alone, n_after),
     )
-    p = []
-    rho, ops = _prepared(rho, settings, [choice for choice, _, _ in arms])
-    buffers = _buffers(min(BLOCK_SHOTS, n_after))
-    for choice, start, count in arms:
-        sampler = _sampler(*_choice_tables(rho, choice, ops))
-        hist = sum(simulate_choice_block(sampler, seed, ids, salt=1, out=buffers) for ids in _blocks(start, count))
-        p.append(int(hist @ (sampler.column(Y2) == 1)) / count)
-    p_a, p_b = p
+    p_a, p_b = (
+        int(hist @ (sampler.column(Y2) == 1)) / count
+        for (_, _, count), (sampler, hist) in zip(arms, _counted(rho, settings, arms, seed, salt=1))
+    )
     se_a = float(np.sqrt(p_a * (1 - p_a) / n_alone))
     se_b = float(np.sqrt(p_b * (1 - p_b) / n_after))
     return SignalingReport(p_a, se_a, p_b, se_b, (n_alone, n_after))

@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from corrineq import catalog, lhv
-from corrineq.cli import TARGETS, _pair_key, build_parser, main
+from corrineq import catalog, cli, lhv
+from corrineq.cli import TARGETS, _human_lines, _pair_key, build_parser, main
 from corrineq.dsl import format_sos, parse_variable
 from corrineq.quantum import tsirelson_envelope
 
@@ -382,6 +382,41 @@ class TestCheck:
         assert code == 2
         assert "no correlators" in err
 
+    @pytest.mark.parametrize("document, message", [
+        ('{"correlators": {"X1Y1": true, "X1Y2": "0.5", "X2Y1": 0.5, "X2Y2": -0.5}}',
+         "correlators value of 'X1Y1' must be a number, got a boolean"),
+        ('{"correlators": {"X1Y1": "0.5"}}', "correlators value of 'X1Y1' must be a number, got a string"),
+        ('{"correlators": {"X1Y1": null}}', "correlators value of 'X1Y1' must be a number, got null"),
+        ('{"correlators": {"X1Y1": [0.5]}}', "correlators value of 'X1Y1' must be a number, got an array"),
+        ('{"correlators": {"X1Y1": {"value": 0.5}}}',
+         "correlators value of 'X1Y1' must be a number, got an object"),
+        ('{"correlators": {"X1Y1": 0.5}, "means": {"X1": false}}',
+         "means value of 'X1' must be a number, got a boolean"),
+        ('[{"correlators": {"X1Y1": 0.5}}]', "the input must be an object, got an array"),
+        ('"X1Y1"', "the input must be an object, got a string"),
+        ('{"correlators": [["X1Y1", 0.5]]}', "correlators must be an object, got an array"),
+        ('{"correlators": {"X1Y1": 0.5}, "means": null}', "means must be an object, got null"),
+    ])
+    def test_only_json_numbers_are_observed_values(self, capsys, tmp_path, document, message):
+        """A boolean or a string was read as a number, and null or a
+        top-level array failed with Python's own message."""
+        path = tmp_path / "observed.json"
+        path.write_text(document)
+        code, out, err = run_cli(
+            capsys, "check", "--input", str(path), "--scenario", data_file("chsh.scn")
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_human_report_prints_empty_means(self, capsys):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "chsh_infeasible.json"
+        code, out, _ = run_cli(capsys, "check", "--input", str(path), "--scenario", data_file("chsh.scn"))
+        assert code == 1
+        assert "  means: {}" in out.splitlines()
+
+
+def test_human_format_of_empty_values():
+    assert list(_human_lines({"a": [], "b": {}})) == ["a: []", "b: {}"]
+
 
 class TestReproduce:
     FAST_TARGETS = (
@@ -553,6 +588,18 @@ class TestReproduce:
         assert code == 1
         assert err == "error: grid-max: expected 2.8284271247461903 within 1e-05, got 2.0\n"
         assert "ok: False" in out
+
+    def test_failed_bound_target_exits_1(self, capsys, monkeypatch):
+        """A wrong bound in the table fails its derived-bound check first."""
+        monkeypatch.setitem(cli._BOUND_TARGETS, "lg-bound", ("lg.rsx", 3, {}, "max"))
+        code, out, err = run_cli(capsys, "reproduce", "lg-bound", "--format", "json")
+        assert code == 1
+        assert err == "error: derived-bound: expected 3 within exact, got 2\n"
+        report = json.loads(out)
+        assert [(c["name"], c["pass"]) for c in report["checks"]] == [
+            ("derived-bound", False), ("classical-max", False)
+        ]
+        assert report["ok"] is False
 
 
 class TestParser:

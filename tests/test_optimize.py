@@ -19,7 +19,6 @@ from corrineq.optimize import (
     EnvelopeScan,
     OptimizationResult,
     SettingsParametrization,
-    envelope_settings,
     maximize_violation,
     scan_envelope,
 )
@@ -30,6 +29,7 @@ from corrineq.quantum import (
     hybrid_settings,
     maximally_mixed,
     operator_norm,
+    plane_vector,
     product_state,
     singlet_state,
     tsirelson_envelope,
@@ -38,6 +38,21 @@ from corrineq.quantum import (
 from term_rules import SEQUENTIAL, TENSOR, auto_assignment, reference_value
 
 SQRT8 = 2.0 * np.sqrt(2.0)
+
+
+def envelope_settings(theta1, theta2):
+    """Coplanar settings whose operator realizes an envelope grid point.
+
+    The X pair opens clockwise by theta1 from the z axis, the Y pair
+    counter-clockwise by theta2 from a quarter turn below; at the
+    saturating angles this reproduces the descending pi/4 ladder.
+    """
+    return {
+        VariableId("X", 1): plane_vector(0.0),
+        VariableId("X", 2): plane_vector(-theta1),
+        VariableId("Y", 1): plane_vector(-np.pi / 2),
+        VariableId("Y", 2): plane_vector(-np.pi / 2 + theta2),
+    }
 
 
 def x(i):

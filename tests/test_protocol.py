@@ -36,7 +36,6 @@ from corrineq.protocol import (
     _prepared,
     _sampler,
     admissible_data,
-    choice_sampler,
     estimate_f,
     signaling_test,
     simulate_choice_block,
@@ -101,6 +100,11 @@ def choice_tables(rho, choice, settings):
     """One choice's exact tables from a raw state and settings."""
     state, ops = _prepared(rho, settings, [choice])
     return _choice_tables(state, choice, ops)
+
+
+def choice_sampler(rho, choice, settings):
+    """The sampler of one choice on one state, built as the estimators build it."""
+    return _sampler(*choice_tables(rho, choice, settings))
 
 
 def reference_picks(rho, choice, settings, seed, shot_indices, salt=0):
@@ -654,7 +658,8 @@ class TestCutPoints:
         picks1 = _slot_picks(early, p1)
         want = histogram(picks1, _slot_picks(late, p2, picks1), k1, k2)
         work = np.empty(len(late), dtype=bool), np.empty(len(late), dtype=np.uint8)
-        got = _joint_counts(sampler, early.copy() if k1 > 1 else None, late.copy(), *work)
+        # early words enter as full mixed counters, the word in the top 53 bits
+        got = _joint_counts(sampler, early << np.uint64(11) if k1 > 1 else None, late.copy(), *work)
         assert np.array_equal(got, want)
 
     @settings(max_examples=200, deadline=None)
