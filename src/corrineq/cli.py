@@ -220,7 +220,10 @@ def _read_values(entries, parse, what: str) -> dict:
         if parsed in out:
             kind = "correlator for" if len(parsed) == 2 else "mean of"
             raise ValueError(f"{kind} {format_varset(parsed)} is given twice")
-        out[parsed] = float(_json(value, (int, float), f"{what} value of {key!r}"))
+        try:
+            out[parsed] = float(_json(value, (int, float), f"{what} value of {key!r}"))
+        except OverflowError:
+            raise ValueError(f"{what} value of {key!r} must be a number, got an integer out of float range") from None
     return out
 
 

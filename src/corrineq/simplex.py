@@ -1,4 +1,5 @@
-"""Dense two-phase simplex with Bland's rule, in float64.
+"""Dense two-phase simplex with Bland's rule, in float64, over equality
+rows a x = b with x >= 0.
 
 The probability polytopes in this package give sparse tableaux, so each
 pivot is one rank-1 update, one scatter through the tableau's flat view,
@@ -31,34 +32,27 @@ UNBOUNDED = "unbounded"
 
 @dataclass
 class LpProblem:
-    """min (or max) c.x  s.t.  a_eq x = b_eq,  a_ub x <= b_ub,  x >= 0."""
+    """min (or max) c.x  s.t.  a_eq x = b_eq,  x >= 0; a_eq may have 0 rows.
+
+    A row a x <= b is posed with a slack column of its own: [a 1][x; s] = b.
+    """
 
     c: np.ndarray
-    a_eq: np.ndarray | None = None
-    b_eq: np.ndarray | None = None
-    a_ub: np.ndarray | None = None
-    b_ub: np.ndarray | None = None
+    a_eq: np.ndarray
+    b_eq: np.ndarray
     maximize: bool = False
+    # not a field: perfbench/tracing.py reads it; ROADMAP direction 2 deletes it
+    a_ub = None
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
-        n = self.c.shape[0]
-        for name in ("a_eq", "a_ub"):
-            mat = getattr(self, name)
-            if mat is not None:
-                mat = np.atleast_2d(np.asarray(mat, dtype=float))
-                setattr(self, name, mat)
-                if mat.shape[1] != n:
-                    raise DimensionMismatch(f"{name} has {mat.shape[1]} columns, objective has {n}")
-        for aname, bname in (("a_eq", "b_eq"), ("a_ub", "b_ub")):
-            mat, vec = getattr(self, aname), getattr(self, bname)
-            if (mat is None) != (vec is None):
-                raise DimensionMismatch(f"{aname} and {bname} must be given together")
-            if vec is not None:
-                vec = np.asarray(vec, dtype=float).ravel()
-                setattr(self, bname, vec)
-                if vec.shape[0] != mat.shape[0]:
-                    raise DimensionMismatch(f"{bname} has {vec.shape[0]} entries, {aname} has {mat.shape[0]} rows")
+        self.a_eq = np.atleast_2d(np.asarray(self.a_eq, dtype=float))
+        self.b_eq = np.asarray(self.b_eq, dtype=float).ravel()
+        n, (m, width) = self.c.shape[0], self.a_eq.shape
+        if width != n:
+            raise DimensionMismatch(f"a_eq has {width} columns, objective has {n}")
+        if self.b_eq.shape[0] != m:
+            raise DimensionMismatch(f"b_eq has {self.b_eq.shape[0]} entries, a_eq has {m} rows")
 
 
 @dataclass
@@ -67,11 +61,8 @@ class LpSolution:
     objective: float | None
     x: np.ndarray | None
     duals_eq: np.ndarray | None = None
-    duals_ub: np.ndarray | None = None
     farkas_eq: np.ndarray | None = None
-    farkas_ub: np.ndarray | None = None
     iterations: int = 0
-    basis: list = field(default_factory=list)
     # infeasible results: (problem, final phase-1 tableau, basis, row signs)
     _phase1: tuple | None = field(default=None, repr=False, compare=False)
 
@@ -142,8 +133,8 @@ def _run_simplex(tab, basis, cost, limit, max_iter):
 def _resume(problem, start):
     """The phase-1 tableau, basis and row signs of `start` with the new columns.
 
-    `start` is an infeasible solution of an equality-only LP whose rows
-    and right-hand side `problem` repeats and whose columns are a prefix
+    `start` is an infeasible solution of an LP whose rows and right-hand
+    side `problem` repeats and whose columns are a prefix
     of `problem`'s.  The tableau's artificial block is the inverse of the
     basis (it began as the identity), so each appended column is that
     block times the column's sign-corrected rows.  The new columns go
@@ -152,9 +143,7 @@ def _resume(problem, start):
     if start.status != INFEASIBLE or start._phase1 is None:
         raise ValueError(f"a warm start needs an infeasible solution, got {start.status}")
     old, old_tab, old_basis, row_sign = start._phase1
-    if problem.a_ub is not None or old.a_ub is not None:
-        raise ValueError("a warm start takes equality rows only")
-    if problem.a_eq is None or not np.array_equal(problem.b_eq, old.b_eq):
+    if not np.array_equal(problem.b_eq, old.b_eq):
         raise ValueError("a warm start needs the same equality rows and right-hand side")
     n_old, n = old.c.shape[0], problem.c.shape[0]
     if n < n_old or not np.array_equal(problem.a_eq[:, :n_old], old.a_eq):
@@ -176,37 +165,28 @@ def simplex_solve(problem: LpProblem, start: LpSolution | None = None) -> LpSolu
     values in [-FEASIBILITY_TOL, 0) are set to 0.0.  A basic value below
     -FEASIBILITY_TOL raises NumericalBreakdown.
 
-    `start`, an infeasible result of an equality-only LP, resumes phase 1
+    `start`, an infeasible result of an earlier solve, resumes phase 1
     from that result's final tableau when `problem` has the same rows and
     right-hand side and appends columns to the earlier ones.  Its basis is
     a valid phase-1 start, so only the pivots the new columns allow are
     taken.  Any other `start` raises ValueError.
     """
-    n = problem.c.shape[0]
-    a_eq = problem.a_eq if problem.a_eq is not None else np.zeros((0, n))
-    b_eq = problem.b_eq if problem.b_eq is not None else np.zeros(0)
-    a_ub = problem.a_ub if problem.a_ub is not None else np.zeros((0, n))
-    b_ub = problem.b_ub if problem.b_ub is not None else np.zeros(0)
-    m_eq, m_ub = a_eq.shape[0], a_ub.shape[0]
-    m = m_eq + m_ub
+    m, n = problem.a_eq.shape
     c = -problem.c if problem.maximize else problem.c
 
-    # standard form: [A_eq 0; A_ub I] x' = b, slack per ub row, artificial per row
-    wide = n + m_ub + m
-    art = np.arange(n + m_ub, wide)
+    # phase-1 form: [A I] [x; art] = b, one artificial per row
+    wide = n + m
+    art = np.arange(n, wide)
     if start is not None:
         tab, basis, row_sign = _resume(problem, start)
     else:
         tab = np.zeros((m, wide + 1))
-        tab[:m_eq, :n] = a_eq
-        tab[m_eq:, :n] = a_ub
-        tab[m_eq:, n:n + m_ub] = np.eye(m_ub)
-        tab[:m_eq, wide] = b_eq
-        tab[m_eq:, wide] = b_ub
+        tab[:, :n] = problem.a_eq
+        tab[:, wide] = problem.b_eq
         negative = tab[:, wide] < 0
         tab[negative] = -tab[negative]
         row_sign = np.where(negative, -1.0, 1.0)
-        tab[:, n + m_ub:wide] = np.eye(m)
+        tab[:, n:wide] = np.eye(m)
         basis = art.copy()
 
     phase1_cost = np.zeros(wide)
@@ -218,14 +198,14 @@ def simplex_solve(problem: LpProblem, start: LpSolution | None = None) -> LpSolu
     if val1 > FEASIBILITY_TOL:
         # y_i = 1 - reduced cost of artificial i certifies infeasibility
         y = (1.0 - r1[art]) * row_sign
-        return LpSolution(INFEASIBLE, None, None, farkas_eq=y[:m_eq], farkas_ub=y[m_eq:], iterations=it1,
+        return LpSolution(INFEASIBLE, None, None, farkas_eq=y, iterations=it1,
                           _phase1=(problem, tab, basis, row_sign))
 
     # drive any leftover artificials out of the basis; all-zero rows are redundant
     keep = np.ones(m, dtype=bool)
     for i in range(m):
-        if basis[i] >= n + m_ub:
-            nonzero = np.flatnonzero(np.abs(tab[i, :n + m_ub]) > FEASIBILITY_TOL)
+        if basis[i] >= n:
+            nonzero = np.flatnonzero(np.abs(tab[i, :n]) > FEASIBILITY_TOL)
             if nonzero.size:
                 _pivot(tab, basis, i, int(nonzero[0]), tab[:, nonzero[0]].nonzero()[0])
             else:
@@ -236,7 +216,7 @@ def simplex_solve(problem: LpProblem, start: LpSolution | None = None) -> LpSolu
     phase2_cost = np.zeros(wide)
     phase2_cost[:n] = c
     # the artificials are the trailing columns and never re-enter
-    r2, val2, status, it2 = _run_simplex(tab, basis, phase2_cost, n + m_ub, max_iter)
+    r2, val2, status, it2 = _run_simplex(tab, basis, phase2_cost, n, max_iter)
     if status == UNBOUNDED:
         return LpSolution(UNBOUNDED, None, None, iterations=it1 + it2)
     if (tab[:, -1] < -FEASIBILITY_TOL).any():
@@ -248,8 +228,4 @@ def simplex_solve(problem: LpProblem, start: LpSolution | None = None) -> LpSolu
     if problem.maximize:
         val2, y = -val2, -y
     # + 0.0 turns any -0.0 left by the pivots into +0.0
-    return LpSolution(
-        OPTIMAL, val2 + 0.0, x[:n] + 0.0,
-        duals_eq=y[:m_eq], duals_ub=y[m_eq:],
-        iterations=it1 + it2, basis=basis.tolist(),
-    )
+    return LpSolution(OPTIMAL, val2 + 0.0, x[:n] + 0.0, duals_eq=y, iterations=it1 + it2)

@@ -396,6 +396,11 @@ class TestCheck:
         ('"X1Y1"', "the input must be an object, got a string"),
         ('{"correlators": [["X1Y1", 0.5]]}', "correlators must be an object, got an array"),
         ('{"correlators": {"X1Y1": 0.5}, "means": null}', "means must be an object, got null"),
+        # float() raised OverflowError, whose message named no key
+        ('{"correlators": {"X1Y1": 1%s, "X1Y2": 0.5}}' % ("0" * 400),
+         "correlators value of 'X1Y1' must be a number, got an integer out of float range"),
+        ('{"correlators": {"X1Y1": 0.5}, "means": {"X1": -1%s}}' % ("0" * 400),
+         "means value of 'X1' must be a number, got an integer out of float range"),
     ])
     def test_only_json_numbers_are_observed_values(self, capsys, tmp_path, document, message):
         """A boolean or a string was read as a number, and null or a

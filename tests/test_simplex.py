@@ -1,6 +1,7 @@
 """Two-phase simplex solver against hand solutions, vertex enumeration and
 the row-by-row kernel it replaced."""
 
+from dataclasses import fields
 from itertools import combinations
 from unittest import mock
 
@@ -22,15 +23,28 @@ from corrineq.simplex import (
 )
 
 
+def slack_form(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None, maximize=False):
+    """min (or max) c.x s.t. a_eq x = b_eq, a_ub x <= b_ub, x >= 0, posed as
+    equality rows: each a_ub row gets a slack column of its own,
+    [a_eq 0; a_ub I] [x; s] = [b_eq; b_ub]."""
+    c = np.asarray(c, dtype=float)
+    n = c.size
+    a_eq = np.zeros((0, n)) if a_eq is None else np.asarray(a_eq, dtype=float)
+    a_ub = np.zeros((0, n)) if a_ub is None else np.asarray(a_ub, dtype=float)
+    m_eq, m_ub = a_eq.shape[0], a_ub.shape[0]
+    a = np.zeros((m_eq + m_ub, n + m_ub))
+    a[:m_eq, :n], a[m_eq:, :n], a[m_eq:, n:] = a_eq, a_ub, np.eye(m_ub)
+    b = np.concatenate([np.zeros(0) if b_eq is None else b_eq, np.zeros(0) if b_ub is None else b_ub])
+    return LpProblem(c=np.concatenate([c, np.zeros(m_ub)]), a_eq=a, b_eq=b, maximize=maximize)
+
+
 def solve(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None, maximize=False):
-    return simplex_solve(LpProblem(
-        c=np.asarray(c, dtype=float),
-        a_eq=None if a_eq is None else np.asarray(a_eq, dtype=float),
-        b_eq=None if b_eq is None else np.asarray(b_eq, dtype=float),
-        a_ub=None if a_ub is None else np.asarray(a_ub, dtype=float),
-        b_ub=None if b_ub is None else np.asarray(b_ub, dtype=float),
-        maximize=maximize,
-    ))
+    """The slack-form LP's solution, its x cut back to the columns of c;
+    duals_eq and farkas_eq hold the a_eq rows, then the a_ub rows."""
+    solution = simplex_solve(slack_form(c, a_eq, b_eq, a_ub, b_ub, maximize))
+    if solution.x is not None:
+        solution.x = solution.x[:len(c)]
+    return solution
 
 
 def brute_force_max(c, a_ub, b_ub, tol=1e-9):
@@ -144,7 +158,6 @@ class TestNoRows:
         assert sol.status == OPTIMAL
         assert sol.objective == 0.0 and not np.signbit(sol.objective)
         assert sol.x.tolist() == [0.0, 0.0]
-        assert sol.basis == []
 
     def test_no_constraints_negative_cost(self):
         assert solve([-1.0]).status == UNBOUNDED
@@ -155,7 +168,6 @@ class TestNoRows:
         assert sol.status == OPTIMAL
         assert sol.objective == 0.0
         assert sol.x.tolist() == [0.0, 0.0]
-        assert sol.basis == []
         assert sol.duals_eq.tolist() == [0.0]
         assert solve([1, -2], a_eq=[[0, 0], [0, 0]], b_eq=[0, 0]).status == UNBOUNDED
 
@@ -168,7 +180,7 @@ class TestCertificates:
             b_ub=[14, 0, 2],
             maximize=True,
         )
-        via_duals = float(sol.duals_ub @ np.array([14.0, 0.0, 2.0]))
+        via_duals = float(sol.duals_eq @ np.array([14.0, 0.0, 2.0]))
         assert via_duals == pytest.approx(sol.objective, abs=1e-9)
 
     def test_farkas_certificate_for_infeasible(self):
@@ -176,10 +188,10 @@ class TestCertificates:
         b_ub = np.array([-1.0, 0.0, 0.0])
         sol = solve([1, 1], a_ub=a_ub, b_ub=b_ub)
         assert sol.status == INFEASIBLE
-        yb = float(sol.farkas_ub @ b_ub)
-        combo = sol.farkas_ub @ a_ub
-        # y <= 0 on <= rows, y.A <= 0 columnwise, y.b > 0 proves emptiness
-        assert np.all(sol.farkas_ub <= 1e-9)
+        yb = float(sol.farkas_eq @ b_ub)
+        combo = sol.farkas_eq @ a_ub
+        # on the slack-posed rows y.[A I] <= 0 is y.A <= 0 and y <= 0; with y.b > 0 it proves emptiness
+        assert np.all(sol.farkas_eq <= 1e-9)
         assert np.all(combo <= 1e-7)
         assert yb > 1e-9
 
@@ -194,9 +206,9 @@ class TestCertificates:
             if sol.status != INFEASIBLE:
                 continue
             found += 1
-            yb = float(sol.farkas_ub @ b_ub)
-            combo = sol.farkas_ub @ a_ub
-            assert np.all(sol.farkas_ub <= 1e-7)
+            yb = float(sol.farkas_eq @ b_ub)
+            combo = sol.farkas_eq @ a_ub
+            assert np.all(sol.farkas_eq <= 1e-7)
             assert np.all(combo <= 1e-6)
             assert yb > 1e-9
         assert found > 10
@@ -245,19 +257,19 @@ class TestValidation:
                 c=np.array([1.0, 2.0]),
                 a_eq=np.array([[1.0, 2.0, 3.0]]),
                 b_eq=np.array([1.0]),
-                a_ub=None,
-                b_ub=None,
             )
 
     def test_rhs_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            LpProblem(
-                c=np.array([1.0]),
-                a_eq=None,
-                b_eq=None,
-                a_ub=np.array([[1.0]]),
-                b_ub=np.array([1.0, 2.0]),
-            )
+            LpProblem(c=np.array([1.0]), a_eq=np.array([[1.0]]), b_eq=np.array([1.0, 2.0]))
+
+    def test_equality_rows_only(self):
+        # a_ub is a class attribute fixed at None, read by perfbench/tracing.py, and no field
+        assert [f.name for f in fields(LpProblem)] == ["c", "a_eq", "b_eq", "maximize"]
+        args = np.zeros(1), np.ones((1, 1)), np.ones(1)
+        with pytest.raises(TypeError, match="a_ub"):
+            LpProblem(*args, a_ub=np.ones((1, 1)))
+        assert LpProblem(*args).a_ub is None
 
 
 @st.composite
@@ -350,17 +362,6 @@ class TestWarmStart:
         a_eq = np.hstack([problem.a_eq[:, ::-1], [[1.0], [0.0]]])
         with pytest.raises(ValueError, match="prefix"):
             simplex_solve(LpProblem(c=np.zeros(3), a_eq=a_eq, b_eq=problem.b_eq), start=start)
-
-    def test_rejects_inequality_rows(self, infeasible):
-        problem, start = infeasible
-        with_ub = LpProblem(c=np.zeros(2), a_eq=problem.a_eq, b_eq=problem.b_eq,
-                            a_ub=np.array([[1.0, 0.0]]), b_ub=np.array([1.0]))
-        with pytest.raises(ValueError, match="equality rows only"):
-            simplex_solve(with_ub, start=start)
-        ub_start = simplex_solve(LpProblem(c=np.zeros(1), a_ub=np.array([[1.0]]), b_ub=np.array([-1.0])))
-        assert ub_start.status == INFEASIBLE
-        with pytest.raises(ValueError, match="equality rows only"):
-            simplex_solve(LpProblem(c=np.zeros(1), a_ub=np.array([[1.0]]), b_ub=np.array([-1.0])), start=ub_start)
 
     def test_rejects_an_optimal_start(self):
         problem = LpProblem(c=np.zeros(2), a_eq=np.array([[1.0, 1.0]]), b_eq=np.array([1.0]))
@@ -478,7 +479,7 @@ def lp_problems(draw):
     def rhs(m):
         return rng.integers(low, 3, size=m).astype(float)
 
-    return LpProblem(
+    return slack_form(
         c=random_matrix(rng, kind, n),
         a_eq=random_matrix(rng, kind, (m_eq, n)) if m_eq else None,
         b_eq=rhs(m_eq) if m_eq else None,
@@ -489,9 +490,9 @@ def lp_problems(draw):
 
 
 def assert_same_solution(got, want):
-    assert (got.status, got.iterations, got.basis) == (want.status, want.iterations, want.basis)
+    assert (got.status, got.iterations) == (want.status, want.iterations)
     assert got.objective == want.objective
-    for name in ("x", "duals_eq", "duals_ub", "farkas_eq", "farkas_ub"):
+    for name in ("x", "duals_eq", "farkas_eq"):
         a, b = getattr(got, name), getattr(want, name)
         assert (a is None) == (b is None), name
         if a is not None:
