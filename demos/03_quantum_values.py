@@ -27,10 +27,10 @@ from corrineq.dsl import VariableId
 from corrineq.optimize import PRODUCT_FAMILY, maximize_violation, scan_envelope
 from corrineq.polynomials import derive_inequality
 from corrineq.quantum import (
-    build_f_operator,
     evaluate_inequality_quantum,
     hybrid_f_product,
     hybrid_settings,
+    inequality_operator,
     ladder_settings,
     maximally_mixed,
     operator_norm,
@@ -100,7 +100,7 @@ print(f"optimizer best value: {result.value:.12f} (converged: {result.converged}
 # operator's norm.  At the optimizer's settings the norm matches the
 # value it found, so the search stopped at a true maximum.
 
-f_op, _, _ = build_f_operator(result.settings)
+f_op = inequality_operator(hybrid, result.settings, hscn)
 print(f"operator norm at the found settings: {operator_norm(f_op):.12f}")
 print(f"gap to optimizer value: {abs(operator_norm(f_op) - result.value):.2e}")
 

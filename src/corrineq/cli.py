@@ -37,10 +37,10 @@ from .polynomials import (
 )
 from .protocol import estimate_f, signaling_test
 from .quantum import (
-    build_f_operator,
     evaluate_inequality_quantum,
     hybrid_f_product,
     hybrid_settings,
+    inequality_operator,
     operator_norm,
     plane_vector,
     product_ladder_settings,
@@ -318,7 +318,7 @@ def _target_ncycle_bounds(args) -> dict:
 def _target_hybrid_singlet(args) -> dict:
     ineq = derive_inequality(catalog.load_expression("hybrid.rsx"))
     found = maximize_violation(ineq, singlet_state())
-    norm = operator_norm(build_f_operator(found.settings)[0])
+    norm = operator_norm(inequality_operator(ineq, found.settings))
     ladder = evaluate_inequality_quantum(ineq, singlet_state(), hybrid_settings())
     return _finish({
         "target": "hybrid-singlet",
@@ -388,7 +388,7 @@ def _target_s2_identity(args) -> dict:
     raw = rng.normal(size=(100, 4, 3))  # trial by trial, the stream of 100 draws of (4, 3)
     unit = raw / np.sqrt(row_dot(raw, raw))[..., None]  # the bits of np.linalg.norm per row
     settings = dict(zip(names, np.moveaxis(unit, 1, 0)))
-    _, _, s2 = build_f_operator(settings)
+    s2 = inequality_operator({(names[0], names[3]): 1, (names[1], names[2]): -1}, settings)  # X1 Y2 - X2 Y1
     worst = float(np.abs(s2 @ s2 - s2_square_closed_form(settings)).max())
     return _finish({
         "target": "s2-identity",

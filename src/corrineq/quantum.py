@@ -14,12 +14,13 @@ import numpy as np
 from .dsl import VariableId
 from .errors import (
     DimensionMismatch,
+    InconsistentContext,
     MissingAssignment,
     MissingSetting,
     NonUnitVector,
     NotHermitian,
 )
-from .polynomials import letter_scenario
+from .polynomials import coefficient_map, letter_scenario
 
 HERMITICITY_TOL = 1e-10
 
@@ -252,25 +253,43 @@ def hybrid_f_product(n_a, n_b, settings) -> float:
     )
 
 
-def build_f_operator(settings):
-    """Operator split F = S1 + S2 for the hybrid combination.
+def inequality_operator(form, settings, scenario=None) -> np.ndarray:
+    """The operator whose expectation on every state is the form's quantum value.
 
-    S1 carries the two sequential terms as the scalar
-    (x1.x2 + y1.y2) times identity; S2 carries the tensor terms
-    (x1.sigma)x(y2.sigma) - (x2.sigma)x(y1.sigma).  Settings given as
-    (k, 3) stacks give (k, 4, 4) stacks, each equal to its row's operator.
+    Each variable of `form` (read by `polynomials.coefficient_map`) sits on
+    its party's qubit (`qubit_layout`).  A cross-qubit pair adds
+    c (a.sigma) x (b.sigma), qubit 0's variable first, and a same-qubit pair
+    adds c (a.b) I, its sequential correlator.  2x2 for one qubit, 4x4 for
+    two; (k, 3) setting stacks give k operators.  The identity part comes
+    first, then the tensor part, each summed in the form's order with |c|
+    folded into a vector and each term added or subtracted by c's sign, so
+    unit coefficients keep the plain sum's bits, signed zeros included.
     """
-    x1, x2, y1, y2 = _hybrid_vectors(settings)
-    s1 = (row_dot(x1, x2) + row_dot(y1, y2))[..., None, None] * ID4
-    s2 = kron2(dot_sigma(x1), dot_sigma(y2)) - kron2(dot_sigma(x2), dot_sigma(y1))
-    return s1 + s2, s1, s2
+    terms = coefficient_map(form)
+    if not terms or any(len(varset) != 2 for varset in terms):
+        raise ValueError("an operator is built from one or more terms, each a pair of variables")
+    qubit = qubit_layout(frozenset().union(*terms), scenario)
+    vector = {v: unit_vector(direction_for(settings, v), rows=True) for v in sorted(qubit, key=VariableId.sort_key)}
+    sums = {}  # True: the same-qubit scalar, False: the cross-qubit tensor
+    for varset, c in terms.items():
+        a, b = term_order(varset, qubit)
+        same = qubit[a] == qubit[b]
+        if same and scenario is not None and scenario.in_common_context(a, b):
+            raise InconsistentContext(f"pair {a},{b} shares a context but sits on one qubit, read only in sequence")
+        va, vb = float(abs(c)) * vector[a], vector[b]
+        part = row_dot(va, vb) if same else kron2(dot_sigma(va), dot_sigma(vb))
+        total = sums.get(same)
+        sums[same] = (part if c >= 0 else -part) if total is None else (total + part if c >= 0 else total - part)
+    if True in sums:
+        sums[True] = sums[True][..., None, None] * (ID4 if 1 in qubit.values() else ID2)
+    return sums[True] + sums[False] if len(sums) == 2 else sums.popitem()[1]
 
 
 def s2_square_closed_form(settings) -> np.ndarray:
     """2[I - (x1.x2)(y1.y2) - ((x1 cross x2).sigma) x ((y1 cross y2).sigma)].
 
-    Independent of build_f_operator's matrix product; the two must agree
-    element by element.  Stacks broadcast as in build_f_operator.
+    Independent of inequality_operator's matrix product on the hybrid's cross
+    terms; the two must agree element by element.  Stacks broadcast alike.
     """
     x1, x2, y1, y2 = _hybrid_vectors(settings)
     scalar = 1.0 - row_dot(x1, x2) * row_dot(y1, y2)

@@ -23,10 +23,10 @@ from corrineq.optimize import maximize_violation, scan_envelope
 from corrineq.polynomials import coefficient_map, derive_inequality, term_kinds
 from corrineq.protocol import estimate_f, signaling_test
 from corrineq.quantum import (
-    build_f_operator,
     evaluate_inequality_quantum,
     hybrid_f_product,
     hybrid_settings,
+    inequality_operator,
     operator_norm,
     plane_vector,
     product_ladder_settings,
@@ -112,7 +112,7 @@ def test_criterion_05_singlet_optimizer():
     ineq = derive_inequality(catalog.load_expression("hybrid.rsx"))
     found = maximize_violation(ineq, singlet_state())
     assert abs(found.value - SQRT8) <= 1e-6
-    f_op, _, _ = build_f_operator(found.settings)
+    f_op = inequality_operator(ineq, found.settings)
     assert abs(operator_norm(f_op) - found.value) <= 1e-9
     assert time.monotonic() - started < 30.0
 
@@ -145,10 +145,13 @@ def test_criterion_07_envelope_grid():
 def test_criterion_08_squared_operator_identity():
     rng = np.random.default_rng(12345)
     names = [x(1), x(2), y(1), y(2)]
+    ineq = derive_inequality(catalog.load_expression("hybrid.rsx"))
+    kinds = term_kinds(ineq.terms, catalog.load_scenario("hybrid.scn"))
+    cross = {m.variables: m.coefficient for m in ineq.terms if kinds[m.variables] == "cross-party"}
     for _ in range(100):
         raw = rng.normal(size=(4, 3))
         settings = {v: row / np.linalg.norm(row) for v, row in zip(names, raw)}
-        _, _, s2 = build_f_operator(settings)
+        s2 = inequality_operator(cross, settings)
         deviation = np.abs(s2 @ s2 - s2_square_closed_form(settings)).max()
         assert deviation <= 1e-12
 

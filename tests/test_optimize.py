@@ -24,9 +24,9 @@ from corrineq.optimize import (
 )
 from corrineq.polynomials import CorrelationInequality, Monomial, derive_inequality
 from corrineq.quantum import (
-    build_f_operator,
     evaluate_inequality_quantum,
     hybrid_settings,
+    inequality_operator,
     maximally_mixed,
     operator_norm,
     plane_vector,
@@ -90,7 +90,7 @@ class TestMaximizeViolation:
             hybrid, result.state, result.settings
         )
         assert replay == pytest.approx(result.value, abs=1e-12)
-        f_op, _, _ = build_f_operator(result.settings)
+        f_op = inequality_operator(hybrid, result.settings)
         assert result.value <= operator_norm(f_op) + 1e-9
         assert result.value == pytest.approx(operator_norm(f_op), abs=1e-9)
 
@@ -436,7 +436,7 @@ class TestEnvelopeScan:
         with pytest.raises(ValueError, match="at most 4096"):  # before a block is asked for
             optimize.envelope_rows(4097)
 
-    def test_settings_realize_the_envelope_on_saturating_region(self):
+    def test_settings_realize_the_envelope_on_saturating_region(self, hybrid):
         """Where the largest eigenvalue keeps its sign, the two agree."""
         rng = np.random.default_rng(5)
         checked = 0
@@ -444,17 +444,17 @@ class TestEnvelopeScan:
             t1, t2 = rng.uniform(-np.pi, np.pi, size=2)
             if np.cos(t1) + np.cos(t2) < 0 or np.sin(t1) * np.sin(t2) > 0:
                 continue
-            f_op, _, _ = build_f_operator(envelope_settings(t1, t2))
+            f_op = inequality_operator(hybrid, envelope_settings(t1, t2))
             assert tsirelson_envelope(t1, t2) == pytest.approx(
                 operator_norm(f_op), abs=1e-12
             )
             checked += 1
 
-    def test_envelope_never_exceeds_the_norm(self):
+    def test_envelope_never_exceeds_the_norm(self, hybrid):
         rng = np.random.default_rng(6)
         for _ in range(100):
             t1, t2 = rng.uniform(-np.pi, np.pi, size=2)
-            f_op, _, _ = build_f_operator(envelope_settings(t1, t2))
+            f_op = inequality_operator(hybrid, envelope_settings(t1, t2))
             assert tsirelson_envelope(t1, t2) <= operator_norm(f_op) + 1e-12
 
     def test_ladder_point_saturates(self):

@@ -12,6 +12,7 @@ from corrineq.cli import main
 from corrineq.dsl import VariableId, parse_scenario, parse_sos
 from corrineq.errors import (
     DimensionMismatch,
+    InconsistentContext,
     MissingAssignment,
     MissingSetting,
     NonUnitVector,
@@ -24,10 +25,10 @@ from corrineq.quantum import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    build_f_operator,
     evaluate_inequality_quantum,
     hybrid_f_product,
     hybrid_settings,
+    inequality_operator,
     kron2,
     ladder_settings,
     maximally_mixed,
@@ -79,6 +80,15 @@ def random_settings(rng, variables):
 
 
 HYBRID_VARS = (x(1), x(2), y(1), y(2))
+HYBRID = derive_inequality(catalog.load_expression("hybrid.rsx"))
+
+
+def hybrid_split(settings):
+    """F, S1 and S2: the operators of the hybrid inequality, of its same-qubit terms and of its cross-qubit terms."""
+    qubit = qubit_layout(HYBRID.variables())
+    same = {m.variables: m.coefficient for m in HYBRID.terms if len({qubit[v] for v in m.variables}) == 1}
+    cross = {m.variables: m.coefficient for m in HYBRID.terms if m.variables not in same}
+    return tuple(inequality_operator(form, settings) for form in (HYBRID, same, cross))
 
 
 class TestPauliAlgebra:
@@ -377,7 +387,7 @@ class TestHybridValues:
         for _ in range(10):
             settings = random_settings(rng, HYBRID_VARS)
             rho = random_density(rng, 4)
-            f_op, _, _ = build_f_operator(settings)
+            f_op = inequality_operator(ineq, settings)
             direct = float(np.trace(rho @ f_op).real)
             summed = evaluate_inequality_quantum(ineq, rho, settings)
             assert direct == pytest.approx(summed, abs=1e-12)
@@ -394,15 +404,94 @@ class TestHybridValues:
     def test_operator_split_structure(self):
         rng = np.random.default_rng(43)
         settings = random_settings(rng, HYBRID_VARS)
-        f_op, s1, s2 = build_f_operator(settings)
+        f_op, s1, s2 = hybrid_split(settings)
         assert np.abs(f_op - (s1 + s2)).max() == 0.0
         # sequential part is a multiple of the identity
         assert np.abs(s1 - s1[0, 0] * ID4).max() == 0.0
         assert np.abs(np.trace(s2)) < 1e-12
 
     def test_singlet_norm_at_ladder(self):
-        f_op, _, _ = build_f_operator(hybrid_settings())
+        f_op = inequality_operator(HYBRID, hybrid_settings())
         assert operator_norm(f_op) == pytest.approx(SQRT8, abs=1e-12)
+
+
+# shipped form, its scenario file (None: the letter layout) and the operator's dimension
+OPERATOR_CASES = [
+    ("chsh", "chsh.scn", 4),
+    ("hybrid", "hybrid.scn", 4),
+    ("lg", "lg.scn", 2),
+    ("chsh", None, 4),
+    ("hybrid", None, 4),
+]
+
+
+def _shipped(name, scn):
+    ineq = derive_inequality(catalog.load_expression(f"{name}.rsx"))
+    variables = sorted(ineq.variables(), key=VariableId.sort_key)
+    return ineq, variables, scn and catalog.load_scenario(scn)
+
+
+class TestInequalityOperator:
+    """tr(rho O) against the term-by-term value on every shipped form, stacks row by row, and the refusals."""
+
+    @pytest.mark.parametrize("name, scn, dim", OPERATOR_CASES)
+    def test_expectation_is_the_evaluated_value(self, name, scn, dim):
+        ineq, variables, scenario = _shipped(name, scn)
+        rng = np.random.default_rng(81)
+        for _ in range(200):
+            settings = random_settings(rng, variables)
+            rho = random_density(rng, dim)
+            op = inequality_operator(ineq, settings, scenario)
+            assert op.shape == (dim, dim)
+            expected = evaluate_inequality_quantum(ineq, rho, settings, scenario)
+            assert abs(np.trace(rho @ op).real - expected) <= 1e-12
+
+    @pytest.mark.parametrize("name, scn, dim", OPERATOR_CASES)
+    def test_stack_rows_are_their_own_operators(self, name, scn, dim):
+        ineq, variables, scenario = _shipped(name, scn)
+        raw = np.random.default_rng(82).normal(size=(len(variables), 30, 3))
+        stacks = dict(zip(variables, raw / np.sqrt(row_dot(raw, raw))[..., None]))
+        stacked = inequality_operator(ineq, stacks, scenario)
+        assert stacked.shape == (30, dim, dim)
+        for k in range(30):
+            row = inequality_operator(ineq, {v: rows[k] for v, rows in stacks.items()}, scenario)
+            assert _same_bits(stacked[k], row)
+
+    def test_lg_is_a_multiple_of_the_identity(self):
+        """A second route to the temporal value: the norm of (sum of c a.b) I at demo 03's ladder."""
+        lg, times, scenario = _shipped("lg", "lg.scn")
+        op = inequality_operator(lg, ladder_settings(times, 0.0, -np.pi / 4), scenario)
+        assert op.shape == (2, 2)
+        assert np.array_equal(op, op[0, 0] * ID2)
+        assert abs(operator_norm(op) - SQRT8) <= 1e-12
+
+    def test_missing_setting_raises(self):
+        settings = hybrid_settings()
+        del settings[y(2)]
+        with pytest.raises(MissingSetting, match="Y2"):
+            inequality_operator(HYBRID, settings)
+
+    def test_three_parties_raise(self):
+        z1 = VariableId("Z", 1)
+        settings = {**hybrid_settings(), z1: plane_vector(0.3)}
+        with pytest.raises(MissingAssignment, match="3 parties"):
+            inequality_operator({(x(1), y(1)): 1, (x(1), z1): 1}, settings)
+
+    def test_context_on_one_qubit_is_refused(self):
+        """kcbs.scn declares X1 X2 jointly measurable, but both sit on one qubit."""
+        kcbs, variables, scenario = _shipped("kcbs", "kcbs.scn")
+        settings = ladder_settings(variables, 0.0, 4 * np.pi / 5)
+        with pytest.raises(InconsistentContext, match="X1,X2"):
+            inequality_operator(kcbs, settings, scenario)
+        op = inequality_operator(kcbs, settings)  # the letter layout declares no contexts
+        rho = random_density(np.random.default_rng(83), 2)
+        assert op.shape == (2, 2)
+        assert np.trace(rho @ op).real == pytest.approx(evaluate_inequality_quantum(kcbs, rho, settings), abs=1e-12)
+
+    @pytest.mark.parametrize("form", [{}, {(x(1),): 1}, {(): 2, (x(1), y(1)): 1}, {(x(1), y(1), y(2)): 1}])
+    def test_a_key_that_is_no_pair_raises(self, form):
+        with pytest.raises(ValueError, match="pair of variables"):
+            inequality_operator(form, hybrid_settings())
 
 
 class TestS2Square:
@@ -410,7 +499,7 @@ class TestS2Square:
         rng = np.random.default_rng(51)
         for _ in range(100):
             settings = random_settings(rng, HYBRID_VARS)
-            _, _, s2 = build_f_operator(settings)
+            _, _, s2 = hybrid_split(settings)
             closed = s2_square_closed_form(settings)
             assert np.abs(s2 @ s2 - closed).max() < 1e-12
 
@@ -435,7 +524,7 @@ def _reference_sigma(n):
 
 
 def _reference_f_operator(settings):
-    """build_f_operator for one settings map, as written before stacking."""
+    """The hybrid's F, S1 and S2 for one settings map, as its dedicated builder wrote them before stacking."""
     x1, x2, y1, y2 = (settings[v] for v in HYBRID_VARS)
     s1 = float(x1 @ x2 + y1 @ y2) * ID4
     s2 = np.kron(_reference_sigma(x1), _reference_sigma(y2)) - np.kron(
@@ -484,7 +573,7 @@ class TestStackedS2:
     @pytest.mark.parametrize("seed", S2_SEEDS)
     def test_stack_matches_the_trial_loop(self, seed):
         settings = _stacked_settings(seed)
-        _, _, s2 = build_f_operator(settings)
+        _, _, s2 = hybrid_split(settings)
         closed = s2_square_closed_form(settings)
         ref_s2, ref_closed, ref_deviation = _reference_trials(seed)
         assert _same_bits(s2, ref_s2)
@@ -502,7 +591,7 @@ class TestStackedS2:
         rng = np.random.default_rng(53)
         for _ in range(50):
             settings = random_settings(rng, HYBRID_VARS)
-            got, expected = build_f_operator(settings), _reference_f_operator(settings)
+            got, expected = hybrid_split(settings), _reference_f_operator(settings)
             assert all(_same_bits(a, b) for a, b in zip(got, expected))
             assert _same_bits(s2_square_closed_form(settings), _reference_closed_form(settings))
             n = settings[x(1)]
@@ -510,12 +599,14 @@ class TestStackedS2:
 
     def test_stack_rows_are_their_own_operators(self):
         settings = _stacked_settings(7)
-        stacked = build_f_operator(settings)
+        stacked = hybrid_split(settings)
         for k in (0, 41, 99):
-            row = build_f_operator({v: rows[k] for v, rows in settings.items()})
+            row = hybrid_split({v: rows[k] for v, rows in settings.items()})
             assert all(_same_bits(a[k], b) for a, b in zip(stacked, row))
 
-    @pytest.mark.parametrize("build", [build_f_operator, s2_square_closed_form])
+    @pytest.mark.parametrize(
+        "build", [pytest.param(hybrid_split, id="inequality_operator"), s2_square_closed_form]
+    )
     def test_one_non_unit_row_raises(self, build):
         settings = _stacked_settings(3)
         settings[y(1)] = settings[y(1)].copy()
@@ -564,7 +655,7 @@ class TestEnvelope:
 
     def test_matches_operator_norm_at_ladder(self):
         """theta1 = pi/4, theta2 = -pi/4 is the descending ladder geometry."""
-        f_op, _, _ = build_f_operator(hybrid_settings())
+        f_op = inequality_operator(HYBRID, hybrid_settings())
         assert tsirelson_envelope(np.pi / 4, -np.pi / 4) == pytest.approx(
             operator_norm(f_op), abs=1e-12
         )
