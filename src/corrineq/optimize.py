@@ -124,7 +124,7 @@ def _objective_terms(ineq: CorrelationInequality, parametrization: SettingsParam
     (k, len(slots), 3) block of those unit vectors to the term's k values.
     """
     qubit = qubit_layout(ineq.variables(), scenario)
-    pairs = [term_order(mono.variables, qubit) for mono in ineq.terms]
+    pairs = [term_order(mono.variables, qubit, scenario) for mono in ineq.terms]
     tensor = None
     if not isinstance(parametrization.state, str) and any(qubit[a] != qubit[b] for a, b in pairs):
         tensor = correlation_tensor(parametrization.state)

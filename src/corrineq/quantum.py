@@ -175,9 +175,14 @@ def qubit_layout(variables, scenario=None) -> dict:
     return {v: names.index(party) for v, party in party_of.items()}
 
 
-def term_order(variables, qubit) -> list:
-    """A term's two variables by qubit, then in variable order (time order within a party)."""
-    return sorted(variables, key=lambda v: (qubit[v], v.sort_key()))
+def term_order(variables, qubit, scenario=None) -> list:
+    """A term's two variables by qubit, then in variable order (time order within a party);
+    InconsistentContext for a pair on one qubit, which reads it only in sequence, that
+    `scenario` puts in a common context."""
+    a, b = sorted(variables, key=lambda v: (qubit[v], v.sort_key()))
+    if qubit[a] == qubit[b] and scenario is not None and scenario.in_common_context(a, b):
+        raise InconsistentContext(f"pair {a},{b} shares a context but sits on one qubit, read only in sequence")
+    return [a, b]
 
 
 def direction_for(settings, var) -> np.ndarray:
@@ -195,14 +200,14 @@ def evaluate_inequality_quantum(ineq, rho, settings, scenario=None) -> float:
     across the two qubits is the tensor-product correlator, qubit 0's
     variable first; a term within one qubit is the sequential correlator
     with the variable first in variable order (letter, then index)
-    measured first (Fritz, New J. Phys. 12, 083055, 2010).  The state
-    must pass `validate_density`.
+    measured first (Fritz, New J. Phys. 12, 083055, 2010).  `term_order`
+    refuses a same-qubit pair in a common context; the state must pass `validate_density`.
     """
     rho = validate_density(rho)
     qubit = qubit_layout(ineq.variables(), scenario)
     total = 0.0
     for mono in ineq.terms:
-        a, b = term_order(mono.variables, qubit)
+        a, b = term_order(mono.variables, qubit, scenario)
         if qubit[a] == qubit[b]:
             value = sequential_correlator(rho, direction_for(settings, a), direction_for(settings, b), qubit[a])
         else:
@@ -272,10 +277,8 @@ def inequality_operator(form, settings, scenario=None) -> np.ndarray:
     vector = {v: unit_vector(direction_for(settings, v), rows=True) for v in sorted(qubit, key=VariableId.sort_key)}
     sums = {}  # True: the same-qubit scalar, False: the cross-qubit tensor
     for varset, c in terms.items():
-        a, b = term_order(varset, qubit)
+        a, b = term_order(varset, qubit, scenario)
         same = qubit[a] == qubit[b]
-        if same and scenario is not None and scenario.in_common_context(a, b):
-            raise InconsistentContext(f"pair {a},{b} shares a context but sits on one qubit, read only in sequence")
         va, vb = float(abs(c)) * vector[a], vector[b]
         part = row_dot(va, vb) if same else kron2(dot_sigma(va), dot_sigma(vb))
         total = sums.get(same)

@@ -1,16 +1,16 @@
 """Dense two-phase simplex with Bland's rule, in float64, over equality
 rows a x = b with x >= 0.
 
-The probability polytopes in this package give sparse tableaux, so each
-pivot is one rank-1 update, one scatter through the tableau's flat view,
-over only the rows with a nonzero in the pivot column (read once, for the
-ratio test too) and the columns with a nonzero in the pivot row.  The
-reduced-cost row is carried along and recomputed from scratch before a
-phase ends.  Infeasible problems come back with a Farkas vector read off
-the phase-1 reduced costs, which downstream code turns into a violated
-inequality.  Such a result also keeps its final phase-1 tableau, so that a
-later solve of the same equality rows with appended columns (column
-generation) can resume phase 1 from it instead of starting over.
+The probability polytopes in this package give sparse tableaux.  A pivot
+reads the reduced costs, the entering column's nonzero entries once (the
+ratio test's divisors and the update's multipliers) and the right-hand side
+where they are positive; it writes the pivot row, in one scatter the cells
+where that row and column are both nonzero, and the reduced costs, carried
+along and recomputed before a phase ends.  Infeasible problems come back
+with a Farkas vector read off the phase-1 reduced costs, which downstream
+code turns into a violated inequality.  Such a result keeps its phase-1
+tableau, so a later solve of the same rows with appended columns (column
+generation) resumes phase 1 from it instead of starting over.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ class LpSolution:
     _phase1: tuple | None = field(default=None, repr=False, compare=False)
 
 
-def _pivot(tab, basis, row, col, rows):
-    """Pivot on (row, col); `rows` lists the pivot column's nonzero rows.
+def _pivot(tab, basis, row, col, rows, factors):
+    """Pivot on (row, col); `rows` lists the pivot column's nonzero rows, `factors` their entries.
 
     Each updated entry gets the same multiply and subtract as a row-by-row
     update.  The update writes through a flat view: `tab` is C-contiguous.
@@ -76,22 +76,14 @@ def _pivot(tab, basis, row, col, rows):
     piv = tab[row, col]
     if abs(piv) < PIVOT_TOL:
         raise NumericalBreakdown(f"pivot {piv:.3e} below {PIVOT_TOL}")
-    tab[row] /= piv
-    rows = rows[rows != row]
-    cols = tab[row].nonzero()[0]
-    update = tab[rows, col][:, None] * tab[row, cols]
+    pivot_row = tab[row]
+    pivot_row /= piv
+    others = rows != row
+    rows = rows[others]
+    cols = pivot_row.nonzero()[0]
+    update = factors[others][:, None] * pivot_row[cols]
     tab.reshape(-1)[(rows * tab.shape[1])[:, None] + cols] -= update
     basis[row] = col
-
-
-def _entering(r, limit):
-    """Bland's entering column: the first of r[:limit] below -OPTIMALITY_TOL, or None."""
-    improving = r[:limit] < -OPTIMALITY_TOL
-    if improving.size:
-        entering = int(improving.argmax())  # first True
-        if improving[entering]:
-            return entering
-    return None
 
 
 def _run_simplex(tab, basis, cost, limit, max_iter):
@@ -105,25 +97,32 @@ def _run_simplex(tab, basis, cost, limit, max_iter):
     status, iterations) read the final tableau.
     """
     wide = tab.shape[1] - 1
-    iterations = 0
+    rhs = tab[:, wide]
     r = cost - cost[basis] @ tab[:, :wide]
+    head = r[:limit]  # the columns that may enter; r is only ever written in place
+    iterations, fresh = 0, False
     while True:
-        entering = _entering(r, limit)
-        if entering is None:
-            c_b = cost[basis]
-            r = cost - c_b @ tab[:, :wide]
-            entering = _entering(r, limit)
-            if entering is None:
-                return r, float(c_b @ tab[:, wide]), OPTIMAL, iterations
+        # Bland's entering column: the first of head below -OPTIMALITY_TOL
+        improving = head < -OPTIMALITY_TOL
+        entering = improving.argmax() if limit else 0  # argmax of no columns raises
+        if not (limit and improving[entering]):
+            if fresh:
+                return r, float(cost[basis] @ rhs), OPTIMAL, iterations
+            np.subtract(cost, cost[basis] @ tab[:, :wide], out=r)
+            fresh = True
+            continue
+        fresh = False
         column = tab[:, entering]
-        nonzero = column.nonzero()[0]  # read once: the ratio test's rows and the update's
-        eligible = nonzero[column[nonzero] > FEASIBILITY_TOL]
+        rows = column.nonzero()[0]  # read once: the ratio test's rows and the update's
+        entries = column[rows]
+        positive = entries > FEASIBILITY_TOL
+        eligible = rows[positive]
         if not eligible.size:
             return r, None, UNBOUNDED, iterations
-        ratios = tab[eligible, wide] / column[eligible]
+        ratios = rhs[eligible] / entries[positive]
         ties = eligible[ratios <= ratios.min() + 1e-12]
-        leaving = int(ties[np.argmin(basis[ties])])  # smallest basis index on ties
-        _pivot(tab, basis, leaving, entering, nonzero)
+        leaving = ties[basis[ties].argmin()]  # smallest basis index on ties
+        _pivot(tab, basis, leaving, entering, rows, entries)
         r -= r[entering] * tab[leaving, :wide]
         iterations += 1
         if iterations > max_iter:
@@ -180,12 +179,10 @@ def simplex_solve(problem: LpProblem, start: LpSolution | None = None) -> LpSolu
     if start is not None:
         tab, basis, row_sign = _resume(problem, start)
     else:
+        row_sign = np.where(problem.b_eq < 0, -1.0, 1.0)  # each row times its sign has b >= 0
         tab = np.zeros((m, wide + 1))
-        tab[:, :n] = problem.a_eq
-        tab[:, wide] = problem.b_eq
-        negative = tab[:, wide] < 0
-        tab[negative] = -tab[negative]
-        row_sign = np.where(negative, -1.0, 1.0)
+        tab[:, :n] = row_sign[:, None] * problem.a_eq
+        tab[:, wide] = row_sign * problem.b_eq
         tab[:, n:wide] = np.eye(m)
         basis = art.copy()
 
@@ -203,13 +200,13 @@ def simplex_solve(problem: LpProblem, start: LpSolution | None = None) -> LpSolu
 
     # drive any leftover artificials out of the basis; all-zero rows are redundant
     keep = np.ones(m, dtype=bool)
-    for i in range(m):
-        if basis[i] >= n:
-            nonzero = np.flatnonzero(np.abs(tab[i, :n]) > FEASIBILITY_TOL)
-            if nonzero.size:
-                _pivot(tab, basis, i, int(nonzero[0]), tab[:, nonzero[0]].nonzero()[0])
-            else:
-                keep[i] = False
+    for i in np.flatnonzero(basis >= n):  # a pivot changes the basis of its own row only
+        nonzero = np.flatnonzero(np.abs(tab[i, :n]) > FEASIBILITY_TOL)
+        if nonzero.size:
+            rows = tab[:, nonzero[0]].nonzero()[0]
+            _pivot(tab, basis, i, nonzero[0], rows, tab[rows, nonzero[0]])
+        else:
+            keep[i] = False
     if not keep.all():
         tab, basis = tab[keep], basis[keep]
 

@@ -11,7 +11,7 @@ import pytest
 from corrineq import catalog, optimize
 from corrineq.cli import main
 from corrineq.dsl import VariableId, parse_sos
-from corrineq.errors import BudgetExhausted, DimensionMismatch, EvenGroupWarning
+from corrineq.errors import BudgetExhausted, DimensionMismatch, EvenGroupWarning, InconsistentContext
 from corrineq.optimize import (
     DEFAULT_BUDGET,
     GRID_CELL_CAP,
@@ -130,6 +130,12 @@ class TestMaximizeViolation:
         assert result.direction == "min"
         assert result.value == pytest.approx(-5 * np.cos(np.pi / 5), abs=1e-6)
         assert -5.0 < result.value < -3.0  # between the algebraic and classical bounds
+
+    def test_a_context_on_one_qubit_is_refused_before_the_search(self):
+        """kcbs.scn makes each neighbour pair jointly measurable, which one qubit reads only in sequence."""
+        kcbs = derive_inequality(catalog.load_expression("kcbs.rsx"))
+        with pytest.raises(InconsistentContext, match="X1,X2"):  # not BudgetExhausted: no point is scored
+            maximize_violation(kcbs, maximally_mixed(2), budget=1, scenario=catalog.load_scenario("kcbs.scn"))
 
     def test_product_family_search(self, hybrid):
         result = maximize_violation(hybrid, PRODUCT_FAMILY, grid_points=12)

@@ -488,6 +488,21 @@ class TestInequalityOperator:
         assert op.shape == (2, 2)
         assert np.trace(rho @ op).real == pytest.approx(evaluate_inequality_quantum(kcbs, rho, settings), abs=1e-12)
 
+    def test_evaluator_refuses_a_context_on_one_qubit(self):
+        """The evaluator shares the operator's guard.  Read in sequence, kcbs.scn's pairs on the
+        maximally mixed qubit at the 4pi/5 ladder would give -5 cos(pi/5), below the classical -3."""
+        kcbs, variables, scenario = _shipped("kcbs", "kcbs.scn")
+        settings = ladder_settings(variables, 0.0, 4 * np.pi / 5)
+        with pytest.raises(InconsistentContext, match="X1,X2"):
+            evaluate_inequality_quantum(kcbs, maximally_mixed(2), settings, scenario)
+        # the letter layout declares no contexts
+        value = evaluate_inequality_quantum(kcbs, maximally_mixed(2), settings)
+        assert value == pytest.approx(-5 * np.cos(np.pi / 5), abs=1e-12)
+        for name, dim in (("chsh", 4), ("hybrid", 4), ("lg", 2)):
+            ineq, names, scn = _shipped(name, f"{name}.scn")
+            ladder = ladder_settings(names, 0.0, np.pi / 4)
+            assert np.isfinite(evaluate_inequality_quantum(ineq, maximally_mixed(dim), ladder, scn))
+
     @pytest.mark.parametrize("form", [{}, {(x(1),): 1}, {(): 2, (x(1), y(1)): 1}, {(x(1), y(1), y(2)): 1}])
     def test_a_key_that_is_no_pair_raises(self, form):
         with pytest.raises(ValueError, match="pair of variables"):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from corrineq import catalog, lhv, simplex
+from corrineq.dsl import ScenarioSpec, VariableId
 from corrineq.errors import DimensionMismatch, NumericalBreakdown
 from corrineq.simplex import (
     FEASIBILITY_TOL,
@@ -447,9 +448,10 @@ def reference_run_simplex(tab, basis, cost, allowed, max_iter):
 
 
 def reference_kernel():
-    # the package's kernel gets the pivot column's nonzero rows and the count
-    # of columns that may enter; the reference reads its own and takes a mask
-    def pivot(tab, basis, row, col, rows):
+    # the package's kernel gets the pivot column's nonzero rows and their
+    # entries, and the count of columns that may enter; the reference reads
+    # its own and takes a mask
+    def pivot(tab, basis, row, col, rows, factors):
         reference_pivot(tab, basis, row, col)
 
     def run_simplex(tab, basis, cost, limit, max_iter):
@@ -499,6 +501,10 @@ def assert_same_solution(got, want):
             assert np.array_equal(a, b), name
 
 
+# perfbench's lp-scale inputs to jd_feasibility
+LP_SCALE_POINTS = [f"cycle-{n}-{side}" for n in (9, 11, 13, 15) for side in ("inside", "outside")] + ["allpairs-8-seed8"]
+
+
 class TestAgainstRowByRowKernel:
     @settings(max_examples=400, deadline=None)
     @given(lp_problems())
@@ -541,6 +547,63 @@ class TestAgainstRowByRowKernel:
             assert_same_solution(got, want)
             for name in ("x", "duals_eq"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    @pytest.mark.parametrize("label", LP_SCALE_POINTS)
+    def test_warm_started_rounds(self, label):
+        """jd_feasibility's column-generation rounds, each after the first resumed
+        from the last (`start=`), take the reference kernel's pivots and give its
+        numbers, round by round."""
+        scenario, observed = lp_scale_point(label)
+        got, got_rounds = recorded_rounds(scenario, observed)
+        with reference_kernel():
+            want, want_rounds = recorded_rounds(scenario, observed)
+        assert len(got_rounds) == len(want_rounds) > 1
+        for got_round, want_round in zip(got_rounds, want_rounds):
+            assert_same_solution(got_round, want_round)
+        assert got == want
+
+
+class TestPivotCounts:
+    """The pivots of the no-disturbance LPs, pinned: a kernel that keeps Bland's
+    rule and the arithmetic of every cell takes exactly these."""
+
+    @pytest.mark.parametrize("n", [21, 41, 61, 81, 101])
+    def test_nodisturbance_cycle(self, n):
+        (problem,) = recorded_nodisturbance_lps(f"cycle-{n}")
+        assert simplex_solve(problem).iterations == 3 * n - 1
+
+    def test_monogamy(self):
+        problems = recorded_nodisturbance_lps("monogamy")
+        assert [simplex_solve(problem).iterations for problem in problems] == [57, 48, 53, 18]
+
+
+def lp_scale_point(label):
+    """(scenario, observed) for a label of LP_SCALE_POINTS: on the n-cycle every
+    edge correlator 0.02 inside or outside the facet -(n-2)/n; or every pair of
+    8 variables under a mixture of assignments drawn with seed 8."""
+    kind, n, side = label.split("-")
+    n = int(n)
+    if kind == "cycle":
+        scenario = catalog.cycle_scenario(n)
+        names = sorted(scenario.variables, key=VariableId.sort_key)
+        value = -(n - 2) / n + (0.02 if side == "inside" else -0.02)
+        return scenario, {frozenset({names[i], names[(i + 1) % n]}): value for i in range(n)}
+    names = tuple(VariableId("X", i) for i in range(1, n + 1))
+    model = lhv.random_dhv_model(names, np.random.default_rng(int(side.removeprefix("seed"))))
+    return ScenarioSpec(names, {v: "X" for v in names}), {frozenset(p): model.correlator(*p) for p in combinations(names, 2)}
+
+
+def recorded_rounds(scenario, observed):
+    """jd_feasibility's result and the result of each simplex_solve it made, in order."""
+    rounds = []
+
+    def recording_solve(problem, start=None):
+        rounds.append(simplex_solve(problem, start=start))
+        return rounds[-1]
+
+    with mock.patch.object(lhv, "simplex_solve", recording_solve):
+        result = lhv.jd_feasibility(scenario, observed)
+    return result, rounds
 
 
 def recorded_nodisturbance_lps(label):
